@@ -31,9 +31,23 @@ def _env_cap(default: int) -> int:
     if cap is None:
         return default
     try:
-        return min(default, int(cap))
+        value = int(cap)
     except ValueError:
         raise InputError(f"bad COBARLAB_MAX_DIM value {cap!r}")
+    if value < 0:
+        raise InputError(f"COBARLAB_MAX_DIM must be >= 0, got {value}")
+    return min(default, value)
+
+
+def _nonnegative(value):
+    if value is not None and value < 0:
+        raise InputError(f"dimensions must be >= 0, got {value}")
+    return value
+
+
+def _dimension(value, default: int) -> int:
+    """An explicit --max-dim/--max-deg, else the capped default."""
+    return _env_cap(default) if value is None else _nonnegative(value)
 
 
 def _load_sset(source: str):
@@ -49,12 +63,19 @@ def _load_sset(source: str):
                          " fixture")
 
 
+def _cube_dim(text: str, name: str) -> int:
+    if not text.isdecimal():
+        raise InputError(f"bad cube dimension {text!r} in fixture {name!r}")
+    return int(text)
+
+
 def _cubical_fixture(name: str):
     if name.startswith("cube") and "x" not in name:
-        return StandardCube(int(name[4:]))
+        return StandardCube(_cube_dim(name[4:], name))
     if name.startswith("cube") and "x" in name:
-        a, b = name[4:].split("x")
-        return ProductCubicalSet(StandardCube(int(a)), StandardCube(int(b)))
+        a, _, b = name[4:].partition("x")
+        return ProductCubicalSet(StandardCube(_cube_dim(a, name)),
+                                 StandardCube(_cube_dim(b, name)))
     if name.startswith("cobar-"):
         return CobarSet(_load_sset(name[6:]))
     raise InputError(f"unknown cubical fixture {name!r}; use cube<n>,"
@@ -63,16 +84,26 @@ def _cubical_fixture(name: str):
 
 def _emit(report, json_out):
     print(report.render())
-    if json_out:
-        with open(json_out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-            fh.write("\n")
+    _write_json([report], json_out)
     return 0 if report.ok else 1
+
+
+def _write_json(reports, json_out):
+    """One document for all reports; a single report keeps its own shape."""
+    if not json_out:
+        return
+    if len(reports) == 1:
+        doc = reports[0].to_dict()
+    else:
+        doc = {"suites": [report.to_dict() for report in reports]}
+    with open(json_out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def cmd_validate(args) -> int:
     sset = _load_sset(args.input)
-    max_dim = args.max_dim if args.max_dim is not None else _env_cap(4)
+    max_dim = _dimension(args.max_dim, 4)
     verdict = sset.validate_presentation(max_dim)
     if verdict.ok:
         print(f"{sset.name}: valid up to dimension {max_dim}")
@@ -83,7 +114,7 @@ def cmd_validate(args) -> int:
 
 def cmd_homology(args) -> int:
     sset = _load_sset(args.input)
-    max_dim = args.max_dim if args.max_dim is not None else _env_cap(4)
+    max_dim = _dimension(args.max_dim, 4)
     cx = simplicial_chains(sset, max_dim)
     for n in range(max_dim + 1):
         print(f"H_{n}({sset.name}) = {cx.homology(n)}")
@@ -92,7 +123,7 @@ def cmd_homology(args) -> int:
 
 def cmd_triangulate(args) -> int:
     cset = _cubical_fixture(args.fixture)
-    max_dim = args.max_dim if args.max_dim is not None else _env_cap(3)
+    max_dim = _dimension(args.max_dim, 3)
     _, _, _, tmap = triangulation_map(cset, max_dim)
     checks = [
         ("chain-map", lambda: check_chain_map(tmap)),
@@ -104,7 +135,7 @@ def cmd_triangulate(args) -> int:
 
 def cmd_cobar(args) -> int:
     sset = _load_sset(args.input)
-    max_deg = args.max_deg if args.max_deg is not None else _env_cap(3)
+    max_deg = _dimension(args.max_deg, 3)
     _, _, _, verdicts = compare_models(sset, max_deg)
     report = verify.run_checks(
         f"cobar-{sset.name}",
@@ -139,14 +170,17 @@ def cmd_szczarba(args) -> int:
 
 def cmd_verify(args) -> int:
     suites = sorted(verify.SUITES) if args.suite == "all" else [args.suite]
-    status = 0
     for name in suites:
         if name not in verify.SUITES:
             raise InputError(f"unknown suite {name!r}; known: "
                              + ", ".join(sorted(verify.SUITES)))
-        report = verify.run_suite(name, args.max_dim)
-        status = max(status, _emit(report, args.json_out))
-    return status
+    max_dim = _nonnegative(args.max_dim)
+    reports = []
+    for name in suites:
+        reports.append(verify.run_suite(name, max_dim))
+        print(reports[-1].render())
+    _write_json(reports, args.json_out)
+    return 0 if all(report.ok for report in reports) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

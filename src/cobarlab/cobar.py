@@ -54,6 +54,16 @@ def _compose_op(op, ops):
     return (op,) + ops
 
 
+def _concat(base1, ops1, shift, base2, ops2):
+    """Product of canonical cubes, ``shift`` being the cube dimension of
+    ``base1``: the right operators move past the left base and the left
+    operators are pushed onto them."""
+    ops = tuple((k, i + shift) for k, i in ops2)
+    for op in reversed(ops1):
+        ops = _compose_op(op, ops)
+    return (base1 + base2, ops)
+
+
 def _op_words(d: int, r: int):
     """Canonical operator words (outermost first) from dimension d to d + r.
 
@@ -86,12 +96,21 @@ class CobarSet(CubicalSet):
             raise ValueError("the cobar construction needs a 1-reduced input")
         self.sset = sset
         (self.basepoint,) = [g for g, d in sset.gens.items() if d == 0]
+        # cube dimension of each base word seen so far; bounded by the
+        # number of distinct bases
+        self._base_dims = {}
 
     # ----- cubical set interface ---------------------------------------------------
 
+    def _base_dim(self, base) -> int:
+        d = self._base_dims.get(base)
+        if d is None:
+            d = self._base_dims[base] = sum(x.dim - 1 for x in base)
+        return d
+
     def dim(self, cube) -> int:
         base, ops = cube
-        return sum(x.dim - 1 for x in base) + len(ops)
+        return self._base_dim(base) + len(ops)
 
     def degen(self, cube, i):
         if not 1 <= i <= self.dim(cube) + 1:
@@ -106,25 +125,32 @@ class CobarSet(CubicalSet):
         return (base, _compose_op(("g", i), ops))
 
     def face(self, cube, eps, i):
-        n = self.dim(cube)
-        if not 1 <= i <= n:
+        if not 1 <= i <= self.dim(cube):
             raise ValueError("face index out of range")
-        base, ops = cube
+        return self._face(cube[0], cube[1], eps, i)
+
+    def _face(self, base, ops, eps, i):
+        """Face of an in-range coordinate; the cubical identities keep every
+        index they produce in range."""
         if ops:
-            (kind, j), inner = ops[0], (base, ops[1:])
+            (kind, j), inner = ops[0], ops[1:]
             if kind == "s":
                 if i == j:
-                    return inner
+                    return (base, inner)
                 if i < j:
-                    return self.degen(self.face(inner, eps, i), j - 1)
-                return self.degen(self.face(inner, eps, i - 1), j)
-            if i < j:
-                return self.conn(self.face(inner, eps, i), j - 1)
-            if i in (j, j + 1):
+                    op = ("s", j - 1)
+                else:
+                    op, i = ("s", j), i - 1
+            elif i < j:
+                op = ("g", j - 1)
+            elif i in (j, j + 1):
                 if eps == 1:
-                    return inner
-                return self.degen(self.face(inner, 0, j), j)
-            return self.conn(self.face(inner, eps, i - 1), j)
+                    return (base, inner)
+                op, eps, i = ("s", j), 0, j
+            else:
+                op, i = ("g", j), i - 1
+            face_base, face_ops = self._face(base, inner, eps, i)
+            return (face_base, _compose_op(op, face_ops))
         t, local = self._locate(base, i)
         x = base[t]
         if eps == 1:
@@ -159,46 +185,50 @@ class CobarSet(CubicalSet):
 
     def mul(self, c1, c2):
         base1, ops1 = c1
-        base2, ops2 = c2
-        shift = sum(x.dim - 1 for x in base1)
-        ops = ()
-        for op in reversed(list(ops1) + [(k, i + shift) for k, i in ops2]):
-            ops = _compose_op(op, ops)
-        return (base1 + base2, ops)
+        return _concat(base1, ops1, self._base_dim(base1), *c2)
 
     # ----- canonicalization ------------------------------------------------------------
 
     def canonicalize(self, simplices):
         """The cube represented by a raw word of simplices of dimension >= 0."""
-        cube = self.unit()
+        base, ops, shift = (), (), 0
         for x in simplices:
             if x.dim == 0:
                 continue
-            cube = self.mul(cube, self._letter_cube(x))
-        return cube
+            letter_base, letter_ops = self._letter_cube(x)
+            base, ops = _concat(base, ops, shift, letter_base, letter_ops)
+            if letter_base:
+                shift += x.gen_dim - 1
+        return (base, ops)
 
     def _letter_cube(self, x: Simplex):
         """A single simplex as a cube: peel its degeneracies into operators."""
-        degens = list(x.degens)
+        degens = x.degens
         if x.gen_dim == 0:
             # fully degenerate over the base point; the innermost s_0 is the
             # zero-dimensional unit cube
-            degens.pop()
+            degens = degens[:-1]
             base = ()
+            m = 1
         elif x.gen_dim >= 2:
-            base = (Simplex((), x.gen, x.gen_dim),)
+            base = (x if not degens else Simplex((), x.gen, x.gen_dim),)
+            m = x.gen_dim
         else:
             raise ValueError("a 1-reduced input has no nondegenerate edges")
-        cube = (base, ())
+        # m is the simplex dimension below each degeneracy
+        ops = ()
         for q in reversed(degens):
-            m = self.dim(cube) + 1  # the simplex dimension below this degeneracy
             if q == 0:
-                cube = self.degen(cube, 1)
+                op = ("s", 1)
             elif q == m:
-                cube = self.degen(cube, m)
+                op = ("s", m)
+            elif 0 < q < m:
+                op = ("g", q)
             else:
-                cube = self.conn(cube, q)
-        return cube
+                raise ValueError(f"s_{q} undefined on a {m}-simplex")
+            ops = _compose_op(op, ops)
+            m += 1
+        return (base, ops)
 
     def _locate(self, base, i):
         """Letter index and local coordinate for global coordinate i."""

@@ -10,6 +10,7 @@ evaluation on vertices are exact on this table, and a generating word
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -31,21 +32,29 @@ class CubeMorphism:
     outputs: tuple
 
     def __post_init__(self):
-        if len(self.outputs) != self.target:
+        # One pass over the entries: every block coordinate must exceed the
+        # one before it, in its own block or in an earlier one, and lie in
+        # the source range.
+        outputs = self.outputs
+        if len(outputs) != self.target:
             raise ValueError("one output entry per target coordinate")
+        source = self.source
         last = 0
-        for out in self.outputs:
+        for out in outputs:
             if out in (0, 1):
                 continue
             if not isinstance(out, tuple) or not out:
                 raise ValueError(f"bad output entry {out!r}")
-            if any(not 1 <= v <= self.source for v in out):
-                raise ValueError("block entry out of source range")
-            if list(out) != sorted(out):
-                raise ValueError("blocks must be increasing")
-            if out[0] <= last:
-                raise ValueError("blocks must be disjoint and ordered")
-            last = out[-1]
+            prev = last
+            for v in out:
+                if not prev < v <= source:
+                    if not 1 <= v <= source:
+                        raise ValueError("block entry out of source range")
+                    if prev == last:  # v opens its block
+                        raise ValueError("blocks must be disjoint and ordered")
+                    raise ValueError("blocks must be strictly increasing")
+                prev = v
+            last = prev
 
     def evaluate(self, point: tuple) -> tuple:
         """Apply to a point of the source cube (works for 0/1 vertices and
@@ -61,15 +70,20 @@ class CubeMorphism:
         """self o inner (apply ``inner`` first)."""
         if inner.target != self.source:
             raise ValueError("composition mismatch")
+        inner_outs = inner.outputs
         outs = []
         for out in self.outputs:
             if out in (0, 1):
                 outs.append(out)
                 continue
+            if len(out) == 1:
+                # a single coordinate reads the inner entry unchanged
+                outs.append(inner_outs[out[0] - 1])
+                continue
             merged = []
             is_zero = False
             for v in out:
-                entry = inner.outputs[v - 1]
+                entry = inner_outs[v - 1]
                 if entry == 0:
                     is_zero = True
                     break
@@ -85,12 +99,16 @@ class CubeMorphism:
         return CubeMorphism(inner.source, self.target, tuple(outs))
 
     # ----- generators ----------------------------------------------------------
+    # Generators are frozen and their key space is tiny, so each is built and
+    # checked once; argument errors raise before anything is cached.
 
     @staticmethod
+    @functools.lru_cache(maxsize=None)
     def identity(n: int) -> "CubeMorphism":
         return CubeMorphism(n, n, tuple((i,) for i in range(1, n + 1)))
 
     @staticmethod
+    @functools.lru_cache(maxsize=None)
     def delta(n: int, eps: int, i: int) -> "CubeMorphism":
         """Face inclusion from the (n-1)-cube: insert the constant eps at
         coordinate i (1 <= i <= n)."""
@@ -100,6 +118,7 @@ class CubeMorphism:
         return CubeMorphism(n - 1, n, tuple(outs))
 
     @staticmethod
+    @functools.lru_cache(maxsize=None)
     def sigma(n: int, i: int) -> "CubeMorphism":
         """Projection from the n-cube dropping coordinate i."""
         if not 1 <= i <= n:
@@ -108,6 +127,7 @@ class CubeMorphism:
         return CubeMorphism(n, n - 1, tuple(outs))
 
     @staticmethod
+    @functools.lru_cache(maxsize=None)
     def gamma(n: int, i: int) -> "CubeMorphism":
         """Min-connection from the n-cube merging coordinates i, i+1."""
         if not 1 <= i <= n - 1:
@@ -244,15 +264,21 @@ class CubicalSet:
 
     def validate(self, max_dim: int) -> Verdict:
         """Exhaustive cubical identities (with connections) up to max_dim."""
+        face, degen, conn = self.face, self.degen, self.conn
         for n in range(max_dim + 1):
             for y in self.cubes(n):
+                # the first operator applied to y, read once per cube
+                fy = {(eps, i): face(y, eps, i)
+                      for eps in (0, 1) for i in range(1, n + 1)}
+                sy = {j: degen(y, j) for j in range(1, n + 2)}
+                gy = {j: conn(y, j) for j in range(1, n + 1)}
                 # face-face: d_i d_j = d_{j-1} d_i for i < j
                 for e1 in (0, 1):
                     for e2 in (0, 1):
                         for j in range(2, n + 1):
                             for i in range(1, j):
-                                lhs = self.face(self.face(y, e2, j), e1, i)
-                                rhs = self.face(self.face(y, e1, i), e2, j - 1)
+                                lhs = face(fy[e2, j], e1, i)
+                                rhs = face(fy[e1, i], e2, j - 1)
                                 if lhs != rhs:
                                     return Verdict.failed(
                                         {"identity": "dd", "y": y, "i": i, "j": j,
@@ -260,23 +286,22 @@ class CubicalSet:
                 # degen-degen: s_i s_j = s_{j+1} s_i for i <= j
                 for j in range(1, n + 2):
                     for i in range(1, j + 1):
-                        lhs = self.degen(self.degen(y, j), i)
-                        rhs = self.degen(self.degen(y, i), j + 1)
+                        lhs = degen(sy[j], i)
+                        rhs = degen(sy[i], j + 1)
                         if lhs != rhs:
                             return Verdict.failed(
                                 {"identity": "ss", "y": y, "i": i, "j": j})
                 # face-degen
                 for j in range(1, n + 2):
-                    sy = self.degen(y, j)
                     for eps in (0, 1):
                         for i in range(1, n + 2):
-                            got = self.face(sy, eps, i)
+                            got = face(sy[j], eps, i)
                             if i < j:
-                                want = self.degen(self.face(y, eps, i), j - 1)
+                                want = degen(fy[eps, i], j - 1)
                             elif i == j:
                                 want = y
                             else:
-                                want = self.degen(self.face(y, eps, i - 1), j)
+                                want = degen(fy[eps, i - 1], j)
                             if got != want:
                                 return Verdict.failed(
                                     {"identity": "ds", "y": y, "i": i, "j": j,
@@ -284,42 +309,40 @@ class CubicalSet:
                 # conn-conn: g_i g_j = g_{j+1} g_i for i <= j
                 for j in range(1, n + 1):
                     for i in range(1, j + 1):
-                        lhs = self.conn(self.conn(y, j), i)
-                        rhs = self.conn(self.conn(y, i), j + 1)
+                        lhs = conn(gy[j], i)
+                        rhs = conn(gy[i], j + 1)
                         if lhs != rhs:
                             return Verdict.failed(
                                 {"identity": "gg", "y": y, "i": i, "j": j})
                 # face-conn (including the unit identities d_j g_j = d_{j+1} g_j = id
                 # in direction 1 and s_j d0_j in direction 0)
                 for j in range(1, n + 1):
-                    gy = self.conn(y, j)
                     for eps in (0, 1):
                         for i in range(1, n + 2):
-                            got = self.face(gy, eps, i)
+                            got = face(gy[j], eps, i)
                             if i < j:
-                                want = self.conn(self.face(y, eps, i), j - 1)
+                                want = conn(fy[eps, i], j - 1)
                             elif i in (j, j + 1):
                                 if eps == 1:
                                     want = y
                                 else:
-                                    want = self.degen(self.face(y, 0, j), j)
+                                    want = degen(fy[0, j], j)
                             else:
-                                want = self.conn(self.face(y, eps, i - 1), j)
+                                want = conn(fy[eps, i - 1], j)
                             if got != want:
                                 return Verdict.failed(
                                     {"identity": "dg", "y": y, "i": i, "j": j,
                                      "eps": eps})
                 # conn-degen
                 for j in range(1, n + 2):
-                    sy = self.degen(y, j)
                     for i in range(1, n + 2):
-                        got = self.conn(sy, i)
+                        got = conn(sy[j], i)
                         if i < j:
-                            want = self.degen(self.conn(y, i), j + 1)
+                            want = degen(gy[i], j + 1)
                         elif i == j:
-                            want = self.degen(self.degen(y, i), i + 1)
+                            want = degen(sy[i], i + 1)
                         else:
-                            want = self.degen(self.conn(y, i - 1), j)
+                            want = degen(gy[i - 1], j)
                         if got != want:
                             return Verdict.failed(
                                 {"identity": "gs", "y": y, "i": i, "j": j})

@@ -9,6 +9,7 @@ exactly when i lies in ``u_0 | ... | u_c``; a coordinate in the last part is
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,20 +20,25 @@ from .simplicial import SimplicialSet
 from .verdict import Verdict
 
 
+@functools.lru_cache(maxsize=None)
+def _coordinates(n: int) -> frozenset:
+    return frozenset(range(1, n + 1))
+
+
 @dataclass(frozen=True)
 class PartitionSimplex:
     n: int
     parts: tuple  # of frozensets, disjoint union {1..n}, length dim + 2
 
     def __post_init__(self):
-        if len(self.parts) < 2:
+        # {1..n} is the union of the parts and their sizes add up to n
+        # exactly when every coordinate lies in exactly one part.
+        parts = self.parts
+        if len(parts) < 2:
             raise ValueError("need at least two parts")
-        all_elems = sorted(e for p in self.parts for e in p)
-        if all_elems != list(range(1, self.n + 1)):
+        if (sum(map(len, parts)) != self.n
+                or frozenset().union(*parts) != _coordinates(self.n)):
             raise ValueError("parts must partition {1..n}")
-        total = sum(len(p) for p in self.parts)
-        if total != self.n:
-            raise ValueError("parts must be disjoint")
 
     @property
     def dim(self) -> int:

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from .chains import Chain, ChainComplex, ChainMap, add_scaled, tensor_complex
-from .verdict import Verdict, first_failure
+from .verdict import Verdict
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,8 @@ class Simplex:
     gen_dim: int
 
     def __post_init__(self):
-        if any(a <= b for a, b in zip(self.degens, self.degens[1:])):
+        degens = self.degens
+        if len(degens) > 1 and any(a <= b for a, b in zip(degens, degens[1:])):
             raise ValueError("degeneracy word must be strictly decreasing")
 
     @property
@@ -127,14 +128,18 @@ class SimplicialSet:
 
     def validate(self, max_dim: int) -> Verdict:
         """Exhaustive simplicial identities on all simplices up to max_dim."""
+        face, degeneracy = self.face, self.degeneracy
         for n in range(max_dim + 1):
             for x in self.simplices(n):
+                # the first operator applied to x, read once per simplex
+                fx = [face(x, i) for i in range(n + 1)] if n else []
+                sx = [degeneracy(x, j) for j in range(n + 1)]
                 # d_i d_j x = d_{j-1} d_i x for i < j
                 if n >= 2:
                     for i in range(n + 1):
                         for j in range(i + 1, n + 1):
-                            lhs = self.face(self.face(x, j), i)
-                            rhs = self.face(self.face(x, i), j - 1)
+                            lhs = face(fx[j], i)
+                            rhs = face(fx[i], j - 1)
                             if lhs != rhs:
                                 return Verdict.failed(
                                     {"identity": "dd", "x": x, "i": i, "j": j,
@@ -142,23 +147,22 @@ class SimplicialSet:
                 # s_i s_j x = s_{j+1} s_i x for i <= j
                 for i in range(n + 1):
                     for j in range(i, n + 1):
-                        lhs = self.degeneracy(self.degeneracy(x, j), i)
-                        rhs = self.degeneracy(self.degeneracy(x, i), j + 1)
+                        lhs = degeneracy(sx[j], i)
+                        rhs = degeneracy(sx[i], j + 1)
                         if lhs != rhs:
                             return Verdict.failed(
                                 {"identity": "ss", "x": x, "i": i, "j": j,
                                  "lhs": lhs, "rhs": rhs})
                 # d_i s_j x: mixed identities
                 for j in range(n + 1):
-                    sx = self.degeneracy(x, j)
                     for i in range(n + 2):
-                        got = self.face(sx, i)
+                        got = face(sx[j], i)
                         if i < j:
-                            want = self.degeneracy(self.face(x, i), j - 1)
+                            want = degeneracy(fx[i], j - 1)
                         elif i in (j, j + 1):
                             want = x
                         else:
-                            want = self.degeneracy(self.face(x, i - 1), j)
+                            want = degeneracy(fx[i - 1], j)
                         if got != want:
                             return Verdict.failed(
                                 {"identity": "ds", "x": x, "i": i, "j": j,

@@ -24,10 +24,3 @@ class Verdict(NamedTuple):
     def failed(witness: Any) -> "Verdict":
         return Verdict(False, witness)
 
-
-def first_failure(verdicts) -> Verdict:
-    """Combine an iterable of verdicts; the first failure wins."""
-    for v in verdicts:
-        if not v.ok:
-            return v
-    return Verdict.passed()

@@ -91,3 +91,41 @@ def test_env_cap_limits_default_dim(monkeypatch, capsys):
     assert "dimension 2" in capsys.readouterr().out
     monkeypatch.setenv("COBARLAB_MAX_DIM", "nope")
     assert main(["validate", "S2"]) == 2
+
+
+@pytest.mark.parametrize("name", ["cubeX", "cube2xY", "cube", "cube1x2x3"])
+def test_bad_cube_fixture_exits_2(name, capsys):
+    assert main(["triangulate", "--fixture", name]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "cubical", "--max-dim", "-1"],
+    ["triangulate", "--fixture", "cube1", "--max-dim", "-1"],
+    ["homology", "S2", "--max-dim", "-1"],
+    ["validate", "S2", "--max-dim", "-1"],
+    ["cobar", "S2", "--max-deg", "-1"],
+])
+def test_negative_dimension_exits_2(argv, capsys):
+    assert main(argv) == 2
+    assert "must be >= 0" in capsys.readouterr().err
+
+
+def test_verify_all_keeps_every_suite_in_json(tmp_path, monkeypatch, capsys):
+    from cobarlab import verify
+    from cobarlab.verdict import Verdict
+
+    def suite(name):
+        return lambda max_dim: verify.run_checks(
+            name, [(f"{name}-check", Verdict.passed)])
+
+    monkeypatch.setattr(verify, "SUITES", {"alpha": suite("alpha"),
+                                           "beta": suite("beta")})
+    out_path = tmp_path / "report.json"
+    assert main(["verify", "--suite", "all", "--json-out", str(out_path)]) == 0
+    data = json.loads(out_path.read_text())
+    assert [r["suite"] for r in data["suites"]] == ["alpha", "beta"]
+    assert [r["checks"][0]["name"] for r in data["suites"]] == [
+        "alpha-check", "beta-check"]
+    text = capsys.readouterr().out
+    assert "suite alpha: PASS" in text and "suite beta: PASS" in text

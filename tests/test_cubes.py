@@ -83,3 +83,29 @@ def test_cubical_chains_product():
     assert cx.check_d_squared().ok
     assert cx.check_coalgebra().ok
     assert cx.homology(0).betti == 1 and cx.homology(1).betti == 0
+
+
+def test_repeated_block_coordinate_rejected():
+    # blocks are strictly increasing: a block such as (1, 1) would give a
+    # morphism whose generating word does not compose back to it
+    with pytest.raises(ValueError):
+        CubeMorphism(2, 1, ((1, 1),))
+    with pytest.raises(ValueError):
+        CubeMorphism(3, 2, ((1, 2, 2), 0))
+
+
+def test_generators_are_cached():
+    assert CubeMorphism.delta(3, 0, 2) is CubeMorphism.delta(3, 0, 2)
+    assert CubeMorphism.identity(2) is CubeMorphism.identity(2)
+
+
+def test_validate_catches_broken_connection():
+    class BrokenCube(StandardCube):
+        def conn(self, y, i):
+            if y.source == 2 and i == 2:
+                return self.degen(y, i)
+            return super().conn(y, i)
+
+    verdict = BrokenCube(3).validate(3)
+    assert not verdict.ok
+    assert verdict.witness["identity"] == "gg"
