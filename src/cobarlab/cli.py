@@ -115,7 +115,8 @@ def cmd_validate(args) -> int:
 def cmd_homology(args) -> int:
     sset = _load_sset(args.input)
     max_dim = _dimension(args.max_dim, 4)
-    cx = simplicial_chains(sset, max_dim)
+    # H_n needs the (n+1)-cells, so the complex carries one degree more
+    cx = simplicial_chains(sset, max_dim + 1)
     for n in range(max_dim + 1):
         print(f"H_{n}({sset.name}) = {cx.homology(n)}")
     return 0
@@ -221,8 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run a named verification suite")
     sp.add_argument("--suite", default="all")
     sp.add_argument("--max-dim", type=int)
-    sp.add_argument("--seed", type=int, default=0,
-                    help="fixes sampled checks (exhaustive ones ignore it)")
     sp.add_argument("--json-out")
     sp.set_defaults(fn=cmd_verify)
     return parser

@@ -176,13 +176,6 @@ class CobarSet(CubicalSet):
     def unit(self):
         return ((), ())
 
-    def unit_cube(self, n: int):
-        """The n-fold degeneracy of the empty word."""
-        cube = self.unit()
-        for i in range(1, n + 1):
-            cube = self.degen(cube, i)
-        return cube
-
     def mul(self, c1, c2):
         base1, ops1 = c1
         return _concat(base1, ops1, self._base_dim(base1), *c2)

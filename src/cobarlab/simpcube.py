@@ -76,7 +76,8 @@ class PartitionSimplex:
         return tuple(0 if c < k else 1 for k in ks)
 
     def vertices(self):
-        return [self.vertex(c) for c in range(self.dim + 1)]
+        ks, m = self.bracket()
+        return [tuple(0 if c < k else 1 for k in ks) for c in range(m + 1)]
 
 
 def from_parts(n: int, parts) -> PartitionSimplex:
@@ -153,17 +154,6 @@ class SimplicialCube(SimplicialSet):
     def is_degenerate(self, u) -> bool:
         return u.is_degenerate
 
-    def support_face(self, u: PartitionSimplex):
-        """If u lies in a coordinate face {t_i = eps}, return (eps, i), else None.
-
-        Coordinates in the first part are constant 1; in the last, constant 0.
-        """
-        if u.parts[0]:
-            return 1, min(u.parts[0])
-        if u.parts[-1]:
-            return 0, min(u.parts[-1])
-        return None
-
 
 def lambda_star(lam: CubeMorphism, u: PartitionSimplex) -> PartitionSimplex:
     """Covariant coordinate pushforward along a cube-category morphism.
@@ -175,7 +165,7 @@ def lambda_star(lam: CubeMorphism, u: PartitionSimplex) -> PartitionSimplex:
         raise ValueError("coordinate count mismatch")
     if lam.target == 0:
         return PartitionSimplex(0, tuple(frozenset() for _ in range(u.dim + 2)))
-    cols = [lam.evaluate(u.vertex(c)) for c in range(u.dim + 1)]
+    cols = [lam.evaluate(v) for v in u.vertices()]
     rows = tuple(tuple(col[i] for col in cols) for i in range(lam.target))
     return from_matrix(rows)
 

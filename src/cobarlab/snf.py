@@ -1,10 +1,14 @@
 """Smith normal form over the integers, with unimodular transforms.
 
 Matrices are lists of lists of Python ints (exact, arbitrary precision).
+:func:`invariant_factors` works on sparse columns instead: it splits off
+the unit summands by elimination on +-1 pivots and hands only the rest to
+the dense :func:`smith_normal_form`.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import NamedTuple
 
 
@@ -151,8 +155,75 @@ def smith_normal_form(a) -> SNFResult:
     return SNFResult(diag, len(diag), u, v)
 
 
+def invariant_factors(columns) -> tuple:
+    """Nonzero invariant factors of the matrix with the given sparse columns.
+
+    Each column is a dict ``{row: nonzero int}``; rows are any hashable
+    keys.  The result has the form of :attr:`SNFResult.diag`.  Each +-1
+    pivot, once its row is cleared from the other columns by exact column
+    operations, splits off a unit summand, so the pivot row and column are
+    dropped; what is left when no +-1 entry remains goes to the dense
+    :func:`smith_normal_form`.
+
+    >>> invariant_factors([{0: 1, 1: -1}, {1: 2, 2: 2}])
+    (1, 2)
+    >>> invariant_factors([{"a": 2, "b": 4}, {"a": 4, "b": 4}])
+    (2, 4)
+    """
+    cols = [{r: c for r, c in col.items() if c} for col in columns]
+    rows = {}  # row -> indices of the columns with an entry in it
+    for j, col in enumerate(cols):
+        for r in col:
+            rows.setdefault(r, set()).add(j)
+    # sparsest column first; a column goes back on the heap whenever it
+    # changes, so one popped with no unit entry can be forgotten
+    heap = [(len(col), j) for j, col in enumerate(cols) if col]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        _, j = heapq.heappop(heap)
+        pivot_col = cols[j]
+        if pivot_col is None:
+            continue
+        candidates = [r for r, c in pivot_col.items() if c in (1, -1)]
+        if not candidates:
+            continue
+        r = min(candidates, key=lambda row: len(rows[row]))
+        sign = pivot_col[r]
+        for k in rows[r] - {j}:
+            col = cols[k]
+            factor = col[r] * sign  # col_k -= factor * col_j clears row r
+            for s, c in pivot_col.items():
+                new = col.get(s, 0) - factor * c
+                if new:
+                    if s not in col:
+                        rows[s].add(k)
+                    col[s] = new
+                elif s in col:
+                    del col[s]
+                    rows[s].discard(k)
+            heapq.heappush(heap, (len(col), k))
+        for s in pivot_col:
+            rows[s].discard(j)
+        cols[j] = None
+        units += 1
+    rest = [col for col in cols if col]
+    if not rest:
+        return (1,) * units
+    index = {r: i for i, r in enumerate(dict.fromkeys(r for col in rest for r in col))}
+    dense = [[0] * len(rest) for _ in index]
+    for j, col in enumerate(rest):
+        for r, c in col.items():
+            dense[index[r]][j] = c
+    return (1,) * units + smith_normal_form(dense).diag
+
+
 def matrix_rank(a) -> int:
-    return smith_normal_form(a).rank
+    cols = len(a[0]) if a else 0
+    if any(len(row) != cols for row in a):
+        raise ValueError("ragged matrix")
+    return len(invariant_factors(
+        [{i: row[j] for i, row in enumerate(a) if row[j]} for j in range(cols)]))
 
 
 if __name__ == "__main__":

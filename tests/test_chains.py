@@ -3,6 +3,12 @@ import pytest
 from cobarlab.chains import (ChainComplex, ChainMap, add_scaled, chain_sub,
                              check_chain_map, check_quasi_iso, mapping_cone,
                              scaled, tensor_chains, tensor_complex)
+from cobarlab.cobar import CobarSet
+from cobarlab.cubes import StandardCube, cubical_chains
+from cobarlab.simpcube import SimplicialCube
+from cobarlab.simplicial import simplicial_chains, sphere
+from cobarlab.snf import smith_normal_form
+from cobarlab.triangulate import triangulation_map
 
 
 def circle():
@@ -72,3 +78,32 @@ def test_quasi_iso_fails_for_zero_map():
     zero = ChainMap(cx, cx, {"v": {}, "e": {}})
     assert check_chain_map(zero).ok
     assert not check_quasi_iso(zero).ok
+
+
+def dense_homology(cx, n):
+    """H_n by dense Smith normal form of the boundary matrices."""
+    rank_dn = smith_normal_form(cx.boundary_matrix(n)).rank if n >= 1 else 0
+    snf_up = smith_normal_form(cx.boundary_matrix(n + 1))
+    return (cx.rank(n) - rank_dn - snf_up.rank,
+            tuple(d for d in snf_up.diag if d > 1))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: tensor_complex(disk_mod_2(), disk_mod_2()),
+    lambda: simplicial_chains(SimplicialCube(3), 3),
+    lambda: cubical_chains(CobarSet(sphere(3)), 4),
+    lambda: mapping_cone(triangulation_map(StandardCube(2), 3)[3]),
+], ids=["disk-mod-2-squared", "simplicial-cube-3", "cobar-chains-S3",
+        "cone-triangulation-cube-2"])
+def test_homology_agrees_with_dense_snf(build):
+    cx = build()
+    for n in range(cx.max_degree):
+        h = cx.homology(n)
+        assert (h.betti, h.torsion) == dense_homology(cx, n), n
+
+
+def test_torsion_comes_from_the_non_unit_block():
+    t = tensor_complex(disk_mod_2(), disk_mod_2())
+    # Kunneth: H_1 = Z/2 + Z/2, H_2 = Z/2 (tensor), H_3 = Z/2 (Tor)
+    assert [str(t.homology(n)) for n in range(4)] == [
+        "Z", "Z/2 + Z/2", "Z/2", "Z/2"]

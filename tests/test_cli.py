@@ -48,6 +48,15 @@ def test_homology_output(capsys):
     assert "H_1(S3) = 0" in out
 
 
+@pytest.mark.parametrize("name, top", [("Delta3", 2), ("D4sk1", 3)])
+def test_homology_top_degree_sees_the_next_cells(name, top, capsys):
+    # H_top needs the (top+1)-cells; a complex cut at top reads H_top = Z
+    assert main(["homology", name, "--max-dim", str(top)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"H_{top}({name}) = 0"
+    assert len(lines) == top + 1
+
+
 def test_triangulate_report(capsys):
     assert main(["triangulate", "--fixture", "cube2"]) == 0
     assert "PASS" in capsys.readouterr().out

@@ -1,7 +1,7 @@
 import random
 
-from cobarlab.snf import (det_unimodular, identity_matrix, mat_mul,
-                          matrix_rank, smith_normal_form)
+from cobarlab.snf import (det_unimodular, identity_matrix, invariant_factors,
+                          mat_mul, matrix_rank, smith_normal_form)
 
 
 def check_snf(a):
@@ -48,3 +48,35 @@ def test_rank():
     assert matrix_rank([[1, 2], [2, 4]]) == 1
     assert matrix_rank([[1, 0], [0, 3]]) == 2
     assert matrix_rank([[0]]) == 0
+
+
+def columns_of(a):
+    cols = len(a[0]) if a else 0
+    return [{i: row[j] for i, row in enumerate(a) if row[j]} for j in range(cols)]
+
+
+def test_invariant_factors_agree_with_dense_snf():
+    rng = random.Random(20261018)
+    entries = (0, 0, 0, 0, 1, -1, 2, -2, 3, -4)
+    for _ in range(300):
+        rows = rng.randrange(0, 9)
+        cols = rng.randrange(0, 9)
+        a = [[rng.choice(entries) for _ in range(cols)] for _ in range(rows)]
+        diag = smith_normal_form(a).diag
+        assert invariant_factors(columns_of(a)) == diag, a
+        assert matrix_rank(a) == len(diag)
+
+
+def test_invariant_factors_without_unit_entries():
+    assert invariant_factors(columns_of([[2, 4], [4, 4]])) == (2, 4)
+    assert invariant_factors([{"x": 6}, {"y": 4}]) == (2, 12)
+
+
+def test_invariant_factors_of_zero_and_empty_shapes():
+    assert invariant_factors([]) == ()  # no columns: n x 0
+    assert invariant_factors([{}, {}, {}]) == ()  # 0 x 3
+    assert invariant_factors([{0: 0, 1: 0}, {}]) == ()  # all-zero columns
+    assert invariant_factors(columns_of([[0, 0], [0, 0]])) == ()
+    assert invariant_factors([{0: 1}, {}, {1: 0}]) == (1,)
+    assert matrix_rank([]) == 0
+    assert matrix_rank([[], [], []]) == smith_normal_form([[], [], []]).rank == 0
