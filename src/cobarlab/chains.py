@@ -57,14 +57,17 @@ class ChainComplex:
     """Finitely generated chain complex with optional coalgebra structure.
 
     ``basis`` maps degree to an ordered tuple of labels; ``boundary`` maps
-    each label to a chain one degree down; ``diagonal`` (optional) maps each
-    label to a chain in the tensor square, keyed by label pairs.
+    each label to a chain one degree down; ``diagonal`` (optional) is a
+    function taking a label to a chain in the tensor square, keyed by label
+    pairs.  It runs only when :meth:`diagonal_of` first asks for that label,
+    so boundaries and homology never pay for the coalgebra.
     """
 
     def __init__(self, basis, boundary, diagonal=None):
         self.basis = {n: tuple(labels) for n, labels in sorted(basis.items())}
         self.boundary = boundary
-        self.diagonal = diagonal
+        self._diagonal_fn = diagonal
+        self._diagonal = {}
         self._degree = {}
         for n, labels in self.basis.items():
             for label in labels:
@@ -92,12 +95,21 @@ class ChainComplex:
             add_scaled(out, self.boundary[label], c)
         return out
 
+    def diagonal_of(self, label) -> Chain:
+        """The diagonal of a basis label, computed once and then kept."""
+        delta = self._diagonal.get(label)
+        if delta is None:
+            if self._diagonal_fn is None:
+                raise ValueError("complex carries no diagonal")
+            if label not in self._degree:
+                raise KeyError(label)
+            delta = self._diagonal[label] = self._diagonal_fn(label)
+        return delta
+
     def diagonal_chain(self, chain: Chain) -> Chain:
-        if self.diagonal is None:
-            raise ValueError("complex carries no diagonal")
         out: Chain = {}
         for label, c in chain.items():
-            add_scaled(out, self.diagonal[label], c)
+            add_scaled(out, self.diagonal_of(label), c)
         return out
 
     # ----- structural checks -------------------------------------------------
@@ -125,11 +137,12 @@ class ChainComplex:
 
     def check_coalgebra(self) -> Verdict:
         """Diagonal is a chain map, coassociative and counital."""
-        if self.diagonal is None:
+        if self._diagonal_fn is None:
             return Verdict.failed({"check": "coalgebra", "error": "no diagonal"})
+        diagonal_of = self.diagonal_of
         for n in self.degrees:
             for label in self.basis[n]:
-                delta = self.diagonal[label]
+                delta = diagonal_of(label)
                 if n >= 1:
                     lhs = self.diagonal_chain(self.boundary[label])
                     rhs = self._tensor_boundary(delta)
@@ -140,9 +153,9 @@ class ChainComplex:
                 left: Chain = {}
                 right: Chain = {}
                 for (a, b), c in delta.items():
-                    for (a1, a2), ca in self.diagonal[a].items():
+                    for (a1, a2), ca in diagonal_of(a).items():
                         add_scaled(left, {(a1, a2, b): 1}, c * ca)
-                    for (b1, b2), cb in self.diagonal[b].items():
+                    for (b1, b2), cb in diagonal_of(b).items():
                         add_scaled(right, {(a, b1, b2): 1}, c * cb)
                 if left != right:
                     return Verdict.failed({"check": "coassociativity", "label": label})
@@ -258,7 +271,7 @@ def check_coalgebra_map(f: ChainMap) -> Verdict:
     for n in f.source.degrees:
         for label in f.source.basis[n]:
             lhs = f.target.diagonal_chain(f.mapping[label])
-            rhs = f.apply_tensor(f.source.diagonal[label])
+            rhs = f.apply_tensor(f.source.diagonal_of(label))
             if lhs != rhs:
                 return Verdict.failed(
                     {"check": "coalgebra_map", "label": label,

@@ -349,14 +349,14 @@ def compare_models(sset: SimplicialPresentation, max_deg: int):
         if not verdicts["differential"].ok:
             break
 
-    # multiplication match (concatenation on both sides)
+    # multiplication match (concatenation on both sides); the first failing
+    # pair in basis order is the witness
     verdicts["product"] = Verdict.passed()
-    for d1 in range(max_deg + 1):
-        for d2 in range(max_deg + 1 - d1):
-            for w1 in omega.basis[d1]:
-                for w2 in omega.basis[d2]:
-                    if word_to_cube(w1 + w2) != cset.mul(word_to_cube(w1),
-                                                         word_to_cube(w2)):
-                        verdicts["product"] = Verdict.failed(
-                            {"pair": (w1, w2)})
+    pairs = ((w1, w2) for d1 in range(max_deg + 1)
+             for d2 in range(max_deg + 1 - d1)
+             for w1 in omega.basis[d1] for w2 in omega.basis[d2])
+    for w1, w2 in pairs:
+        if word_to_cube(w1 + w2) != cset.mul(word_to_cube(w1), word_to_cube(w2)):
+            verdicts["product"] = Verdict.failed({"pair": (w1, w2)})
+            break
     return omega, cset, cchain, verdicts

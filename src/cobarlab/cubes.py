@@ -256,12 +256,6 @@ class CubicalSet:
                 y = self.conn(y, args[0])
         return y
 
-    def multi_face(self, y, eps: int, coords):
-        """Iterated faces in one direction, taken at original coordinates."""
-        for i in sorted(coords, reverse=True):
-            y = self.face(y, eps, i)
-        return y
-
     def validate(self, max_dim: int) -> Verdict:
         """Exhaustive cubical identities (with connections) up to max_dim."""
         face, degen, conn = self.face, self.degen, self.conn
@@ -443,16 +437,37 @@ class ProductCubicalSet(CubicalSet):
         return self.pair(y, self.right.conn(z, i - k))
 
 
+@functools.lru_cache(maxsize=None)
+def _shuffle_splits(n: int):
+    """(front coordinates, back coordinates, sign) of every shuffle of n
+    coordinates, in the order of :func:`all_shuffles` over k = 0..n."""
+    return tuple((sh.beta, sh.alpha, sh.sign())
+                 for k in range(n + 1) for sh in all_shuffles(k, n - k))
+
+
+def _face_table(cset: CubicalSet, y, eps: int, n: int) -> dict:
+    """The iterated face of the n-cube y in direction eps at every subset of
+    its coordinates, keyed by the increasing tuple of the subset; faces are
+    taken at original coordinates, largest first.  Each subset's face is
+    one face, at its smallest coordinate, of the face of the subset without
+    it: 2^n - 1 face calls in all."""
+    table = {(): y}
+    for i in range(n, 0, -1):
+        for coords, z in list(table.items()):
+            table[(i,) + coords] = cset.face(z, eps, i)
+    return table
+
+
 def cubical_chains(cset: CubicalSet, max_dim: int) -> ChainComplex:
     """Normalized cubical chains: degenerate and folded cubes are zero.
 
-    Boundary d y = sum_i (-1)^i (d0_i y - d1_i y); the diagonal is the
-    two-sided face splitting over all shuffles of the coordinate set.
+    Boundary d y = sum_i (-1)^i (d0_i y - d1_i y); the diagonal, built on
+    demand, is the two-sided face splitting over all shuffles of the
+    coordinate set.
     """
     basis = {n: tuple(cset.normalized(n)) for n in range(max_dim + 1)}
     present = {y for labels in basis.values() for y in labels}
     boundary = {}
-    diagonal = {}
     for n in range(max_dim + 1):
         for y in basis[n]:
             d: Chain = {}
@@ -465,12 +480,17 @@ def cubical_chains(cset: CubicalSet, max_dim: int) -> ChainComplex:
                 if f1 in present:
                     add_scaled(d, {f1: 1}, -sign)
             boundary[y] = d
-            delta: Chain = {}
-            for k in range(n + 1):
-                for sh in all_shuffles(k, n - k):
-                    front = cset.multi_face(y, 0, sh.beta)
-                    back = cset.multi_face(y, 1, sh.alpha)
-                    if front in present and back in present:
-                        add_scaled(delta, {(front, back): 1}, sh.sign())
-            diagonal[y] = delta
+
+    def diagonal(y) -> Chain:
+        n = cset.dim(y)
+        fronts = _face_table(cset, y, 0, n)
+        backs = _face_table(cset, y, 1, n)
+        delta: Chain = {}
+        for front_coords, back_coords, sign in _shuffle_splits(n):
+            front = fronts[front_coords]
+            back = backs[back_coords]
+            if front in present and back in present:
+                add_scaled(delta, {(front, back): 1}, sign)
+        return delta
+
     return ChainComplex(basis, boundary, diagonal)

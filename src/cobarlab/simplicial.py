@@ -9,30 +9,53 @@ a unique representation and equality is structural.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from operator import gt
 
 from .chains import Chain, ChainComplex, ChainMap, add_scaled, tensor_complex
 from .verdict import Verdict
 
 
-@dataclass(frozen=True)
 class Simplex:
     """``degens`` is a strictly decreasing tuple of degeneracy indices applied
     (outermost first) to the nondegenerate generator ``gen`` of dimension
-    ``gen_dim``."""
+    ``gen_dim``.
 
-    degens: tuple
-    gen: str
-    gen_dim: int
+    Immutable; equality and hashing are on ``(degens, gen, gen_dim)``.  The
+    dimension and the hash are computed once, at construction, since
+    simplices are hashed and measured far more often than they are built.
+    """
 
-    def __post_init__(self):
-        degens = self.degens
-        if len(degens) > 1 and any(a <= b for a, b in zip(degens, degens[1:])):
+    __slots__ = ("degens", "gen", "gen_dim", "dim", "_hash")
+
+    def __init__(self, degens: tuple, gen: str, gen_dim: int):
+        if len(degens) > 1 and not all(map(gt, degens, degens[1:])):
             raise ValueError("degeneracy word must be strictly decreasing")
+        init = object.__setattr__
+        init(self, "degens", degens)
+        init(self, "gen", gen)
+        init(self, "gen_dim", gen_dim)
+        init(self, "dim", gen_dim + len(degens))
+        init(self, "_hash", hash((degens, gen, gen_dim)))
 
-    @property
-    def dim(self) -> int:
-        return self.gen_dim + len(self.degens)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Simplex is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Simplex is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Simplex:
+            return NotImplemented
+        return self is other or (self._hash == other._hash
+                                 and self.degens == other.degens
+                                 and self.gen == other.gen
+                                 and self.gen_dim == other.gen_dim)
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Simplex, (self.degens, self.gen, self.gen_dim)
 
     @property
     def is_degenerate(self) -> bool:
@@ -259,12 +282,12 @@ class ProductSimplicialSet(SimplicialSet):
 def simplicial_chains(sset: SimplicialSet, max_dim: int) -> ChainComplex:
     """Normalized chains: degenerate simplices are identified with zero.
 
-    Carries the front-face/back-face diagonal, making it a dg-coalgebra.
+    Carries the front-face/back-face diagonal, built on demand, making it a
+    dg-coalgebra.
     """
     basis = {n: tuple(sset.nondegenerate(n)) for n in range(max_dim + 1)}
     present = {x for labels in basis.values() for x in labels}
     boundary = {}
-    diagonal = {}
     for n in range(max_dim + 1):
         for x in basis[n]:
             d: Chain = {}
@@ -275,13 +298,23 @@ def simplicial_chains(sset: SimplicialSet, max_dim: int) -> ChainComplex:
                 if fx in present:
                     add_scaled(d, {fx: 1}, -1 if i % 2 else 1)
             boundary[x] = d
-            delta: Chain = {}
-            for i in range(n + 1):
-                front = sset.front_face(x, i)
-                back = sset.back_face(x, i)
-                if front in present and back in present:
-                    add_scaled(delta, {(front, back): 1}, 1)
-            diagonal[x] = delta
+
+    def diagonal(x) -> Chain:
+        # fronts[i] = front_face(x, i) and backs[i] = back_face(x, i), each
+        # one face of the one before it
+        n = sset.dim(x)
+        fronts = [x]
+        backs = [x]
+        for i in range(n, 0, -1):
+            fronts.append(sset.face(fronts[-1], i))
+            backs.append(sset.face(backs[-1], 0))
+        fronts.reverse()
+        delta: Chain = {}
+        for front, back in zip(fronts, backs):
+            if front in present and back in present:
+                add_scaled(delta, {(front, back): 1}, 1)
+        return delta
+
     return ChainComplex(basis, boundary, diagonal)
 
 

@@ -340,7 +340,7 @@ def check_f_sz_comultiplicative(sset, max_deg: int, provider=None) -> Verdict:
         for w in omega.basis[d]:
             lhs = group_diagonal(group, f_sz(provider, w))
             rhs: Chain = {}
-            for (c1, c2), c in cchain.diagonal[word_to_cube(w)].items():
+            for (c1, c2), c in cchain.diagonal_of(word_to_cube(w)).items():
                 w1, w2 = cube_to_word(c1), cube_to_word(c2)
                 if w1 is None or w2 is None:
                     return Verdict.failed(

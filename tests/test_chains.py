@@ -1,12 +1,15 @@
 import pytest
 
 from cobarlab.chains import (ChainComplex, ChainMap, add_scaled, chain_sub,
-                             check_chain_map, check_quasi_iso, mapping_cone,
-                             scaled, tensor_chains, tensor_complex)
+                             check_chain_map, check_coalgebra_map,
+                             check_quasi_iso, mapping_cone, scaled,
+                             tensor_chains, tensor_complex)
 from cobarlab.cobar import CobarSet
-from cobarlab.cubes import StandardCube, cubical_chains
+from cobarlab.cubes import (CubeMorphism, CubicalSet, ProductCubicalSet,
+                            StandardCube, cubical_chains)
+from cobarlab.perms import all_shuffles
 from cobarlab.simpcube import SimplicialCube
-from cobarlab.simplicial import simplicial_chains, sphere
+from cobarlab.simplicial import fixture, simplicial_chains, sphere
 from cobarlab.snf import smith_normal_form
 from cobarlab.triangulate import triangulation_map
 
@@ -107,3 +110,166 @@ def test_torsion_comes_from_the_non_unit_block():
     # Kunneth: H_1 = Z/2 + Z/2, H_2 = Z/2 (tensor), H_3 = Z/2 (Tor)
     assert [str(t.homology(n)) for n in range(4)] == [
         "Z", "Z/2 + Z/2", "Z/2", "Z/2"]
+
+
+# ----- the diagonal, built on demand ---------------------------------------------
+
+
+def reference_cubical_diagonal(cset, present, y):
+    """The per-shuffle formula: every front and back face is taken afresh
+    from y, largest coordinate first."""
+
+    def multi_face(z, eps, coords):
+        for i in sorted(coords, reverse=True):
+            z = cset.face(z, eps, i)
+        return z
+
+    n = cset.dim(y)
+    delta = {}
+    for k in range(n + 1):
+        for sh in all_shuffles(k, n - k):
+            front = multi_face(y, 0, sh.beta)
+            back = multi_face(y, 1, sh.alpha)
+            if front in present and back in present:
+                add_scaled(delta, {(front, back): 1}, sh.sign())
+    return delta
+
+
+def reference_simplicial_diagonal(sset, present, x):
+    delta = {}
+    for i in range(sset.dim(x) + 1):
+        front = sset.front_face(x, i)
+        back = sset.back_face(x, i)
+        if front in present and back in present:
+            add_scaled(delta, {(front, back): 1}, 1)
+    return delta
+
+
+def all_labels(cx):
+    return [label for n in cx.degrees for label in cx.basis[n]]
+
+
+class CountingCubes(CubicalSet):
+    """A cubical set that delegates to another and counts face calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.faces = 0
+
+    def cubes(self, n):
+        return self.inner.cubes(n)
+
+    def normalized(self, n):
+        return self.inner.normalized(n)
+
+    def dim(self, y):
+        return self.inner.dim(y)
+
+    def face(self, y, eps, i):
+        self.faces += 1
+        return self.inner.face(y, eps, i)
+
+    def degen(self, y, i):
+        return self.inner.degen(y, i)
+
+    def conn(self, y, i):
+        return self.inner.conn(y, i)
+
+
+@pytest.mark.parametrize("build,max_dim", [
+    (lambda: CobarSet(fixture("D4sk1")), 3),
+    (lambda: CobarSet(fixture("S3")), 4),
+    (lambda: StandardCube(4), 4),
+    (lambda: ProductCubicalSet(StandardCube(2), StandardCube(1)), 3),
+], ids=["cobar-D4sk1", "cobar-S3", "standard-cube-4", "product-2x1"])
+def test_cubical_diagonal_matches_per_shuffle_formula(build, max_dim):
+    cset = build()
+    cx = cubical_chains(cset, max_dim)
+    present = set(all_labels(cx))
+    assert cx.basis[max_dim]
+    for y in all_labels(cx):
+        assert cx.diagonal_of(y) == reference_cubical_diagonal(cset, present, y), y
+
+
+@pytest.mark.parametrize("build,max_dim", [
+    (lambda: fixture("D4sk1"), 4),
+    (lambda: SimplicialCube(3), 3),
+], ids=["D4sk1", "simplicial-cube-3"])
+def test_simplicial_diagonal_matches_front_back_formula(build, max_dim):
+    sset = build()
+    cx = simplicial_chains(sset, max_dim)
+    present = set(all_labels(cx))
+    assert cx.basis[max_dim]
+    for x in all_labels(cx):
+        assert cx.diagonal_of(x) == reference_simplicial_diagonal(sset, present, x), x
+
+
+def test_diagonal_takes_two_faces_per_coordinate_subset():
+    counting = CountingCubes(CobarSet(fixture("D4sk1")))
+    cx = cubical_chains(counting, 3)
+    for n in cx.degrees:
+        for y in cx.basis[n]:
+            before = counting.faces
+            cx.diagonal_of(y)
+            assert counting.faces - before == 2 * (2 ** n - 1)
+            cx.diagonal_of(y)  # kept, not computed again
+            assert counting.faces - before == 2 * (2 ** n - 1)
+
+
+def test_homology_and_d_squared_build_no_diagonal():
+    counting = CountingCubes(CobarSet(fixture("D4sk1")))
+    cx = cubical_chains(counting, 3)
+    built = counting.faces
+    assert cx.check_d_squared().ok
+    assert [cx.homology(n).betti for n in range(3)] == [1, 6, 36]
+    assert counting.faces == built
+
+
+def test_diagonal_function_runs_once_per_label_on_demand():
+    calls = []
+
+    def diagonal(label):
+        calls.append(label)
+        return {("v", "v"): 1} if label == "v" else {("v", "e"): 1, ("e", "v"): 1}
+
+    cx = ChainComplex({0: ("v",), 1: ("e",)}, {"v": {}, "e": {}}, diagonal)
+    assert cx.check_d_squared().ok
+    assert str(cx.homology(1)) == "Z"
+    assert calls == []
+    assert cx.check_coalgebra().ok
+    assert cx.check_coalgebra().ok
+    assert sorted(calls) == ["e", "v"]
+    with pytest.raises(KeyError):
+        cx.diagonal_of("w")
+    assert sorted(calls) == ["e", "v"]
+
+
+def test_complex_without_diagonal():
+    cx = circle()
+    verdict = cx.check_coalgebra()
+    assert not verdict.ok
+    assert verdict.witness == {"check": "coalgebra", "error": "no diagonal"}
+    with pytest.raises(ValueError):
+        cx.diagonal_of("v")
+
+
+def test_corrupted_diagonal_fails_with_witness():
+    cx = cubical_chains(StandardCube(2), 2)
+    assert cx.check_coalgebra().ok
+    top = CubeMorphism.identity(2)
+
+    def corrupted(y):
+        delta = cx.diagonal_of(y)
+        return {k: -c for k, c in delta.items()} if y == top else delta
+
+    bad = ChainComplex(cx.basis, cx.boundary, corrupted)
+    verdict = bad.check_coalgebra()
+    assert not verdict.ok
+    assert verdict.witness["check"] == "diagonal_chain_map"
+    assert verdict.witness["label"] == top
+    ident = {y: {y: 1} for y in all_labels(cx)}
+    assert check_coalgebra_map(ChainMap(cx, cx, ident)).ok
+    verdict = check_coalgebra_map(ChainMap(bad, cx, ident))
+    assert not verdict.ok
+    assert verdict.witness["check"] == "coalgebra_map"
+    assert verdict.witness["label"] == top

@@ -72,6 +72,27 @@ def test_model_comparison(name, max_deg):
         assert verdicts[key].ok, verdicts[key].witness
 
 
+def test_product_witness_is_first_failing_pair(monkeypatch):
+    sset = fixture("D4sk1")
+    omega = omega_complex(sset, 2)
+    # every pair in the order compare_models visits them
+    pairs = [(w1, w2) for d1 in range(3) for d2 in range(3 - d1)
+             for w1 in omega.basis[d1] for w2 in omega.basis[d2]]
+    broken = {pairs[7], pairs[-3]}
+    mul = CobarSet.mul
+
+    def bad_mul(self, c1, c2):
+        out = mul(self, c1, c2)
+        if (cube_to_word(c1), cube_to_word(c2)) in broken:
+            return self.degen(out, 1)
+        return out
+
+    monkeypatch.setattr(CobarSet, "mul", bad_mul)
+    verdict = compare_models(sset, 2)[3]["product"]
+    assert not verdict.ok
+    assert verdict.witness == {"pair": pairs[7]}
+
+
 def test_omega_complex_d_squared():
     for name in ("S2", "S3", "D4sk1"):
         omega = omega_complex(fixture(name), 3)

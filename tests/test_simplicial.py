@@ -25,6 +25,21 @@ def test_simplex_normal_form():
     assert a.degens == (1, 0)
 
 
+def test_simplex_is_an_immutable_value():
+    x = Simplex((3, 1), "0123", 3)
+    y = Simplex((3, 1), "0123", 3)
+    assert x == y and hash(x) == hash(y) and x is not y
+    assert len({x, y, Simplex((3, 0), "0123", 3), Simplex((3, 1), "0124", 3)}) == 3
+    assert x != Simplex((3, 1), "0123", 2) and x != ((3, 1), "0123", 3)
+    assert x.dim == 5 and nondeg("0123", 3).dim == 3
+    assert repr(x) == "s3 s1 0123" and repr(nondeg("0123", 3)) == "0123"
+    with pytest.raises(AttributeError):
+        x.gen = "0124"
+    with pytest.raises(AttributeError):
+        x.dim = 4
+    assert x == y and x.dim == 5
+
+
 def test_face_counts_of_standard_simplex():
     d3 = standard_simplex(3)
     assert len(d3.nondegenerate(0)) == 4

@@ -1,11 +1,17 @@
+from pathlib import Path
+
 import pytest
 
+import cobarlab
+from cobarlab.cli import main
 from cobarlab.simplicial import fixture
 from cobarlab.ssetfile import ParseError, parse, serialize
 
+FIXTURE_NAMES = ["S2", "S3", "D4sk1", "Delta2", "I", "TwoLoopsCell"]
+FIXTURE_DIR = Path(cobarlab.__file__).parent / "fixtures"
 
-@pytest.mark.parametrize(
-    "name", ["S2", "S3", "D4sk1", "Delta2", "I", "TwoLoopsCell"])
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_serialize_parse_roundtrip(name):
     sset = fixture(name)
     text = serialize(sset)
@@ -70,3 +76,15 @@ def test_face_dimension_mismatch():
         "face c 0 = *\nface c 1 = a\nface c 2 = a\n")
     with pytest.raises(ParseError):
         parse(text)
+
+
+def test_shipped_fixture_files_are_the_named_fixtures():
+    assert sorted(p.stem for p in FIXTURE_DIR.glob("*.sset")) == sorted(FIXTURE_NAMES)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_shipped_fixture_file_matches_and_validates(name, capsys):
+    path = FIXTURE_DIR / f"{name}.sset"
+    assert path.read_text(encoding="utf-8") == serialize(fixture(name))
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == f"{name}: valid up to dimension 4\n"
