@@ -96,21 +96,12 @@ class CobarSet(CubicalSet):
             raise ValueError("the cobar construction needs a 1-reduced input")
         self.sset = sset
         (self.basepoint,) = [g for g, d in sset.gens.items() if d == 0]
-        # cube dimension of each base word seen so far; bounded by the
-        # number of distinct bases
-        self._base_dims = {}
 
     # ----- cubical set interface ---------------------------------------------------
 
-    def _base_dim(self, base) -> int:
-        d = self._base_dims.get(base)
-        if d is None:
-            d = self._base_dims[base] = sum(x.dim - 1 for x in base)
-        return d
-
     def dim(self, cube) -> int:
         base, ops = cube
-        return self._base_dim(base) + len(ops)
+        return sum(x.dim - 1 for x in base) + len(ops)
 
     def degen(self, cube, i):
         if not 1 <= i <= self.dim(cube) + 1:
@@ -178,7 +169,7 @@ class CobarSet(CubicalSet):
 
     def mul(self, c1, c2):
         base1, ops1 = c1
-        return _concat(base1, ops1, self._base_dim(base1), *c2)
+        return _concat(base1, ops1, sum(x.dim - 1 for x in base1), *c2)
 
     # ----- canonicalization ------------------------------------------------------------
 

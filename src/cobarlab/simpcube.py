@@ -62,7 +62,11 @@ class PartitionSimplex:
 
     def bracket(self):
         """(k_1, ..., k_n): part index of each coordinate, plus the dimension."""
-        return tuple(self.part_index(i) for i in range(1, self.n + 1)), self.dim
+        ks = [0] * self.n
+        for k, p in enumerate(self.parts):
+            for i in p:
+                ks[i - 1] = k
+        return tuple(ks), self.dim
 
     def to_matrix(self):
         """Row i is the 0/1 step vector of coordinate i over the m+1 vertices."""
@@ -158,16 +162,26 @@ class SimplicialCube(SimplicialSet):
 def lambda_star(lam: CubeMorphism, u: PartitionSimplex) -> PartitionSimplex:
     """Covariant coordinate pushforward along a cube-category morphism.
 
-    Sends a simplex of the source cube to one of the target cube by mapping
-    each vertex through ``lam``.
+    Sends a simplex of the source cube to one of the target cube, the image
+    of each vertex under ``lam``.  It works by the bracket rule: a coordinate
+    in part k of u is 1 exactly at the vertices c >= k, so the minimum over a
+    block B is 1 exactly at c >= max(k_v for v in B).  An output block B goes
+    to part max(k_v), the constant 1 to part 0 and the constant 0 to part
+    m + 1, where m is the dimension of u.
     """
     if u.n != lam.source:
         raise ValueError("coordinate count mismatch")
-    if lam.target == 0:
-        return PartitionSimplex(0, tuple(frozenset() for _ in range(u.dim + 2)))
-    cols = [lam.evaluate(v) for v in u.vertices()]
-    rows = tuple(tuple(col[i] for col in cols) for i in range(lam.target))
-    return from_matrix(rows)
+    ks, m = u.bracket()
+    parts = [[] for _ in range(m + 2)]
+    for j, out in enumerate(lam.outputs, 1):
+        if out == 0:
+            k = m + 1
+        elif out == 1:
+            k = 0
+        else:
+            k = max(ks[v - 1] for v in out)
+        parts[k].append(j)
+    return from_parts(lam.target, parts)
 
 
 def face_by_bar_removal(pi, removed) -> PartitionSimplex:

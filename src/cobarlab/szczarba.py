@@ -363,6 +363,10 @@ class CobarToGroupMap:
     pi -> sz(pi, x) over the simplicial (m-1)-cube; a word splits its
     simplex into coordinate windows and multiplies; operator prefixes are
     pushed onto the simplex side as projections and foldings.
+
+    The map keeps its values: each letter's family is checked and glued
+    once, and each (letter, piece) pair goes through the glued evaluator
+    once, so the memo is bounded by the distinct pieces asked for.
     """
 
     def __init__(self, cset: CobarSet, provider):
@@ -370,6 +374,7 @@ class CobarToGroupMap:
         self.provider = provider
         self.group = provider.group
         self._letter_eval = {}
+        self._values = {}
 
     def _letter(self, x: Simplex):
         if x not in self._letter_eval:
@@ -381,6 +386,13 @@ class CobarToGroupMap:
                                  f"{verdict.witness}")
             self._letter_eval[x] = evaluate
         return self._letter_eval[x]
+
+    def _letter_value(self, x: Simplex, piece: PartitionSimplex) -> GroupWord:
+        key = (x, piece)
+        value = self._values.get(key)
+        if value is None:
+            value = self._values[key] = self._letter(x)(piece)
+        return value
 
     def evaluate(self, cube, u: PartitionSimplex) -> GroupWord:
         base, ops = cube
@@ -397,7 +409,7 @@ class CobarToGroupMap:
         for x in base:
             k = x.dim - 1
             piece = project_simplex(u, pos, pos + k - 1)
-            out = self.group.mul(out, self._letter(x)(piece))
+            out = self.group.mul(out, self._letter_value(x, piece))
             pos += k
         return out
 
@@ -405,50 +417,50 @@ class CobarToGroupMap:
         return self.evaluate(tri_simplex.cube, tri_simplex.simplex)
 
 
+def _operator_image(cset: CobarSet, z, op):
+    """The image of the cube z under the generator named by ``op``."""
+    if op[0] == "s":
+        return cset.degen(z, op[1])
+    if op[0] == "g":
+        return cset.conn(z, op[1])
+    return cset.face(z, op[1], op[2])
+
+
 def build_f(sset, provider, max_dim: int):
     """The glued map on the triangulated cobar construction, plus the
     verdict that it respects every identification: for each generator
     operator lam and cube z up to max_dim, evaluating the operator image of
     z on a top simplex agrees with evaluating z on the pushed-forward
-    simplex."""
+    simplex.
+
+    The top simplices and their pushforwards depend only on the dimension,
+    the operator and the permutation, so they are built once per dimension
+    and shared by every cube of that dimension.
+    """
     cset = CobarSet(sset)
     f = CobarToGroupMap(cset, provider)
     for n in range(max_dim + 1):
+        ups = [u_pi(pi) for pi in all_perms(n + 1)]
+        downs = [u_pi(pi) for pi in all_perms(n - 1)] if n else []
+        generators = (
+            [(("s", i), CubeMorphism.sigma(n + 1, i), ups)
+             for i in range(1, n + 2)]
+            + [(("g", i), CubeMorphism.gamma(n + 1, i), ups)
+               for i in range(1, n + 1)]
+            + [(("d", eps, i), CubeMorphism.delta(n, eps, i), downs)
+               for eps in (0, 1) for i in range(1, n + 1)])
+        checks = [(op, [(u, lambda_star(lam, u)) for u in us])
+                  for op, lam, us in generators]
         for z in cset.cubes(n):
-            for i in range(1, n + 2):
-                sz_ = cset.degen(z, i)
-                for pi in all_perms(n + 1):
-                    u = u_pi(pi)
-                    lhs = f.evaluate(sz_, u)
-                    rhs = f.evaluate(z, lambda_star(
-                        CubeMorphism.sigma(n + 1, i), u))
+            for op, pairs in checks:
+                oz = _operator_image(cset, z, op)
+                for u, pushed in pairs:
+                    lhs = f.evaluate(oz, u)
+                    rhs = f.evaluate(z, pushed)
                     if lhs != rhs:
                         return f, Verdict.failed(
-                            {"op": ("s", i), "z": z, "u": u,
+                            {"op": op, "z": z, "u": u,
                              "lhs": lhs, "rhs": rhs})
-            for i in range(1, n + 1):
-                gz = cset.conn(z, i)
-                for pi in all_perms(n + 1):
-                    u = u_pi(pi)
-                    lhs = f.evaluate(gz, u)
-                    rhs = f.evaluate(z, lambda_star(
-                        CubeMorphism.gamma(n + 1, i), u))
-                    if lhs != rhs:
-                        return f, Verdict.failed(
-                            {"op": ("g", i), "z": z, "u": u,
-                             "lhs": lhs, "rhs": rhs})
-            for eps in (0, 1):
-                for i in range(1, n + 1):
-                    dz = cset.face(z, eps, i)
-                    for pi in all_perms(n - 1):
-                        u = u_pi(pi)
-                        lhs = f.evaluate(dz, u)
-                        rhs = f.evaluate(z, lambda_star(
-                            CubeMorphism.delta(n, eps, i), u))
-                        if lhs != rhs:
-                            return f, Verdict.failed(
-                                {"op": ("d", eps, i), "z": z, "u": u,
-                                 "lhs": lhs, "rhs": rhs})
     return f, Verdict.passed()
 
 

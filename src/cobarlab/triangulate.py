@@ -60,42 +60,36 @@ class TriangulatedCubicalSet(SimplicialSet):
 
     # ----- reduction to the canonical representative -----------------------------
 
-    def reduction_step(self, y, u, choice=None):
-        """One applicable identification, or None at the fixed point.
-
-        ``choice`` picks among all applicable reductions (for confluence
-        tests); by default the first in a fixed scan order is applied.
-        """
-        options = self.reduction_options(y, u)
-        if not options:
-            return None
-        return options[choice if choice is not None else 0]
-
-    def reduction_options(self, y, u):
+    def _reductions(self, y, u):
+        """The applicable identifications, lazily, in a fixed scan order."""
         cset = self.cset
         n = cset.dim(y)
-        out = []
         for i in sorted(u.parts[0]):
-            out.append((cset.face(y, 1, i),
-                        lambda_star(CubeMorphism.sigma(n, i), u)))
+            yield (cset.face(y, 1, i),
+                   lambda_star(CubeMorphism.sigma(n, i), u))
         for i in sorted(u.parts[-1]):
-            out.append((cset.face(y, 0, i),
-                        lambda_star(CubeMorphism.sigma(n, i), u)))
+            yield (cset.face(y, 0, i),
+                   lambda_star(CubeMorphism.sigma(n, i), u))
         for i in range(1, n + 1):
             fy = cset.face(y, 0, i)
             if cset.degen(fy, i) == y:
-                out.append((fy, lambda_star(CubeMorphism.sigma(n, i), u)))
+                yield (fy, lambda_star(CubeMorphism.sigma(n, i), u))
         for i in range(1, n):
             fy = cset.face(y, 1, i)
             if cset.conn(fy, i) == y:
-                out.append((fy, lambda_star(CubeMorphism.gamma(n, i), u)))
-        return out
+                yield (fy, lambda_star(CubeMorphism.gamma(n, i), u))
+
+    def reduction_options(self, y, u):
+        """Every applicable identification, in the scan order of canon."""
+        return list(self._reductions(y, u))
 
     def canon(self, y, u: PartitionSimplex) -> TriSimplex:
+        """The reduced representative, reached by applying the first
+        applicable identification until none applies."""
         if self.cset.dim(y) != u.n:
             raise ValueError("cube dimension must match the simplex coordinates")
         while True:
-            step = self.reduction_step(y, u)
+            step = next(self._reductions(y, u), None)
             if step is None:
                 return TriSimplex(y, u)
             y, u = step

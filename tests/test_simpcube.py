@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from cobarlab.cubes import CubeMorphism
+from cobarlab.cubes import CubeMorphism, all_cube_morphisms
 from cobarlab.perms import all_perms
 from cobarlab.simpcube import (PartitionSimplex, SimplicialCube,
                                combine_simplices, common_bars,
                                decompose_product_simplex, extend_family,
-                               face_by_bar_removal, from_parts,
+                               face_by_bar_removal, from_matrix, from_parts,
                                hereditary_path, lambda_star, partition_face,
                                partition_degeneracy, project_simplex, realize,
                                u_pi, unrealize)
@@ -127,3 +127,37 @@ def test_lambda_star_on_generators():
     # dropping coordinate 1 projects to the interval
     v = lambda_star(CubeMorphism.sigma(2, 1), u)
     assert v.n == 1 and v.dim == 2
+
+
+def test_bracket_reads_part_index():
+    for n in range(4):
+        cube = SimplicialCube(n)
+        for m in range(3):
+            for u in cube.simplices(m):
+                ks = tuple(u.part_index(i) for i in range(1, n + 1))
+                assert u.bracket() == (ks, m)
+                with pytest.raises(ValueError):
+                    u.part_index(n + 1)
+
+
+def _lambda_star_by_vertices(lam, u):
+    """Reference pushforward: map each vertex through lam and read the
+    result back from its 0/1 matrix."""
+    if lam.target == 0:
+        return PartitionSimplex(0, tuple(frozenset() for _ in range(u.dim + 2)))
+    cols = [lam.evaluate(v) for v in u.vertices()]
+    rows = tuple(tuple(col[i] for col in cols) for i in range(lam.target))
+    return from_matrix(rows)
+
+
+def test_lambda_star_bracket_rule_matches_vertex_images():
+    pairs = 0
+    for s in range(4):
+        simplices = [u for m in range(3) for u in SimplicialCube(s).simplices(m)]
+        for t in range(4):
+            for lam in all_cube_morphisms(s, t):
+                for u in simplices:
+                    assert lambda_star(lam, u) == _lambda_star_by_vertices(lam, u)
+                    pairs += 1
+    # targets of dimension 0 and constant outputs included
+    assert pairs == 19280

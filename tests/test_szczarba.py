@@ -1,9 +1,14 @@
+from collections import Counter
+
 import pytest
+
+from cobarlab import szczarba
 
 from cobarlab.loopgroup import LoopGroup
 from cobarlab.simplicial import (delta4_mod_skeleton, nondeg, sphere,
                                  two_loops_cell)
-from cobarlab.szczarba import (SwappedSzProvider, SzProvider, build_f,
+from cobarlab.szczarba import (CobarToGroupMap, SwappedSzProvider,
+                               SzProvider, build_f,
                                check_f_multiplicative, check_f_simplicial,
                                check_f_sz_chain_map,
                                check_f_sz_comultiplicative, contract_check,
@@ -113,3 +118,50 @@ def test_glued_map(name, providers):
 @pytest.mark.parametrize("name", ["S2", "D4sk1"])
 def test_main_comparison(name, providers):
     assert main_theorem_check(FIXTURES[name], 2, providers[name]).ok
+
+
+def test_glued_map_evaluates_each_piece_once(monkeypatch):
+    glued_families = []
+    calls = Counter()
+    real_extend_family = szczarba.extend_family
+
+    def counting_extend_family(n, family, target):
+        evaluate, verdict = real_extend_family(n, family, target)
+        letter = len(glued_families)
+        glued_families.append(frozenset(family.items()))
+
+        def counted(u):
+            calls[letter, u] += 1
+            return evaluate(u)
+
+        return counted, verdict
+
+    monkeypatch.setattr(szczarba, "extend_family", counting_extend_family)
+    sset = FIXTURES["D4sk1"]
+    _, verdict = build_f(sset, SzProvider(LoopGroup(sset)), 2)
+    assert verdict.ok
+    # each letter's family is checked and glued once ...
+    assert len(set(glued_families)) == len(glued_families)
+    # ... and each (letter, piece) reaches its evaluator once
+    assert calls and set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("name", ["S2", "D4sk1"])
+def test_glued_map_values_match_fresh_map(name, providers, monkeypatch):
+    seen = {}
+    real_evaluate = CobarToGroupMap.evaluate
+
+    def recording_evaluate(self, cube, u):
+        value = real_evaluate(self, cube, u)
+        seen.setdefault((cube, u), set()).add(value)
+        return value
+
+    monkeypatch.setattr(CobarToGroupMap, "evaluate", recording_evaluate)
+    prov = providers[name]
+    f, verdict = build_f(FIXTURES[name], prov, 2)
+    monkeypatch.undo()
+    assert verdict.ok and seen
+    for (cube, u), values in seen.items():
+        fresh = CobarToGroupMap(f.cset, prov).evaluate(cube, u)
+        assert values == {fresh}
+        assert f.evaluate(cube, u) == fresh

@@ -5,7 +5,7 @@ from cobarlab.chains import (check_chain_map, check_coalgebra_map,
 from cobarlab.cobar import CobarSet
 from cobarlab.cubes import CubeMorphism, ProductCubicalSet, StandardCube
 from cobarlab.perms import all_perms
-from cobarlab.simpcube import u_pi
+from cobarlab.simpcube import SimplicialCube, u_pi
 from cobarlab.simplicial import sphere
 from cobarlab.triangulate import (TriangulatedCubicalSet, TriSimplex,
                                   full_support_simplices, triangulation_map,
@@ -37,6 +37,24 @@ def test_canon_is_reduction_order_independent():
     options = tri.reduction_options(y, u)
     for y2, u2 in options:
         assert tri.canon(y2, u2) == expected
+
+
+@pytest.mark.parametrize("cset", [StandardCube(2), CobarSet(sphere(2))],
+                         ids=["cube-2", "cobar-S2"])
+def test_canon_is_first_reduction_fixed_point(cset):
+    tri = TriangulatedCubicalSet(cset, 2)
+    pairs = 0
+    for n in range(3):
+        simplices = [u for m in range(3) for u in SimplicialCube(n).simplices(m)]
+        for y in cset.cubes(n):
+            for u in simplices:
+                # reference: apply the first listed reduction until none is left
+                y2, u2 = y, u
+                while options := tri.reduction_options(y2, u2):
+                    y2, u2 = options[0]
+                assert tri.canon(y, u) == TriSimplex(y2, u2)
+                pairs += 1
+    assert pairs
 
 
 @pytest.mark.parametrize("n", range(4))
