@@ -30,11 +30,6 @@ def scaled(src: Chain, coeff: int) -> Chain:
     return {label: coeff * c for label, c in src.items()} if coeff else {}
 
 
-def chain_sub(a: Chain, b: Chain) -> Chain:
-    out = dict(a)
-    return add_scaled(out, b, -1)
-
-
 def tensor_chains(a: Chain, b: Chain, sign: int = 1) -> Chain:
     out: Chain = {}
     for la, ca in a.items():

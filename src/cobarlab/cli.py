@@ -2,9 +2,10 @@
 
 Subcommands: ``validate``, ``homology``, ``triangulate``, ``cobar``,
 ``szczarba`` and ``verify``.  Exit codes: 0 on success, 1 when a check
-produces a failing verdict (its witness is printed), 2 on input errors.
-The environment variable ``COBARLAB_MAX_DIM`` caps default dimensions;
-explicit flags override it.
+produces a failing verdict (its witness is printed), 2 on input errors,
+141 (as after SIGPIPE) when the reader of the output goes away early.
+The environment variable ``COBARLAB_MAX_DIM`` caps the default dimensions
+of every subcommand but ``verify``; explicit flags override it.
 """
 
 from __future__ import annotations
@@ -176,6 +177,12 @@ def cmd_verify(args) -> int:
             raise InputError(f"unknown suite {name!r}; known: "
                              + ", ".join(sorted(verify.SUITES)))
     max_dim = _nonnegative(args.max_dim)
+    for name in suites:
+        limit = verify.MAX_DIM.get(name)
+        if max_dim is not None and limit is not None and max_dim > limit:
+            raise InputError(
+                f"suite {name} takes --max-dim <= {limit}: closed operator"
+                f" words exist only for n <= {limit}")
     reports = []
     for name in suites:
         reports.append(verify.run_suite(name, max_dim))
@@ -230,10 +237,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (as `| head` does); stop quietly, and
+        # point stdout at devnull so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .chains import Chain, ChainComplex, add_scaled
 from .perms import all_shuffles
-from .verdict import Verdict
+from .verdict import Verdict, check_identities
 
 
 @dataclass(frozen=True)
@@ -258,89 +258,70 @@ class CubicalSet:
 
     def validate(self, max_dim: int) -> Verdict:
         """Exhaustive cubical identities (with connections) up to max_dim."""
-        face, degen, conn = self.face, self.degen, self.conn
-        for n in range(max_dim + 1):
-            for y in self.cubes(n):
-                # the first operator applied to y, read once per cube
-                fy = {(eps, i): face(y, eps, i)
-                      for eps in (0, 1) for i in range(1, n + 1)}
-                sy = {j: degen(y, j) for j in range(1, n + 2)}
-                gy = {j: conn(y, j) for j in range(1, n + 1)}
-                # face-face: d_i d_j = d_{j-1} d_i for i < j
-                for e1 in (0, 1):
-                    for e2 in (0, 1):
-                        for j in range(2, n + 1):
-                            for i in range(1, j):
-                                lhs = face(fy[e2, j], e1, i)
-                                rhs = face(fy[e1, i], e2, j - 1)
-                                if lhs != rhs:
-                                    return Verdict.failed(
-                                        {"identity": "dd", "y": y, "i": i, "j": j,
-                                         "eps": (e1, e2)})
-                # degen-degen: s_i s_j = s_{j+1} s_i for i <= j
-                for j in range(1, n + 2):
-                    for i in range(1, j + 1):
-                        lhs = degen(sy[j], i)
-                        rhs = degen(sy[i], j + 1)
-                        if lhs != rhs:
-                            return Verdict.failed(
-                                {"identity": "ss", "y": y, "i": i, "j": j})
-                # face-degen
-                for j in range(1, n + 2):
-                    for eps in (0, 1):
-                        for i in range(1, n + 2):
-                            got = face(sy[j], eps, i)
-                            if i < j:
-                                want = degen(fy[eps, i], j - 1)
-                            elif i == j:
-                                want = y
-                            else:
-                                want = degen(fy[eps, i - 1], j)
-                            if got != want:
-                                return Verdict.failed(
-                                    {"identity": "ds", "y": y, "i": i, "j": j,
-                                     "eps": eps})
-                # conn-conn: g_i g_j = g_{j+1} g_i for i <= j
-                for j in range(1, n + 1):
-                    for i in range(1, j + 1):
-                        lhs = conn(gy[j], i)
-                        rhs = conn(gy[i], j + 1)
-                        if lhs != rhs:
-                            return Verdict.failed(
-                                {"identity": "gg", "y": y, "i": i, "j": j})
-                # face-conn (including the unit identities d_j g_j = d_{j+1} g_j = id
-                # in direction 1 and s_j d0_j in direction 0)
-                for j in range(1, n + 1):
-                    for eps in (0, 1):
-                        for i in range(1, n + 2):
-                            got = face(gy[j], eps, i)
-                            if i < j:
-                                want = conn(fy[eps, i], j - 1)
-                            elif i in (j, j + 1):
-                                if eps == 1:
-                                    want = y
-                                else:
-                                    want = degen(fy[0, j], j)
-                            else:
-                                want = conn(fy[eps, i - 1], j)
-                            if got != want:
-                                return Verdict.failed(
-                                    {"identity": "dg", "y": y, "i": i, "j": j,
-                                     "eps": eps})
-                # conn-degen
-                for j in range(1, n + 2):
-                    for i in range(1, n + 2):
-                        got = conn(sy[j], i)
-                        if i < j:
-                            want = degen(gy[i], j + 1)
-                        elif i == j:
-                            want = degen(sy[i], i + 1)
-                        else:
-                            want = degen(gy[i - 1], j)
-                        if got != want:
-                            return Verdict.failed(
-                                {"identity": "gs", "y": y, "i": i, "j": j})
-        return Verdict.passed()
+        return check_identities(
+            ((n, y) for n in range(max_dim + 1) for y in self.cubes(n)),
+            {"d": self.face, "s": self.degen, "g": self.conn},
+            cubical_identities, key="y", values=False)
+
+
+def cubical_identities(n: int) -> list:
+    """The cubical identities (with connections) on an n-cube, as rows of
+    :func:`check_identities` in the order they are checked."""
+    rows = []
+    # face-face: d_i d_j = d_{j-1} d_i for i < j
+    for e1 in (0, 1):
+        for e2 in (0, 1):
+            for j in range(2, n + 1):
+                for i in range(1, j):
+                    rows.append(("dd", {"i": i, "j": j, "eps": (e1, e2)},
+                                 (("d", e2, j), ("d", e1, i)),
+                                 (("d", e1, i), ("d", e2, j - 1))))
+    # degen-degen: s_i s_j = s_{j+1} s_i for i <= j
+    for j in range(1, n + 2):
+        for i in range(1, j + 1):
+            rows.append(("ss", {"i": i, "j": j},
+                         (("s", j), ("s", i)), (("s", i), ("s", j + 1))))
+    # face-degen
+    for j in range(1, n + 2):
+        for eps in (0, 1):
+            for i in range(1, n + 2):
+                if i < j:
+                    rhs = (("d", eps, i), ("s", j - 1))
+                elif i == j:
+                    rhs = ()
+                else:
+                    rhs = (("d", eps, i - 1), ("s", j))
+                rows.append(("ds", {"i": i, "j": j, "eps": eps},
+                             (("s", j), ("d", eps, i)), rhs))
+    # conn-conn: g_i g_j = g_{j+1} g_i for i <= j
+    for j in range(1, n + 1):
+        for i in range(1, j + 1):
+            rows.append(("gg", {"i": i, "j": j},
+                         (("g", j), ("g", i)), (("g", i), ("g", j + 1))))
+    # face-conn (including the unit identities d_j g_j = d_{j+1} g_j = id
+    # in direction 1 and s_j d0_j in direction 0)
+    for j in range(1, n + 1):
+        for eps in (0, 1):
+            for i in range(1, n + 2):
+                if i < j:
+                    rhs = (("d", eps, i), ("g", j - 1))
+                elif i in (j, j + 1):
+                    rhs = () if eps == 1 else (("d", 0, j), ("s", j))
+                else:
+                    rhs = (("d", eps, i - 1), ("g", j))
+                rows.append(("dg", {"i": i, "j": j, "eps": eps},
+                             (("g", j), ("d", eps, i)), rhs))
+    # conn-degen
+    for j in range(1, n + 2):
+        for i in range(1, n + 2):
+            if i < j:
+                rhs = (("g", i), ("s", j + 1))
+            elif i == j:
+                rhs = (("s", i), ("s", i + 1))
+            else:
+                rhs = (("g", i - 1), ("s", j))
+            rows.append(("gs", {"i": i, "j": j}, (("s", j), ("g", i)), rhs))
+    return rows
 
 
 class StandardCube(CubicalSet):

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .simplicial import Simplex, SimplicialPresentation
-from .verdict import Verdict
+from .simplicial import (Simplex, SimplicialPresentation, SimplicialSet,
+                         simplicial_identities)
+from .verdict import Verdict, check_identities
 
 
 @dataclass(frozen=True)
@@ -50,12 +51,17 @@ def _reduce(letters):
     return tuple(out)
 
 
-class LoopGroup:
+class LoopGroup(SimplicialSet):
     """Simplicial group of reduced words over a reduced simplicial set.
 
     ``twist`` selects the bottom-face convention on generators; the default
     sends a generator over x to the word over (d_1 x, then d_0 x inverted),
     the "rival" convention to the reversed and inverted word.
+
+    Degeneracy tests and front and back faces come from
+    :class:`SimplicialSet`.  Each dimension is an infinite free group, so
+    there is no list of nondegenerate elements: the identities are checked
+    on given elements by :func:`check_group_identities`.
     """
 
     def __init__(self, sset: SimplicialPresentation, twist: str = "standard"):
@@ -118,49 +124,15 @@ class LoopGroup:
         letters = tuple((self.sset.degeneracy(x, i + 1), e) for x, e in a.letters)
         return GroupWord(a.n + 1, _reduce(letters))
 
-    def is_degenerate(self, a: GroupWord) -> bool:
-        return any(self.degeneracy(self.face(a, i), i) == a for i in range(a.n))
-
-    def front_face(self, a: GroupWord, i: int) -> GroupWord:
-        for _ in range(a.n - i):
-            a = self.face(a, a.n)
-        return a
-
-    def back_face(self, a: GroupWord, i: int) -> GroupWord:
-        for _ in range(i):
-            a = self.face(a, 0)
-        return a
-
 
 def check_group_identities(group: LoopGroup, elements) -> Verdict:
     """Simplicial identities and multiplicativity of the structure maps on
     the given elements (and their pairwise products in equal dimensions)."""
-    for a in elements:
-        n = a.n
-        for j in range(1, n + 1):
-            for i in range(j):
-                lhs = group.face(group.face(a, j), i)
-                rhs = group.face(group.face(a, i), j - 1)
-                if lhs != rhs:
-                    return Verdict.failed({"identity": "dd", "a": a, "i": i, "j": j})
-        for j in range(n + 1):
-            for i in range(j + 1):
-                lhs = group.degeneracy(group.degeneracy(a, j), i)
-                rhs = group.degeneracy(group.degeneracy(a, i), j + 1)
-                if lhs != rhs:
-                    return Verdict.failed({"identity": "ss", "a": a, "i": i, "j": j})
-        for j in range(n + 1):
-            sa = group.degeneracy(a, j)
-            for i in range(n + 2):
-                got = group.face(sa, i)
-                if i < j:
-                    want = group.degeneracy(group.face(a, i), j - 1)
-                elif i in (j, j + 1):
-                    want = a
-                else:
-                    want = group.degeneracy(group.face(a, i - 1), j)
-                if got != want:
-                    return Verdict.failed({"identity": "ds", "a": a, "i": i, "j": j})
+    verdict = check_identities(((a.n, a) for a in elements),
+                               {"d": group.face, "s": group.degeneracy},
+                               simplicial_identities)
+    if not verdict.ok:
+        return verdict
     by_dim = {}
     for a in elements:
         by_dim.setdefault(a.n, []).append(a)

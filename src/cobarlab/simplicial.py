@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import itertools
 from operator import gt
+from pathlib import Path
 
 from .chains import Chain, ChainComplex, ChainMap, add_scaled, tensor_complex
-from .verdict import Verdict
+from .perms import all_shuffles
+from .verdict import Verdict, check_identities
+
+FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 
 class Simplex:
@@ -151,46 +155,37 @@ class SimplicialSet:
 
     def validate(self, max_dim: int) -> Verdict:
         """Exhaustive simplicial identities on all simplices up to max_dim."""
-        face, degeneracy = self.face, self.degeneracy
-        for n in range(max_dim + 1):
-            for x in self.simplices(n):
-                # the first operator applied to x, read once per simplex
-                fx = [face(x, i) for i in range(n + 1)] if n else []
-                sx = [degeneracy(x, j) for j in range(n + 1)]
-                # d_i d_j x = d_{j-1} d_i x for i < j
-                if n >= 2:
-                    for i in range(n + 1):
-                        for j in range(i + 1, n + 1):
-                            lhs = face(fx[j], i)
-                            rhs = face(fx[i], j - 1)
-                            if lhs != rhs:
-                                return Verdict.failed(
-                                    {"identity": "dd", "x": x, "i": i, "j": j,
-                                     "lhs": lhs, "rhs": rhs})
-                # s_i s_j x = s_{j+1} s_i x for i <= j
-                for i in range(n + 1):
-                    for j in range(i, n + 1):
-                        lhs = degeneracy(sx[j], i)
-                        rhs = degeneracy(sx[i], j + 1)
-                        if lhs != rhs:
-                            return Verdict.failed(
-                                {"identity": "ss", "x": x, "i": i, "j": j,
-                                 "lhs": lhs, "rhs": rhs})
-                # d_i s_j x: mixed identities
-                for j in range(n + 1):
-                    for i in range(n + 2):
-                        got = face(sx[j], i)
-                        if i < j:
-                            want = degeneracy(fx[i], j - 1)
-                        elif i in (j, j + 1):
-                            want = x
-                        else:
-                            want = degeneracy(fx[i - 1], j)
-                        if got != want:
-                            return Verdict.failed(
-                                {"identity": "ds", "x": x, "i": i, "j": j,
-                                 "lhs": got, "rhs": want})
-        return Verdict.passed()
+        return check_identities(
+            ((n, x) for n in range(max_dim + 1) for x in self.simplices(n)),
+            {"d": self.face, "s": self.degeneracy}, simplicial_identities)
+
+
+def simplicial_identities(n: int) -> list:
+    """The simplicial identities on an n-simplex, as rows of
+    :func:`check_identities` in the order they are checked."""
+    rows = []
+    # d_i d_j = d_{j-1} d_i for i < j
+    if n >= 2:
+        for i in range(n + 1):
+            for j in range(i + 1, n + 1):
+                rows.append(("dd", {"i": i, "j": j},
+                             (("d", j), ("d", i)), (("d", i), ("d", j - 1))))
+    # s_i s_j = s_{j+1} s_i for i <= j
+    for i in range(n + 1):
+        for j in range(i, n + 1):
+            rows.append(("ss", {"i": i, "j": j},
+                         (("s", j), ("s", i)), (("s", i), ("s", j + 1))))
+    # d_i s_j: mixed identities
+    for j in range(n + 1):
+        for i in range(n + 2):
+            if i < j:
+                rhs = (("d", i), ("s", j - 1))
+            elif i in (j, j + 1):
+                rhs = ()
+            else:
+                rhs = (("d", i - 1), ("s", j))
+            rows.append(("ds", {"i": i, "j": j}, (("s", j), ("d", i)), rhs))
+    return rows
 
 
 class SimplicialPresentation(SimplicialSet):
@@ -279,6 +274,37 @@ class ProductSimplicialSet(SimplicialSet):
 # ----- chains with the front/back-face diagonal ---------------------------------
 
 
+def normalized_boundary(sset: SimplicialSet, x, keep) -> Chain:
+    """Alternating face sum of x over the faces that ``keep`` accepts."""
+    d: Chain = {}
+    n = sset.dim(x)
+    if n == 0:
+        return d
+    for i in range(n + 1):
+        fx = sset.face(x, i)
+        if keep(fx):
+            add_scaled(d, {fx: 1}, -1 if i % 2 else 1)
+    return d
+
+
+def front_back_diagonal(sset: SimplicialSet, x, keep) -> Chain:
+    """Sum of (front_face(x, i), back_face(x, i)) over the pairs whose two
+    faces ``keep`` accepts."""
+    # fronts[i] and backs[i] are each one face of the one before them
+    n = sset.dim(x)
+    fronts = [x]
+    backs = [x]
+    for i in range(n, 0, -1):
+        fronts.append(sset.face(fronts[-1], i))
+        backs.append(sset.face(backs[-1], 0))
+    fronts.reverse()
+    delta: Chain = {}
+    for front, back in zip(fronts, backs):
+        if keep(front) and keep(back):
+            add_scaled(delta, {(front, back): 1}, 1)
+    return delta
+
+
 def simplicial_chains(sset: SimplicialSet, max_dim: int) -> ChainComplex:
     """Normalized chains: degenerate simplices are identified with zero.
 
@@ -286,36 +312,11 @@ def simplicial_chains(sset: SimplicialSet, max_dim: int) -> ChainComplex:
     dg-coalgebra.
     """
     basis = {n: tuple(sset.nondegenerate(n)) for n in range(max_dim + 1)}
-    present = {x for labels in basis.values() for x in labels}
-    boundary = {}
-    for n in range(max_dim + 1):
-        for x in basis[n]:
-            d: Chain = {}
-            for i in range(n + 1):
-                if n == 0:
-                    break
-                fx = sset.face(x, i)
-                if fx in present:
-                    add_scaled(d, {fx: 1}, -1 if i % 2 else 1)
-            boundary[x] = d
-
-    def diagonal(x) -> Chain:
-        # fronts[i] = front_face(x, i) and backs[i] = back_face(x, i), each
-        # one face of the one before it
-        n = sset.dim(x)
-        fronts = [x]
-        backs = [x]
-        for i in range(n, 0, -1):
-            fronts.append(sset.face(fronts[-1], i))
-            backs.append(sset.face(backs[-1], 0))
-        fronts.reverse()
-        delta: Chain = {}
-        for front, back in zip(fronts, backs):
-            if front in present and back in present:
-                add_scaled(delta, {(front, back): 1}, 1)
-        return delta
-
-    return ChainComplex(basis, boundary, diagonal)
+    keep = {x for labels in basis.values() for x in labels}.__contains__
+    boundary = {x: normalized_boundary(sset, x, keep)
+                for labels in basis.values() for x in labels}
+    return ChainComplex(
+        basis, boundary, lambda x: front_back_diagonal(sset, x, keep))
 
 
 def shuffle_terms(left: SimplicialSet, right: SimplicialSet, x, y) -> Chain:
@@ -325,8 +326,6 @@ def shuffle_terms(left: SimplicialSet, right: SimplicialSet, x, y) -> Chain:
     including degenerate pairs (callers drop them when landing in normalized
     chains).
     """
-    from .perms import all_shuffles
-
     k, l = left.dim(x), right.dim(y)
     out: Chain = {}
     for sh in all_shuffles(k, l):
@@ -387,51 +386,27 @@ def sphere(n: int) -> SimplicialPresentation:
     return SimplicialPresentation(f"S{n}", gens, faces, one_reduced=True)
 
 
-def delta4_mod_skeleton() -> SimplicialPresentation:
-    """The 4-simplex with its 1-skeleton collapsed to the basepoint."""
-
-    def gname(verts):
-        return "".join(map(str, verts))
-
-    gens = {"*": 0}
-    faces = {}
-    for r in (3, 4, 5):
-        for verts in itertools.combinations(range(5), r):
-            gens[gname(verts)] = r - 1
-            for i in range(r):
-                sub = verts[:i] + verts[i + 1:]
-                if len(sub) >= 3:
-                    faces[(gname(verts), i)] = nondeg(gname(sub), len(sub) - 1)
-                else:
-                    faces[(gname(verts), i)] = degenerate_point("*", r - 2)
-    return SimplicialPresentation("D4sk1", gens, faces, one_reduced=True)
-
-
-def two_loops_cell() -> SimplicialPresentation:
-    """One vertex, two loops a and b, and a 2-cell with faces (a, b, b).
-
-    Reduced but not 1-reduced; its loop group has noncommuting generators in
-    dimension 0, which makes it sensitive to ordering conventions that
-    collapse on 1-reduced inputs.
-    """
-    pt = degenerate_point("*", 0)
-    gens = {"*": 0, "a": 1, "b": 1, "T": 2}
-    faces = {("a", 0): pt, ("a", 1): pt, ("b", 0): pt, ("b", 1): pt,
-             ("T", 0): nondeg("a", 1), ("T", 1): nondeg("b", 1),
-             ("T", 2): nondeg("b", 1)}
-    return SimplicialPresentation("TwoLoopsCell", gens, faces, reduced=True)
-
-
 def fixture(name: str) -> SimplicialPresentation:
-    """Named fixtures: Delta<n>, S2, S3, D4sk1, I, TwoLoopsCell."""
-    if name == "TwoLoopsCell":
-        return two_loops_cell()
+    """A fresh presentation of a named fixture.
+
+    Delta<n> is the standard n-simplex, I the 1-simplex and S<n> (n >= 2)
+    the n-simplex with its boundary collapsed.  Two are read from their
+    files in ``fixtures/``: D4sk1, the 4-simplex with its 1-skeleton
+    collapsed to the basepoint, and TwoLoopsCell, one vertex, two loops a
+    and b, and a 2-cell with faces (a, b, b).  TwoLoopsCell is reduced but
+    not 1-reduced; its loop group has noncommuting generators in dimension
+    0, which makes it sensitive to ordering conventions that collapse on
+    1-reduced inputs.
+    """
     if name == "I":
         return standard_simplex(1, name="I")
-    if name == "D4sk1":
-        return delta4_mod_skeleton()
     if name.startswith("Delta"):
         return standard_simplex(int(name[5:]))
     if name.startswith("S"):
         return sphere(int(name[1:]))
-    raise ValueError(f"unknown fixture {name!r}")
+    from . import ssetfile  # ssetfile builds on this module
+
+    path = FIXTURE_DIR / f"{name}.sset"
+    if not name.isalnum() or not path.is_file():
+        raise ValueError(f"unknown fixture {name!r}")
+    return ssetfile.load(path)

@@ -16,41 +16,6 @@ def identity_matrix(n: int):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b):
-    if not a or not b:
-        rows = len(a)
-        cols = len(b[0]) if b else 0
-        return [[0] * cols for _ in range(rows)]
-    n, m, p = len(a), len(b), len(b[0])
-    assert len(a[0]) == m
-    return [[sum(a[i][k] * b[k][j] for k in range(m)) for j in range(p)] for i in range(n)]
-
-
-def det_unimodular(m) -> int:
-    """Determinant by fraction-free Gaussian elimination (Bareiss)."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [row[:] for row in m]
-    prev = 1
-    sgn = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sgn = -sgn
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sgn * a[n - 1][n - 1]
-
-
 class SNFResult(NamedTuple):
     """diag: nonneg invariant factors (d_1 | d_2 | ...); U*A*V == D."""
 

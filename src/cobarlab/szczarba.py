@@ -21,13 +21,13 @@ from .chains import Chain, add_scaled
 from .cobar import CobarSet, cube_to_word, omega_complex, word_to_cube
 from .cubes import CubeMorphism
 from .loopgroup import GroupWord, LoopGroup
-from .perms import (all_index_seqs, all_perms, all_shuffles, compose,
-                    invert, inversions, p, phi, psi_inv, remove_assignment,
-                    transposition, xi)
+from .perms import (all_index_seqs, all_perms, compose, invert, inversions,
+                    p, phi, psi_inv, remove_assignment, transposition, xi)
 from .simpcube import (PartitionSimplex, combine_simplices, extend_family,
                        lambda_star, partition_degeneracy, project_simplex,
                        u_pi)
-from .simplicial import Simplex
+from .simplicial import (Simplex, front_back_diagonal, normalized_boundary,
+                         shuffle_terms)
 from .verdict import Verdict
 
 
@@ -261,12 +261,10 @@ def pontryagin(group: LoopGroup, c1: Chain, c2: Chain) -> Chain:
     out: Chain = {}
     for g, cg in c1.items():
         for h, ch in c2.items():
-            for sh in all_shuffles(g.n, h.n):
-                word = group.mul(
-                    multi_degeneracy(group, g, [b - 1 for b in sh.beta]),
-                    multi_degeneracy(group, h, [a - 1 for a in sh.alpha]))
-                if word.n == 0 or not group.is_degenerate(word):
-                    add_scaled(out, {word: 1}, sh.sign() * cg * ch)
+            for (sg, sh), c in shuffle_terms(group, group, g, h).items():
+                word = group.mul(sg, sh)
+                if not group.is_degenerate(word):
+                    add_scaled(out, {word: 1}, c * cg * ch)
     return out
 
 
@@ -282,28 +280,20 @@ def f_sz(provider, word) -> Chain:
 
 def group_boundary(group: LoopGroup, chain: Chain) -> Chain:
     """Alternating face sum on normalized group chains."""
+    keep = lambda g: not group.is_degenerate(g)
     out: Chain = {}
     for g, c in chain.items():
-        if g.n == 0:
-            continue
-        for i in range(g.n + 1):
-            fg = group.face(g, i)
-            if fg.n == 0 or not group.is_degenerate(fg):
-                add_scaled(out, {fg: 1}, c * (-1 if i % 2 else 1))
+        add_scaled(out, normalized_boundary(group, g, keep), c)
     return out
 
 
 def group_diagonal(group: LoopGroup, chain: Chain) -> Chain:
     """Front/back coproduct on normalized group chains, as a chain over
     pairs of group words."""
+    keep = lambda g: not group.is_degenerate(g)
     out: Chain = {}
     for g, c in chain.items():
-        for i in range(g.n + 1):
-            front = group.front_face(g, i)
-            back = group.back_face(g, i)
-            if ((front.n == 0 or not group.is_degenerate(front))
-                    and (back.n == 0 or not group.is_degenerate(back))):
-                add_scaled(out, {(front, back): 1}, c)
+        add_scaled(out, front_back_diagonal(group, g, keep), c)
     return out
 
 
@@ -540,7 +530,7 @@ def main_theorem_check(sset, max_deg: int, provider=None) -> Verdict:
             lhs: Chain = {}
             for pi in all_perms(d):
                 val = f.evaluate(cube, u_pi(pi))
-                if val.n == 0 or not group.is_degenerate(val):
+                if not group.is_degenerate(val):
                     add_scaled(lhs, {val: 1},
                                -1 if inversions(pi) % 2 else 1)
             rhs = f_sz(provider, w)

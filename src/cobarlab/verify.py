@@ -469,6 +469,10 @@ def main_theorem_suite(max_dim=None) -> Report:
     return run_checks("main-theorem", checks)
 
 
+# The largest --max-dim a suite accepts: the main theorem evaluates the
+# closed operator words, which exist for n <= SzProvider.max_n only.
+MAX_DIM = {"main-theorem": szczarba.SzProvider.max_n}
+
 SUITES = {
     "combinatorics": combinatorics_suite,
     "simplicial": simplicial_suite,

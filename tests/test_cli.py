@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cobarlab
 from cobarlab.cli import main
 from cobarlab.simplicial import fixture
 from cobarlab.ssetfile import save
@@ -138,3 +143,25 @@ def test_verify_all_keeps_every_suite_in_json(tmp_path, monkeypatch, capsys):
         "alpha-check", "beta-check"]
     text = capsys.readouterr().out
     assert "suite alpha: PASS" in text and "suite beta: PASS" in text
+
+
+@pytest.mark.parametrize("suite", ["main-theorem", "all"])
+def test_verify_beyond_the_operator_words_exits_2(suite, capsys):
+    assert main(["verify", "--suite", suite, "--max-dim", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # rejected before any suite ran
+    assert "n <= 2" in err
+
+
+def test_closed_stdout_ends_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first line
+    src = Path(cobarlab.__file__).parent.parent
+    with os.fdopen(write_end, "wb") as stdout:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cobarlab.cli", "verify", "--suite",
+             "combinatorics"],
+            stdout=stdout, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.stderr == ""
+    assert proc.returncode == 141

@@ -3,8 +3,7 @@ import pytest
 from cobarlab.cobar import (CobarSet, compare_models, cube_to_word,
                             omega_complex, word_to_cube)
 from cobarlab.cubes import cubical_chains
-from cobarlab.simplicial import (delta4_mod_skeleton, fixture, nondeg, sphere,
-                                 standard_simplex)
+from cobarlab.simplicial import fixture, nondeg, sphere, standard_simplex
 
 
 def test_requires_one_reduced():
@@ -29,7 +28,7 @@ def test_normalized_counts_for_sphere():
 
 def test_cubical_identities_on_cobar():
     assert CobarSet(sphere(2)).validate(3).ok
-    assert CobarSet(delta4_mod_skeleton()).validate(2).ok
+    assert CobarSet(fixture("D4sk1")).validate(2).ok
 
 
 def test_degenerate_letters_are_operator_images():
@@ -114,7 +113,7 @@ def test_loop_space_homology_of_spheres():
 def test_loop_space_homology_of_wedge():
     # six 2-cells wedge: loop homology is the tensor algebra on six
     # degree-one generators
-    cx = cubical_chains(CobarSet(delta4_mod_skeleton()), 2)
+    cx = cubical_chains(CobarSet(fixture("D4sk1")), 2)
     assert cx.homology(0).betti == 1
     assert cx.homology(1).betti == 6
     assert cx.check_coalgebra().ok

@@ -2,8 +2,7 @@ import pytest
 
 from cobarlab.loopgroup import (GroupWord, LoopGroup, check_group_identities,
                                 check_twisting)
-from cobarlab.simplicial import (delta4_mod_skeleton, nondeg, sphere,
-                                 standard_simplex, two_loops_cell)
+from cobarlab.simplicial import fixture, nondeg, sphere, standard_simplex
 
 
 def generator_elements(group, max_dim):
@@ -23,7 +22,7 @@ def test_requires_reduced():
 
 
 def test_group_laws():
-    g = LoopGroup(two_loops_cell())
+    g = LoopGroup(fixture("TwoLoopsCell"))
     a = g.tau(nondeg("a", 1))
     b = g.tau(nondeg("b", 1))
     assert g.mul(a, g.one(0)) == a
@@ -40,8 +39,8 @@ def test_erasure_of_bottom_degenerate_letters():
 
 
 @pytest.mark.parametrize("build,max_dim", [
-    (sphere(2), 3), (sphere(3), 3), (delta4_mod_skeleton(), 3),
-    (two_loops_cell(), 3),
+    (sphere(2), 3), (sphere(3), 3), (fixture("D4sk1"), 3),
+    (fixture("TwoLoopsCell"), 3),
 ])
 def test_simplicial_group_identities(build, max_dim):
     g = LoopGroup(build)
@@ -49,13 +48,13 @@ def test_simplicial_group_identities(build, max_dim):
 
 
 @pytest.mark.parametrize("build", [
-    sphere(2), sphere(3), delta4_mod_skeleton(), two_loops_cell()])
+    sphere(2), sphere(3), fixture("D4sk1"), fixture("TwoLoopsCell")])
 def test_universal_twisting(build):
     assert check_twisting(LoopGroup(build), 3).ok
 
 
 def test_twisted_bottom_face():
-    g = LoopGroup(two_loops_cell())
+    g = LoopGroup(fixture("TwoLoopsCell"))
     t = g.tau(nondeg("T", 2))
     a = g.tau(nondeg("a", 1))
     b = g.tau(nondeg("b", 1))
@@ -65,7 +64,7 @@ def test_twisted_bottom_face():
 
 
 def test_rival_convention_reverses_the_pair():
-    g = LoopGroup(two_loops_cell(), twist="rival")
+    g = LoopGroup(fixture("TwoLoopsCell"), twist="rival")
     t = g.tau(nondeg("T", 2))
     a = g.tau(nondeg("a", 1))
     b = g.tau(nondeg("b", 1))
@@ -73,7 +72,7 @@ def test_rival_convention_reverses_the_pair():
 
 
 def test_front_back_faces():
-    g = LoopGroup(delta4_mod_skeleton())
+    g = LoopGroup(fixture("D4sk1"))
     w = g.tau(nondeg("0123", 3))
     assert g.front_face(w, 0).n == 0
     assert g.back_face(w, 2).n == 0

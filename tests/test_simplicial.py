@@ -2,10 +2,9 @@ import pytest
 
 from cobarlab.chains import check_chain_map
 from cobarlab.simplicial import (ProductSimplicialSet, Simplex,
-                                 degenerate_point, delta4_mod_skeleton,
-                                 fixture, nondeg, shuffle_chain_map, sphere,
-                                 simplicial_chains, standard_simplex,
-                                 two_loops_cell)
+                                 degenerate_point, fixture, nondeg,
+                                 shuffle_chain_map, sphere, simplicial_chains,
+                                 standard_simplex)
 
 FIXTURES = ("Delta2", "I", "S2", "S3", "D4sk1", "TwoLoopsCell")
 
@@ -71,14 +70,14 @@ def test_sphere_homology():
 def test_collapsed_skeleton_homology():
     # collapsing the 1-skeleton of the 4-simplex leaves a wedge-like space
     # with six 2-cells; its degree-2 homology is free of rank 6
-    cx = simplicial_chains(delta4_mod_skeleton(), 3)
+    cx = simplicial_chains(fixture("D4sk1"), 3)
     assert cx.homology(0).betti == 1
     assert cx.homology(1).betti == 0
     assert cx.homology(2).betti == 6
 
 
 def test_two_loops_cell_homology():
-    cx = simplicial_chains(two_loops_cell(), 3)
+    cx = simplicial_chains(fixture("TwoLoopsCell"), 3)
     assert cx.homology(0).betti == 1
     # d(T) = a - b + b = a, killing one loop
     assert cx.homology(1).betti == 1
@@ -102,7 +101,7 @@ def test_product_and_shuffle_map():
 
 
 def test_validate_detects_corruption():
-    bad = two_loops_cell()
+    bad = fixture("TwoLoopsCell")
     bad.faces[("T", 0)] = bad.faces[("a", 0)]  # wrong dimension
     assert not bad.validate_presentation(3).ok
 

@@ -5,8 +5,7 @@ import pytest
 from cobarlab import szczarba
 
 from cobarlab.loopgroup import LoopGroup
-from cobarlab.simplicial import (delta4_mod_skeleton, nondeg, sphere,
-                                 two_loops_cell)
+from cobarlab.simplicial import fixture, nondeg, sphere
 from cobarlab.szczarba import (CobarToGroupMap, SwappedSzProvider,
                                SzProvider, build_f,
                                check_f_multiplicative, check_f_simplicial,
@@ -19,8 +18,8 @@ from cobarlab.szczarba import (CobarToGroupMap, SwappedSzProvider,
 FIXTURES = {
     "S2": sphere(2),
     "S3": sphere(3),
-    "D4sk1": delta4_mod_skeleton(),
-    "TwoLoopsCell": two_loops_cell(),
+    "D4sk1": fixture("D4sk1"),
+    "TwoLoopsCell": fixture("TwoLoopsCell"),
 }
 
 
@@ -61,14 +60,14 @@ def test_no_closed_words_beyond_supported_range(providers):
 
 
 def test_swapped_factor_order_fails_contract():
-    prov = SwappedSzProvider(LoopGroup(delta4_mod_skeleton()))
+    prov = SwappedSzProvider(LoopGroup(fixture("D4sk1")))
     verdict = contract_check(prov, 2)
     assert not verdict.ok
     assert verdict.witness["identity"].startswith("d-")
 
 
 def test_rival_convention_diagnosis():
-    d = rival_convention_diagnosis(two_loops_cell())
+    d = rival_convention_diagnosis(fixture("TwoLoopsCell"))
     assert not d["plain"].ok
     assert d["plain"].witness["identity"] == "d-i"
     assert not d["swapped"].ok

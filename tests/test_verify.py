@@ -6,13 +6,13 @@ from cobarlab.verify import SUITES, run_suite
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
-def test_suite_passes(name):
-    report = run_suite(name)
+def test_suite_passes(name, suite_report):
+    report = suite_report(name)
     assert report.ok, report.render()
 
 
-def test_report_renderings_agree():
-    report = run_suite("combinatorics")
+def test_report_renderings_agree(suite_report):
+    report = suite_report("combinatorics")
     data = report.to_dict()
     assert data["suite"] == "combinatorics"
     text = report.render()
