@@ -12,33 +12,31 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from .chains import Chain, ChainComplex, add_scaled
 from .perms import all_shuffles
 from .verdict import Verdict, check_identities
 
 
-@dataclass(frozen=True)
 class CubeMorphism:
     """Map from the source-dimensional cube to the target-dimensional cube.
 
     ``outputs`` has one entry per target coordinate: 0, 1, or a strictly
     increasing tuple of source coordinates (a block, evaluated by minimum).
+
+    Immutable; equality and hashing are on ``(source, target, outputs)``.
+    The hash is computed once, at construction, since morphisms are keys
+    of the identity checker's and the chain builders' tables.
     """
 
-    source: int
-    target: int
-    outputs: tuple
+    __slots__ = ("source", "target", "outputs", "_hash")
 
-    def __post_init__(self):
+    def __init__(self, source: int, target: int, outputs: tuple):
         # One pass over the entries: every block coordinate must exceed the
         # one before it, in its own block or in an earlier one, and lie in
         # the source range.
-        outputs = self.outputs
-        if len(outputs) != self.target:
+        if len(outputs) != target:
             raise ValueError("one output entry per target coordinate")
-        source = self.source
         last = 0
         for out in outputs:
             if out in (0, 1):
@@ -55,6 +53,36 @@ class CubeMorphism:
                     raise ValueError("blocks must be strictly increasing")
                 prev = v
             last = prev
+        init = object.__setattr__
+        init(self, "source", source)
+        init(self, "target", target)
+        init(self, "outputs", outputs)
+        init(self, "_hash", hash((source, target, outputs)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CubeMorphism is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"CubeMorphism is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not CubeMorphism:
+            return NotImplemented
+        return self is other or (self._hash == other._hash
+                                 and self.outputs == other.outputs
+                                 and self.source == other.source
+                                 and self.target == other.target)
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return CubeMorphism, (self.source, self.target, self.outputs)
+
+    def __repr__(self):
+        return (f"CubeMorphism(source={self.source!r}, "
+                f"target={self.target!r}, outputs={self.outputs!r})")
 
     def evaluate(self, point: tuple) -> tuple:
         """Apply to a point of the source cube (works for 0/1 vertices and
@@ -261,7 +289,7 @@ class CubicalSet:
         return check_identities(
             ((n, y) for n in range(max_dim + 1) for y in self.cubes(n)),
             {"d": self.face, "s": self.degen, "g": self.conn},
-            cubical_identities, key="y", values=False)
+            cubical_identities, max_dim, key="y", values=False)
 
 
 def cubical_identities(n: int) -> list:

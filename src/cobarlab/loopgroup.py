@@ -130,7 +130,8 @@ def check_group_identities(group: LoopGroup, elements) -> Verdict:
     the given elements (and their pairwise products in equal dimensions)."""
     verdict = check_identities(((a.n, a) for a in elements),
                                {"d": group.face, "s": group.degeneracy},
-                               simplicial_identities)
+                               simplicial_identities,
+                               max((a.n for a in elements), default=0))
     if not verdict.ok:
         return verdict
     by_dim = {}

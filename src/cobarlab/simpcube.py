@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cubes import CubeMorphism
@@ -25,28 +24,75 @@ def _coordinates(n: int) -> frozenset:
     return frozenset(range(1, n + 1))
 
 
-@dataclass(frozen=True)
 class PartitionSimplex:
-    n: int
-    parts: tuple  # of frozensets, disjoint union {1..n}, length dim + 2
+    """An m-simplex of the simplicial n-cube, stored by its bracket.
 
-    def __post_init__(self):
+    ``PartitionSimplex(n, parts)`` takes the ordered partition; the simplex
+    keeps ``ks``, where ``ks[i - 1]`` is the index of the part holding
+    coordinate i, and its dimension ``dim`` = m.  Immutable; equality and
+    hashing are on ``(n, ks, dim)``, which determine the parts, and the hash
+    is computed once, at construction.  :func:`from_bracket` builds a
+    simplex from its bracket, with the same invariant checked in that form.
+    """
+
+    __slots__ = ("n", "ks", "dim", "_hash")
+
+    def __init__(self, n: int, parts: tuple):
         # {1..n} is the union of the parts and their sizes add up to n
         # exactly when every coordinate lies in exactly one part.
-        parts = self.parts
         if len(parts) < 2:
             raise ValueError("need at least two parts")
-        if (sum(map(len, parts)) != self.n
-                or frozenset().union(*parts) != _coordinates(self.n)):
+        if (sum(map(len, parts)) != n
+                or frozenset().union(*parts) != _coordinates(n)):
             raise ValueError("parts must partition {1..n}")
+        ks = [0] * n
+        for k, p in enumerate(parts):
+            for i in p:
+                ks[i - 1] = k
+        ks = tuple(ks)
+        dim = len(parts) - 2
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "ks", ks)
+        init(self, "dim", dim)
+        init(self, "_hash", hash((n, ks, dim)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"PartitionSimplex is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"PartitionSimplex is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not PartitionSimplex:
+            return NotImplemented
+        return self is other or (self._hash == other._hash
+                                 and self.ks == other.ks
+                                 and self.dim == other.dim
+                                 and self.n == other.n)
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return from_bracket, (self.n, self.ks, self.dim)
 
     @property
-    def dim(self) -> int:
-        return len(self.parts) - 2
+    def parts(self) -> tuple:
+        """The ordered partition, one frozenset per part."""
+        parts = [[] for _ in range(self.dim + 2)]
+        for i, k in enumerate(self.ks, 1):
+            parts[k].append(i)
+        return tuple(map(frozenset, parts))
 
     @property
     def is_degenerate(self) -> bool:
-        return any(not p for p in self.parts[1:-1])
+        inner = set(self.ks)
+        inner.discard(0)
+        inner.discard(self.dim + 1)
+        return len(inner) < self.dim
 
     def __repr__(self):
         body = "|".join("".join(map(str, sorted(p))) for p in self.parts)
@@ -55,33 +101,48 @@ class PartitionSimplex:
     # ----- coordinate views -----------------------------------------------------
 
     def part_index(self, coord: int) -> int:
-        for k, p in enumerate(self.parts):
-            if coord in p:
-                return k
-        raise ValueError(f"coordinate {coord} out of range")
+        if not 1 <= coord <= self.n:
+            raise ValueError(f"coordinate {coord} out of range")
+        return self.ks[coord - 1]
 
     def bracket(self):
         """(k_1, ..., k_n): part index of each coordinate, plus the dimension."""
-        ks = [0] * self.n
-        for k, p in enumerate(self.parts):
-            for i in p:
-                ks[i - 1] = k
-        return tuple(ks), self.dim
+        return self.ks, self.dim
 
     def to_matrix(self):
         """Row i is the 0/1 step vector of coordinate i over the m+1 vertices."""
         m = self.dim
-        ks, _ = self.bracket()
-        return tuple(tuple(0 if c < k else 1 for c in range(m + 1)) for k in ks)
+        return tuple(tuple(0 if c < k else 1 for c in range(m + 1))
+                     for k in self.ks)
 
     def vertex(self, c: int) -> tuple:
         """The c-th vertex (0 <= c <= dim) as a 0/1 coordinate tuple."""
-        ks, _ = self.bracket()
-        return tuple(0 if c < k else 1 for k in ks)
+        return tuple(0 if c < k else 1 for k in self.ks)
 
     def vertices(self):
-        ks, m = self.bracket()
-        return [tuple(0 if c < k else 1 for k in ks) for c in range(m + 1)]
+        ks = self.ks
+        return [tuple(0 if c < k else 1 for k in ks)
+                for c in range(self.dim + 1)]
+
+
+def from_bracket(n: int, ks: tuple, dim: int) -> PartitionSimplex:
+    """The dim-simplex of the simplicial n-cube whose coordinate i lies in
+    part ``ks[i - 1]``: the partition invariant in bracket form, so ``ks``
+    needs one entry per coordinate, each in 0..dim+1, and ``dim >= 0``."""
+    ks = tuple(ks)
+    if len(ks) != n:
+        raise ValueError("bracket needs one part index per coordinate")
+    if dim < 0:
+        raise ValueError("need at least two parts")
+    if ks and (min(ks) < 0 or max(ks) > dim + 1):
+        raise ValueError("part index out of range")
+    u = object.__new__(PartitionSimplex)
+    init = object.__setattr__
+    init(u, "n", n)
+    init(u, "ks", ks)
+    init(u, "dim", dim)
+    init(u, "_hash", hash((n, ks, dim)))
+    return u
 
 
 def from_parts(n: int, parts) -> PartitionSimplex:
@@ -115,16 +176,16 @@ def partition_face(u: PartitionSimplex, j: int) -> PartitionSimplex:
     """d_j: merge parts j and j+1 (0 <= j <= dim)."""
     if not 0 <= j <= u.dim:
         raise ValueError("face index out of range")
-    parts = (u.parts[:j] + (u.parts[j] | u.parts[j + 1],) + u.parts[j + 2:])
-    return PartitionSimplex(u.n, parts)
+    ks = tuple([k if k <= j else k - 1 for k in u.ks])
+    return from_bracket(u.n, ks, u.dim - 1)
 
 
 def partition_degeneracy(u: PartitionSimplex, j: int) -> PartitionSimplex:
     """s_j: insert an empty part after part j (0 <= j <= dim)."""
     if not 0 <= j <= u.dim:
         raise ValueError("degeneracy index out of range")
-    parts = u.parts[: j + 1] + (frozenset(),) + u.parts[j + 1:]
-    return PartitionSimplex(u.n, parts)
+    ks = tuple([k if k <= j else k + 1 for k in u.ks])
+    return from_bracket(u.n, ks, u.dim + 1)
 
 
 class SimplicialCube(SimplicialSet):
@@ -135,14 +196,10 @@ class SimplicialCube(SimplicialSet):
 
     def nondegenerate(self, m: int):
         """Ordered partitions of {1..n} with all inner parts nonempty."""
-        out = []
-        coords = range(1, self.n + 1)
-        for assign in itertools.product(range(m + 2), repeat=self.n):
-            if all(any(a == k for a in assign) for k in range(1, m + 1)):
-                parts = [frozenset(c for c, a in zip(coords, assign) if a == k)
-                         for k in range(m + 2)]
-                out.append(PartitionSimplex(self.n, tuple(parts)))
-        return out
+        inner = set(range(1, m + 1))
+        return [from_bracket(self.n, ks, m)
+                for ks in itertools.product(range(m + 2), repeat=self.n)
+                if inner <= set(ks)]
 
     def dim(self, u: PartitionSimplex) -> int:
         return u.dim
@@ -171,17 +228,16 @@ def lambda_star(lam: CubeMorphism, u: PartitionSimplex) -> PartitionSimplex:
     """
     if u.n != lam.source:
         raise ValueError("coordinate count mismatch")
-    ks, m = u.bracket()
-    parts = [[] for _ in range(m + 2)]
-    for j, out in enumerate(lam.outputs, 1):
+    ks, m = u.ks, u.dim
+    out_ks = []
+    for out in lam.outputs:
         if out == 0:
-            k = m + 1
+            out_ks.append(m + 1)
         elif out == 1:
-            k = 0
+            out_ks.append(0)
         else:
-            k = max(ks[v - 1] for v in out)
-        parts[k].append(j)
-    return from_parts(lam.target, parts)
+            out_ks.append(max(ks[v - 1] for v in out))
+    return from_bracket(lam.target, out_ks, m)
 
 
 def face_by_bar_removal(pi, removed) -> PartitionSimplex:
@@ -259,22 +315,17 @@ def extend_family(n: int, family: dict, target) -> tuple:
     def evaluate(u: PartitionSimplex):
         if u.n != n:
             raise ValueError("coordinate count mismatch")
-        pi = tuple(v for part in u.parts for v in sorted(part))
-        # collapse inner empty parts; remember where they sat
-        core = [u.parts[0]]
-        insertions = []
-        for t in range(1, len(u.parts) - 1):
-            if u.parts[t]:
-                core.append(u.parts[t])
-            else:
-                insertions.append(t)
-        core.append(u.parts[-1])
-        # the core is the face of u_pi keeping one bar per part boundary
-        kept = set()
-        acc = 0
-        for part in core[:-1]:
-            acc += len(part)
-            kept.add(acc)
+        ks, m = u.ks, u.dim
+        # coordinates part by part, increasing within a part
+        pi = tuple(v + 1 for v in sorted(range(n), key=ks.__getitem__))
+        sizes = [0] * (m + 2)
+        for k in ks:
+            sizes[k] += 1
+        # u is the face of u_pi keeping the bar after each of parts 0..m
+        # (an empty part repeats the bar before it), degenerated at each
+        # empty inner part
+        kept = set(itertools.accumulate(sizes[:m + 1]))
+        insertions = [t for t in range(1, m + 1) if not sizes[t]]
         x = family[pi]
         for j in sorted(set(range(n + 1)) - kept, reverse=True):
             x = target.face(x, j)
@@ -290,16 +341,14 @@ def combine_simplices(u: PartitionSimplex, w: PartitionSimplex) -> PartitionSimp
     followed by those of w (both must have the same dimension)."""
     if u.dim != w.dim:
         raise ValueError("dimension mismatch")
-    parts = tuple(p | frozenset(v + u.n for v in q)
-                  for p, q in zip(u.parts, w.parts))
-    return PartitionSimplex(u.n + w.n, parts)
+    return from_bracket(u.n + w.n, u.ks + w.ks, u.dim)
 
 
 def project_simplex(u: PartitionSimplex, lo: int, hi: int) -> PartitionSimplex:
     """Restrict to the coordinate window {lo..hi}, relabelled from 1."""
-    parts = tuple(frozenset(v - lo + 1 for v in p if lo <= v <= hi)
-                  for p in u.parts)
-    return PartitionSimplex(hi - lo + 1, parts)
+    if not 1 <= lo <= hi + 1 <= u.n + 1:
+        raise ValueError("coordinate window out of range")
+    return from_bracket(hi - lo + 1, u.ks[lo - 1:hi], u.dim)
 
 
 def decompose_product_simplex(pi, k: int):

@@ -157,7 +157,8 @@ class SimplicialSet:
         """Exhaustive simplicial identities on all simplices up to max_dim."""
         return check_identities(
             ((n, x) for n in range(max_dim + 1) for x in self.simplices(n)),
-            {"d": self.face, "s": self.degeneracy}, simplicial_identities)
+            {"d": self.face, "s": self.degeneracy}, simplicial_identities,
+            max_dim)
 
 
 def simplicial_identities(n: int) -> list:
@@ -361,6 +362,8 @@ def shuffle_chain_map(left: SimplicialSet, right: SimplicialSet,
 
 def standard_simplex(n: int, name=None) -> SimplicialPresentation:
     """The simplicial n-simplex: generators are nonempty vertex subsets."""
+    if n < 0:
+        raise ValueError(f"no standard simplex of dimension {n}")
 
     def gname(verts):
         return ".".join(map(str, verts))

@@ -377,13 +377,6 @@ class CobarToGroupMap:
             self._letter_eval[x] = evaluate
         return self._letter_eval[x]
 
-    def _letter_value(self, x: Simplex, piece: PartitionSimplex) -> GroupWord:
-        key = (x, piece)
-        value = self._values.get(key)
-        if value is None:
-            value = self._values[key] = self._letter(x)(piece)
-        return value
-
     def evaluate(self, cube, u: PartitionSimplex) -> GroupWord:
         base, ops = cube
         d = self.cset.dim(cube)
@@ -394,12 +387,21 @@ class CobarToGroupMap:
                    else CubeMorphism.gamma(d, i))
             u = lambda_star(lam, u)
             d -= 1
-        out = self.group.one(u.dim)
-        pos = 1
+        ks, m = u.ks, u.dim
+        values = self._values
+        out = self.group.one(m)
+        pos = 0
         for x in base:
             k = x.dim - 1
-            piece = project_simplex(u, pos, pos + k - 1)
-            out = self.group.mul(out, self._letter_value(x, piece))
+            # the piece of x is the window of k coordinates from pos + 1;
+            # it is keyed by its bracket and built only on a memo miss
+            window = ks[pos:pos + k]
+            key = (x, window, m)
+            value = values.get(key)
+            if value is None:
+                piece = project_simplex(u, pos + 1, pos + k)
+                value = values[key] = self._letter(x)(piece)
+            out = self.group.mul(out, value)
             pos += k
         return out
 

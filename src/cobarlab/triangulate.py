@@ -17,8 +17,8 @@ from .chains import Chain, ChainComplex, ChainMap, add_scaled
 from .cubes import CubeMorphism, CubicalSet, cubical_chains
 from .perms import all_perms, inversions
 from .simpcube import (PartitionSimplex, SimplicialCube, combine_simplices,
-                       lambda_star, partition_degeneracy, partition_face,
-                       project_simplex, u_pi)
+                       from_bracket, lambda_star, partition_degeneracy,
+                       partition_face, project_simplex, u_pi)
 from .simplicial import SimplicialSet, simplicial_chains
 
 
@@ -37,17 +37,13 @@ def full_support_simplices(n: int, m: int):
     with empty end parts."""
     if m == 0:
         if n == 0:
-            yield PartitionSimplex(0, (frozenset(), frozenset()))
+            yield from_bracket(0, (), 0)
         return
     if not 1 <= m <= n:
         return
-    coords = range(1, n + 1)
-    for assign in itertools.product(range(1, m + 1), repeat=n):
-        if len(set(assign)) == m:
-            parts = [frozenset()] + [
-                frozenset(c for c, a in zip(coords, assign) if a == k)
-                for k in range(1, m + 1)] + [frozenset()]
-            yield PartitionSimplex(n, tuple(parts))
+    for ks in itertools.product(range(1, m + 1), repeat=n):
+        if len(set(ks)) == m:
+            yield from_bracket(n, ks, m)
 
 
 class TriangulatedCubicalSet(SimplicialSet):
@@ -64,12 +60,15 @@ class TriangulatedCubicalSet(SimplicialSet):
         """The applicable identifications, lazily, in a fixed scan order."""
         cset = self.cset
         n = cset.dim(y)
-        for i in sorted(u.parts[0]):
-            yield (cset.face(y, 1, i),
-                   lambda_star(CubeMorphism.sigma(n, i), u))
-        for i in sorted(u.parts[-1]):
-            yield (cset.face(y, 0, i),
-                   lambda_star(CubeMorphism.sigma(n, i), u))
+        # coordinates in the first part, then in the last, increasing
+        for i, k in enumerate(u.ks, 1):
+            if k == 0:
+                yield (cset.face(y, 1, i),
+                       lambda_star(CubeMorphism.sigma(n, i), u))
+        for i, k in enumerate(u.ks, 1):
+            if k == u.dim + 1:
+                yield (cset.face(y, 0, i),
+                       lambda_star(CubeMorphism.sigma(n, i), u))
         for i in range(1, n + 1):
             fy = cset.face(y, 0, i)
             if cset.degen(fy, i) == y:

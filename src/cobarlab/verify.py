@@ -417,15 +417,23 @@ def cobar_iso_suite(max_dim=None) -> Report:
 
 
 def szczarba_contract_suite(max_dim=None) -> Report:
+    # the contract needs closed operator words, which stop at max_n
+    if max_dim is None:
+        contract_dim, twisting_dim = 2, 3
+    else:
+        contract_dim = min(max_dim, szczarba.SzProvider.max_n)
+        twisting_dim = max_dim
     checks = []
     for name in ("S2", "S3", "D4sk1"):
         sset = fixture(name)
         group = loopgroup.LoopGroup(sset)
         provider = szczarba.SzProvider(group)
         checks.append((f"contract-{name}",
-                       lambda p=provider: szczarba.contract_check(p, 2)))
+                       lambda p=provider:
+                       szczarba.contract_check(p, contract_dim)))
         checks.append((f"twisting-{name}",
-                       lambda g=group: loopgroup.check_twisting(g, 3)))
+                       lambda g=group:
+                       loopgroup.check_twisting(g, twisting_dim)))
     def rival():
         d = szczarba.rival_convention_diagnosis(fixture("TwoLoopsCell"))
         plain, swapped = d["plain"], d["swapped"]

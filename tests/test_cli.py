@@ -107,6 +107,14 @@ def test_env_cap_limits_default_dim(monkeypatch, capsys):
     assert main(["validate", "S2"]) == 2
 
 
+@pytest.mark.parametrize("name", ["Delta-1", "Delta-2"])
+def test_negative_simplex_fixture_exits_2(name, capsys):
+    # a simplex of negative dimension has nothing to check, so it must not
+    # pass as valid
+    assert main(["validate", name]) == 2
+    assert "error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["cubeX", "cube2xY", "cube", "cube1x2x3"])
 def test_bad_cube_fixture_exits_2(name, capsys):
     assert main(["triangulate", "--fixture", name]) == 2

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 
@@ -109,3 +110,16 @@ def test_validate_catches_broken_connection():
     verdict = BrokenCube(3).validate(3)
     assert not verdict.ok
     assert verdict.witness["identity"] == "gg"
+
+
+def test_cube_morphism_value_semantics():
+    lam = CubeMorphism(2, 3, ((1,), 0, (2,)))
+    # the repr of the former dataclass, which witnesses print
+    assert repr(lam) == \
+        "CubeMorphism(source=2, target=3, outputs=((1,), 0, (2,)))"
+    copy = pickle.loads(pickle.dumps(lam))
+    assert copy == lam and hash(copy) == hash(lam) and copy is not lam
+    assert lam != CubeMorphism(2, 3, ((1,), 1, (2,)))
+    assert lam != (2, 3, ((1,), 0, (2,)))
+    with pytest.raises(AttributeError):
+        lam.source = 3

@@ -1,5 +1,9 @@
 """Every identity family of the shared checker fires on a structure
-corrupted for that family, so no family can drop out of a table unseen."""
+corrupted for that family, so no family can drop out of a table unseen, and
+the checker, which reads values from its tables, gives the same verdict as a
+reference checker that calls every operator."""
+
+from collections import Counter
 
 import pytest
 
@@ -7,6 +11,7 @@ from cobarlab.cubes import CubeMorphism, StandardCube, cubical_identities
 from cobarlab.loopgroup import LoopGroup, check_group_identities
 from cobarlab.simplicial import (Simplex, fixture, nondeg,
                                  simplicial_identities)
+from cobarlab.verdict import Verdict
 
 
 def patched(obj, name, wrong):
@@ -69,6 +74,18 @@ CUBICAL = {
 }
 
 
+# a 2-cube of the 3-cube and a face of the identity 3-cube, so at dimension 3
+# the checker reads the corrupted faces of this face from its table (the
+# 2-cube's own rows break first, at dimension 2)
+TWO_CUBE = CubeMorphism(2, 3, ((1,), 0, (2,)))
+TABLE_CORRUPTIONS = {
+    "2-cube face": lambda: patched(
+        StandardCube(3), "face",
+        lambda d, y, e, i: d(y, 1 - e, i) if y == TWO_CUBE and i == 2
+        else d(y, e, i)),
+}
+
+
 def test_every_family_has_a_corruption():
     assert {row[0] for row in simplicial_identities(3)} == set(SIMPLICIAL)
     assert {row[0] for row in cubical_identities(3)} == set(CUBICAL)
@@ -119,3 +136,89 @@ def test_loop_group_family_fires(label):
     verdict = check_group_identities(group, elements)
     assert not verdict.ok
     assert verdict.witness["identity"] == label
+
+
+# ----- the reference checker -----------------------------------------------------------
+
+
+def reference_check(elements, operators, table, key="x", values=True):
+    """``check_identities`` as a plain loop nest: every operator of both
+    sides of every row is called on every element, and no value is read
+    from a table."""
+    for n, x in elements:
+        for label, fields, lhs, rhs in table(n):
+            sides = []
+            for word in (lhs, rhs):
+                value = x
+                for letter, *args in word:
+                    value = operators[letter](value, *args)
+                sides.append(value)
+            if sides[0] != sides[1]:
+                witness = {"identity": label, key: x, **fields}
+                if values:
+                    witness["lhs"], witness["rhs"] = sides
+                return Verdict.failed(witness)
+    return Verdict.passed()
+
+
+def reference_simplicial(sset, max_dim):
+    return reference_check(
+        ((n, x) for n in range(max_dim + 1) for x in sset.simplices(n)),
+        {"d": sset.face, "s": sset.degeneracy}, simplicial_identities)
+
+
+def reference_cubical(cset, max_dim):
+    return reference_check(
+        ((n, y) for n in range(max_dim + 1) for y in cset.cubes(n)),
+        {"d": cset.face, "s": cset.degen, "g": cset.conn},
+        cubical_identities, key="y", values=False)
+
+
+@pytest.mark.parametrize("max_dim", [3, 4])
+@pytest.mark.parametrize("label", sorted(SIMPLICIAL))
+def test_simplicial_witness_matches_reference(label, max_dim):
+    fast = SIMPLICIAL[label]().validate(max_dim)
+    assert not fast.ok
+    assert repr(fast) == repr(reference_simplicial(SIMPLICIAL[label](),
+                                                   max_dim))
+
+
+@pytest.mark.parametrize("max_dim", [2, 3])
+@pytest.mark.parametrize("label", sorted(CUBICAL) + sorted(TABLE_CORRUPTIONS))
+def test_cubical_witness_matches_reference(label, max_dim):
+    build = {**CUBICAL, **TABLE_CORRUPTIONS}[label]
+    fast = build().validate(max_dim)
+    assert not fast.ok
+    assert repr(fast) == repr(reference_cubical(build(), max_dim))
+
+
+@pytest.mark.parametrize("label", ["dd", "ss", "ds"])
+def test_loop_group_witness_matches_reference(label):
+    group, elements = _group_case(label)
+    fast = check_group_identities(group, elements)
+    group, elements = _group_case(label)
+    slow = reference_check(((a.n, a) for a in elements),
+                           {"d": group.face, "s": group.degeneracy},
+                           simplicial_identities)
+    assert not fast.ok
+    assert repr(fast) == repr(slow)
+
+
+def test_loop_group_checks_elements_in_any_order():
+    group = LoopGroup(fixture("D4sk1"))
+    words = [group.tau(x) for n in (2, 3, 4)
+             for x in group.sset.nondegenerate(n)]
+    for elements in (words, words[::-1], words[1::2] + words[::2]):
+        assert check_group_identities(group, elements).ok
+
+
+def test_standard_cube_operator_call_count():
+    # the faces of each face are read from the previous dimension's table;
+    # calling every second operator made 127,582 calls
+    cube = StandardCube(3)
+    calls = Counter()
+    for name in ("face", "degen", "conn"):
+        patched(cube, name, lambda op, y, *args, name=name:
+                calls.update([name]) or op(y, *args))
+    assert cube.validate(4).ok
+    assert sum(calls.values()) == 82_304

@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,8 @@ from cobarlab.perms import all_perms
 from cobarlab.simpcube import (PartitionSimplex, SimplicialCube,
                                combine_simplices, common_bars,
                                decompose_product_simplex, extend_family,
-                               face_by_bar_removal, from_matrix, from_parts,
+                               face_by_bar_removal, from_bracket, from_matrix,
+                               from_parts,
                                hereditary_path, lambda_star, partition_face,
                                partition_degeneracy, project_simplex, realize,
                                u_pi, unrealize)
@@ -161,3 +163,87 @@ def test_lambda_star_bracket_rule_matches_vertex_images():
                     pairs += 1
     # targets of dimension 0 and constant outputs included
     assert pairs == 19280
+
+
+# ----- simplices stored by their bracket --------------------------------------------
+
+
+def _cube_simplices(max_n=3, max_dim=3):
+    return [u for n in range(max_n + 1) for m in range(max_dim + 1)
+            for u in SimplicialCube(n).simplices(m)]
+
+
+def test_parts_round_trip_through_the_bracket():
+    simplices = _cube_simplices()
+    for u in simplices:
+        for v in (from_parts(u.n, u.parts), from_bracket(u.n, *u.bracket())):
+            assert v == u and hash(v) == hash(u)
+        assert u.is_degenerate == any(not p for p in u.parts[1:-1])
+    assert len(set(simplices)) == len(simplices) == sum(
+        (m + 2) ** n for n in range(4) for m in range(4))
+
+
+def test_partition_simplex_value_semantics():
+    u = u_pi((2, 1, 3))
+    assert repr(u) == "<|2|1|3|>" and u.ks == (2, 1, 3) and u.dim == 3
+    copy = pickle.loads(pickle.dumps(u))
+    assert copy == u and hash(copy) == hash(u) and copy is not u
+    assert u != from_bracket(3, (2, 1, 3), 4)
+    with pytest.raises(AttributeError):
+        u.dim = 2
+
+
+@pytest.mark.parametrize("n, ks, dim", [
+    (2, (0, 3), 1),    # part index above dim + 1
+    (2, (-1, 0), 1),   # negative part index
+    (2, (0,), 1),      # one index short
+    (1, (0, 1), 0),    # one index too many
+    (1, (0,), -1),     # fewer than two parts
+    (0, (), -1),
+], ids=["high", "negative", "short", "long", "one-part", "no-parts"])
+def test_bracket_constructor_rejects_malformed_brackets(n, ks, dim):
+    with pytest.raises(ValueError):
+        from_bracket(n, ks, dim)
+
+
+def test_derived_simplices_match_their_partition_formulas():
+    # the formulas on the parts that the bracket rules replace
+    for u in _cube_simplices():
+        n, parts = u.n, u.parts
+        for j in range(u.dim + 1):
+            if u.dim:
+                merged = parts[:j] + (parts[j] | parts[j + 1],) + parts[j + 2:]
+                assert partition_face(u, j) == from_parts(n, merged)
+            spread = parts[:j + 1] + (frozenset(),) + parts[j + 1:]
+            assert partition_degeneracy(u, j) == from_parts(n, spread)
+        for lo in range(1, n + 2):
+            for hi in range(lo - 1, n + 1):
+                window = [[v - lo + 1 for v in p if lo <= v <= hi]
+                          for p in parts]
+                assert project_simplex(u, lo, hi) == \
+                    from_parts(hi - lo + 1, window)
+    for u in _cube_simplices(2, 2):
+        for w in _cube_simplices(2, 2):
+            if u.dim == w.dim:
+                joined = [p | {v + u.n for v in q}
+                          for p, q in zip(u.parts, w.parts)]
+                assert combine_simplices(u, w) == from_parts(u.n + w.n, joined)
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 1), (2, 4), (3, 1)])
+def test_project_simplex_rejects_windows_outside_the_cube(lo, hi):
+    with pytest.raises(ValueError):
+        project_simplex(u_pi((2, 1, 3)), lo, hi)
+
+
+def test_extend_family_of_top_simplices_is_the_identity_everywhere():
+    # the evaluator reads each simplex's bracket; gluing the cube's own top
+    # simplices must give back every simplex, degenerate ones included
+    for n in range(4):
+        cube = SimplicialCube(n)
+        evaluate, verdict = extend_family(
+            n, {pi: u_pi(pi) for pi in all_perms(n)}, cube)
+        assert verdict.ok
+        for m in range(4):
+            for u in cube.simplices(m):
+                assert evaluate(u) == u

@@ -145,6 +145,35 @@ def test_glued_map_evaluates_each_piece_once(monkeypatch):
     assert calls and set(calls.values()) == {1}
 
 
+def test_glued_map_projects_only_on_a_memo_miss(monkeypatch):
+    evaluations = Counter()
+    projections = Counter()
+    real_extend_family = szczarba.extend_family
+    real_project = szczarba.project_simplex
+
+    def counting_extend_family(n, family, target):
+        evaluate, verdict = real_extend_family(n, family, target)
+
+        def counted(u):
+            evaluations[u] += 1
+            return evaluate(u)
+
+        return counted, verdict
+
+    def counting_project(u, lo, hi):
+        piece = real_project(u, lo, hi)
+        projections[piece] += 1
+        return piece
+
+    monkeypatch.setattr(szczarba, "extend_family", counting_extend_family)
+    monkeypatch.setattr(szczarba, "project_simplex", counting_project)
+    sset = FIXTURES["D4sk1"]
+    _, verdict = build_f(sset, SzProvider(LoopGroup(sset)), 2)
+    assert verdict.ok and evaluations
+    # every piece that is built goes straight to a letter evaluator
+    assert projections == evaluations
+
+
 @pytest.mark.parametrize("name", ["S2", "D4sk1"])
 def test_glued_map_values_match_fresh_map(name, providers, monkeypatch):
     seen = {}

@@ -1,7 +1,10 @@
 import json
+from collections import Counter
 
 import pytest
 
+from cobarlab import loopgroup, szczarba
+from cobarlab.verdict import Verdict
 from cobarlab.verify import SUITES, run_suite
 
 
@@ -25,3 +28,24 @@ def test_report_renderings_agree(suite_report):
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("astrology")
+
+
+@pytest.mark.parametrize("max_dim, contract, twisting",
+                         [(None, 2, 3), (1, 1, 1), (4, 2, 4)])
+def test_contract_suite_follows_max_dim(max_dim, contract, twisting,
+                                        monkeypatch):
+    # the contract stops at the closed operator words (n <= max_n = 2)
+    seen = Counter()
+
+    def counting(name):
+        def check(target, n):
+            # the rival-convention check runs its own providers
+            if type(target) in (szczarba.SzProvider, loopgroup.LoopGroup):
+                seen[name, n] += 1
+            return Verdict.passed()
+        return check
+
+    monkeypatch.setattr(szczarba, "contract_check", counting("contract"))
+    monkeypatch.setattr(loopgroup, "check_twisting", counting("twisting"))
+    run_suite("szczarba-contract", max_dim)
+    assert seen == {("contract", contract): 3, ("twisting", twisting): 3}
