@@ -270,20 +270,6 @@ class CubicalSet:
         return [y for y in self.cubes(n) if not self.is_degenerate(y)
                 and not self.is_folded(y)]
 
-    def act(self, y, lam: CubeMorphism):
-        """Contravariant action of a cube-category morphism on a cube."""
-        if lam.target != self.dim(y):
-            raise ValueError("morphism target must match the cube dimension")
-        for kind, *args in lam.to_word():
-            if kind == "delta":
-                eps, i = args
-                y = self.face(y, eps, i)
-            elif kind == "sigma":
-                y = self.degen(y, args[0])
-            else:
-                y = self.conn(y, args[0])
-        return y
-
     def validate(self, max_dim: int) -> Verdict:
         """Exhaustive cubical identities (with connections) up to max_dim."""
         return check_identities(

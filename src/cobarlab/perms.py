@@ -318,9 +318,3 @@ def sz_shuffle_split(pi: Permutation):
         raise ValueError(f"need a nonempty permutation, got {pi}")
     k = pi[n - 1] - 1
     return psi_inv(remove_assignment(pi, n), k)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .cubes import CubeMorphism
 from .perms import inversions, transposition, compose, invert
-from .simplicial import SimplicialSet
+from .simplicial import SimplicialSet, shuffle_pair
 from .verdict import Verdict
 
 
@@ -362,15 +362,9 @@ def decompose_product_simplex(pi, k: int):
     """
     from .perms import psi_inv
 
-    n = len(pi)
     sh, sigma, tau = psi_inv(pi, k)
-    left = u_pi(sigma)
-    for b in sh.beta:
-        left = partition_degeneracy(left, b - 1)
-    right = u_pi(tau)
-    for a in sh.alpha:
-        right = partition_degeneracy(right, a - 1)
-    return sh, left, right
+    return (sh,) + shuffle_pair(SimplicialCube(k), SimplicialCube(len(pi) - k),
+                                sh, u_pi(sigma), u_pi(tau))
 
 
 def realize(u: PartitionSimplex, weights) -> tuple:

@@ -327,17 +327,21 @@ def shuffle_terms(left: SimplicialSet, right: SimplicialSet, x, y) -> Chain:
     including degenerate pairs (callers drop them when landing in normalized
     chains).
     """
-    k, l = left.dim(x), right.dim(y)
     out: Chain = {}
-    for sh in all_shuffles(k, l):
-        sx = x
-        for b in sh.beta:
-            sx = left.degeneracy(sx, b - 1)
-        sy = y
-        for a in sh.alpha:
-            sy = right.degeneracy(sy, a - 1)
-        add_scaled(out, {(sx, sy): 1}, sh.sign())
+    for sh in all_shuffles(left.dim(x), right.dim(y)):
+        add_scaled(out, {shuffle_pair(left, right, sh, x, y): 1}, sh.sign())
     return out
+
+
+def shuffle_pair(left: SimplicialSet, right: SimplicialSet, sh, x, y) -> tuple:
+    """The pair (s_{beta-1} x, s_{alpha-1} y) of the shuffle sh: x degenerated
+    at each index of beta minus one, y at each of alpha minus one, in
+    ascending order."""
+    for b in sh.beta:
+        x = left.degeneracy(x, b - 1)
+    for a in sh.alpha:
+        y = right.degeneracy(y, a - 1)
+    return x, y
 
 
 def shuffle_chain_map(left: SimplicialSet, right: SimplicialSet,

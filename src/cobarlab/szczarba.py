@@ -2,20 +2,21 @@
 induced map from the triangulated cobar construction to the loop group.
 
 A provider assigns to each permutation pi of S_n and each (n+1)-simplex x a
-group word of dimension n.  The shipped provider carries closed words for
-n <= 2 whose correctness is certified by the contract checker: the seven
-face/degeneracy interaction families (permutation-indexed) together with
-their index-sequence-indexed originals.
+group word of dimension n, the product of n + 1 factors.  The shipped
+provider carries closed words for n <= 2 whose correctness is certified by
+the contract checker: the seven face/degeneracy interaction families
+(permutation-indexed) together with their index-sequence-indexed originals.
 
-On top of a verified provider, ``build_f`` glues the per-letter families
-into a simplicial map from the triangulation of the cobar cubical set to
-the group, and ``main_theorem_check`` compares the composite of that map
-with the triangulation chain map against the word-by-word twisting cochain.
+On top of a verified provider, ``CobarToGroupMap`` glues the per-letter
+families into a simplicial map from the triangulation of the cobar cubical
+set to the group, ``build_f`` checks that it respects every identification,
+and ``main_theorem_check`` compares the composite of that map with the
+triangulation chain map against the word-by-word twisting cochain.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 
 from .chains import Chain, add_scaled
 from .cobar import CobarSet, cube_to_word, omega_complex, word_to_cube
@@ -27,7 +28,7 @@ from .simpcube import (PartitionSimplex, combine_simplices, extend_family,
                        lambda_star, partition_degeneracy, project_simplex,
                        u_pi)
 from .simplicial import (Simplex, front_back_diagonal, normalized_boundary,
-                         shuffle_terms)
+                         shuffle_pair, shuffle_terms)
 from .verdict import Verdict
 
 
@@ -42,8 +43,10 @@ def multi_degeneracy(group, a, indices):
 class SzProvider:
     """Closed group words for the loop-group operators, for n <= 2.
 
-    ``sz(pi, x)`` takes a permutation of S_n and a simplex of dimension
-    n + 1 and returns a group word of dimension n.
+    ``factors(pi, x)`` takes a permutation of S_n and a simplex of dimension
+    n + 1 and returns the n + 1 factors of the operator word, leftmost
+    first; each is an iterated degeneracy of tau on an iterated face of x.
+    ``sz(pi, x)`` is their product, a group word of dimension n.
     """
 
     max_n = 2
@@ -52,29 +55,30 @@ class SzProvider:
         self.group = group
         self.sset = group.sset
 
-    def sz(self, pi: tuple, x: Simplex) -> GroupWord:
+    def factors(self, pi: tuple, x: Simplex) -> list:
         n = len(pi)
         if x.dim != n + 1:
             raise ValueError("simplex dimension must be the permutation size"
                              " plus one")
-        g, sset = self.group, self.sset
+        if n > self.max_n:
+            raise ValueError(f"no closed words for n = {n} > {self.max_n}")
+        g, face = self.group, self.sset.face
         tau = g.tau
-        d0 = lambda y: sset.face(y, 0)
         if n == 0:
-            return tau(x)
+            return [tau(x)]
+        d0x = face(x, 0)
         if n == 1:
-            return g.mul(tau(x), g.degeneracy(tau(d0(x)), 0))
-        if n == 2:
-            deep = multi_degeneracy(g, tau(d0(d0(x))), (0, 1))
-            if pi == (1, 2):
-                head = g.mul(tau(x), g.degeneracy(tau(d0(x)), 0))
-            elif pi == (2, 1):
-                head = g.mul(g.degeneracy(tau(sset.face(x, 2)), 0),
-                             g.degeneracy(tau(d0(x)), 1))
-            else:
-                raise ValueError(f"{pi} is not a permutation of S_2")
-            return g.mul(head, deep)
-        raise ValueError(f"no closed words for n = {n} > {self.max_n}")
+            return [tau(x), g.degeneracy(tau(d0x), 0)]
+        deep = multi_degeneracy(g, tau(face(d0x, 0)), (0, 1))
+        if pi == (1, 2):
+            return [tau(x), g.degeneracy(tau(d0x), 0), deep]
+        if pi == (2, 1):
+            return [g.degeneracy(tau(face(x, 2)), 0),
+                    g.degeneracy(tau(d0x), 1), deep]
+        raise ValueError(f"{pi} is not a permutation of S_2")
+
+    def sz(self, pi: tuple, x: Simplex) -> GroupWord:
+        return functools.reduce(self.group.mul, self.factors(pi, x))
 
     def sz_iseq(self, iseq: tuple, x: Simplex) -> GroupWord:
         """The same operators indexed by descending-bound index sequences."""
@@ -82,18 +86,20 @@ class SzProvider:
 
 
 class SwappedSzProvider(SzProvider):
-    """Negative control: the two leading factors of the word for the
-    transposition in S_2 are interchanged."""
+    """Negative control: the two leading factors of the word for ``pi``
+    (by default the transposition in S_2) are interchanged."""
 
-    def sz(self, pi, x):
-        if len(pi) == 2 and pi == (2, 1):
-            g, sset = self.group, self.sset
-            d0 = lambda y: sset.face(y, 0)
-            deep = multi_degeneracy(g, g.tau(d0(d0(x))), (0, 1))
-            head = g.mul(g.degeneracy(g.tau(d0(x)), 1),
-                         g.degeneracy(g.tau(sset.face(x, 2)), 0))
-            return g.mul(head, deep)
-        return super().sz(pi, x)
+    def __init__(self, group: LoopGroup, pi: tuple = (2, 1)):
+        if not pi:
+            raise ValueError("the word for S_0 has a single factor")
+        super().__init__(group)
+        self.pi = pi
+
+    def factors(self, pi, x):
+        out = super().factors(pi, x)
+        if pi == self.pi:
+            out[0], out[1] = out[1], out[0]
+        return out
 
 
 # ----- the executable contract ------------------------------------------------------
@@ -120,11 +126,10 @@ def contract_check(provider, n_max: int) -> Verdict:
                 i = tpi[-1]
                 pi = remove_assignment(tpi, n)
                 sh, sigma, tau_ = psi_inv(pi, i - 1)
-                front = provider.sz(sigma, sset.front_face(x, i))
-                back = provider.sz(tau_, sset.back_face(x, i))
-                want = group.mul(
-                    multi_degeneracy(group, front, [b - 1 for b in sh.beta]),
-                    multi_degeneracy(group, back, [a - 1 for a in sh.alpha]))
+                want = group.mul(*shuffle_pair(
+                    group, group, sh,
+                    provider.sz(sigma, sset.front_face(x, i)),
+                    provider.sz(tau_, sset.back_face(x, i))))
                 if group.face(val, n) != want:
                     return Verdict.failed(
                         {"identity": "d-iii", "x": x, "pi": tpi,
@@ -181,11 +186,10 @@ def contract_check(provider, n_max: int) -> Verdict:
                                  "k": k})
                 sh, jseq, kseq = xi(iseq)
                 k = len(jseq)
-                front = provider.sz_iseq(jseq, sset.front_face(x, k + 1))
-                back = provider.sz_iseq(kseq, sset.back_face(x, k + 1))
-                want = group.mul(
-                    multi_degeneracy(group, front, [b - 1 for b in sh.beta]),
-                    multi_degeneracy(group, back, [a - 1 for a in sh.alpha]))
+                want = group.mul(*shuffle_pair(
+                    group, group, sh,
+                    provider.sz_iseq(jseq, sset.front_face(x, k + 1)),
+                    provider.sz_iseq(kseq, sset.back_face(x, k + 1))))
                 if group.face(val, n) != want:
                     return Verdict.failed(
                         {"identity": "seq-dn", "x": x, "iseq": iseq})
@@ -203,33 +207,15 @@ def contract_check(provider, n_max: int) -> Verdict:
     return Verdict.passed()
 
 
-class _RivalOrderProvider(SzProvider):
-    """Candidate n = 1 words under the rival twist convention."""
-
-    max_n = 1
-
-    def __init__(self, group, swapped: bool):
-        super().__init__(group)
-        self.swapped = swapped
-
-    def sz(self, pi, x):
-        if len(pi) == 1:
-            g = self.group
-            a = g.tau(x)
-            b = g.degeneracy(g.tau(self.sset.face(x, 0)), 0)
-            return g.mul(b, a) if self.swapped else g.mul(a, b)
-        return super().sz(pi, x)
-
-
 def rival_convention_diagnosis(sset) -> dict:
-    """Under the rival bottom-face convention neither ordering of the
-    two-letter candidate word for n = 1 satisfies the contract: the plain
-    order breaks the bottom-face identity, the swapped order repairs it but
-    breaks the top-face splitting.  Returns the two contract verdicts."""
+    """Under the rival bottom-face convention neither order of the two
+    factors of the n = 1 word satisfies the contract: the plain order breaks
+    the bottom-face identity, the swapped order repairs it but breaks the
+    top-face splitting.  Returns the two contract verdicts."""
     group = LoopGroup(sset, twist="rival")
     return {
-        "plain": contract_check(_RivalOrderProvider(group, False), 1),
-        "swapped": contract_check(_RivalOrderProvider(group, True), 1),
+        "plain": contract_check(SzProvider(group), 1),
+        "swapped": contract_check(SwappedSzProvider(group, (1,)), 1),
     }
 
 
@@ -297,13 +283,11 @@ def group_diagonal(group: LoopGroup, chain: Chain) -> Chain:
     return out
 
 
-def check_f_sz_chain_map(sset, max_deg: int, provider=None) -> Verdict:
+def check_f_sz_chain_map(provider, max_deg: int) -> Verdict:
     """The word-by-word cochain map commutes with the differentials of the
     tensor-algebra model and of the normalized group chains."""
-    group = LoopGroup(sset) if provider is None else provider.group
-    if provider is None:
-        provider = SzProvider(group)
-    omega = omega_complex(sset, max_deg)
+    group = provider.group
+    omega = omega_complex(provider.sset, max_deg)
     for d in range(1, max_deg + 1):
         for w in omega.basis[d]:
             lhs = group_boundary(group, f_sz(provider, w))
@@ -315,15 +299,13 @@ def check_f_sz_chain_map(sset, max_deg: int, provider=None) -> Verdict:
     return Verdict.passed()
 
 
-def check_f_sz_comultiplicative(sset, max_deg: int, provider=None) -> Verdict:
+def check_f_sz_comultiplicative(provider, max_deg: int) -> Verdict:
     """The word-by-word map takes the cobar diagonal (transported from the
     cubical chains of the cobar construction) to the front/back coproduct on
     group chains."""
     from .cubes import cubical_chains
 
-    group = LoopGroup(sset) if provider is None else provider.group
-    if provider is None:
-        provider = SzProvider(group)
+    group, sset = provider.group, provider.sset
     omega = omega_complex(sset, max_deg)
     cchain = cubical_chains(CobarSet(sset), max_deg)
     for d in range(max_deg + 1):
@@ -356,11 +338,12 @@ class CobarToGroupMap:
 
     The map keeps its values: each letter's family is checked and glued
     once, and each (letter, piece) pair goes through the glued evaluator
-    once, so the memo is bounded by the distinct pieces asked for.
+    once, so the memo is bounded by the distinct pieces asked for.  One map
+    serves every check of the glued map on the provider's simplicial set.
     """
 
-    def __init__(self, cset: CobarSet, provider):
-        self.cset = cset
+    def __init__(self, provider):
+        self.cset = CobarSet(provider.sset)
         self.provider = provider
         self.group = provider.group
         self._letter_eval = {}
@@ -418,19 +401,17 @@ def _operator_image(cset: CobarSet, z, op):
     return cset.face(z, op[1], op[2])
 
 
-def build_f(sset, provider, max_dim: int):
-    """The glued map on the triangulated cobar construction, plus the
-    verdict that it respects every identification: for each generator
-    operator lam and cube z up to max_dim, evaluating the operator image of
-    z on a top simplex agrees with evaluating z on the pushed-forward
-    simplex.
+def build_f(f: CobarToGroupMap, max_dim: int) -> Verdict:
+    """The glued map on the triangulated cobar construction respects every
+    identification: for each generator operator lam and cube z up to
+    max_dim, evaluating the operator image of z on a top simplex agrees with
+    evaluating z on the pushed-forward simplex.
 
     The top simplices and their pushforwards depend only on the dimension,
     the operator and the permutation, so they are built once per dimension
     and shared by every cube of that dimension.
     """
-    cset = CobarSet(sset)
-    f = CobarToGroupMap(cset, provider)
+    cset = f.cset
     for n in range(max_dim + 1):
         ups = [u_pi(pi) for pi in all_perms(n + 1)]
         downs = [u_pi(pi) for pi in all_perms(n - 1)] if n else []
@@ -450,21 +431,19 @@ def build_f(sset, provider, max_dim: int):
                     lhs = f.evaluate(oz, u)
                     rhs = f.evaluate(z, pushed)
                     if lhs != rhs:
-                        return f, Verdict.failed(
+                        return Verdict.failed(
                             {"op": op, "z": z, "u": u,
                              "lhs": lhs, "rhs": rhs})
-    return f, Verdict.passed()
+    return Verdict.passed()
 
 
-def check_f_simplicial(sset, provider, max_dim: int) -> Verdict:
+def check_f_simplicial(f: CobarToGroupMap, max_dim: int) -> Verdict:
     """The glued map commutes with faces and degeneracies on the canonical
     simplices of the triangulated cobar construction."""
     from .triangulate import TriangulatedCubicalSet
 
-    cset = CobarSet(sset)
-    tri = TriangulatedCubicalSet(cset, max_dim)
-    f = CobarToGroupMap(cset, provider)
-    group = provider.group
+    tri = TriangulatedCubicalSet(f.cset, max_dim)
+    group = f.group
     for m in range(max_dim + 1):
         for ts in tri.nondegenerate(m):
             val = f(ts)
@@ -479,12 +458,10 @@ def check_f_simplicial(sset, provider, max_dim: int) -> Verdict:
     return Verdict.passed()
 
 
-def check_f_multiplicative(sset, provider, max_dim: int) -> Verdict:
+def check_f_multiplicative(f: CobarToGroupMap, max_dim: int) -> Verdict:
     """Products of cubes evaluate to products of group words on juxtaposed
     simplices."""
-    cset = CobarSet(sset)
-    f = CobarToGroupMap(cset, provider)
-    group = provider.group
+    cset, group = f.cset, f.group
     for n1 in range(max_dim + 1):
         for n2 in range(max_dim + 1 - n1):
             m = max(n1, n2)
@@ -515,17 +492,11 @@ def check_f_multiplicative(sset, provider, max_dim: int) -> Verdict:
     return Verdict.passed()
 
 
-def main_theorem_check(sset, max_deg: int, provider=None) -> Verdict:
+def main_theorem_check(f: CobarToGroupMap, max_deg: int) -> Verdict:
     """The composite of the glued map with the triangulation chain map
     equals the word-by-word cochain map on the tensor-algebra model."""
-    group = LoopGroup(sset)
-    if provider is None:
-        provider = SzProvider(group)
-    else:
-        group = provider.group
-    cset = CobarSet(sset)
-    f = CobarToGroupMap(cset, provider)
-    omega = omega_complex(sset, max_deg)
+    group, provider = f.group, f.provider
+    omega = omega_complex(provider.sset, max_deg)
     for d in range(max_deg + 1):
         for w in omega.basis[d]:
             cube = word_to_cube(w)

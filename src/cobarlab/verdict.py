@@ -50,37 +50,42 @@ def check_identities(elements, operators, table, top, key="x", values=True):
     operator is a face and whose second operator is a first operator of
     dimension n - 1 reads its value from the list of that face.  When a
     face of the element is not a key (elements need not come dimension by
-    dimension), every second operator on the element is called.  No list
-    is kept for ``top``, and none outlives the call.
+    dimension), its list is computed with dimension n - 1's first
+    operators and stored.  No list is kept for ``top``, and none outlives
+    the call.
     """
     plans = {}
     dim = None
-    prev = cur = None
+    cur = None
     for n, x in elements:
         if n != dim:
-            prev = cur if dim is not None and n == dim + 1 else None
+            prev = cur if dim is not None and n == dim + 1 else {}
             cur = {} if n < top else None
             dim = n
             plan = plans.get(n)
             if plan is None:
                 plan = _plan(plans, table, operators, n)
-            firsts, faces, reads, fed_rows, rows = plan[1:]
+            firsts, faces, reads, rows = plan[1:]
+            lower = plans[n - 1][1] if faces else ()
         first = [x]
         first += [op(x, a) if b is None else op(x, a, b)
                   for op, a, b in firsts]
         if cur is not None:
             cur[x] = first
-        vals, order = first, rows
-        if prev is not None:
-            lists = [prev.get(first[k]) for k in faces]
-            if None not in lists:
-                # keep the stored face, so that the table holds one object
-                # per distinct face
-                for k, stored in zip(faces, lists):
-                    first[k] = stored[0]
-                vals = first + [lists[f][p] for f, p in reads]
-                order = fed_rows
-        for label, fields, lk, lop, la, lb, rk, rop, ra, rb in order:
+        lists = []
+        for k in faces:
+            stored = prev.get(first[k])
+            if stored is None:
+                face = first[k]
+                stored = prev[face] = [face] + [
+                    op(face, a) if b is None else op(face, a, b)
+                    for op, a, b in lower]
+            # keep the stored face, so that the table holds one object per
+            # distinct face
+            first[k] = stored[0]
+            lists.append(stored)
+        vals = first + [lists[f][p] for f, p in reads]
+        for label, fields, lk, lop, la, lb, rk, rop, ra, rb in rows:
             lhs = vals[lk]
             if lop is not None:
                 lhs = lop(lhs, la) if lb is None else lop(lhs, la, lb)
@@ -98,17 +103,17 @@ def check_identities(elements, operators, table, top, key="x", values=True):
 
 def _plan(plans, table, operators, n):
     """Compile dimension n's table into ``plans[n]``: ``(slots, firsts,
-    faces, reads, fed rows, rows)``.
+    faces, reads, rows)``.
 
     Slot 0 of an element's first-operator list is the element itself, slot
     k its image under ``firsts[k - 1]``; ``slots`` maps each first operator
     to its slot.  Each operator is bound as ``(function, first index,
     second index or None)``, so that it is called with its arguments
     spelled out: a call through ``*args`` costs several times a direct
-    call.  ``rows`` index into the first-operator list and call every
-    second operator.  ``fed rows`` index into that list extended by
+    call.  ``rows`` index into the first-operator list extended by
     ``reads``: read ``(f, p)`` is slot p of the dimension n - 1 list of the
-    face in slot ``faces[f]``.
+    face in slot ``faces[f]``.  A side read this way calls no operator; any
+    other side calls its second operator.
     """
     below = {}
     if n > 0:
@@ -121,33 +126,30 @@ def _plan(plans, table, operators, n):
     def bind(op):
         return (operators[op[0]],) + op[1:] + (None,) * (3 - len(op))
 
-    def side(word):
-        if len(word) > 2:
-            raise ValueError(f"operator word {word!r} is longer than two")
-        if not word:
-            return 0, None, None, None
-        slot = slots.get(word[0])
-        if slot is None:
-            slot = slots[word[0]] = len(firsts) + 1
-            firsts.append(bind(word[0]))
-        return (slot,) + (bind(word[1]) if len(word) == 2
-                          else (None, None, None))
-
     rows = table(n)
-    plain = [(label, fields) + side(lhs) + side(rhs)
-             for label, fields, lhs, rhs in rows]
+    for _, _, lhs, rhs in rows:
+        for word in (lhs, rhs):
+            if len(word) > 2:
+                raise ValueError(f"operator word {word!r} is longer than two")
+            if word and word[0] not in slots:
+                slots[word[0]] = len(firsts) + 1
+                firsts.append(bind(word[0]))
     width = len(firsts) + 1
 
-    def fed_side(word):
-        if len(word) == 2 and word[0][0] == "d" and word[1] in below:
-            slot = slots[word[0]]
+    def side(word):
+        if not word:
+            return 0, None, None, None
+        slot = slots[word[0]]
+        if len(word) == 1:
+            return slot, None, None, None
+        if word[0][0] == "d" and word[1] in below:
             if slot not in faces:
                 faces.append(slot)
             read = (faces.index(slot), below[word[1]])
             return width + reads.setdefault(read, len(reads)), None, None, None
-        return side(word)
+        return (slot,) + bind(word[1])
 
-    fed = [(label, fields) + fed_side(lhs) + fed_side(rhs)
-           for label, fields, lhs, rhs in rows]
-    plans[n] = (slots, firsts, faces, list(reads), fed, plain)
+    rows = [(label, fields) + side(lhs) + side(rhs)
+            for label, fields, lhs, rhs in rows]
+    plans[n] = (slots, firsts, faces, list(reads), rows)
     return plans[n]

@@ -207,12 +207,13 @@ def simplicial_suite(max_dim=None) -> Report:
         sset = fixture(name)
         checks.append((f"identities-{name}",
                        lambda s=sset: s.validate_presentation(max_dim)))
-        checks.append((f"chains-{name}", lambda s=sset: _chains_ok(s, 3)))
+        checks.append((f"chains-{name}",
+                       lambda s=sset: _chains_ok(simplicial_chains(s, 3))))
     return run_checks("simplicial", checks)
 
 
-def _chains_ok(sset, max_dim) -> Verdict:
-    cx = simplicial_chains(sset, max_dim)
+def _chains_ok(cx) -> Verdict:
+    """d^2 = 0 and the coalgebra identities on a built chain complex."""
     v = cx.check_d_squared()
     return v if not v.ok else cx.check_coalgebra()
 
@@ -234,14 +235,8 @@ def cubical_suite(max_dim=None) -> Report:
         cset = CobarSet(fixture(name))
         checks.append((f"cobar-{name}", lambda c=cset: c.validate(3)))
         checks.append((f"cobar-chains-{name}",
-                       lambda c=cset: _cubical_chains_ok(c, 3)))
+                       lambda c=cset: _chains_ok(cubical_chains(c, 3))))
     return run_checks("cubical", checks)
-
-
-def _cubical_chains_ok(cset, max_dim) -> Verdict:
-    cx = cubical_chains(cset, max_dim)
-    v = cx.check_d_squared()
-    return v if not v.ok else cx.check_coalgebra()
 
 
 # ----- simplicial-cube lemmas -------------------------------------------------------
@@ -320,33 +315,27 @@ def check_triangulation_cube(n: int) -> Verdict:
     return Verdict.passed()
 
 
-def check_triangulation_product() -> Verdict:
-    prod = ProductCubicalSet(StandardCube(1), StandardCube(1))
-    tri, cy, ct, tmap = triangulation_map(prod, 3)
-    for v in (check_chain_map(tmap), check_quasi_iso(tmap, range(3))):
-        if not v.ok:
-            return v
-    return Verdict.passed()
+def check_triangulation(cset) -> Verdict:
+    """The triangulation chain map of a cubical set is a chain map and a
+    quasi-isomorphism through degree 2."""
+    _, _, _, tmap = triangulation_map(cset, 3)
+    v = check_chain_map(tmap)
+    return v if not v.ok else check_quasi_iso(tmap, range(3))
 
 
-def check_triangulation_cobar() -> Verdict:
-    cset = CobarSet(fixture("S2"))
-    tri, cy, ct, tmap = triangulation_map(cset, 3)
-    for v in (check_chain_map(tmap), check_quasi_iso(tmap, range(3))):
-        if not v.ok:
-            return v
-    return Verdict.passed()
+def _double_interval():
+    """The product of two intervals, its triangulation up to dimension 2 and
+    the triangulations of its two factors."""
+    left, right = StandardCube(1), StandardCube(1)
+    prod = ProductCubicalSet(left, right)
+    return (prod, TriangulatedCubicalSet(prod, 2),
+            TriangulatedCubicalSet(left, 1), TriangulatedCubicalSet(right, 1))
 
 
 def check_product_splitting() -> Verdict:
     """The product-splitting correspondence is a simplicial bijection on the
     double interval up to dimension 2, compatible with the diagonals."""
-    left = StandardCube(1)
-    right = StandardCube(1)
-    prod = ProductCubicalSet(left, right)
-    tri_prod = TriangulatedCubicalSet(prod, 2)
-    tri_left = TriangulatedCubicalSet(left, 1)
-    tri_right = TriangulatedCubicalSet(right, 1)
+    prod, tri_prod, tri_left, tri_right = _double_interval()
     for m in range(3):
         for x in tri_prod.nondegenerate(m):
             a, b = product_split_backward(tri_left, tri_right, prod, x)
@@ -362,12 +351,7 @@ def check_product_splitting_dgc() -> Verdict:
     from .chains import ChainMap
     from .simplicial import ProductSimplicialSet
 
-    left = StandardCube(1)
-    right = StandardCube(1)
-    prod = ProductCubicalSet(left, right)
-    tri_prod = TriangulatedCubicalSet(prod, 2)
-    tri_left = TriangulatedCubicalSet(left, 1)
-    tri_right = TriangulatedCubicalSet(right, 1)
+    prod, tri_prod, tri_left, tri_right = _double_interval()
     pairs = ProductSimplicialSet(tri_left, tri_right)
     src = simplicial_chains(tri_prod, 2)
     tgt = simplicial_chains(pairs, 2)
@@ -386,8 +370,9 @@ def triangulation_suite(max_dim=None) -> Report:
     checks = [(f"cube-{n}", lambda n=n: check_triangulation_cube(n))
               for n in range(4 if max_dim is None else min(max_dim, 4))]
     checks += [
-        ("product-1x1", check_triangulation_product),
-        ("cobar-S2", check_triangulation_cobar),
+        ("product-1x1", lambda: check_triangulation(
+            ProductCubicalSet(StandardCube(1), StandardCube(1)))),
+        ("cobar-S2", lambda: check_triangulation(CobarSet(fixture("S2")))),
         ("product-splitting", check_product_splitting),
         ("product-splitting-chains", check_product_splitting_dgc),
     ]
@@ -453,27 +438,23 @@ def main_theorem_suite(max_dim=None) -> Report:
     max_deg = 2 if max_dim is None else max_dim
     checks = []
     for name in ("S2", "D4sk1"):
-        sset = fixture(name)
-        group = loopgroup.LoopGroup(sset)
-        provider = szczarba.SzProvider(group)
-        checks.append((f"glue-{name}",
-                       lambda s=sset, p=provider:
-                       szczarba.build_f(s, p, max_deg)[1]))
-        checks.append((f"simplicial-{name}",
-                       lambda s=sset, p=provider:
-                       szczarba.check_f_simplicial(s, p, max_deg)))
-        checks.append((f"multiplicative-{name}",
-                       lambda s=sset, p=provider:
-                       szczarba.check_f_multiplicative(s, p, 1)))
-        checks.append((f"comparison-{name}",
-                       lambda s=sset, p=provider:
-                       szczarba.main_theorem_check(s, max_deg, p)))
-        checks.append((f"cochain-map-{name}",
-                       lambda s=sset, p=provider:
-                       szczarba.check_f_sz_chain_map(s, max_deg, p)))
-        checks.append((f"comultiplicative-{name}",
-                       lambda s=sset, p=provider:
-                       szczarba.check_f_sz_comultiplicative(s, max_deg, p)))
+        # one provider and one glued map per fixture, shared by every check
+        provider = szczarba.SzProvider(loopgroup.LoopGroup(fixture(name)))
+        f = szczarba.CobarToGroupMap(provider)
+        checks += [
+            (f"glue-{name}", lambda f=f: szczarba.build_f(f, max_deg)),
+            (f"simplicial-{name}",
+             lambda f=f: szczarba.check_f_simplicial(f, max_deg)),
+            (f"multiplicative-{name}",
+             lambda f=f: szczarba.check_f_multiplicative(f, 1)),
+            (f"comparison-{name}",
+             lambda f=f: szczarba.main_theorem_check(f, max_deg)),
+            (f"cochain-map-{name}",
+             lambda p=provider: szczarba.check_f_sz_chain_map(p, max_deg)),
+            (f"comultiplicative-{name}",
+             lambda p=provider:
+             szczarba.check_f_sz_comultiplicative(p, max_deg)),
+        ]
     return run_checks("main-theorem", checks)
 
 

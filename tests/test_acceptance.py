@@ -9,7 +9,7 @@ import pytest
 from cobarlab import loopgroup, szczarba, verify
 from cobarlab.chains import check_chain_map
 from cobarlab.cobar import CobarSet
-from cobarlab.cubes import CubeMorphism, StandardCube
+from cobarlab.cubes import CubeMorphism, ProductCubicalSet, StandardCube
 from cobarlab.perms import all_perms
 from cobarlab.simpcube import (SimplicialCube, extend_family,
                                partition_degeneracy, partition_face, u_pi)
@@ -55,8 +55,9 @@ def test_criterion_2_structural_identities(announce, suite_report):
 
 def test_criterion_3_triangulation(announce):
     verdicts = [verify.check_triangulation_cube(n) for n in range(4)]
-    verdicts.append(verify.check_triangulation_product())
-    verdicts.append(verify.check_triangulation_cobar())
+    verdicts.append(verify.check_triangulation(
+        ProductCubicalSet(StandardCube(1), StandardCube(1))))
+    verdicts.append(verify.check_triangulation(CobarSet(fixture("S2"))))
     verdicts.append(verify.check_product_splitting())
     verdicts.append(verify.check_product_splitting_dgc())
     announce(3, "triangulation", all_ok(verdicts))
@@ -84,14 +85,14 @@ def test_criterion_5_operator_contract(announce):
 def test_criterion_6_main_comparison(announce):
     verdicts = []
     for name in ("S2", "D4sk1"):
-        sset = fixture(name)
-        provider = szczarba.SzProvider(loopgroup.LoopGroup(sset))
-        verdicts.append(szczarba.build_f(sset, provider, 2)[1])
-        verdicts.append(szczarba.check_f_simplicial(sset, provider, 2))
-        verdicts.append(szczarba.check_f_multiplicative(sset, provider, 1))
-        verdicts.append(szczarba.main_theorem_check(sset, 2, provider))
-        verdicts.append(szczarba.check_f_sz_chain_map(sset, 2, provider))
-        verdicts.append(szczarba.check_f_sz_comultiplicative(sset, 2, provider))
+        provider = szczarba.SzProvider(loopgroup.LoopGroup(fixture(name)))
+        f = szczarba.CobarToGroupMap(provider)
+        verdicts.append(szczarba.build_f(f, 2))
+        verdicts.append(szczarba.check_f_simplicial(f, 2))
+        verdicts.append(szczarba.check_f_multiplicative(f, 1))
+        verdicts.append(szczarba.main_theorem_check(f, 2))
+        verdicts.append(szczarba.check_f_sz_chain_map(provider, 2))
+        verdicts.append(szczarba.check_f_sz_comultiplicative(provider, 2))
     announce(6, "main comparison", all_ok(verdicts))
 
 

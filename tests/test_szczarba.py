@@ -5,6 +5,7 @@ import pytest
 from cobarlab import szczarba
 
 from cobarlab.loopgroup import LoopGroup
+from cobarlab.perms import all_perms
 from cobarlab.simplicial import fixture, nondeg, sphere
 from cobarlab.szczarba import (CobarToGroupMap, SwappedSzProvider,
                                SzProvider, build_f,
@@ -13,6 +14,7 @@ from cobarlab.szczarba import (CobarToGroupMap, SwappedSzProvider,
                                check_f_sz_comultiplicative, contract_check,
                                f_sz, group_boundary, main_theorem_check,
                                pontryagin, rival_convention_diagnosis, t_sz)
+from cobarlab.verify import run_suite
 
 
 FIXTURES = {
@@ -74,6 +76,52 @@ def test_rival_convention_diagnosis():
     assert d["swapped"].witness["identity"] == "d-iii"
 
 
+@pytest.mark.parametrize("name", ["S2", "S3", "D4sk1"])
+def test_operator_word_is_the_product_of_its_factors(name, providers):
+    prov = providers[name]
+    g = prov.group
+    for n in range(3):
+        simplices = prov.sset.simplices(n + 1)
+        assert simplices
+        for x in simplices:  # degenerate ones included
+            for pi in all_perms(n):
+                factors = prov.factors(pi, x)
+                assert len(factors) == n + 1
+                product = g.one(n)
+                for factor in factors:
+                    product = g.mul(product, factor)
+                assert prov.sz(pi, x) == product
+
+
+def rival_word(group, x, swapped):
+    """The n = 1 candidate word under the rival twist: tau(x) times
+    s_0 tau(d_0 x), or the two factors the other way round."""
+    a = group.tau(x)
+    b = group.degeneracy(group.tau(group.sset.face(x, 0)), 0)
+    return group.mul(b, a) if swapped else group.mul(a, b)
+
+
+def test_rival_candidates_are_the_plain_and_swapped_words():
+    group = LoopGroup(fixture("TwoLoopsCell"), twist="rival")
+    plain, swapped = SzProvider(group), SwappedSzProvider(group, (1,))
+    simplices = group.sset.simplices(2)
+    assert simplices
+    for x in simplices:
+        assert plain.sz((1,), x) == rival_word(group, x, False)
+        assert swapped.sz((1,), x) == rival_word(group, x, True)
+    with pytest.raises(ValueError):
+        SwappedSzProvider(group, ())  # one factor: nothing to swap
+    a, b = group.tau(nondeg("a", 1)), group.tau(nondeg("b", 1))
+    d = rival_convention_diagnosis(fixture("TwoLoopsCell"))
+    assert not d["plain"].ok and not d["swapped"].ok
+    assert d["plain"].witness == {"identity": "d-i", "x": nondeg("T", 2),
+                                  "pi": (1,)}
+    assert d["swapped"].witness == {"identity": "d-iii",
+                                    "x": nondeg("T", 2), "pi": (1,),
+                                    "got": group.mul(a, b),
+                                    "want": group.mul(b, a)}
+
+
 def test_t_sz_values(providers):
     prov = providers["S2"]
     g = prov.group
@@ -98,25 +146,23 @@ def test_pontryagin_unit_and_boundary(providers):
 
 @pytest.mark.parametrize("name", ["S2", "D4sk1"])
 def test_word_map_is_twisting_cochain_image(name, providers):
-    sset = FIXTURES[name]
     prov = providers[name]
-    assert check_f_sz_chain_map(sset, 2, prov).ok
-    assert check_f_sz_comultiplicative(sset, 2, prov).ok
+    assert check_f_sz_chain_map(prov, 2).ok
+    assert check_f_sz_comultiplicative(prov, 2).ok
 
 
 @pytest.mark.parametrize("name", ["S2", "D4sk1"])
 def test_glued_map(name, providers):
-    sset = FIXTURES[name]
-    prov = providers[name]
-    _, verdict = build_f(sset, prov, 2)
+    f = CobarToGroupMap(providers[name])
+    verdict = build_f(f, 2)
     assert verdict.ok
-    assert check_f_simplicial(sset, prov, 2).ok
-    assert check_f_multiplicative(sset, prov, 1).ok
+    assert check_f_simplicial(f, 2).ok
+    assert check_f_multiplicative(f, 1).ok
 
 
 @pytest.mark.parametrize("name", ["S2", "D4sk1"])
 def test_main_comparison(name, providers):
-    assert main_theorem_check(FIXTURES[name], 2, providers[name]).ok
+    assert main_theorem_check(CobarToGroupMap(providers[name]), 2).ok
 
 
 def test_glued_map_evaluates_each_piece_once(monkeypatch):
@@ -137,7 +183,7 @@ def test_glued_map_evaluates_each_piece_once(monkeypatch):
 
     monkeypatch.setattr(szczarba, "extend_family", counting_extend_family)
     sset = FIXTURES["D4sk1"]
-    _, verdict = build_f(sset, SzProvider(LoopGroup(sset)), 2)
+    verdict = build_f(CobarToGroupMap(SzProvider(LoopGroup(sset))), 2)
     assert verdict.ok
     # each letter's family is checked and glued once ...
     assert len(set(glued_families)) == len(glued_families)
@@ -168,7 +214,7 @@ def test_glued_map_projects_only_on_a_memo_miss(monkeypatch):
     monkeypatch.setattr(szczarba, "extend_family", counting_extend_family)
     monkeypatch.setattr(szczarba, "project_simplex", counting_project)
     sset = FIXTURES["D4sk1"]
-    _, verdict = build_f(sset, SzProvider(LoopGroup(sset)), 2)
+    verdict = build_f(CobarToGroupMap(SzProvider(LoopGroup(sset))), 2)
     assert verdict.ok and evaluations
     # every piece that is built goes straight to a letter evaluator
     assert projections == evaluations
@@ -186,10 +232,26 @@ def test_glued_map_values_match_fresh_map(name, providers, monkeypatch):
 
     monkeypatch.setattr(CobarToGroupMap, "evaluate", recording_evaluate)
     prov = providers[name]
-    f, verdict = build_f(FIXTURES[name], prov, 2)
+    f = CobarToGroupMap(prov)
+    verdict = build_f(f, 2)
     monkeypatch.undo()
     assert verdict.ok and seen
     for (cube, u), values in seen.items():
-        fresh = CobarToGroupMap(f.cset, prov).evaluate(cube, u)
+        fresh = CobarToGroupMap(prov).evaluate(cube, u)
         assert values == {fresh}
         assert f.evaluate(cube, u) == fresh
+
+
+def test_main_theorem_suite_glues_each_letter_once(monkeypatch):
+    glued = Counter()
+    real_extend_family = szczarba.extend_family
+
+    def counting_extend_family(n, family, target):
+        glued[target.sset.name, frozenset(family.items())] += 1
+        return real_extend_family(n, family, target)
+
+    monkeypatch.setattr(szczarba, "extend_family", counting_extend_family)
+    assert run_suite("main-theorem").ok
+    # one glued map per fixture, shared by the checks that evaluate it
+    assert {name for name, _ in glued} == {"S2", "D4sk1"}
+    assert set(glued.values()) == {1}
