@@ -10,6 +10,7 @@ evaluation on vertices are exact on this table, and a generating word
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 
@@ -98,33 +99,8 @@ class CubeMorphism:
         """self o inner (apply ``inner`` first)."""
         if inner.target != self.source:
             raise ValueError("composition mismatch")
-        inner_outs = inner.outputs
-        outs = []
-        for out in self.outputs:
-            if out in (0, 1):
-                outs.append(out)
-                continue
-            if len(out) == 1:
-                # a single coordinate reads the inner entry unchanged
-                outs.append(inner_outs[out[0] - 1])
-                continue
-            merged = []
-            is_zero = False
-            for v in out:
-                entry = inner_outs[v - 1]
-                if entry == 0:
-                    is_zero = True
-                    break
-                if entry == 1:
-                    continue
-                merged.extend(entry)
-            if is_zero:
-                outs.append(0)
-            elif not merged:
-                outs.append(1)
-            else:
-                outs.append(tuple(sorted(merged)))
-        return CubeMorphism(inner.source, self.target, tuple(outs))
+        return CubeMorphism(inner.source, self.target,
+                            _compose_outputs(self.outputs, inner.outputs))
 
     # ----- generators ----------------------------------------------------------
     # Generators are frozen and their key space is tiny, so each is built and
@@ -210,8 +186,46 @@ class CubeMorphism:
         return morphism
 
 
+def _compose_outputs(outer: tuple, inner: tuple) -> tuple:
+    """The output table of the composite of two morphisms, given theirs:
+    each entry of ``outer`` reads the entries of ``inner`` it names."""
+    outs = []
+    for out in outer:
+        if out in (0, 1):
+            outs.append(out)
+            continue
+        if len(out) == 1:
+            # a single coordinate reads the inner entry unchanged
+            outs.append(inner[out[0] - 1])
+            continue
+        merged = []
+        is_zero = False
+        for v in out:
+            entry = inner[v - 1]
+            if entry == 0:
+                is_zero = True
+                break
+            if entry == 1:
+                continue
+            merged.extend(entry)
+        if is_zero:
+            outs.append(0)
+        elif not merged:
+            outs.append(1)
+        else:
+            outs.append(tuple(sorted(merged)))
+    return tuple(outs)
+
+
 def all_cube_morphisms(source: int, target: int):
     """Every morphism from the source-cube to the target-cube, exactly once."""
+    for outs in _all_outputs(source, target):
+        yield CubeMorphism(source, target, outs)
+
+
+def _all_outputs(source: int, target: int):
+    """The output table of every morphism from the source-cube to the
+    target-cube, exactly once."""
 
     def rec(j, lo):
         if j == target:
@@ -229,8 +243,7 @@ def all_cube_morphisms(source: int, target: int):
             for block in itertools.combinations(avail, r):
                 yield block[-1] + 1, block
 
-    for outs in rec(0, 1):
-        yield CubeMorphism(source, target, outs)
+    return rec(0, 1)
 
 
 class CubicalSet:
@@ -340,25 +353,50 @@ def cubical_identities(n: int) -> list:
 
 class StandardCube(CubicalSet):
     """The n-cube as a representable cubical set: k-cubes are morphisms
-    from the k-cube into the n-cube."""
+    from the k-cube into the n-cube.
+
+    The complex stores each cell it hands out, one dict per dimension keyed
+    by the cell's output table, and the structure maps return the stored
+    cell: each distinct cell is built, through the checked constructor,
+    once per complex, and the store is freed with the complex.
+    """
 
     def __init__(self, n: int):
+        if n < 0:
+            raise ValueError(f"cube dimension must be nonnegative, got {n}")
         self.n = n
+        self._cells = collections.defaultdict(dict)
+
+    def _cell(self, k: int, target: int, outs: tuple) -> CubeMorphism:
+        """The stored k-cube with output table ``outs``."""
+        cells = self._cells[k]
+        cell = cells.get(outs)
+        if cell is None:
+            cell = cells[outs] = CubeMorphism(k, target, outs)
+        return cell
 
     def cubes(self, k: int):
-        return list(all_cube_morphisms(k, self.n))
+        return [self._cell(k, self.n, outs)
+                for outs in _all_outputs(k, self.n)]
 
     def dim(self, y: CubeMorphism) -> int:
         return y.source
 
     def face(self, y, eps, i):
-        return y.compose(CubeMorphism.delta(y.source, eps, i))
+        k = y.source
+        gen = CubeMorphism.delta(k, eps, i)
+        return self._cell(k - 1, y.target,
+                          _compose_outputs(y.outputs, gen.outputs))
 
     def degen(self, y, i):
-        return y.compose(CubeMorphism.sigma(y.source + 1, i))
+        k = y.source + 1
+        gen = CubeMorphism.sigma(k, i)
+        return self._cell(k, y.target, _compose_outputs(y.outputs, gen.outputs))
 
     def conn(self, y, i):
-        return y.compose(CubeMorphism.gamma(y.source + 1, i))
+        k = y.source + 1
+        gen = CubeMorphism.gamma(k, i)
+        return self._cell(k, y.target, _compose_outputs(y.outputs, gen.outputs))
 
 
 class ProductCubicalSet(CubicalSet):

@@ -9,6 +9,7 @@ exactly when i lies in ``u_0 | ... | u_c``; a coordinate in the last part is
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from fractions import Fraction
@@ -172,32 +173,59 @@ def u_pi(pi) -> PartitionSimplex:
     return from_parts(n, [()] + [(v,) for v in pi] + [()])
 
 
-def partition_face(u: PartitionSimplex, j: int) -> PartitionSimplex:
-    """d_j: merge parts j and j+1 (0 <= j <= dim)."""
+def _face_bracket(u: PartitionSimplex, j: int) -> tuple:
+    """The bracket of d_j u: parts j and j+1 merged (0 <= j <= dim)."""
     if not 0 <= j <= u.dim:
         raise ValueError("face index out of range")
-    ks = tuple([k if k <= j else k - 1 for k in u.ks])
-    return from_bracket(u.n, ks, u.dim - 1)
+    return tuple([k if k <= j else k - 1 for k in u.ks])
+
+
+def _degeneracy_bracket(u: PartitionSimplex, j: int) -> tuple:
+    """The bracket of s_j u: an empty part inserted after part j
+    (0 <= j <= dim)."""
+    if not 0 <= j <= u.dim:
+        raise ValueError("degeneracy index out of range")
+    return tuple([k if k <= j else k + 1 for k in u.ks])
+
+
+def partition_face(u: PartitionSimplex, j: int) -> PartitionSimplex:
+    """d_j: merge parts j and j+1 (0 <= j <= dim)."""
+    return from_bracket(u.n, _face_bracket(u, j), u.dim - 1)
 
 
 def partition_degeneracy(u: PartitionSimplex, j: int) -> PartitionSimplex:
     """s_j: insert an empty part after part j (0 <= j <= dim)."""
-    if not 0 <= j <= u.dim:
-        raise ValueError("degeneracy index out of range")
-    ks = tuple([k if k <= j else k + 1 for k in u.ks])
-    return from_bracket(u.n, ks, u.dim + 1)
+    return from_bracket(u.n, _degeneracy_bracket(u, j), u.dim + 1)
 
 
 class SimplicialCube(SimplicialSet):
-    """The simplicial n-cube as a simplicial set of partition simplices."""
+    """The simplicial n-cube as a simplicial set of partition simplices.
+
+    The complex stores each simplex it hands out, one dict per dimension
+    keyed by the simplex's bracket ``ks``, and ``face`` and ``degeneracy``
+    return the stored simplex: each distinct simplex is built, through the
+    checked :func:`from_bracket`, once per complex, and the store is freed
+    with the complex.
+    """
 
     def __init__(self, n: int):
+        if n < 0:
+            raise ValueError(f"cube dimension must be nonnegative, got {n}")
         self.n = n
+        self._cells = collections.defaultdict(dict)
+
+    def _cell(self, n: int, ks: tuple, m: int) -> PartitionSimplex:
+        """The stored m-simplex with bracket ``ks``."""
+        cells = self._cells[m]
+        cell = cells.get(ks)
+        if cell is None:
+            cell = cells[ks] = from_bracket(n, ks, m)
+        return cell
 
     def nondegenerate(self, m: int):
         """Ordered partitions of {1..n} with all inner parts nonempty."""
         inner = set(range(1, m + 1))
-        return [from_bracket(self.n, ks, m)
+        return [self._cell(self.n, ks, m)
                 for ks in itertools.product(range(m + 2), repeat=self.n)
                 if inner <= set(ks)]
 
@@ -207,10 +235,10 @@ class SimplicialCube(SimplicialSet):
     def face(self, u, i):
         if u.dim == 0:
             raise ValueError("a vertex has no faces")
-        return partition_face(u, i)
+        return self._cell(u.n, _face_bracket(u, i), u.dim - 1)
 
     def degeneracy(self, u, i):
-        return partition_degeneracy(u, i)
+        return self._cell(u.n, _degeneracy_bracket(u, i), u.dim + 1)
 
     def is_degenerate(self, u) -> bool:
         return u.is_degenerate

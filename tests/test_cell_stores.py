@@ -1,0 +1,147 @@
+"""The per-complex cell stores of ``StandardCube`` and ``SimplicialCube``:
+every structure map returns the cell the fresh formula gives, each
+distinct cell is one object, the store holds exactly the cells that were
+handed out, and it lives and dies with its complex."""
+
+import gc
+import weakref
+from collections import Counter
+
+import pytest
+
+from cobarlab.cubes import CubeMorphism, StandardCube
+from cobarlab.simpcube import (SimplicialCube, partition_degeneracy,
+                               partition_face)
+
+
+def one_object_per_value(results):
+    """True when equal results are the same object."""
+    seen = {}
+    return all(seen.setdefault(r, r) is r for r in results)
+
+
+def stored(cset):
+    """The store's size in each dimension, lowest dimension first."""
+    return [len(cset._cells[k]) for k in sorted(cset._cells)]
+
+
+def counting(cset, names):
+    """cset whose operators ``names`` count their calls and record their
+    results; returns (cset, calls, results)."""
+    calls = Counter()
+    results = set()
+
+    def wrap(name, op):
+        def counted(x, *args):
+            calls[name] += 1
+            result = op(x, *args)
+            results.add(result)
+            return result
+        return counted
+
+    for name in names:
+        setattr(cset, name, wrap(name, getattr(cset, name)))
+    return cset, calls, results
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_standard_cube_maps_equal_fresh_composites(n):
+    cube = StandardCube(n)
+    results = []
+    for k in range(n + 2):
+        for y in cube.cubes(k):
+            for i in range(1, k + 1):
+                for eps in (0, 1):
+                    face = cube.face(y, eps, i)
+                    assert face == y.compose(CubeMorphism.delta(k, eps, i))
+                    results.append(face)
+                conn = cube.conn(y, i)
+                assert conn == y.compose(CubeMorphism.gamma(k + 1, i))
+                results.append(conn)
+            for i in range(1, k + 2):
+                degen = cube.degen(y, i)
+                assert degen == y.compose(CubeMorphism.sigma(k + 1, i))
+                results.append(degen)
+            results.append(y)
+    assert one_object_per_value(results)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_simplicial_cube_maps_equal_fresh_brackets(n):
+    cube = SimplicialCube(n)
+    results = []
+    for m in range(4):
+        for u in cube.simplices(m):
+            for i in range(m + 1):
+                if m:
+                    face = cube.face(u, i)
+                    assert face == partition_face(u, i)
+                    results.append(face)
+                degeneracy = cube.degeneracy(u, i)
+                assert degeneracy == partition_degeneracy(u, i)
+                results.append(degeneracy)
+            results.append(u)
+    assert one_object_per_value(results)
+
+
+def test_out_of_range_indices_raise_as_before():
+    cube = StandardCube(2)
+    y = CubeMorphism.identity(2)
+    for call, message in [
+            (lambda: cube.face(y, 0, 3), "face coordinate out of range"),
+            (lambda: cube.face(cube.cubes(0)[0], 1, 1),
+             "face coordinate out of range"),
+            (lambda: cube.degen(y, 4), "projection coordinate out of range"),
+            (lambda: cube.conn(y, 3), "connection coordinate out of range"),
+            (lambda: cube.conn(y, 0), "connection coordinate out of range")]:
+        with pytest.raises(ValueError, match=message):
+            call()
+    scube = SimplicialCube(2)
+    vertex, edge = scube.nondegenerate(0)[0], scube.nondegenerate(1)[0]
+    for call, message in [
+            (lambda: scube.face(vertex, 0), "a vertex has no faces"),
+            (lambda: scube.face(edge, 2), "face index out of range"),
+            (lambda: scube.face(edge, -1), "face index out of range"),
+            (lambda: scube.degeneracy(edge, 2),
+             "degeneracy index out of range")]:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("make, cells", [
+    (StandardCube,
+     lambda c: c.cubes(1) + [c.face(y, 0, 1) for y in c.cubes(1)]),
+    (SimplicialCube,
+     lambda c: c.nondegenerate(1) + [c.face(u, 0) for u in c.nondegenerate(1)]),
+])
+def test_stores_belong_to_their_complex(make, cells):
+    first, second = make(2), make(2)
+    a, b = cells(first), cells(second)
+    assert a == b
+    assert not {id(x) for x in a} & {id(x) for x in b}
+    ref = weakref.ref(first)
+    del first
+    gc.collect()
+    assert ref() is None
+
+
+def test_standard_cube_store_holds_what_the_checker_made():
+    cube, calls, results = counting(StandardCube(4), ("face", "degen", "conn"))
+    assert cube.validate(4).ok
+    assert sum(calls.values()) == 259_767
+    assert stored(cube) == [16, 48, 136, 368, 961, 2441, 6061]
+    # the elements come from the store, and enumerating them adds nothing
+    elements = {y for k in range(5) for y in cube.cubes(k)}
+    assert stored(cube) == [16, 48, 136, 368, 961, 2441, 6061]
+    held = {y for cells in cube._cells.values() for y in cells.values()}
+    assert held == elements | results
+
+
+def test_simplicial_cube_store_holds_what_the_checker_made():
+    cube, calls, results = counting(SimplicialCube(4), ("face", "degeneracy"))
+    assert cube.validate(5).ok
+    assert sum(calls.values()) == 370_198
+    # every m-simplex, degenerate or not: (m + 2)^4 brackets
+    assert stored(cube) == [16, 81, 256, 625, 1296, 2401, 4096, 6561]
+    held = {u for cells in cube._cells.values() for u in cells.values()}
+    assert held == results | {u for m in range(6) for u in cube.simplices(m)}

@@ -47,6 +47,14 @@ def test_standard_cube_identities(n):
     assert StandardCube(n).validate(n + 1).ok
 
 
+@pytest.mark.parametrize("call", [
+    lambda: StandardCube(-1), lambda: StandardCube(-1).validate(2),
+    lambda: StandardCube(-1).cubes(1)])
+def test_negative_standard_cube_is_refused(call):
+    with pytest.raises(ValueError, match="nonnegative"):
+        call()
+
+
 def test_product_identities():
     prod = ProductCubicalSet(StandardCube(1), StandardCube(1))
     assert prod.validate(3).ok

@@ -42,6 +42,11 @@ def test_simplicial_identities():
         assert SimplicialCube(n).validate(n + 1).ok
 
 
+def test_negative_simplicial_cube_is_refused():
+    with pytest.raises(ValueError, match="nonnegative"):
+        SimplicialCube(-1).validate(2)
+
+
 def test_face_by_bar_removal_matches_iterated_faces():
     pi = (2, 3, 1)
     u = u_pi(pi)
