@@ -33,6 +33,8 @@ class CubeMorphism:
     __slots__ = ("source", "target", "outputs", "_hash")
 
     def __init__(self, source: int, target: int, outputs: tuple):
+        if source < 0:
+            raise ValueError("the source dimension must be nonnegative")
         # One pass over the entries: every block coordinate must exceed the
         # one before it, in its own block or in an earlier one, and lie in
         # the source range.

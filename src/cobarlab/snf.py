@@ -189,9 +189,3 @@ def matrix_rank(a) -> int:
         raise ValueError("ragged matrix")
     return len(invariant_factors(
         [{i: row[j] for i, row in enumerate(a) if row[j]} for j in range(cols)]))
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

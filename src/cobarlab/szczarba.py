@@ -4,8 +4,9 @@ induced map from the triangulated cobar construction to the loop group.
 A provider assigns to each permutation pi of S_n and each (n+1)-simplex x a
 group word of dimension n, the product of n + 1 factors.  The shipped
 provider carries closed words for n <= 2 whose correctness is certified by
-the contract checker: the seven face/degeneracy interaction families
-(permutation-indexed) together with their index-sequence-indexed originals.
+the contract checker: the seven face/degeneracy interaction families, indexed
+by permutations.  Their index-sequence-indexed originals are checked at index
+level, in the combinatorics suite, through the translation maps.
 
 On top of a verified provider, ``CobarToGroupMap`` glues the per-letter
 families into a simplicial map from the triangulation of the cobar cubical
@@ -22,8 +23,8 @@ from .chains import Chain, add_scaled
 from .cobar import CobarSet, cube_to_word, omega_complex, word_to_cube
 from .cubes import CubeMorphism
 from .loopgroup import GroupWord, LoopGroup
-from .perms import (all_index_seqs, all_perms, compose, invert, inversions,
-                    p, phi, psi_inv, remove_assignment, transposition, xi)
+from .perms import (all_index_seqs, all_perms, compose, p, phi_perm,
+                    remove_assignment, sign, sz_shuffle_split, transposition)
 from .simpcube import (PartitionSimplex, combine_simplices, extend_family,
                        lambda_star, partition_degeneracy, project_simplex,
                        u_pi)
@@ -108,7 +109,12 @@ class SwappedSzProvider(SzProvider):
 def contract_check(provider, n_max: int) -> Verdict:
     """Face and degeneracy interaction identities for the provider, checked
     exhaustively over all simplices (degenerate ones included), permutations
-    and applicable indices with n <= n_max."""
+    and applicable indices with n <= n_max.
+
+    The identities are indexed by permutations, as the glued map reads them
+    on the top simplices u_pi.  Szczarba's originals are indexed by index
+    sequences; the bijection ``p`` carries each of them to one of these, and
+    the combinatorics suite checks that translation at index level."""
     group, sset = provider.group, provider.sset
     n_max = min(n_max, provider.max_n)
 
@@ -117,15 +123,13 @@ def contract_check(provider, n_max: int) -> Verdict:
             for tpi in all_perms(n):
                 val = provider.sz(tpi, x)
                 # (d-i): the bottom face removes the assignment 1 -> i
-                i = tpi[0]
                 pi = remove_assignment(tpi, 1)
-                if group.face(val, 0) != provider.sz(pi, sset.face(x, i)):
+                if group.face(val, 0) != provider.sz(pi, sset.face(x, tpi[0])):
                     return Verdict.failed(
                         {"identity": "d-i", "x": x, "pi": tpi})
                 # (d-iii): the top face splits along the last assignment
                 i = tpi[-1]
-                pi = remove_assignment(tpi, n)
-                sh, sigma, tau_ = psi_inv(pi, i - 1)
+                sh, sigma, tau_ = sz_shuffle_split(tpi)
                 want = group.mul(*shuffle_pair(
                     group, group, sh,
                     provider.sz(sigma, sset.front_face(x, i)),
@@ -147,63 +151,14 @@ def contract_check(provider, n_max: int) -> Verdict:
         # degeneracy identities: pi in S_{n+1} acting on s_p x, x of dim n + 1
         for x in sset.simplices(n + 1):
             for pi in all_perms(n + 1):
-                rev = invert(pi)
                 for pval in range(n + 2):
-                    if pval == 0:
-                        j = rev[0]
-                        label = "s-i"
-                    elif pval == n + 1:
-                        j = rev[n]
-                        label = "s-iii"
-                    else:
-                        j = min(rev[pval - 1], rev[pval])
-                        label = "s-ii"
-                    tpi = remove_assignment(pi, j)
+                    tpi, q = phi_perm(pi, pval)
                     lhs = provider.sz(pi, sset.degeneracy(x, pval))
-                    rhs = group.degeneracy(provider.sz(tpi, x), j - 1)
-                    if lhs != rhs:
+                    if lhs != group.degeneracy(provider.sz(tpi, x), q):
+                        label = ("s-i" if pval == 0 else
+                                 "s-iii" if pval == n + 1 else "s-ii")
                         return Verdict.failed(
                             {"identity": label, "x": x, "pi": pi, "p": pval})
-
-    # index-sequence-indexed originals through the translation maps
-    for n in range(1, n_max + 1):
-        for x in sset.simplices(n + 1):
-            for iseq in all_index_seqs(n):
-                val = provider.sz_iseq(iseq, x)
-                rest = iseq[1:]
-                if (group.face(val, 0)
-                        != provider.sz_iseq(rest, sset.face(x, iseq[0] + 1))):
-                    return Verdict.failed(
-                        {"identity": "seq-d0", "x": x, "iseq": iseq})
-                for k in range(1, n):
-                    if iseq[k - 1] > iseq[k]:
-                        swapped = (iseq[:k - 1] + (iseq[k], iseq[k - 1] - 1)
-                                   + iseq[k + 1:])
-                        if (group.face(val, k)
-                                != group.face(provider.sz_iseq(swapped, x), k)):
-                            return Verdict.failed(
-                                {"identity": "seq-dk", "x": x, "iseq": iseq,
-                                 "k": k})
-                sh, jseq, kseq = xi(iseq)
-                k = len(jseq)
-                want = group.mul(*shuffle_pair(
-                    group, group, sh,
-                    provider.sz_iseq(jseq, sset.front_face(x, k + 1)),
-                    provider.sz_iseq(kseq, sset.back_face(x, k + 1))))
-                if group.face(val, n) != want:
-                    return Verdict.failed(
-                        {"identity": "seq-dn", "x": x, "iseq": iseq})
-    for n in range(0, n_max):
-        for x in sset.simplices(n + 1):
-            for iseq in all_index_seqs(n + 1):
-                for pval in range(n + 2):
-                    jseq, q = phi(iseq, pval)
-                    lhs = provider.sz_iseq(iseq, sset.degeneracy(x, pval))
-                    rhs = group.degeneracy(provider.sz_iseq(jseq, x), q)
-                    if lhs != rhs:
-                        return Verdict.failed(
-                            {"identity": "seq-s", "x": x, "iseq": iseq,
-                             "p": pval})
     return Verdict.passed()
 
 
@@ -504,8 +459,7 @@ def main_theorem_check(f: CobarToGroupMap, max_deg: int) -> Verdict:
             for pi in all_perms(d):
                 val = f.evaluate(cube, u_pi(pi))
                 if not group.is_degenerate(val):
-                    add_scaled(lhs, {val: 1},
-                               -1 if inversions(pi) % 2 else 1)
+                    add_scaled(lhs, {val: 1}, sign(pi))
             rhs = f_sz(provider, w)
             if lhs != rhs:
                 return Verdict.failed({"word": w, "lhs": lhs, "rhs": rhs})

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .chains import Chain, ChainComplex, ChainMap, add_scaled
 from .cubes import CubeMorphism, CubicalSet, cubical_chains
-from .perms import all_perms, inversions
+from .perms import all_perms, sign
 from .simpcube import (PartitionSimplex, SimplicialCube, combine_simplices,
                        from_bracket, lambda_star, partition_degeneracy,
                        partition_face, project_simplex, u_pi)
@@ -128,8 +128,7 @@ def triangulation_map(cset: CubicalSet, max_dim: int):
         for y in cy.basis[n]:
             chain: Chain = {}
             for pi in all_perms(n):
-                sign = -1 if inversions(pi) % 2 else 1
-                add_scaled(chain, {TriSimplex(y, u_pi(pi)): 1}, sign)
+                add_scaled(chain, {TriSimplex(y, u_pi(pi)): 1}, sign(pi))
             mapping[y] = chain
     return tri, cy, ct, ChainMap(cy, ct, mapping)
 

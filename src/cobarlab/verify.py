@@ -16,9 +16,9 @@ from .chains import (check_chain_map, check_coalgebra_map, check_quasi_iso)
 from .cobar import CobarSet, compare_models
 from .cubes import CubeMorphism, ProductCubicalSet, StandardCube, cubical_chains
 from .perms import (Shuffle, add_assignment, all_index_seqs, all_perms,
-                    all_shuffles, invert, inversions, is_index_seq, p, p_inv,
-                    phi, phi_perm, psi, psi_inv, remove_assignment,
-                    sz_shuffle_split, xi)
+                    all_shuffles, compose, invert, inversions, is_index_seq,
+                    p, p_inv, phi, phi_perm, psi, psi_inv, remove_assignment,
+                    sz_shuffle_split, transposition, xi)
 from .simpcube import (SimplicialCube, common_bars, hereditary_path,
                        lambda_star, partition_degeneracy, partition_face, u_pi)
 from .simplicial import fixture, simplicial_chains
@@ -116,17 +116,30 @@ def check_psi_bijection(n_max: int = 6) -> Verdict:
 
 
 def check_xi_split(n_max: int = 5) -> Verdict:
-    """xi on index sequences matches the value-threshold split of the
-    corresponding permutation through p."""
+    """p carries the face translations of Szczarba's index-sequence
+    identities to the permutation ones: xi matches the value-threshold split
+    (top face), the first entry and the rest give the bottom face's
+    assignment, and a descent swap is an adjacent transposition."""
     for n in range(1, n_max + 1):
         for iseq in all_index_seqs(n):
             sh, jseq, kseq = xi(iseq)
             if not (is_index_seq(jseq) and is_index_seq(kseq)):
                 return Verdict.failed({"check": "shape", "iseq": iseq})
-            got = sz_shuffle_split(p(iseq))
+            pi = p(iseq)
+            got = sz_shuffle_split(pi)
             if got != (sh, p(jseq), p(kseq)):
                 return Verdict.failed({"check": "agreement", "iseq": iseq,
                                        "xi": (sh, jseq, kseq), "split": got})
+            if (pi[0] != iseq[0] + 1
+                    or remove_assignment(pi, 1) != p(iseq[1:])):
+                return Verdict.failed({"check": "bottom face", "iseq": iseq})
+            for k in range(1, n):
+                if iseq[k - 1] > iseq[k]:
+                    swapped = (iseq[:k - 1] + (iseq[k], iseq[k - 1] - 1)
+                               + iseq[k + 1:])
+                    if p(swapped) != compose(pi, transposition(n, k)):
+                        return Verdict.failed(
+                            {"check": "descent swap", "iseq": iseq, "k": k})
     return Verdict.passed()
 
 
@@ -284,9 +297,8 @@ def check_degeneracy_lemma(n_max: int = 4) -> Verdict:
                     return Verdict.failed({"part": "projection", "pi": pi,
                                            "i": i})
             for i in range(1, n + 1):
-                j = min(inv[i - 1], inv[i])
-                tpi = remove_assignment(pi, j)
-                lhs = partition_degeneracy(u_pi(tpi), j - 1)
+                tpi, q = phi_perm(pi, i)
+                lhs = partition_degeneracy(u_pi(tpi), q)
                 rhs = lambda_star(CubeMorphism.gamma(n + 1, i), u_pi(pi))
                 if lhs != rhs:
                     return Verdict.failed({"part": "folding", "pi": pi,

@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from cobarlab.cubes import CubeMorphism
+from cobarlab.cubes import CubeMorphism, StandardCube
 from cobarlab.simpcube import PartitionSimplex, from_parts
 from cobarlab.simplicial import Simplex
 
@@ -29,6 +29,9 @@ MALFORMED = [
      lambda: CubeMorphism(3, 2, ((1, 2), (2, 3)))),
     ("cube: unordered blocks", lambda: CubeMorphism(2, 2, ((2,), (1,)))),
     ("cube: repeated single blocks", lambda: CubeMorphism(2, 2, ((1,), (1,)))),
+    ("cube: negative source", lambda: CubeMorphism(-3, 1, (0,))),
+    ("cube: negative dimension of a standard cube",
+     lambda: StandardCube(2).cubes(-1)),
     ("partition: one part", lambda: PartitionSimplex(1, fs({1}))),
     ("partition: no parts", lambda: PartitionSimplex(0, ())),
     ("partition: missing coordinate",

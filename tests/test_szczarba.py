@@ -5,8 +5,9 @@ import pytest
 from cobarlab import szczarba
 
 from cobarlab.loopgroup import LoopGroup
-from cobarlab.perms import all_perms
-from cobarlab.simplicial import fixture, nondeg, sphere
+from cobarlab.perms import (all_index_seqs, all_perms, compose, invert, phi,
+                            psi_inv, remove_assignment, transposition, xi)
+from cobarlab.simplicial import fixture, nondeg, shuffle_pair, sphere
 from cobarlab.szczarba import (CobarToGroupMap, SwappedSzProvider,
                                SzProvider, build_f,
                                check_f_multiplicative, check_f_simplicial,
@@ -14,6 +15,7 @@ from cobarlab.szczarba import (CobarToGroupMap, SwappedSzProvider,
                                check_f_sz_comultiplicative, contract_check,
                                f_sz, group_boundary, main_theorem_check,
                                pontryagin, rival_convention_diagnosis, t_sz)
+from cobarlab.verdict import Verdict
 from cobarlab.verify import run_suite
 
 
@@ -91,6 +93,134 @@ def test_operator_word_is_the_product_of_its_factors(name, providers):
                 for factor in factors:
                     product = g.mul(product, factor)
                 assert prov.sz(pi, x) == product
+
+
+def reference_contract_check(provider, n_max):
+    """Reference contract: the seven permutation families, then Szczarba's
+    index-sequence originals (seq-d0, seq-dk, seq-dn, seq-s) evaluated on
+    group words through ``sz_iseq``.  ``contract_check`` leaves the latter
+    to index-level checks, so the two must agree on every verdict."""
+    group, sset = provider.group, provider.sset
+    n_max = min(n_max, provider.max_n)
+
+    for n in range(1, n_max + 1):
+        for x in sset.simplices(n + 1):
+            for tpi in all_perms(n):
+                val = provider.sz(tpi, x)
+                i = tpi[0]
+                pi = remove_assignment(tpi, 1)
+                if group.face(val, 0) != provider.sz(pi, sset.face(x, i)):
+                    return Verdict.failed(
+                        {"identity": "d-i", "x": x, "pi": tpi})
+                i = tpi[-1]
+                pi = remove_assignment(tpi, n)
+                sh, sigma, tau_ = psi_inv(pi, i - 1)
+                want = group.mul(*shuffle_pair(
+                    group, group, sh,
+                    provider.sz(sigma, sset.front_face(x, i)),
+                    provider.sz(tau_, sset.back_face(x, i))))
+                if group.face(val, n) != want:
+                    return Verdict.failed(
+                        {"identity": "d-iii", "x": x, "pi": tpi,
+                         "got": group.face(val, n), "want": want})
+            for pi in all_perms(n):
+                for j in range(1, n):
+                    rho = compose(pi, transposition(n, j))
+                    if (group.face(provider.sz(pi, x), j)
+                            != group.face(provider.sz(rho, x), j)):
+                        return Verdict.failed(
+                            {"identity": "d-ii", "x": x, "pi": pi, "j": j})
+
+    for n in range(0, n_max):
+        for x in sset.simplices(n + 1):
+            for pi in all_perms(n + 1):
+                rev = invert(pi)
+                for pval in range(n + 2):
+                    if pval == 0:
+                        j = rev[0]
+                        label = "s-i"
+                    elif pval == n + 1:
+                        j = rev[n]
+                        label = "s-iii"
+                    else:
+                        j = min(rev[pval - 1], rev[pval])
+                        label = "s-ii"
+                    tpi = remove_assignment(pi, j)
+                    lhs = provider.sz(pi, sset.degeneracy(x, pval))
+                    rhs = group.degeneracy(provider.sz(tpi, x), j - 1)
+                    if lhs != rhs:
+                        return Verdict.failed(
+                            {"identity": label, "x": x, "pi": pi, "p": pval})
+
+    for n in range(1, n_max + 1):
+        for x in sset.simplices(n + 1):
+            for iseq in all_index_seqs(n):
+                val = provider.sz_iseq(iseq, x)
+                rest = iseq[1:]
+                if (group.face(val, 0)
+                        != provider.sz_iseq(rest, sset.face(x, iseq[0] + 1))):
+                    return Verdict.failed(
+                        {"identity": "seq-d0", "x": x, "iseq": iseq})
+                for k in range(1, n):
+                    if iseq[k - 1] > iseq[k]:
+                        swapped = (iseq[:k - 1] + (iseq[k], iseq[k - 1] - 1)
+                                   + iseq[k + 1:])
+                        if (group.face(val, k)
+                                != group.face(provider.sz_iseq(swapped, x), k)):
+                            return Verdict.failed(
+                                {"identity": "seq-dk", "x": x, "iseq": iseq,
+                                 "k": k})
+                sh, jseq, kseq = xi(iseq)
+                k = len(jseq)
+                want = group.mul(*shuffle_pair(
+                    group, group, sh,
+                    provider.sz_iseq(jseq, sset.front_face(x, k + 1)),
+                    provider.sz_iseq(kseq, sset.back_face(x, k + 1))))
+                if group.face(val, n) != want:
+                    return Verdict.failed(
+                        {"identity": "seq-dn", "x": x, "iseq": iseq})
+    for n in range(0, n_max):
+        for x in sset.simplices(n + 1):
+            for iseq in all_index_seqs(n + 1):
+                for pval in range(n + 2):
+                    jseq, q = phi(iseq, pval)
+                    lhs = provider.sz_iseq(iseq, sset.degeneracy(x, pval))
+                    rhs = group.degeneracy(provider.sz_iseq(jseq, x), q)
+                    if lhs != rhs:
+                        return Verdict.failed(
+                            {"identity": "seq-s", "x": x, "iseq": iseq,
+                             "p": pval})
+    return Verdict.passed()
+
+
+PROVIDER_KINDS = {
+    "plain": SzProvider,
+    "swapped-S2": SwappedSzProvider,
+    "swapped-S1": lambda group: SwappedSzProvider(group, (1,)),
+}
+
+
+def test_contract_verdicts_match_reference():
+    # every fixture, twist and provider (negative controls included) at
+    # every n_max the shipped words reach
+    failures = Counter()
+    cases = 0
+    for name, sset in FIXTURES.items():
+        for twist in ("standard", "rival"):
+            group = LoopGroup(sset, twist=twist)
+            for kind, make in PROVIDER_KINDS.items():
+                provider = make(group)
+                for n_max in range(3):
+                    fast = contract_check(provider, n_max)
+                    slow = reference_contract_check(provider, n_max)
+                    case = (name, twist, kind, n_max)
+                    assert repr(fast) == repr(slow), case
+                    cases += 1
+                    if not fast.ok and n_max == 2:
+                        failures[fast.witness["identity"]] += 1
+    assert cases == 72
+    assert sum(failures.values()) == 9
+    assert set(failures) == {"d-i", "d-ii", "d-iii"}
 
 
 def rival_word(group, x, swapped):

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from cobarlab import loopgroup, szczarba
+from cobarlab import loopgroup, perms, szczarba, verify
 from cobarlab.verdict import Verdict
 from cobarlab.verify import SUITES, run_suite
 
@@ -52,3 +52,21 @@ def test_contract_suite_follows_max_dim(max_dim, contract, twisting,
     monkeypatch.setattr(loopgroup, "check_twisting", counting("twisting"))
     run_suite("szczarba-contract", max_dim)
     assert seen == {("contract", contract): 3, ("twisting", twisting): 3}
+
+
+@pytest.mark.parametrize("name, wrong, label", [
+    # a transposition that swaps the wrong pair of letters
+    ("transposition", lambda n, j: perms.transposition(n, n - j),
+     "descent swap"),
+    # a removal that keeps the removed value's slot in the numbering
+    ("remove_assignment",
+     lambda pi, i: tuple(v for j, v in enumerate(pi, 1) if j != i),
+     "bottom face"),
+])
+def test_index_level_translations_catch_a_wrong_rule(name, wrong, label,
+                                                     monkeypatch):
+    assert verify.check_xi_split(5).ok
+    monkeypatch.setattr(verify, name, wrong)
+    verdict = verify.check_xi_split(5)
+    assert not verdict.ok
+    assert verdict.witness["check"] == label
