@@ -108,6 +108,19 @@ def degeneracy_words(m: int, n: int):
             yield word
 
 
+def monotone_operators(theta: tuple, m: int) -> tuple:
+    """(face indices, degeneracy indices) of theta^* for a monotone map
+    theta: [k] -> [m]: delete each vertex outside the image, highest first,
+    then apply s_j, in ascending j, for every j with theta(j) = theta(j + 1);
+    theta^* x is the simplex with vertices x_theta(0), ..., x_theta(k).
+
+    >>> monotone_operators((0, 1, 1, 3), 3)
+    ((2,), (1,))
+    """
+    return (tuple(v for v in range(m, -1, -1) if v not in theta),
+            tuple(j for j in range(len(theta) - 1) if theta[j] == theta[j + 1]))
+
+
 class SimplicialSet:
     """Base interface: subclasses provide nondegenerate/face/degeneracy/dim."""
 

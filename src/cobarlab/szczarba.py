@@ -3,10 +3,11 @@ induced map from the triangulated cobar construction to the loop group.
 
 A provider assigns to each permutation pi of S_n and each (n+1)-simplex x a
 group word of dimension n, the product of n + 1 factors.  The shipped
-provider carries closed words for n <= 2 whose correctness is certified by
-the contract checker: the seven face/degeneracy interaction families, indexed
-by permutations.  Their index-sequence-indexed originals are checked at index
-level, in the combinatorics suite, through the translation maps.
+provider builds them for every n from one recursive rule, in Szczarba's
+shape (:func:`factor_maps`), and the contract checker certifies them: the
+seven face/degeneracy interaction families, indexed by permutations.  Their
+index-sequence-indexed originals are checked at index level, in the
+combinatorics suite, through the translation maps.
 
 On top of a verified provider, ``CobarToGroupMap`` glues the per-letter
 families into a simplicial map from the triangulation of the cobar cubical
@@ -23,13 +24,13 @@ from .chains import Chain, add_scaled
 from .cobar import CobarSet, cube_to_word, omega_complex, word_to_cube
 from .cubes import CubeMorphism
 from .loopgroup import GroupWord, LoopGroup
-from .perms import (all_index_seqs, all_perms, compose, p, phi_perm,
-                    remove_assignment, sign, sz_shuffle_split, transposition)
+from .perms import (all_perms, compose, phi_perm, remove_assignment, sign,
+                    sz_shuffle_split, transposition)
 from .simpcube import (PartitionSimplex, combine_simplices, extend_family,
                        lambda_star, partition_degeneracy, project_simplex,
                        u_pi)
-from .simplicial import (Simplex, front_back_diagonal, normalized_boundary,
-                         shuffle_pair, shuffle_terms)
+from .simplicial import (Simplex, front_back_diagonal, monotone_operators,
+                         normalized_boundary, shuffle_pair, shuffle_terms)
 from .verdict import Verdict
 
 
@@ -41,49 +42,55 @@ def multi_degeneracy(group, a, indices):
     return a
 
 
+def factor_maps(pi: tuple) -> list:
+    """Monotone maps theta_0, ..., theta_n of [n + 1], one per factor of the
+    word for pi in S_n: factor k of Sz_pi(x) is tau(theta_k^* x).
+
+    Factor 0 is tau(theta_pi^* x), where theta_pi = (0, a_1, ..., a_n, n + 1)
+    with a_j = 1 + #{m < j : pi(m) < min(pi(j), ..., pi(n))}, so Sz_()(x) =
+    tau(x).  For n >= 1 the other n factors are s_q of the factors of
+    Sz_pi~(d_0 x), (pi~, q) = phi_perm(pi, 0); and s_q tau = tau s_{q+1}.
+    """
+    n = len(pi)
+    theta = (0, *(1 + sum(pi[m] < min(pi[j:]) for m in range(j))
+                  for j in range(n)), n + 1)
+    if n == 0:
+        return [theta]
+    tpi, q = phi_perm(pi, 0)
+    # x -> s_{q+1} theta'^* d_0 x reads vertex theta'(j or j - 1) + 1
+    return [theta] + [tuple(t[j - (j > q + 1)] + 1 for j in range(n + 2))
+                      for t in factor_maps(tpi)]
+
+
+@functools.cache
+def word_operators(pi: tuple) -> tuple:
+    """The operators of each theta_k^*, built once per permutation."""
+    return tuple(monotone_operators(t, len(pi) + 1) for t in factor_maps(pi))
+
+
 class SzProvider:
-    """Closed group words for the loop-group operators, for n <= 2.
+    """The loop-group operators, for every n.
 
     ``factors(pi, x)`` takes a permutation of S_n and a simplex of dimension
     n + 1 and returns the n + 1 factors of the operator word, leftmost
-    first; each is an iterated degeneracy of tau on an iterated face of x.
-    ``sz(pi, x)`` is their product, a group word of dimension n.
+    first; ``sz(pi, x)`` is their product, a group word of dimension n.
     """
-
-    max_n = 2
 
     def __init__(self, group: LoopGroup):
         self.group = group
         self.sset = group.sset
 
     def factors(self, pi: tuple, x: Simplex) -> list:
-        n = len(pi)
-        if x.dim != n + 1:
+        if x.dim != len(pi) + 1:
             raise ValueError("simplex dimension must be the permutation size"
                              " plus one")
-        if n > self.max_n:
-            raise ValueError(f"no closed words for n = {n} > {self.max_n}")
-        g, face = self.group, self.sset.face
-        tau = g.tau
-        if n == 0:
-            return [tau(x)]
-        d0x = face(x, 0)
-        if n == 1:
-            return [tau(x), g.degeneracy(tau(d0x), 0)]
-        deep = multi_degeneracy(g, tau(face(d0x, 0)), (0, 1))
-        if pi == (1, 2):
-            return [tau(x), g.degeneracy(tau(d0x), 0), deep]
-        if pi == (2, 1):
-            return [g.degeneracy(tau(face(x, 2)), 0),
-                    g.degeneracy(tau(d0x), 1), deep]
-        raise ValueError(f"{pi} is not a permutation of S_2")
+        face, degeneracy = self.sset.face, self.sset.degeneracy
+        return [self.group.tau(functools.reduce(
+                    degeneracy, degens, functools.reduce(face, faces, x)))
+                for faces, degens in word_operators(pi)]
 
     def sz(self, pi: tuple, x: Simplex) -> GroupWord:
         return functools.reduce(self.group.mul, self.factors(pi, x))
-
-    def sz_iseq(self, iseq: tuple, x: Simplex) -> GroupWord:
-        """The same operators indexed by descending-bound index sequences."""
-        return self.sz(p(iseq), x)
 
 
 class SwappedSzProvider(SzProvider):
@@ -116,7 +123,6 @@ def contract_check(provider, n_max: int) -> Verdict:
     sequences; the bijection ``p`` carries each of them to one of these, and
     the combinatorics suite checks that translation at index level."""
     group, sset = provider.group, provider.sset
-    n_max = min(n_max, provider.max_n)
 
     for n in range(1, n_max + 1):
         for x in sset.simplices(n + 1):
@@ -179,20 +185,18 @@ def rival_convention_diagnosis(sset) -> dict:
 
 def t_sz(provider, x: Simplex) -> Chain:
     """The degree minus-one cochain on a simplex: 0 in dimension 0, value
-    minus the unit in dimension 1, the parity-signed operator sum above."""
+    minus the unit in dimension 1, the sign-weighted operator sum above."""
     group = provider.group
     n = x.dim
     out: Chain = {}
     if n == 0:
         return out
-    if n == 1:
-        add_scaled(out, {provider.sz((), x): 1}, 1)
-        add_scaled(out, {group.one(0): 1}, -1)
-        return out
-    for iseq in all_index_seqs(n - 1):
-        val = provider.sz_iseq(iseq, x)
+    for pi in all_perms(n - 1):
+        val = provider.sz(pi, x)
         if not group.is_degenerate(val):
-            add_scaled(out, {val: 1}, -1 if sum(iseq) % 2 else 1)
+            add_scaled(out, {val: 1}, sign(pi))
+    if n == 1:
+        add_scaled(out, {group.one(0): 1}, -1)
     return out
 
 

@@ -4,6 +4,7 @@ Each suite is a list of named checks returning a :class:`Verdict`; running a
 suite produces a :class:`Report` with per-check status, a witness for any
 failure, and timing.  Reports render both as human-readable text and as a
 JSON-compatible dictionary, and the two renderings always agree on statuses.
+The Szczarba suites default to degree 2 and reach degree 3 at ``max_dim=3``.
 """
 
 from __future__ import annotations
@@ -414,22 +415,16 @@ def cobar_iso_suite(max_dim=None) -> Report:
 
 
 def szczarba_contract_suite(max_dim=None) -> Report:
-    # the contract needs closed operator words, which stop at max_n
-    if max_dim is None:
-        contract_dim, twisting_dim = 2, 3
-    else:
-        contract_dim = min(max_dim, szczarba.SzProvider.max_n)
-        twisting_dim = max_dim
+    contract_dim = 2 if max_dim is None else max_dim
+    twisting_dim = 3 if max_dim is None else max_dim
     checks = []
     for name in ("S2", "S3", "D4sk1"):
-        sset = fixture(name)
-        group = loopgroup.LoopGroup(sset)
-        provider = szczarba.SzProvider(group)
+        provider = szczarba.SzProvider(loopgroup.LoopGroup(fixture(name)))
         checks.append((f"contract-{name}",
                        lambda p=provider:
                        szczarba.contract_check(p, contract_dim)))
         checks.append((f"twisting-{name}",
-                       lambda g=group:
+                       lambda g=provider.group:
                        loopgroup.check_twisting(g, twisting_dim)))
     def rival():
         d = szczarba.rival_convention_diagnosis(fixture("TwoLoopsCell"))
@@ -469,10 +464,6 @@ def main_theorem_suite(max_dim=None) -> Report:
         ]
     return run_checks("main-theorem", checks)
 
-
-# The largest --max-dim a suite accepts: the main theorem evaluates the
-# closed operator words, which exist for n <= SzProvider.max_n only.
-MAX_DIM = {"main-theorem": szczarba.SzProvider.max_n}
 
 SUITES = {
     "combinatorics": combinatorics_suite,

@@ -127,15 +127,14 @@ def test_criterion_7_negative_controls(announce):
 
 
 def test_criterion_8_stated_limitation(announce):
-    # closed operator words ship for word size n <= 2 only; the general
-    # recursion is an external input, and object counts grow factorially,
-    # so full-scale verification at arbitrary n is out of scope by design.
+    # the operator words come from one recursive rule for every n, so no
+    # word size is capped; object counts grow factorially with dimension,
+    # so verification is exhaustive at desk scale, not symbolic in general.
     provider = szczarba.SzProvider(loopgroup.LoopGroup(fixture("D4sk1")))
-    assert provider.max_n == 2
-    with pytest.raises(ValueError):
-        provider.sz((1, 2, 3), fixture("D4sk1").nondegenerate(4)[0])
+    assert not hasattr(provider, "max_n")
+    assert provider.sz((1, 2, 3), fixture("D4sk1").nondegenerate(4)[0]).n == 3
     import pathlib
     readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(
         encoding="utf-8")
     announce(8, "stated limitation",
-             "n <= 2" in readme or "n ≤ 2" in readme)
+             "factorially" in readme and "desk-scale" in readme)

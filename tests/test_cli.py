@@ -78,7 +78,13 @@ def test_szczarba_words(capsys):
     out = capsys.readouterr().out
     assert out.startswith("t(sigma) = ")
     assert main(["szczarba", "S2", "--simplex", "missing"]) == 2
-    assert main(["szczarba", "D4sk1", "--simplex", "01234"]) == 2  # too deep
+    capsys.readouterr()
+    # a 4-simplex: the six permutations of S_3, one term each
+    assert main(["szczarba", "D4sk1", "--simplex", "01234"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("t(01234) = ")
+    terms = out.split(" = ", 1)[1].replace(" - ", " + ").split(" + ")
+    assert len(terms) == 6
 
 
 def test_verify_suite_with_json(tmp_path, capsys):
@@ -154,11 +160,21 @@ def test_verify_all_keeps_every_suite_in_json(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("suite", ["main-theorem", "all"])
-def test_verify_beyond_the_operator_words_exits_2(suite, capsys):
-    assert main(["verify", "--suite", suite, "--max-dim", "3"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""  # rejected before any suite ran
-    assert "n <= 2" in err
+def test_verify_runs_beyond_degree_two(suite, monkeypatch, capsys):
+    from cobarlab import verify
+    from cobarlab.verdict import Verdict
+
+    seen = []
+
+    def stub(max_dim):
+        seen.append(max_dim)
+        return verify.run_checks("main-theorem",
+                                 [("stub-check", Verdict.passed)])
+
+    monkeypatch.setattr(verify, "SUITES", {"main-theorem": stub})
+    assert main(["verify", "--suite", suite, "--max-dim", "3"]) == 0
+    assert seen == [3]
+    assert "suite main-theorem: PASS" in capsys.readouterr().out
 
 
 def test_closed_stdout_ends_without_traceback():

@@ -4,9 +4,11 @@ import pytest
 
 from cobarlab import szczarba
 
+from cobarlab.chains import add_scaled
 from cobarlab.loopgroup import LoopGroup
-from cobarlab.perms import (all_index_seqs, all_perms, compose, invert, phi,
-                            psi_inv, remove_assignment, transposition, xi)
+from cobarlab.perms import (all_index_seqs, all_perms, compose, invert, p,
+                            phi, psi_inv, remove_assignment, transposition,
+                            xi)
 from cobarlab.simplicial import fixture, nondeg, shuffle_pair, sphere
 from cobarlab.szczarba import (CobarToGroupMap, SwappedSzProvider,
                                SzProvider, build_f,
@@ -14,7 +16,8 @@ from cobarlab.szczarba import (CobarToGroupMap, SwappedSzProvider,
                                check_f_sz_chain_map,
                                check_f_sz_comultiplicative, contract_check,
                                f_sz, group_boundary, main_theorem_check,
-                               pontryagin, rival_convention_diagnosis, t_sz)
+                               multi_degeneracy, pontryagin,
+                               rival_convention_diagnosis, t_sz)
 from cobarlab.verdict import Verdict
 from cobarlab.verify import run_suite
 
@@ -55,12 +58,88 @@ def test_operator_words_small_cases(providers):
         prov.sz((1, 2, 3), nondeg("T", 2))
 
 
-def test_no_closed_words_beyond_supported_range(providers):
+def test_words_beyond_degree_two(providers):
+    # one rule serves every n: S_3 acts on a 4-simplex
     prov = providers["D4sk1"]
-    x = nondeg("01234", 4)
-    with pytest.raises(ValueError):
-        prov.sz((1, 2, 3), x)
-    assert prov.max_n == 2
+    word = prov.sz((1, 2, 3), nondeg("01234", 4))
+    assert word.n == 3 and word.letters
+    assert not hasattr(prov, "max_n")
+
+
+def reference_factors(provider, pi, x):
+    """The hand-written operator words for n <= 2, factor by factor, kept
+    as the reference that the recursive rule must reproduce."""
+    g, face = provider.group, provider.sset.face
+    tau = g.tau
+    if not pi:
+        return [tau(x)]
+    d0x = face(x, 0)
+    if pi == (1,):
+        return [tau(x), g.degeneracy(tau(d0x), 0)]
+    deep = multi_degeneracy(g, tau(face(d0x, 0)), (0, 1))
+    if pi == (1, 2):
+        return [tau(x), g.degeneracy(tau(d0x), 0), deep]
+    assert pi == (2, 1)
+    return [g.degeneracy(tau(face(x, 2)), 0),
+            g.degeneracy(tau(d0x), 1), deep]
+
+
+def test_rule_matches_reference_words(providers):
+    pairs = 0
+    for name, prov in providers.items():
+        for n in range(3):
+            for x in prov.sset.simplices(n + 1):  # degenerate ones included
+                for pi in all_perms(n):
+                    assert prov.factors(pi, x) == reference_factors(
+                        prov, pi, x), (name, pi, x)
+                    pairs += 1
+    assert pairs == 130
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_contract_degree_3(name, providers):
+    assert contract_check(providers[name], 3).ok
+
+
+def test_swapped_factor_order_fails_contract_at_degree_3():
+    prov = SwappedSzProvider(LoopGroup(fixture("D4sk1")), (2, 1, 3))
+    verdict = contract_check(prov, 3)
+    assert not verdict.ok
+    assert verdict.witness["identity"] == "d-i"
+    assert verdict.witness["pi"] == (2, 1, 3)
+    assert verdict.witness["x"].dim == 4
+
+
+def test_main_comparison_degree_3(providers):
+    assert main_theorem_check(CobarToGroupMap(providers["D4sk1"]), 3).ok
+
+
+def index_sequence_t_sz(provider, x):
+    """The cochain summed over Szczarba's index sequences, with the sign
+    (-1)^(sum of the sequence)."""
+    group = provider.group
+    out = {}
+    if x.dim == 0:
+        return out
+    if x.dim == 1:
+        add_scaled(out, {provider.sz((), x): 1}, 1)
+        add_scaled(out, {group.one(0): 1}, -1)
+        return out
+    for iseq in all_index_seqs(x.dim - 1):
+        val = provider.sz(p(iseq), x)
+        if not group.is_degenerate(val):
+            add_scaled(out, {val: 1}, -1 if sum(iseq) % 2 else 1)
+    return out
+
+
+def test_t_sz_matches_index_sequence_sum(providers):
+    simplices = 0
+    for prov in providers.values():
+        for m in range(1, 5):
+            for x in prov.sset.simplices(m):
+                assert t_sz(prov, x) == index_sequence_t_sz(prov, x), x
+                simplices += 1
+    assert simplices == 187
 
 
 def test_swapped_factor_order_fails_contract():
@@ -98,10 +177,10 @@ def test_operator_word_is_the_product_of_its_factors(name, providers):
 def reference_contract_check(provider, n_max):
     """Reference contract: the seven permutation families, then Szczarba's
     index-sequence originals (seq-d0, seq-dk, seq-dn, seq-s) evaluated on
-    group words through ``sz_iseq``.  ``contract_check`` leaves the latter
-    to index-level checks, so the two must agree on every verdict."""
+    group words as ``provider.sz(p(iseq), x)``.  ``contract_check`` leaves
+    the latter to index-level checks, so the two must agree on every
+    verdict."""
     group, sset = provider.group, provider.sset
-    n_max = min(n_max, provider.max_n)
 
     for n in range(1, n_max + 1):
         for x in sset.simplices(n + 1):
@@ -155,10 +234,10 @@ def reference_contract_check(provider, n_max):
     for n in range(1, n_max + 1):
         for x in sset.simplices(n + 1):
             for iseq in all_index_seqs(n):
-                val = provider.sz_iseq(iseq, x)
+                val = provider.sz(p(iseq), x)
                 rest = iseq[1:]
                 if (group.face(val, 0)
-                        != provider.sz_iseq(rest, sset.face(x, iseq[0] + 1))):
+                        != provider.sz(p(rest), sset.face(x, iseq[0] + 1))):
                     return Verdict.failed(
                         {"identity": "seq-d0", "x": x, "iseq": iseq})
                 for k in range(1, n):
@@ -166,7 +245,7 @@ def reference_contract_check(provider, n_max):
                         swapped = (iseq[:k - 1] + (iseq[k], iseq[k - 1] - 1)
                                    + iseq[k + 1:])
                         if (group.face(val, k)
-                                != group.face(provider.sz_iseq(swapped, x), k)):
+                                != group.face(provider.sz(p(swapped), x), k)):
                             return Verdict.failed(
                                 {"identity": "seq-dk", "x": x, "iseq": iseq,
                                  "k": k})
@@ -174,8 +253,8 @@ def reference_contract_check(provider, n_max):
                 k = len(jseq)
                 want = group.mul(*shuffle_pair(
                     group, group, sh,
-                    provider.sz_iseq(jseq, sset.front_face(x, k + 1)),
-                    provider.sz_iseq(kseq, sset.back_face(x, k + 1))))
+                    provider.sz(p(jseq), sset.front_face(x, k + 1)),
+                    provider.sz(p(kseq), sset.back_face(x, k + 1))))
                 if group.face(val, n) != want:
                     return Verdict.failed(
                         {"identity": "seq-dn", "x": x, "iseq": iseq})
@@ -184,8 +263,8 @@ def reference_contract_check(provider, n_max):
             for iseq in all_index_seqs(n + 1):
                 for pval in range(n + 2):
                     jseq, q = phi(iseq, pval)
-                    lhs = provider.sz_iseq(iseq, sset.degeneracy(x, pval))
-                    rhs = group.degeneracy(provider.sz_iseq(jseq, x), q)
+                    lhs = provider.sz(p(iseq), sset.degeneracy(x, pval))
+                    rhs = group.degeneracy(provider.sz(p(jseq), x), q)
                     if lhs != rhs:
                         return Verdict.failed(
                             {"identity": "seq-s", "x": x, "iseq": iseq,

@@ -31,10 +31,10 @@ def test_unknown_suite_rejected():
 
 
 @pytest.mark.parametrize("max_dim, contract, twisting",
-                         [(None, 2, 3), (1, 1, 1), (4, 2, 4)])
+                         [(None, 2, 3), (1, 1, 1), (4, 4, 4)])
 def test_contract_suite_follows_max_dim(max_dim, contract, twisting,
                                         monkeypatch):
-    # the contract stops at the closed operator words (n <= max_n = 2)
+    # an explicit max_dim takes the contract and the twisting check there
     seen = Counter()
 
     def counting(name):
