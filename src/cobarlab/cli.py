@@ -65,6 +65,15 @@ def _load_sset(source: str):
                          " fixture")
 
 
+def _build(make, sset):
+    """``make(sset)``, with its refusal of an input that is not (1-)reduced
+    reported as an input error."""
+    try:
+        return make(sset)
+    except ValueError as exc:
+        raise InputError(f"{sset.name}: {exc}")
+
+
 def _cube_dim(text: str, name: str) -> int:
     if not text.isdecimal():
         raise InputError(f"bad cube dimension {text!r} in fixture {name!r}")
@@ -79,7 +88,7 @@ def _cubical_fixture(name: str):
         return ProductCubicalSet(StandardCube(_cube_dim(a, name)),
                                  StandardCube(_cube_dim(b, name)))
     if name.startswith("cobar-"):
-        return CobarSet(_load_sset(name[6:]))
+        return _build(CobarSet, _load_sset(name[6:]))
     raise InputError(f"unknown cubical fixture {name!r}; use cube<n>,"
                      " cube<k>x<l>, or cobar-<sset>")
 
@@ -139,6 +148,7 @@ def cmd_triangulate(args) -> int:
 def cmd_cobar(args) -> int:
     sset = _load_sset(args.input)
     max_deg = _dimension(args.max_deg, 3)
+    _build(CobarSet, sset)  # refuse an input that is not 1-reduced up front
     _, _, _, verdicts = compare_models(sset, max_deg)
     report = verify.run_checks(
         f"cobar-{sset.name}",
@@ -161,7 +171,7 @@ def cmd_szczarba(args) -> int:
     if args.simplex not in sset.gens:
         raise InputError(f"unknown generator {args.simplex!r}")
     x = Simplex((), args.simplex, sset.gens[args.simplex])
-    provider = szczarba.SzProvider(loopgroup.LoopGroup(sset))
+    provider = szczarba.SzProvider(_build(loopgroup.LoopGroup, sset))
     print(f"t({x!r}) = {_format_chain(szczarba.t_sz(provider, x))}")
     return 0
 

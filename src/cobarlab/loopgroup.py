@@ -58,10 +58,11 @@ class LoopGroup(SimplicialSet):
     sends a generator over x to the word over (d_1 x, then d_0 x inverted),
     the "rival" convention to the reversed and inverted word.
 
-    Degeneracy tests and front and back faces come from
-    :class:`SimplicialSet`.  Each dimension is an infinite free group, so
-    there is no list of nondegenerate elements: the identities are checked
-    on given elements by :func:`check_group_identities`.
+    The degeneracy test reads the letters (:meth:`is_degenerate`); front
+    and back faces come from :class:`SimplicialSet`.  Each dimension is an
+    infinite free group, so there is no list of nondegenerate elements: the
+    identities are checked on given elements by
+    :func:`check_group_identities`.
     """
 
     def __init__(self, sset: SimplicialPresentation, twist: str = "standard"):
@@ -84,9 +85,17 @@ class LoopGroup(SimplicialSet):
         return GroupWord(n, ())
 
     def mul(self, a: GroupWord, b: GroupWord) -> GroupWord:
-        if a.n != b.n:
-            raise ValueError("dimension mismatch")
-        return GroupWord(a.n, _reduce(a.letters + b.letters))
+        return self.product(a.n, (a, b))
+
+    def product(self, n: int, words) -> GroupWord:
+        """The product of the dimension-n words, left to right, reduced
+        once; the empty product is ``one(n)``."""
+        letters = []
+        for a in words:
+            if a.n != n:
+                raise ValueError("dimension mismatch")
+            letters.extend(a.letters)
+        return GroupWord(n, _reduce(letters))
 
     def inv(self, a: GroupWord) -> GroupWord:
         return GroupWord(a.n, tuple((x, -e) for x, e in reversed(a.letters)))
@@ -101,6 +110,24 @@ class LoopGroup(SimplicialSet):
 
     def dim(self, a: GroupWord) -> int:
         return a.n
+
+    def is_degenerate(self, a: GroupWord) -> bool:
+        """Whether ``a`` is s_{i-1} of a word, for some i in 1..n.
+
+        The group degeneracy s_{i-1} is an injective homomorphism that sends
+        the free generator over y to the free generator over s_i y (Kan,
+        1958), so a reduced word lies in its image exactly when every letter
+        lies over an s_i-degenerate simplex.  In Eilenberg-Zilber form a
+        simplex is s_i-degenerate exactly when i is in its (decreasing)
+        degeneracy word.  The empty word in dimension n >= 1 is s_0 of the
+        unit, so it is degenerate; no 0-dimensional word is.
+        """
+        common = set(range(1, a.n + 1))
+        for x, _ in a.letters:
+            if not common:
+                break
+            common.intersection_update(x.degens)
+        return bool(common)
 
     def face(self, a: GroupWord, i: int) -> GroupWord:
         if not 0 <= i <= a.n:

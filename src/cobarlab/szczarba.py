@@ -14,6 +14,11 @@ families into a simplicial map from the triangulation of the cobar cubical
 set to the group, ``build_f`` checks that it respects every identification,
 and ``main_theorem_check`` compares the composite of that map with the
 triangulation chain map against the word-by-word twisting cochain.
+
+Each provider keeps the cochains it has computed: ``t_sz`` per simplex and
+``f_sz`` per word, the latter as the product of its longest proper prefix's
+value with the last letter's.  The memo belongs to the provider and is
+freed with it; callers only read the shared chains.
 """
 
 from __future__ import annotations
@@ -74,11 +79,15 @@ class SzProvider:
     ``factors(pi, x)`` takes a permutation of S_n and a simplex of dimension
     n + 1 and returns the n + 1 factors of the operator word, leftmost
     first; ``sz(pi, x)`` is their product, a group word of dimension n.
+
+    ``t_sz`` and ``f_sz`` store their chains here, by simplex and by word.
     """
 
     def __init__(self, group: LoopGroup):
         self.group = group
         self.sset = group.sset
+        self._t_chains = {}
+        self._f_chains = {}
 
     def factors(self, pi: tuple, x: Simplex) -> list:
         if x.dim != len(pi) + 1:
@@ -90,7 +99,7 @@ class SzProvider:
                 for faces, degens in word_operators(pi)]
 
     def sz(self, pi: tuple, x: Simplex) -> GroupWord:
-        return functools.reduce(self.group.mul, self.factors(pi, x))
+        return self.group.product(len(pi), self.factors(pi, x))
 
 
 class SwappedSzProvider(SzProvider):
@@ -185,18 +194,21 @@ def rival_convention_diagnosis(sset) -> dict:
 
 def t_sz(provider, x: Simplex) -> Chain:
     """The degree minus-one cochain on a simplex: 0 in dimension 0, value
-    minus the unit in dimension 1, the sign-weighted operator sum above."""
-    group = provider.group
-    n = x.dim
-    out: Chain = {}
-    if n == 0:
-        return out
-    for pi in all_perms(n - 1):
-        val = provider.sz(pi, x)
-        if not group.is_degenerate(val):
-            add_scaled(out, {val: 1}, sign(pi))
-    if n == 1:
-        add_scaled(out, {group.one(0): 1}, -1)
+    minus the unit in dimension 1, the sign-weighted operator sum above.
+    The chain is kept by the provider; do not mutate it."""
+    out = provider._t_chains.get(x)
+    if out is None:
+        group = provider.group
+        n = x.dim
+        out = {}
+        if n >= 1:
+            for pi in all_perms(n - 1):
+                val = provider.sz(pi, x)
+                if not group.is_degenerate(val):
+                    add_scaled(out, {val: 1}, sign(pi))
+        if n == 1:
+            add_scaled(out, {group.one(0): 1}, -1)
+        provider._t_chains[x] = out
     return out
 
 
@@ -215,11 +227,16 @@ def pontryagin(group: LoopGroup, c1: Chain, c2: Chain) -> Chain:
 
 def f_sz(provider, word) -> Chain:
     """The word-by-word cochain map on the tensor-algebra model: the product
-    of the per-letter cochains."""
-    group = provider.group
-    out: Chain = {group.one(0): 1}
-    for x in word:
-        out = pontryagin(group, out, t_sz(provider, x))
+    of the per-letter cochains, f(w) = f(w[:-1]) * t(w[-1]).  The chain is
+    kept by the provider; do not mutate it."""
+    word = tuple(word)
+    out = provider._f_chains.get(word)
+    if out is None:
+        group = provider.group
+        out = ({group.one(0): 1} if not word else
+               pontryagin(group, f_sz(provider, word[:-1]),
+                          t_sz(provider, word[-1])))
+        provider._f_chains[word] = out
     return out
 
 
@@ -331,7 +348,7 @@ class CobarToGroupMap:
             d -= 1
         ks, m = u.ks, u.dim
         values = self._values
-        out = self.group.one(m)
+        factors = []
         pos = 0
         for x in base:
             k = x.dim - 1
@@ -343,9 +360,9 @@ class CobarToGroupMap:
             if value is None:
                 piece = project_simplex(u, pos + 1, pos + k)
                 value = values[key] = self._letter(x)(piece)
-            out = self.group.mul(out, value)
+            factors.append(value)
             pos += k
-        return out
+        return self.group.product(m, factors)
 
     def __call__(self, tri_simplex) -> GroupWord:
         return self.evaluate(tri_simplex.cube, tri_simplex.simplex)

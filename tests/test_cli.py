@@ -87,6 +87,18 @@ def test_szczarba_words(capsys):
     assert len(terms) == 6
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["szczarba", "Delta2", "--simplex", "0.1.2"],
+     "the loop group needs a reduced input"),
+    (["cobar", "Delta2"], "the cobar construction needs a 1-reduced input"),
+    (["triangulate", "--fixture", "cobar-Delta2"],
+     "the cobar construction needs a 1-reduced input"),
+])
+def test_input_that_is_not_reduced_exits_2(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: Delta2: {message}\n"
+
+
 def test_verify_suite_with_json(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     assert main(["verify", "--suite", "combinatorics",

@@ -1,8 +1,12 @@
+import functools
+import itertools
+
 import pytest
 
 from cobarlab.loopgroup import (GroupWord, LoopGroup, check_group_identities,
                                 check_twisting)
-from cobarlab.simplicial import fixture, nondeg, sphere, standard_simplex
+from cobarlab.simplicial import (SimplicialSet, fixture, nondeg, sphere,
+                                 standard_simplex)
 
 
 def generator_elements(group, max_dim):
@@ -77,3 +81,73 @@ def test_front_back_faces():
     assert g.front_face(w, 0).n == 0
     assert g.back_face(w, 2).n == 0
     assert g.front_face(w, 2) == w
+
+
+def degeneracy_test_words(g):
+    """Generator elements through dimension 3, their pairwise products in
+    equal dimensions, their degeneracies and the units."""
+    gens = generator_elements(g, 3)
+    words = list(gens)
+    for a, b in itertools.product(gens, repeat=2):
+        if a.n == b.n:
+            words.append(g.mul(a, b))
+    words += [g.degeneracy(a, i) for a in gens for i in range(a.n + 1)]
+    words += [g.one(n) for n in range(4)]
+    return words
+
+
+def assert_degeneracy_tests_agree(g, words):
+    """The letter-reading test equals the generic simplicial one on every
+    word, and both outcomes occur."""
+    degenerate = 0
+    for a in words:
+        assert g.is_degenerate(a) == SimplicialSet.is_degenerate(g, a), a
+        degenerate += g.is_degenerate(a)
+    assert 0 < degenerate < len(words)
+
+
+@pytest.mark.parametrize("twist", ["standard", "rival"])
+@pytest.mark.parametrize("build", [
+    sphere(2), sphere(3), fixture("D4sk1"), fixture("TwoLoopsCell")])
+def test_degeneracy_test_reads_the_letters(build, twist):
+    g = LoopGroup(build, twist=twist)
+    assert_degeneracy_tests_agree(g, degeneracy_test_words(g))
+
+
+def test_degeneracy_test_on_the_main_theorem_values(monkeypatch):
+    from cobarlab import szczarba
+
+    # every word built while the six degree-2 main-theorem checks run on
+    # D4sk1, as verify.main_theorem_suite runs them
+    words = set()
+    real_init = GroupWord.__init__
+
+    def recording_init(self, *args):
+        real_init(self, *args)
+        words.add(self)
+
+    monkeypatch.setattr(GroupWord, "__init__", recording_init)
+    provider = szczarba.SzProvider(LoopGroup(fixture("D4sk1")))
+    f = szczarba.CobarToGroupMap(provider)
+    assert szczarba.build_f(f, 2).ok
+    assert szczarba.check_f_simplicial(f, 2).ok
+    assert szczarba.check_f_multiplicative(f, 1).ok
+    assert szczarba.main_theorem_check(f, 2).ok
+    assert szczarba.check_f_sz_chain_map(provider, 2).ok
+    assert szczarba.check_f_sz_comultiplicative(provider, 2).ok
+    monkeypatch.undo()
+    assert_degeneracy_tests_agree(provider.group, words)
+
+
+def test_product_reduces_once():
+    g = LoopGroup(fixture("TwoLoopsCell"))  # words in dimensions 0, 1 and 2
+    gens = generator_elements(g, 2)
+    for k in (2, 3):
+        for words in itertools.product(gens, repeat=k):
+            n = words[0].n
+            if any(a.n != n for a in words):
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    g.product(n, words)
+                continue
+            assert g.product(n, words) == functools.reduce(g.mul, words)
+    assert [g.product(n, []) for n in range(3)] == [g.one(n) for n in range(3)]

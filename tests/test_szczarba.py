@@ -1,3 +1,5 @@
+import gc
+import weakref
 from collections import Counter
 
 import pytest
@@ -5,10 +7,11 @@ import pytest
 from cobarlab import szczarba
 
 from cobarlab.chains import add_scaled
+from cobarlab.cobar import omega_complex
 from cobarlab.loopgroup import LoopGroup
 from cobarlab.perms import (all_index_seqs, all_perms, compose, invert, p,
-                            phi, psi_inv, remove_assignment, transposition,
-                            xi)
+                            phi, psi_inv, remove_assignment, sign,
+                            transposition, xi)
 from cobarlab.simplicial import fixture, nondeg, shuffle_pair, sphere
 from cobarlab.szczarba import (CobarToGroupMap, SwappedSzProvider,
                                SzProvider, build_f,
@@ -464,3 +467,96 @@ def test_main_theorem_suite_glues_each_letter_once(monkeypatch):
     # one glued map per fixture, shared by the checks that evaluate it
     assert {name for name, _ in glued} == {"S2", "D4sk1"}
     assert set(glued.values()) == {1}
+
+
+def reference_t_sz(provider, x):
+    """``t_sz`` without the provider's memo."""
+    group = provider.group
+    n = x.dim
+    out = {}
+    if n == 0:
+        return out
+    for pi in all_perms(n - 1):
+        val = provider.sz(pi, x)
+        if not group.is_degenerate(val):
+            add_scaled(out, {val: 1}, sign(pi))
+    if n == 1:
+        add_scaled(out, {group.one(0): 1}, -1)
+    return out
+
+
+def reference_f_sz(provider, word):
+    """``f_sz`` without the provider's memo: the per-letter cochains
+    multiplied from the unit, left to right."""
+    group = provider.group
+    out = {group.one(0): 1}
+    for x in word:
+        out = pontryagin(group, out, reference_t_sz(provider, x))
+    return out
+
+
+def memo_words(sset, max_deg):
+    omega = omega_complex(sset, max_deg)
+    return [w for d in range(max_deg + 1) for w in omega.basis[d]]
+
+
+@pytest.mark.parametrize("name", ["S2", "D4sk1"])
+def test_memoized_cochains_match_reference(name):
+    prov = SzProvider(LoopGroup(FIXTURES[name]))
+    words = memo_words(prov.sset, 3)
+    assert words
+    for w in words:
+        # same terms in the same order, so reports print alike
+        assert list(f_sz(prov, w).items()) == list(
+            reference_f_sz(prov, w).items()), w
+        for x in w:
+            assert list(t_sz(prov, x).items()) == list(
+                reference_t_sz(prov, x).items()), x
+    # every proper prefix of a word is stored on the way to it
+    assert set(prov._f_chains) == {w[:k] for w in words
+                                   for k in range(len(w) + 1)}
+    assert f_sz(prov, words[-1]) is f_sz(prov, words[-1])
+
+
+def test_providers_share_no_memo_entry():
+    sset = FIXTURES["D4sk1"]
+    first, second = (SzProvider(LoopGroup(sset)) for _ in range(2))
+    words = memo_words(sset, 2)
+    for prov in (first, second):
+        for w in words:
+            f_sz(prov, w)
+    assert first._f_chains == second._f_chains
+    assert first._t_chains == second._t_chains
+    for memo in ("_t_chains", "_f_chains"):
+        chains = [{id(c) for c in getattr(prov, memo).values()}
+                  for prov in (first, second)]
+        assert chains[0] and not chains[0] & chains[1]
+    ref = weakref.ref(first)
+    del first
+    gc.collect()
+    assert ref() is None
+
+
+def test_main_theorem_checks_leave_the_memo_unchanged():
+    provider = SzProvider(LoopGroup(FIXTURES["D4sk1"]))
+    for w in memo_words(provider.sset, 2):
+        f_sz(provider, w)
+    before = {memo: {key: (chain, list(chain.items()))
+                     for key, chain in getattr(provider, memo).items()}
+              for memo in ("_t_chains", "_f_chains")}
+    f = CobarToGroupMap(provider)
+    assert build_f(f, 2).ok
+    assert check_f_simplicial(f, 2).ok
+    assert check_f_multiplicative(f, 1).ok
+    assert main_theorem_check(f, 2).ok
+    assert check_f_sz_chain_map(provider, 2).ok
+    assert check_f_sz_comultiplicative(provider, 2).ok
+    for memo, entries in before.items():
+        stored = getattr(provider, memo)
+        for key, (chain, items) in entries.items():
+            assert stored[key] is chain and list(chain.items()) == items, key
+    # what the checks added equals the unmemoized values as well
+    for x, chain in provider._t_chains.items():
+        assert chain == reference_t_sz(provider, x), x
+    for w, chain in provider._f_chains.items():
+        assert chain == reference_f_sz(provider, w), w
