@@ -4,9 +4,8 @@ Subcommands: ``validate``, ``homology``, ``triangulate``, ``cobar``,
 ``szczarba`` and ``verify``.  Exit codes: 0 on success, 1 when a check
 produces a failing verdict (its witness is printed), 2 on input errors,
 141 (as after SIGPIPE) when the reader of the output goes away early.
-The environment variable ``COBARLAB_MAX_DIM`` caps the default dimensions
-of every subcommand but ``verify``; explicit flags override it.  Operator
-words exist for every n: ``szczarba`` takes a generator of any dimension.
+Operator words exist for every n: ``szczarba`` takes a generator of any
+dimension.
 """
 
 from __future__ import annotations
@@ -28,19 +27,6 @@ class InputError(Exception):
     pass
 
 
-def _env_cap(default: int) -> int:
-    cap = os.environ.get("COBARLAB_MAX_DIM")
-    if cap is None:
-        return default
-    try:
-        value = int(cap)
-    except ValueError:
-        raise InputError(f"bad COBARLAB_MAX_DIM value {cap!r}")
-    if value < 0:
-        raise InputError(f"COBARLAB_MAX_DIM must be >= 0, got {value}")
-    return min(default, value)
-
-
 def _nonnegative(value):
     if value is not None and value < 0:
         raise InputError(f"dimensions must be >= 0, got {value}")
@@ -48,8 +34,8 @@ def _nonnegative(value):
 
 
 def _dimension(value, default: int) -> int:
-    """An explicit --max-dim/--max-deg, else the capped default."""
-    return _env_cap(default) if value is None else _nonnegative(value)
+    """An explicit --max-dim/--max-deg, else the default."""
+    return default if value is None else _nonnegative(value)
 
 
 def _load_sset(source: str):

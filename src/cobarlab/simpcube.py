@@ -10,48 +10,36 @@ exactly when i lies in ``u_0 | ... | u_c``; a coordinate in the last part is
 from __future__ import annotations
 
 import collections
-import functools
 import itertools
-from fractions import Fraction
 
 from .cubes import CubeMorphism
-from .perms import inversions, transposition, compose, invert
-from .simplicial import SimplicialSet, shuffle_pair
+from .perms import compose, transposition
+from .simplicial import SimplicialSet
 from .verdict import Verdict
-
-
-@functools.lru_cache(maxsize=None)
-def _coordinates(n: int) -> frozenset:
-    return frozenset(range(1, n + 1))
 
 
 class PartitionSimplex:
     """An m-simplex of the simplicial n-cube, stored by its bracket.
 
-    ``PartitionSimplex(n, parts)`` takes the ordered partition; the simplex
-    keeps ``ks``, where ``ks[i - 1]`` is the index of the part holding
-    coordinate i, and its dimension ``dim`` = m.  Immutable; equality and
-    hashing are on ``(n, ks, dim)``, which determine the parts, and the hash
-    is computed once, at construction.  :func:`from_bracket` builds a
-    simplex from its bracket, with the same invariant checked in that form.
+    ``PartitionSimplex(n, ks, dim)`` is the dim-simplex whose coordinate i
+    lies in part ``ks[i - 1]``; :func:`from_parts` builds one from its
+    ordered partition.  Immutable; equality and hashing are on
+    ``(n, ks, dim)``, which determine the parts, and the hash is computed
+    once, at construction.
     """
 
     __slots__ = ("n", "ks", "dim", "_hash")
 
-    def __init__(self, n: int, parts: tuple):
-        # {1..n} is the union of the parts and their sizes add up to n
-        # exactly when every coordinate lies in exactly one part.
-        if len(parts) < 2:
-            raise ValueError("need at least two parts")
-        if (sum(map(len, parts)) != n
-                or frozenset().union(*parts) != _coordinates(n)):
-            raise ValueError("parts must partition {1..n}")
-        ks = [0] * n
-        for k, p in enumerate(parts):
-            for i in p:
-                ks[i - 1] = k
+    def __init__(self, n: int, ks: tuple, dim: int):
+        # the partition invariant in bracket form: one part index per
+        # coordinate, each in 0..dim+1, and at least two parts
         ks = tuple(ks)
-        dim = len(parts) - 2
+        if len(ks) != n:
+            raise ValueError("bracket needs one part index per coordinate")
+        if dim < 0:
+            raise ValueError("need at least two parts")
+        if ks and (min(ks) < 0 or max(ks) > dim + 1):
+            raise ValueError("part index out of range")
         init = object.__setattr__
         init(self, "n", n)
         init(self, "ks", ks)
@@ -78,7 +66,7 @@ class PartitionSimplex:
         return self._hash
 
     def __reduce__(self):
-        return from_bracket, (self.n, self.ks, self.dim)
+        return PartitionSimplex, (self.n, self.ks, self.dim)
 
     @property
     def parts(self) -> tuple:
@@ -126,28 +114,19 @@ class PartitionSimplex:
                 for c in range(self.dim + 1)]
 
 
-def from_bracket(n: int, ks: tuple, dim: int) -> PartitionSimplex:
-    """The dim-simplex of the simplicial n-cube whose coordinate i lies in
-    part ``ks[i - 1]``: the partition invariant in bracket form, so ``ks``
-    needs one entry per coordinate, each in 0..dim+1, and ``dim >= 0``."""
-    ks = tuple(ks)
-    if len(ks) != n:
-        raise ValueError("bracket needs one part index per coordinate")
-    if dim < 0:
-        raise ValueError("need at least two parts")
-    if ks and (min(ks) < 0 or max(ks) > dim + 1):
-        raise ValueError("part index out of range")
-    u = object.__new__(PartitionSimplex)
-    init = object.__setattr__
-    init(u, "n", n)
-    init(u, "ks", ks)
-    init(u, "dim", dim)
-    init(u, "_hash", hash((n, ks, dim)))
-    return u
-
-
 def from_parts(n: int, parts) -> PartitionSimplex:
-    return PartitionSimplex(n, tuple(frozenset(p) for p in parts))
+    """The simplex of the ordered partition ``parts`` of {1..n}."""
+    parts = tuple(parts)
+    # {1..n} is the union of the parts and their sizes add up to n
+    # exactly when every coordinate lies in exactly one part.
+    if (sum(map(len, parts)) != n
+            or set().union(*parts) != set(range(1, n + 1))):
+        raise ValueError("parts must partition {1..n}")
+    ks = [0] * n
+    for k, p in enumerate(parts):
+        for i in p:
+            ks[i - 1] = k
+    return PartitionSimplex(n, ks, len(parts) - 2)
 
 
 def from_matrix(rows) -> PartitionSimplex:
@@ -156,21 +135,24 @@ def from_matrix(rows) -> PartitionSimplex:
     if n == 0:
         raise ValueError("cannot infer the simplex dimension from no rows")
     m = len(rows[0]) - 1
-    parts = [set() for _ in range(m + 2)]
+    ks = []
     for i, row in enumerate(rows, 1):
         if len(row) != m + 1:
             raise ValueError("ragged matrix")
         k = sum(1 for v in row if v == 0)
         if tuple(row) != tuple(0 if c < k else 1 for c in range(m + 1)):
             raise ValueError(f"row {i} is not a 0*1* step vector: {row}")
-        parts[k].add(i)
-    return from_parts(n, parts)
+        ks.append(k)
+    return PartitionSimplex(n, ks, m)
 
 
 def u_pi(pi) -> PartitionSimplex:
-    """The nondegenerate n-simplex attached to a permutation of S_n."""
+    """The nondegenerate n-simplex attached to a permutation of S_n: its
+    inner parts are the singletons {pi(1)}, ..., {pi(n)}, so coordinate v
+    lies in part pi^-1(v).  Raises ``ValueError`` unless pi is a permutation
+    of 1..n."""
     n = len(pi)
-    return from_parts(n, [()] + [(v,) for v in pi] + [()])
+    return PartitionSimplex(n, [pi.index(v) + 1 for v in range(1, n + 1)], n)
 
 
 def _face_bracket(u: PartitionSimplex, j: int) -> tuple:
@@ -190,12 +172,12 @@ def _degeneracy_bracket(u: PartitionSimplex, j: int) -> tuple:
 
 def partition_face(u: PartitionSimplex, j: int) -> PartitionSimplex:
     """d_j: merge parts j and j+1 (0 <= j <= dim)."""
-    return from_bracket(u.n, _face_bracket(u, j), u.dim - 1)
+    return PartitionSimplex(u.n, _face_bracket(u, j), u.dim - 1)
 
 
 def partition_degeneracy(u: PartitionSimplex, j: int) -> PartitionSimplex:
     """s_j: insert an empty part after part j (0 <= j <= dim)."""
-    return from_bracket(u.n, _degeneracy_bracket(u, j), u.dim + 1)
+    return PartitionSimplex(u.n, _degeneracy_bracket(u, j), u.dim + 1)
 
 
 class SimplicialCube(SimplicialSet):
@@ -204,7 +186,7 @@ class SimplicialCube(SimplicialSet):
     The complex stores each simplex it hands out, one dict per dimension
     keyed by the simplex's bracket ``ks``, and ``face`` and ``degeneracy``
     return the stored simplex: each distinct simplex is built, through the
-    checked :func:`from_bracket`, once per complex, and the store is freed
+    checked constructor, once per complex, and the store is freed
     with the complex.
     """
 
@@ -219,7 +201,7 @@ class SimplicialCube(SimplicialSet):
         cells = self._cells[m]
         cell = cells.get(ks)
         if cell is None:
-            cell = cells[ks] = from_bracket(n, ks, m)
+            cell = cells[ks] = PartitionSimplex(n, ks, m)
         return cell
 
     def nondegenerate(self, m: int):
@@ -265,25 +247,7 @@ def lambda_star(lam: CubeMorphism, u: PartitionSimplex) -> PartitionSimplex:
             out_ks.append(0)
         else:
             out_ks.append(max(ks[v - 1] for v in out))
-    return from_bracket(lam.target, out_ks, m)
-
-
-def face_by_bar_removal(pi, removed) -> PartitionSimplex:
-    """Iterated face of u_pi obtained by deleting the bars in ``removed``.
-
-    Bars are labelled 0..n between consecutive parts of u_pi; at most n of
-    them can be removed (each removal is one face operation).
-    """
-    n = len(pi)
-    removed = set(removed)
-    if not removed <= set(range(n + 1)):
-        raise ValueError("bar labels out of range")
-    if len(removed) > n:
-        raise ValueError("an n-simplex admits at most n face operations")
-    kept = sorted(set(range(n + 1)) - removed)
-    cuts = [0] + kept + [n]
-    parts = [frozenset(pi[a:b]) for a, b in zip(cuts, cuts[1:])]
-    return PartitionSimplex(n, tuple(parts))
+    return PartitionSimplex(lam.target, out_ks, m)
 
 
 def hereditary_path(pi, rho):
@@ -298,7 +262,7 @@ def hereditary_path(pi, rho):
     n = len(pi)
     if sorted(pi) != sorted(rho) or sorted(pi) != list(range(1, n + 1)):
         raise ValueError("need two permutations of the same set")
-    bars = [b for b in range(n + 1) if set(pi[:b]) == set(rho[:b])]
+    bars = common_bars(pi, rho)
     path = [tuple(pi)]
     cur = list(pi)
     for lo, hi in zip(bars, bars[1:]):
@@ -369,61 +333,11 @@ def combine_simplices(u: PartitionSimplex, w: PartitionSimplex) -> PartitionSimp
     followed by those of w (both must have the same dimension)."""
     if u.dim != w.dim:
         raise ValueError("dimension mismatch")
-    return from_bracket(u.n + w.n, u.ks + w.ks, u.dim)
+    return PartitionSimplex(u.n + w.n, u.ks + w.ks, u.dim)
 
 
 def project_simplex(u: PartitionSimplex, lo: int, hi: int) -> PartitionSimplex:
     """Restrict to the coordinate window {lo..hi}, relabelled from 1."""
     if not 1 <= lo <= hi + 1 <= u.n + 1:
         raise ValueError("coordinate window out of range")
-    return from_bracket(hi - lo + 1, u.ks[lo - 1:hi], u.dim)
-
-
-def decompose_product_simplex(pi, k: int):
-    """Split the top simplex u_pi of the (k+l)-cube along the first k
-    coordinates.
-
-    Returns ``(sh, u_left, u_right)`` where sh is the (k, l)-shuffle from the
-    value split of pi and the two factors are the degenerate expansions
-    s_{beta-1} u_sigma and s_{alpha-1} u_tau; combining them coordinatewise
-    gives back u_pi.
-    """
-    from .perms import psi_inv
-
-    sh, sigma, tau = psi_inv(pi, k)
-    return (sh,) + shuffle_pair(SimplicialCube(k), SimplicialCube(len(pi) - k),
-                                sh, u_pi(sigma), u_pi(tau))
-
-
-def realize(u: PartitionSimplex, weights) -> tuple:
-    """Cube point of a barycentric point of the simplex, exactly.
-
-    ``weights`` are the m+1 barycentric coordinates (Fractions summing to 1);
-    coordinate j of the result is the total weight of vertices where t_j = 1.
-    """
-    m = u.dim
-    weights = tuple(Fraction(w) for w in weights)
-    if len(weights) != m + 1 or sum(weights) != 1:
-        raise ValueError("need m+1 barycentric weights summing to 1")
-    ks, _ = u.bracket()
-    return tuple(sum(weights[k:], Fraction(0)) for k in ks)
-
-
-def unrealize(point) -> tuple:
-    """Inverse of :func:`realize` on the top-dimensional triangulation.
-
-    Returns ``(pi, weights)`` with pi the coordinate order (descending
-    values, ties broken by smaller label) such that
-    ``realize(u_pi(pi), weights) == point``.
-    """
-    point = tuple(Fraction(b) for b in point)
-    n = len(point)
-    if any(not 0 <= b <= 1 for b in point):
-        raise ValueError("cube coordinates must lie in [0, 1]")
-    pi = tuple(sorted(range(1, n + 1), key=lambda j: (-point[j - 1], j)))
-    weights = [1 - (point[pi[0] - 1] if n else Fraction(0))]
-    for t in range(n - 1):
-        weights.append(point[pi[t] - 1] - point[pi[t + 1] - 1])
-    if n:
-        weights.append(point[pi[n - 1] - 1])
-    return pi, tuple(weights)
+    return PartitionSimplex(hi - lo + 1, u.ks[lo - 1:hi], u.dim)

@@ -12,7 +12,7 @@ import itertools
 from operator import gt
 from pathlib import Path
 
-from .chains import Chain, ChainComplex, ChainMap, add_scaled, tensor_complex
+from .chains import Chain, ChainComplex, add_scaled
 from .perms import all_shuffles
 from .verdict import Verdict, check_identities
 
@@ -206,15 +206,25 @@ class SimplicialPresentation(SimplicialSet):
     """Simplicial set given by generators, dimensions and a face table.
 
     ``faces[(g, i)]`` is the i-th face of generator g, itself a
-    :class:`Simplex` over the same presentation.
+    :class:`Simplex` over the same presentation.  Whether the set is
+    reduced or 1-reduced is read from the generators (:attr:`reduced`,
+    :attr:`one_reduced`), never declared.
     """
 
-    def __init__(self, name, gens, faces, reduced=False, one_reduced=False):
+    def __init__(self, name, gens, faces):
         self.name = name
         self.gens = dict(gens)
         self.faces = dict(faces)
-        self.reduced = reduced or one_reduced
-        self.one_reduced = one_reduced
+
+    @property
+    def reduced(self) -> bool:
+        """Exactly one generator of dimension 0."""
+        return list(self.gens.values()).count(0) == 1
+
+    @property
+    def one_reduced(self) -> bool:
+        """Reduced, and no generator of dimension 1."""
+        return self.reduced and 1 not in self.gens.values()
 
     def nondegenerate(self, n: int):
         return [nondeg(g, d) for g, d in self.gens.items() if d == n]
@@ -246,17 +256,13 @@ class SimplicialPresentation(SimplicialSet):
         return x.is_degenerate
 
     def validate_presentation(self, max_dim: int) -> Verdict:
-        """Face-table completeness, reduced flags, simplicial identities."""
+        """Face-table completeness and the simplicial identities."""
         for g, d in self.gens.items():
             for i in range(d + 1):
                 if d >= 1 and (g, i) not in self.faces:
                     return Verdict.failed({"error": "missing face", "gen": g, "i": i})
                 if d >= 1 and self.faces[(g, i)].dim != d - 1:
                     return Verdict.failed({"error": "face dimension", "gen": g, "i": i})
-        if self.reduced and sum(1 for d in self.gens.values() if d == 0) != 1:
-            return Verdict.failed({"error": "reduced flag: need exactly one vertex"})
-        if self.one_reduced and any(d == 1 for d in self.gens.values()):
-            return Verdict.failed({"error": "1-reduced flag: nondegenerate edge present"})
         return self.validate(max_dim)
 
 
@@ -357,23 +363,6 @@ def shuffle_pair(left: SimplicialSet, right: SimplicialSet, sh, x, y) -> tuple:
     return x, y
 
 
-def shuffle_chain_map(left: SimplicialSet, right: SimplicialSet,
-                      max_dim: int) -> ChainMap:
-    """Chain map C(X) (x) C(Y) -> C(X x Y) given by the shuffle expansion."""
-    prod = ProductSimplicialSet(left, right)
-    cl = simplicial_chains(left, max_dim)
-    cr = simplicial_chains(right, max_dim)
-    cp = simplicial_chains(prod, max_dim)
-    present = {x for labels in cp.basis.values() for x in labels}
-    src = tensor_complex(cl, cr, max_degree=max_dim)
-    mapping = {}
-    for n in src.degrees:
-        for (a, b) in src.basis[n]:
-            terms = shuffle_terms(left, right, a, b)
-            mapping[(a, b)] = {pair: c for pair, c in terms.items() if pair in present}
-    return ChainMap(src, cp, mapping)
-
-
 # ----- fixtures -----------------------------------------------------------------
 
 
@@ -403,7 +392,7 @@ def sphere(n: int) -> SimplicialPresentation:
         raise ValueError("need n >= 2 for a reduced sphere presentation")
     gens = {"*": 0, "sigma": n}
     faces = {("sigma", i): degenerate_point("*", n - 1) for i in range(n + 1)}
-    return SimplicialPresentation(f"S{n}", gens, faces, one_reduced=True)
+    return SimplicialPresentation(f"S{n}", gens, faces)
 
 
 def fixture(name: str) -> SimplicialPresentation:

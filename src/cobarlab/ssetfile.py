@@ -10,6 +10,13 @@ A file consists of a header line, generator lines and face lines::
 words are written outermost first with strictly decreasing indices (the
 normal form of a degenerate simplex).  Blank lines and ``#`` comments are
 ignored.  Parsing then serializing a canonical file is the identity.
+
+Whether a presentation is reduced (one vertex) or 1-reduced (one vertex
+and no edges) is read from its generators.  A header flag is a claim that
+the parser checks: a claim the generators contradict is a
+:class:`ParseError` at the header line, and a weaker claim that holds
+(``reduced`` on a 1-reduced set) is accepted.  :func:`serialize` writes
+the strongest flag that holds.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ def _parse_simplex(tokens, gens, lineno: int) -> Simplex:
 def parse(text: str) -> SimplicialPresentation:
     """Parse the text of a presentation file."""
     name = None
-    flags = set()
+    flags = {}  # claimed flag -> header line number
     gens = {}
     faces = {}
     seen_header = False
@@ -71,7 +78,7 @@ def parse(text: str) -> SimplicialPresentation:
             for flag in tokens[2:]:
                 if flag not in ("reduced", "1-reduced"):
                     raise ParseError(lineno, f"unknown flag {flag!r}")
-                flags.add(flag)
+                flags[flag] = lineno
             seen_header = True
         elif kind == "gen":
             if not seen_header:
@@ -115,9 +122,15 @@ def parse(text: str) -> SimplicialPresentation:
             for i in range(d + 1):
                 if (g, i) not in faces:
                     raise ParseError(1, f"missing face ({g}, {i})")
-    return SimplicialPresentation(name, gens, faces,
-                                  reduced="reduced" in flags,
-                                  one_reduced="1-reduced" in flags)
+    sset = SimplicialPresentation(name, gens, faces)
+    for flag, holds in (("reduced", sset.reduced),
+                        ("1-reduced", sset.one_reduced)):
+        if flag in flags and not holds:
+            dims = list(gens.values())
+            raise ParseError(flags[flag], f"header claims {flag}, but there"
+                             f" are {dims.count(0)} generators of dimension 0"
+                             f" and {dims.count(1)} of dimension 1")
+    return sset
 
 
 def _format_simplex(x: Simplex, sset: SimplicialPresentation) -> str:

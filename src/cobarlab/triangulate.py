@@ -17,8 +17,8 @@ from .chains import Chain, ChainComplex, ChainMap, add_scaled
 from .cubes import CubeMorphism, CubicalSet, cubical_chains
 from .perms import all_perms, sign
 from .simpcube import (PartitionSimplex, SimplicialCube, combine_simplices,
-                       from_bracket, lambda_star, partition_degeneracy,
-                       partition_face, project_simplex, u_pi)
+                       lambda_star, partition_degeneracy, partition_face,
+                       project_simplex, u_pi)
 from .simplicial import SimplicialSet, simplicial_chains
 
 
@@ -37,13 +37,13 @@ def full_support_simplices(n: int, m: int):
     with empty end parts."""
     if m == 0:
         if n == 0:
-            yield from_bracket(0, (), 0)
+            yield PartitionSimplex(0, (), 0)
         return
     if not 1 <= m <= n:
         return
     for ks in itertools.product(range(1, m + 1), repeat=n):
         if len(set(ks)) == m:
-            yield from_bracket(n, ks, m)
+            yield PartitionSimplex(n, ks, m)
 
 
 class TriangulatedCubicalSet(SimplicialSet):

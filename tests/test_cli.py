@@ -10,6 +10,7 @@ import cobarlab
 from cobarlab.cli import main
 from cobarlab.simplicial import fixture
 from cobarlab.ssetfile import save
+from test_ssetfile import FIXTURE_DIR, PROBES
 
 
 def test_validate_fixture(capsys):
@@ -117,12 +118,32 @@ def test_verify_unknown_suite(capsys):
     assert main(["verify", "--suite", "astrology"]) == 2
 
 
-def test_env_cap_limits_default_dim(monkeypatch, capsys):
+def test_environment_sets_no_dimension(monkeypatch, capsys):
     monkeypatch.setenv("COBARLAB_MAX_DIM", "2")
     assert main(["validate", "S2"]) == 0
-    assert "dimension 2" in capsys.readouterr().out
-    monkeypatch.setenv("COBARLAB_MAX_DIM", "nope")
-    assert main(["validate", "S2"]) == 2
+    assert capsys.readouterr().out == "S2: valid up to dimension 4\n"
+
+
+@pytest.mark.parametrize("command", [["validate"], ["cobar"],
+                                     ["szczarba", "--simplex", "c"]])
+@pytest.mark.parametrize("name", sorted(PROBES))
+def test_contradicted_header_claim_exits_2(name, command, tmp_path, capsys):
+    path = tmp_path / f"{name}.sset"
+    path.write_text(PROBES[name])
+    assert main([command[0], str(path), *command[1:]]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: line 1: header claims ")
+
+
+def test_reducedness_is_read_from_the_generators(tmp_path, capsys):
+    # TwoLoopsCell is reduced whether or not its header says so
+    shipped = FIXTURE_DIR / "TwoLoopsCell.sset"
+    path = tmp_path / "TwoLoopsCell.sset"
+    path.write_text(shipped.read_text().replace(" reduced\n", "\n", 1))
+    assert main(["szczarba", str(shipped), "--simplex", "T"]) == 0
+    want = capsys.readouterr().out
+    assert main(["szczarba", str(path), "--simplex", "T"]) == 0
+    assert capsys.readouterr().out == want
 
 
 @pytest.mark.parametrize("name", ["Delta-1", "Delta-2"])

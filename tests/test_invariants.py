@@ -7,7 +7,7 @@ import itertools
 import pytest
 
 from cobarlab.cubes import CubeMorphism, StandardCube
-from cobarlab.simpcube import PartitionSimplex, from_parts
+from cobarlab.simpcube import from_parts, u_pi
 from cobarlab.simplicial import Simplex
 
 
@@ -32,17 +32,18 @@ MALFORMED = [
     ("cube: negative source", lambda: CubeMorphism(-3, 1, (0,))),
     ("cube: negative dimension of a standard cube",
      lambda: StandardCube(2).cubes(-1)),
-    ("partition: one part", lambda: PartitionSimplex(1, fs({1}))),
-    ("partition: no parts", lambda: PartitionSimplex(0, ())),
+    ("partition: one part", lambda: from_parts(1, fs({1}))),
+    ("partition: no parts", lambda: from_parts(0, ())),
     ("partition: missing coordinate",
-     lambda: PartitionSimplex(3, fs({1}, {3}))),
+     lambda: from_parts(3, fs({1}, {3}))),
     ("partition: extra coordinate",
-     lambda: PartitionSimplex(2, fs({1, 2}, {3}))),
-    ("partition: coordinate 0", lambda: PartitionSimplex(2, fs({0, 1}, {2}))),
+     lambda: from_parts(2, fs({1, 2}, {3}))),
+    ("partition: coordinate 0", lambda: from_parts(2, fs({0, 1}, {2}))),
     ("partition: duplicated coordinate",
-     lambda: PartitionSimplex(2, fs({1, 2}, {2}))),
+     lambda: from_parts(2, fs({1, 2}, {2}))),
     ("partition: duplicate in place of a missing one",
      lambda: from_parts(3, [{1, 2}, {2}])),
+    ("partition: top simplex of a non-permutation", lambda: u_pi((1, 1))),
     ("simplex: increasing degeneracies", lambda: Simplex((0, 1), "x", 2)),
     ("simplex: repeated degeneracy", lambda: Simplex((1, 1), "x", 2)),
     ("simplex: late increase", lambda: Simplex((3, 1, 2), "x", 2)),
@@ -128,7 +129,7 @@ def test_partition_check_matches_contract():
     for count in range(4):
         for parts in itertools.product(subsets, repeat=count):
             for n in range(4):
-                assert accepts(lambda: PartitionSimplex(n, parts)) \
+                assert accepts(lambda: from_parts(n, parts)) \
                     == partition_contract(n, parts), (n, parts)
 
 

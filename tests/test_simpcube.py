@@ -5,16 +5,13 @@ from fractions import Fraction
 import pytest
 
 from cobarlab.cubes import CubeMorphism, all_cube_morphisms
-from cobarlab.perms import all_perms
+from cobarlab.perms import all_perms, psi_inv
 from cobarlab.simpcube import (PartitionSimplex, SimplicialCube,
-                               combine_simplices, common_bars,
-                               decompose_product_simplex, extend_family,
-                               face_by_bar_removal, from_bracket, from_matrix,
-                               from_parts,
-                               hereditary_path, lambda_star, partition_face,
-                               partition_degeneracy, project_simplex, realize,
-                               u_pi, unrealize)
-from cobarlab.simplicial import sphere
+                               combine_simplices, common_bars, extend_family,
+                               from_matrix, from_parts, hereditary_path,
+                               lambda_star, partition_face,
+                               partition_degeneracy, project_simplex, u_pi)
+from cobarlab.simplicial import shuffle_pair, sphere
 from cobarlab.verify import (check_degeneracy_lemma, check_face_lemma,
                              check_hereditary)
 
@@ -47,6 +44,24 @@ def test_negative_simplicial_cube_is_refused():
         SimplicialCube(-1).validate(2)
 
 
+def face_by_bar_removal(pi, removed) -> PartitionSimplex:
+    """Iterated face of u_pi obtained by deleting the bars in ``removed``.
+
+    Bars are labelled 0..n between consecutive parts of u_pi; at most n of
+    them can be removed (each removal is one face operation).
+    """
+    n = len(pi)
+    removed = set(removed)
+    if not removed <= set(range(n + 1)):
+        raise ValueError("bar labels out of range")
+    if len(removed) > n:
+        raise ValueError("an n-simplex admits at most n face operations")
+    kept = sorted(set(range(n + 1)) - removed)
+    cuts = [0] + kept + [n]
+    parts = [frozenset(pi[a:b]) for a, b in zip(cuts, cuts[1:])]
+    return from_parts(n, parts)
+
+
 def test_face_by_bar_removal_matches_iterated_faces():
     pi = (2, 3, 1)
     u = u_pi(pi)
@@ -74,7 +89,6 @@ def test_hereditary_property():
 def test_matrix_and_vertex_forms():
     u = u_pi((2, 1))
     assert from_parts(u.n, u.parts) == u
-    from cobarlab.simpcube import from_matrix
     assert from_matrix(u.to_matrix()) == u
     assert u.vertex(0) == (0, 0)
     assert u.vertex(2) == (1, 1)
@@ -88,12 +102,60 @@ def test_combine_project_roundtrip():
     assert project_simplex(c, 3, 4) == b
 
 
+def decompose_product_simplex(pi, k: int):
+    """Split the top simplex u_pi of the (k+l)-cube along the first k
+    coordinates.
+
+    Returns ``(sh, u_left, u_right)`` where sh is the (k, l)-shuffle from the
+    value split of pi and the two factors are the degenerate expansions
+    s_{beta-1} u_sigma and s_{alpha-1} u_tau; combining them coordinatewise
+    gives back u_pi.
+    """
+    sh, sigma, tau = psi_inv(pi, k)
+    return (sh,) + shuffle_pair(SimplicialCube(k), SimplicialCube(len(pi) - k),
+                                sh, u_pi(sigma), u_pi(tau))
+
+
 def test_decompose_product_simplex():
     for pi in all_perms(3):
         for k in range(4):
             sh, a, b = decompose_product_simplex(pi, k)
             assert combine_simplices(a, b) == u_pi(pi)
             assert sh.k == k
+
+
+def realize(u: PartitionSimplex, weights) -> tuple:
+    """Cube point of a barycentric point of the simplex, exactly.
+
+    ``weights`` are the m+1 barycentric coordinates (Fractions summing to 1);
+    coordinate j of the result is the total weight of vertices where t_j = 1.
+    """
+    m = u.dim
+    weights = tuple(Fraction(w) for w in weights)
+    if len(weights) != m + 1 or sum(weights) != 1:
+        raise ValueError("need m+1 barycentric weights summing to 1")
+    ks, _ = u.bracket()
+    return tuple(sum(weights[k:], Fraction(0)) for k in ks)
+
+
+def unrealize(point) -> tuple:
+    """Inverse of :func:`realize` on the top-dimensional triangulation.
+
+    Returns ``(pi, weights)`` with pi the coordinate order (descending
+    values, ties broken by smaller label) such that
+    ``realize(u_pi(pi), weights) == point``.
+    """
+    point = tuple(Fraction(b) for b in point)
+    n = len(point)
+    if any(not 0 <= b <= 1 for b in point):
+        raise ValueError("cube coordinates must lie in [0, 1]")
+    pi = tuple(sorted(range(1, n + 1), key=lambda j: (-point[j - 1], j)))
+    weights = [1 - (point[pi[0] - 1] if n else Fraction(0))]
+    for t in range(n - 1):
+        weights.append(point[pi[t] - 1] - point[pi[t + 1] - 1])
+    if n:
+        weights.append(point[pi[n - 1] - 1])
+    return pi, tuple(weights)
 
 
 def test_realize_unrealize():
@@ -151,7 +213,7 @@ def _lambda_star_by_vertices(lam, u):
     """Reference pushforward: map each vertex through lam and read the
     result back from its 0/1 matrix."""
     if lam.target == 0:
-        return PartitionSimplex(0, tuple(frozenset() for _ in range(u.dim + 2)))
+        return from_parts(0, tuple(frozenset() for _ in range(u.dim + 2)))
     cols = [lam.evaluate(v) for v in u.vertices()]
     rows = tuple(tuple(col[i] for col in cols) for i in range(lam.target))
     return from_matrix(rows)
@@ -181,7 +243,8 @@ def _cube_simplices(max_n=3, max_dim=3):
 def test_parts_round_trip_through_the_bracket():
     simplices = _cube_simplices()
     for u in simplices:
-        for v in (from_parts(u.n, u.parts), from_bracket(u.n, *u.bracket())):
+        for v in (from_parts(u.n, u.parts),
+                  PartitionSimplex(u.n, *u.bracket())):
             assert v == u and hash(v) == hash(u)
         assert u.is_degenerate == any(not p for p in u.parts[1:-1])
     assert len(set(simplices)) == len(simplices) == sum(
@@ -193,7 +256,7 @@ def test_partition_simplex_value_semantics():
     assert repr(u) == "<|2|1|3|>" and u.ks == (2, 1, 3) and u.dim == 3
     copy = pickle.loads(pickle.dumps(u))
     assert copy == u and hash(copy) == hash(u) and copy is not u
-    assert u != from_bracket(3, (2, 1, 3), 4)
+    assert u != PartitionSimplex(3, (2, 1, 3), 4)
     with pytest.raises(AttributeError):
         u.dim = 2
 
@@ -208,7 +271,7 @@ def test_partition_simplex_value_semantics():
 ], ids=["high", "negative", "short", "long", "one-part", "no-parts"])
 def test_bracket_constructor_rejects_malformed_brackets(n, ks, dim):
     with pytest.raises(ValueError):
-        from_bracket(n, ks, dim)
+        PartitionSimplex(n, ks, dim)
 
 
 def test_derived_simplices_match_their_partition_formulas():

@@ -1,10 +1,10 @@
 import pytest
 
-from cobarlab.chains import check_chain_map
+from cobarlab.chains import ChainMap, check_chain_map, tensor_complex
 from cobarlab.simplicial import (ProductSimplicialSet, Simplex,
-                                 degenerate_point, fixture, nondeg,
-                                 shuffle_chain_map, sphere, simplicial_chains,
-                                 standard_simplex)
+                                 SimplicialSet, degenerate_point, fixture,
+                                 nondeg, shuffle_terms, sphere,
+                                 simplicial_chains, standard_simplex)
 
 FIXTURES = ("Delta2", "I", "S2", "S3", "D4sk1", "TwoLoopsCell")
 
@@ -87,6 +87,23 @@ def test_degenerate_point_helper():
     pt = degenerate_point("*", 3)
     assert pt.dim == 3 and pt.is_degenerate
     assert pt.degens == (2, 1, 0)
+
+
+def shuffle_chain_map(left: SimplicialSet, right: SimplicialSet,
+                      max_dim: int) -> ChainMap:
+    """Chain map C(X) (x) C(Y) -> C(X x Y) given by the shuffle expansion."""
+    prod = ProductSimplicialSet(left, right)
+    cl = simplicial_chains(left, max_dim)
+    cr = simplicial_chains(right, max_dim)
+    cp = simplicial_chains(prod, max_dim)
+    present = {x for labels in cp.basis.values() for x in labels}
+    src = tensor_complex(cl, cr, max_degree=max_dim)
+    mapping = {}
+    for n in src.degrees:
+        for (a, b) in src.basis[n]:
+            terms = shuffle_terms(left, right, a, b)
+            mapping[(a, b)] = {pair: c for pair, c in terms.items() if pair in present}
+    return ChainMap(src, cp, mapping)
 
 
 def test_product_and_shuffle_map():

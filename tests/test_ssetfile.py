@@ -32,7 +32,8 @@ def test_parse_minimal():
     """
     sset = parse(text)
     assert sset.gens == {"*": 0}
-    assert sset.reduced and not sset.one_reduced
+    # a point is 1-reduced; the weaker claim in the header holds
+    assert sset.reduced and sset.one_reduced
     assert sset.validate_presentation(2).ok
 
 
@@ -64,6 +65,32 @@ def test_parse_errors_carry_line_numbers(bad, lineno):
     with pytest.raises(ParseError) as err:
         parse(bad)
     assert err.value.lineno == lineno
+
+
+# valid simplicial sets whose header claims what the generators contradict:
+# L1 claims 1-reduced but has an edge, L2 claims reduced but has two vertices
+PROBES = {
+    "L1": ("sset L1 1-reduced\n"
+           "gen * dim=0\ngen e dim=1\ngen c dim=2\n"
+           "face e 0 = *\nface e 1 = *\n"
+           "face c 0 = e\nface c 1 = e\nface c 2 = e\n"),
+    "L2": ("sset L2 reduced\n"
+           "gen u dim=0\ngen v dim=0\ngen e dim=1\ngen c dim=2\n"
+           "face e 0 = v\nface e 1 = u\n"
+           "face c 0 = s_0 v\nface c 1 = e\nface c 2 = e\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBES))
+def test_contradicted_header_claim_is_refused(name):
+    with pytest.raises(ParseError) as err:
+        parse(PROBES[name])
+    assert err.value.lineno == 1
+    # without the claim the same generators parse and validate
+    _, body = PROBES[name].split("\n", 1)
+    sset = parse(f"sset {name}\n{body}")
+    assert sset.validate_presentation(3).ok
+    assert sset.reduced == (name == "L1") and not sset.one_reduced
 
 
 def test_face_dimension_mismatch():

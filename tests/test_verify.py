@@ -1,5 +1,7 @@
+import importlib.util
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,27 @@ from cobarlab.verify import SUITES, run_suite
 def test_suite_passes(name, suite_report):
     report = suite_report(name)
     assert report.ok, report.render()
+
+
+def _benchmark_workloads():
+    """``perfbench/workloads.py``, loaded by path: the library imports
+    nothing from the benchmark."""
+    path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+EXPECTED_CHECKS = _benchmark_workloads().EXPECTED_CHECKS
+
+
+@pytest.mark.parametrize("name", sorted(set(SUITES) | set(EXPECTED_CHECKS)))
+def test_suite_checks_are_the_benchmark_checks(name, suite_report):
+    # the benchmark's gate counts a missing or extra check as a wrong
+    # answer, so adding, dropping or renaming a check fails here first
+    names = [check.name for check in suite_report(name).checks]
+    assert sorted(names) == sorted(EXPECTED_CHECKS[name])
 
 
 def test_report_renderings_agree(suite_report):
