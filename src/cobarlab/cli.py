@@ -164,11 +164,12 @@ def cmd_szczarba(args) -> int:
 
 def cmd_verify(args) -> int:
     suites = sorted(verify.SUITES) if args.suite == "all" else [args.suite]
-    for name in suites:
-        if name not in verify.SUITES:
-            raise InputError(f"unknown suite {name!r}; known: "
-                             + ", ".join(sorted(verify.SUITES)))
     max_dim = _nonnegative(args.max_dim)
+    for name in suites:
+        try:
+            verify.check_request(name, max_dim)
+        except ValueError as exc:
+            raise InputError(exc)
     reports = []
     for name in suites:
         reports.append(verify.run_suite(name, max_dim))

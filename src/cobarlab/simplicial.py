@@ -325,18 +325,24 @@ def front_back_diagonal(sset: SimplicialSet, x, keep) -> Chain:
     return delta
 
 
-def simplicial_chains(sset: SimplicialSet, max_dim: int) -> ChainComplex:
-    """Normalized chains: degenerate simplices are identified with zero.
+def normalized_chains(sset: SimplicialSet, basis: dict, keep) -> ChainComplex:
+    """Normalized chains on ``basis`` (degree -> simplices): the faces and
+    diagonal terms that ``keep`` rejects are zero.
 
     Carries the front-face/back-face diagonal, built on demand, making it a
     dg-coalgebra.
     """
-    basis = {n: tuple(sset.nondegenerate(n)) for n in range(max_dim + 1)}
-    keep = {x for labels in basis.values() for x in labels}.__contains__
     boundary = {x: normalized_boundary(sset, x, keep)
                 for labels in basis.values() for x in labels}
     return ChainComplex(
         basis, boundary, lambda x: front_back_diagonal(sset, x, keep))
+
+
+def simplicial_chains(sset: SimplicialSet, max_dim: int) -> ChainComplex:
+    """Normalized chains on every nondegenerate simplex up to max_dim."""
+    basis = {n: tuple(sset.nondegenerate(n)) for n in range(max_dim + 1)}
+    keep = {x for labels in basis.values() for x in labels}.__contains__
+    return normalized_chains(sset, basis, keep)
 
 
 def shuffle_terms(left: SimplicialSet, right: SimplicialSet, x, y) -> Chain:

@@ -15,6 +15,11 @@ set to the group, ``build_f`` checks that it respects every identification,
 and ``main_theorem_check`` compares the composite of that map with the
 triangulation chain map against the word-by-word twisting cochain.
 
+The word-by-word map is a ``ChainMap`` (:func:`word_map`) into the group
+chains that the simplicial builder makes on the words its values touch;
+``check_chain_map`` and ``check_coalgebra_map`` (on the cobar cubical
+chains, :func:`on_cubes`) check that it commutes with d and with the diagonal.
+
 Each provider keeps the cochains it has computed: ``t_sz`` per simplex and
 ``f_sz`` per word, the latter as the product of its longest proper prefix's
 value with the last letter's.  The memo belongs to the provider and is
@@ -25,17 +30,17 @@ from __future__ import annotations
 
 import functools
 
-from .chains import Chain, add_scaled
-from .cobar import CobarSet, cube_to_word, omega_complex, word_to_cube
-from .cubes import CubeMorphism
+from .chains import Chain, ChainMap, add_scaled
+from .cobar import CobarSet, omega_complex, word_to_cube
+from .cubes import CubeMorphism, cubical_chains
 from .loopgroup import GroupWord, LoopGroup
 from .perms import (all_perms, compose, phi_perm, remove_assignment, sign,
                     sz_shuffle_split, transposition)
 from .simpcube import (PartitionSimplex, combine_simplices, extend_family,
                        lambda_star, partition_degeneracy, project_simplex,
                        u_pi)
-from .simplicial import (Simplex, front_back_diagonal, monotone_operators,
-                         normalized_boundary, shuffle_pair, shuffle_terms)
+from .simplicial import (Simplex, monotone_operators, normalized_chains,
+                         shuffle_pair, shuffle_terms)
 from .verdict import Verdict
 
 
@@ -240,68 +245,46 @@ def f_sz(provider, word) -> Chain:
     return out
 
 
-def group_boundary(group: LoopGroup, chain: Chain) -> Chain:
-    """Alternating face sum on normalized group chains."""
-    keep = lambda g: not group.is_degenerate(g)
-    out: Chain = {}
-    for g, c in chain.items():
-        add_scaled(out, normalized_boundary(group, g, keep), c)
-    return out
-
-
-def group_diagonal(group: LoopGroup, chain: Chain) -> Chain:
-    """Front/back coproduct on normalized group chains, as a chain over
-    pairs of group words."""
-    keep = lambda g: not group.is_degenerate(g)
-    out: Chain = {}
-    for g, c in chain.items():
-        add_scaled(out, front_back_diagonal(group, g, keep), c)
-    return out
-
-
-def check_f_sz_chain_map(provider, max_deg: int) -> Verdict:
-    """The word-by-word cochain map commutes with the differentials of the
-    tensor-algebra model and of the normalized group chains."""
+def word_map(provider, max_deg: int) -> ChainMap:
+    """The word-by-word map w -> f_sz(w), from the tensor-algebra model
+    through degree max_deg to the normalized chains of the group on the
+    nondegenerate words its values touch."""
     group = provider.group
     omega = omega_complex(provider.sset, max_deg)
-    for d in range(1, max_deg + 1):
-        for w in omega.basis[d]:
-            lhs = group_boundary(group, f_sz(provider, w))
-            rhs: Chain = {}
-            for w2, c in omega.boundary[w].items():
-                add_scaled(rhs, f_sz(provider, w2), c)
-            if lhs != rhs:
-                return Verdict.failed({"word": w, "d_f": lhs, "f_d": rhs})
-    return Verdict.passed()
+    mapping = {w: f_sz(provider, w)
+               for words in omega.basis.values() for w in words}
+    basis = {d: {} for d in omega.basis}
+    for value in mapping.values():
+        for g in value:
+            basis.setdefault(g.n, {})[g] = None
+    target = normalized_chains(group, basis,
+                               lambda g: not group.is_degenerate(g))
+    return ChainMap(omega, target, mapping)
 
 
-def check_f_sz_comultiplicative(provider, max_deg: int) -> Verdict:
-    """The word-by-word map takes the cobar diagonal (transported from the
-    cubical chains of the cobar construction) to the front/back coproduct on
-    group chains."""
-    from .cubes import cubical_chains
-
-    group, sset = provider.group, provider.sset
-    omega = omega_complex(sset, max_deg)
-    cchain = cubical_chains(CobarSet(sset), max_deg)
-    for d in range(max_deg + 1):
-        for w in omega.basis[d]:
-            lhs = group_diagonal(group, f_sz(provider, w))
-            rhs: Chain = {}
-            for (c1, c2), c in cchain.diagonal_of(word_to_cube(w)).items():
-                w1, w2 = cube_to_word(c1), cube_to_word(c2)
-                if w1 is None or w2 is None:
-                    return Verdict.failed(
-                        {"word": w, "error": "non-normalized diagonal term"})
-                for g1, a1 in f_sz(provider, w1).items():
-                    for g2, a2 in f_sz(provider, w2).items():
-                        add_scaled(rhs, {(g1, g2): 1}, c * a1 * a2)
-            if lhs != rhs:
-                return Verdict.failed({"word": w, "lhs": lhs, "rhs": rhs})
-    return Verdict.passed()
+def on_cubes(fmap: ChainMap, cset: CobarSet) -> ChainMap:
+    """The word map read on the normalized cubical chains of the cobar
+    construction, whose normalized cubes are the words."""
+    return ChainMap(cubical_chains(cset, fmap.source.max_degree), fmap.target,
+                    {word_to_cube(w): v for w, v in fmap.mapping.items()})
 
 
 # ----- gluing the map on the triangulated cobar construction ------------------------
+
+
+class IncompatibleFamily(ValueError):
+    """A letter's operator words do not glue; ``args[0]`` is the witness."""
+
+
+def _fails_on_incompatible_family(check):
+    """``check``, with a family that does not glue as its failed verdict."""
+    @functools.wraps(check)
+    def checked(*args):
+        try:
+            return check(*args)
+        except IncompatibleFamily as exc:
+            return Verdict.failed(exc.args[0])
+    return checked
 
 
 class CobarToGroupMap:
@@ -331,8 +314,7 @@ class CobarToGroupMap:
             family = {pi: self.provider.sz(pi, x) for pi in all_perms(n)}
             evaluate, verdict = extend_family(n, family, self.group)
             if not verdict.ok:
-                raise ValueError(f"incompatible family for {x!r}: "
-                                 f"{verdict.witness}")
+                raise IncompatibleFamily({**verdict.witness, "letter": x})
             self._letter_eval[x] = evaluate
         return self._letter_eval[x]
 
@@ -377,6 +359,7 @@ def _operator_image(cset: CobarSet, z, op):
     return cset.face(z, op[1], op[2])
 
 
+@_fails_on_incompatible_family
 def build_f(f: CobarToGroupMap, max_dim: int) -> Verdict:
     """The glued map on the triangulated cobar construction respects every
     identification: for each generator operator lam and cube z up to
@@ -413,6 +396,7 @@ def build_f(f: CobarToGroupMap, max_dim: int) -> Verdict:
     return Verdict.passed()
 
 
+@_fails_on_incompatible_family
 def check_f_simplicial(f: CobarToGroupMap, max_dim: int) -> Verdict:
     """The glued map commutes with faces and degeneracies on the canonical
     simplices of the triangulated cobar construction."""
@@ -434,6 +418,7 @@ def check_f_simplicial(f: CobarToGroupMap, max_dim: int) -> Verdict:
     return Verdict.passed()
 
 
+@_fails_on_incompatible_family
 def check_f_multiplicative(f: CobarToGroupMap, max_dim: int) -> Verdict:
     """Products of cubes evaluate to products of group words on juxtaposed
     simplices."""
@@ -468,20 +453,20 @@ def check_f_multiplicative(f: CobarToGroupMap, max_dim: int) -> Verdict:
     return Verdict.passed()
 
 
-def main_theorem_check(f: CobarToGroupMap, max_deg: int) -> Verdict:
+@_fails_on_incompatible_family
+def main_theorem_check(f: CobarToGroupMap, fmap: ChainMap) -> Verdict:
     """The composite of the glued map with the triangulation chain map
-    equals the word-by-word cochain map on the tensor-algebra model."""
-    group, provider = f.group, f.provider
-    omega = omega_complex(provider.sset, max_deg)
-    for d in range(max_deg + 1):
-        for w in omega.basis[d]:
+    equals the word-by-word map ``fmap`` on every word of its source."""
+    group = f.group
+    for d, words in fmap.source.basis.items():
+        for w in words:
             cube = word_to_cube(w)
             lhs: Chain = {}
             for pi in all_perms(d):
                 val = f.evaluate(cube, u_pi(pi))
                 if not group.is_degenerate(val):
                     add_scaled(lhs, {val: 1}, sign(pi))
-            rhs = f_sz(provider, w)
+            rhs = fmap.mapping[w]
             if lhs != rhs:
                 return Verdict.failed({"word": w, "lhs": lhs, "rhs": rhs})
     return Verdict.passed()

@@ -4,7 +4,8 @@ Each suite is a list of named checks returning a :class:`Verdict`; running a
 suite produces a :class:`Report` with per-check status, a witness for any
 failure, and timing.  Reports render both as human-readable text and as a
 JSON-compatible dictionary, and the two renderings always agree on statuses.
-The Szczarba suites default to degree 2 and reach degree 3 at ``max_dim=3``.
+The Szczarba suites default to degree 2 and reach degree 3 at ``max_dim=3``;
+they and ``cobar-iso`` refuse a ``max_dim`` below 1, where they check nothing.
 """
 
 from __future__ import annotations
@@ -445,9 +446,11 @@ def main_theorem_suite(max_dim=None) -> Report:
     max_deg = 2 if max_dim is None else max_dim
     checks = []
     for name in ("S2", "D4sk1"):
-        # one provider and one glued map per fixture, shared by every check
+        # one provider, one glued map and one word map per fixture, shared
+        # by every check
         provider = szczarba.SzProvider(loopgroup.LoopGroup(fixture(name)))
         f = szczarba.CobarToGroupMap(provider)
+        fmap = szczarba.word_map(provider, max_deg)
         checks += [
             (f"glue-{name}", lambda f=f: szczarba.build_f(f, max_deg)),
             (f"simplicial-{name}",
@@ -455,12 +458,11 @@ def main_theorem_suite(max_dim=None) -> Report:
             (f"multiplicative-{name}",
              lambda f=f: szczarba.check_f_multiplicative(f, 1)),
             (f"comparison-{name}",
-             lambda f=f: szczarba.main_theorem_check(f, max_deg)),
-            (f"cochain-map-{name}",
-             lambda p=provider: szczarba.check_f_sz_chain_map(p, max_deg)),
+             lambda f=f, m=fmap: szczarba.main_theorem_check(f, m)),
+            (f"cochain-map-{name}", lambda m=fmap: check_chain_map(m)),
             (f"comultiplicative-{name}",
-             lambda p=provider:
-             szczarba.check_f_sz_comultiplicative(p, max_deg)),
+             lambda f=f, m=fmap:
+             check_coalgebra_map(szczarba.on_cubes(m, f.cset))),
         ]
     return run_checks("main-theorem", checks)
 
@@ -477,7 +479,18 @@ SUITES = {
 }
 
 
-def run_suite(name: str, max_dim=None) -> Report:
+def check_request(name: str, max_dim=None) -> None:
+    """Refuse an unknown suite, and a max_dim at which the suite would check
+    nothing: the Szczarba side enumerates nothing below degree 1."""
     if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
+        raise ValueError(f"unknown suite {name!r}; known: "
+                         + ", ".join(sorted(SUITES)))
+    if (name in ("cobar-iso", "szczarba-contract", "main-theorem")
+            and max_dim is not None and max_dim < 1):
+        raise ValueError(f"suite {name!r} checks nothing below degree 1;"
+                         f" got max_dim {max_dim}")
+
+
+def run_suite(name: str, max_dim=None) -> Report:
+    check_request(name, max_dim)
     return SUITES[name](max_dim)

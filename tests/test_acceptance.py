@@ -7,7 +7,7 @@ output capture) and fails hard on any violated identity.
 import pytest
 
 from cobarlab import loopgroup, szczarba, verify
-from cobarlab.chains import check_chain_map
+from cobarlab.chains import check_chain_map, check_coalgebra_map
 from cobarlab.cobar import CobarSet
 from cobarlab.cubes import CubeMorphism, ProductCubicalSet, StandardCube
 from cobarlab.perms import all_perms
@@ -90,9 +90,10 @@ def test_criterion_6_main_comparison(announce):
         verdicts.append(szczarba.build_f(f, 2))
         verdicts.append(szczarba.check_f_simplicial(f, 2))
         verdicts.append(szczarba.check_f_multiplicative(f, 1))
-        verdicts.append(szczarba.main_theorem_check(f, 2))
-        verdicts.append(szczarba.check_f_sz_chain_map(provider, 2))
-        verdicts.append(szczarba.check_f_sz_comultiplicative(provider, 2))
+        fmap = szczarba.word_map(provider, 2)
+        verdicts.append(szczarba.main_theorem_check(f, fmap))
+        verdicts.append(check_chain_map(fmap))
+        verdicts.append(check_coalgebra_map(szczarba.on_cubes(fmap, f.cset)))
     announce(6, "main comparison", all_ok(verdicts))
 
 

@@ -172,6 +172,24 @@ def test_negative_dimension_exits_2(argv, capsys):
     assert "must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite", ["cobar-iso", "szczarba-contract",
+                                   "main-theorem", "all"])
+def test_verify_refuses_degree_zero_where_nothing_is_checked(suite, capsys):
+    # the Szczarba side enumerates nothing below degree 1, so a report
+    # there would pass vacuously; nothing runs before the refusal
+    assert main(["verify", "--suite", suite, "--max-dim", "0"]) == 2
+    out = capsys.readouterr()
+    assert "checks nothing below degree 1" in out.err
+    assert out.out == ""
+
+
+@pytest.mark.parametrize("suite", ["cobar-iso", "szczarba-contract",
+                                   "main-theorem"])
+def test_verify_runs_at_degree_one(suite, capsys):
+    assert main(["verify", "--suite", suite, "--max-dim", "1"]) == 0
+    assert f"suite {suite}: PASS" in capsys.readouterr().out
+
+
 def test_verify_all_keeps_every_suite_in_json(tmp_path, monkeypatch, capsys):
     from cobarlab import verify
     from cobarlab.verdict import Verdict

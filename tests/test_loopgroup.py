@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from cobarlab.chains import check_chain_map, check_coalgebra_map
 from cobarlab.loopgroup import (GroupWord, LoopGroup, check_group_identities,
                                 check_twisting)
 from cobarlab.simplicial import (SimplicialSet, fixture, nondeg, sphere,
@@ -132,9 +133,10 @@ def test_degeneracy_test_on_the_main_theorem_values(monkeypatch):
     assert szczarba.build_f(f, 2).ok
     assert szczarba.check_f_simplicial(f, 2).ok
     assert szczarba.check_f_multiplicative(f, 1).ok
-    assert szczarba.main_theorem_check(f, 2).ok
-    assert szczarba.check_f_sz_chain_map(provider, 2).ok
-    assert szczarba.check_f_sz_comultiplicative(provider, 2).ok
+    fmap = szczarba.word_map(provider, 2)
+    assert szczarba.main_theorem_check(f, fmap).ok
+    assert check_chain_map(fmap).ok
+    assert check_coalgebra_map(szczarba.on_cubes(fmap, f.cset)).ok
     monkeypatch.undo()
     assert_degeneracy_tests_agree(provider.group, words)
 

@@ -6,21 +6,21 @@ import pytest
 
 from cobarlab import szczarba
 
-from cobarlab.chains import add_scaled
-from cobarlab.cobar import omega_complex
+from cobarlab.chains import (add_scaled, check_chain_map, check_coalgebra_map,
+                             scaled)
+from cobarlab.cobar import CobarSet, omega_complex, word_to_cube
 from cobarlab.loopgroup import LoopGroup
 from cobarlab.perms import (all_index_seqs, all_perms, compose, invert, p,
                             phi, psi_inv, remove_assignment, sign,
                             transposition, xi)
-from cobarlab.simplicial import fixture, nondeg, shuffle_pair, sphere
+from cobarlab.simplicial import (fixture, front_back_diagonal, nondeg,
+                                 normalized_boundary, shuffle_pair, sphere)
 from cobarlab.szczarba import (CobarToGroupMap, SwappedSzProvider,
                                SzProvider, build_f,
                                check_f_multiplicative, check_f_simplicial,
-                               check_f_sz_chain_map,
-                               check_f_sz_comultiplicative, contract_check,
-                               f_sz, group_boundary, main_theorem_check,
-                               multi_degeneracy, pontryagin,
-                               rival_convention_diagnosis, t_sz)
+                               contract_check, f_sz, main_theorem_check,
+                               multi_degeneracy, on_cubes, pontryagin,
+                               rival_convention_diagnosis, t_sz, word_map)
 from cobarlab.verdict import Verdict
 from cobarlab.verify import run_suite
 
@@ -114,7 +114,8 @@ def test_swapped_factor_order_fails_contract_at_degree_3():
 
 
 def test_main_comparison_degree_3(providers):
-    assert main_theorem_check(CobarToGroupMap(providers["D4sk1"]), 3).ok
+    prov = providers["D4sk1"]
+    assert main_theorem_check(CobarToGroupMap(prov), word_map(prov, 3)).ok
 
 
 def index_sequence_t_sz(provider, x):
@@ -345,6 +346,40 @@ def test_t_sz_values(providers):
     assert t_sz(prov, prov.sset.nondegenerate(0)[0]) == {}
 
 
+def reference_group_boundary(group, chain):
+    """Alternating face sum on normalized group chains, kept as the
+    reference that the group complex of ``word_map`` must reproduce."""
+    keep = lambda g: not group.is_degenerate(g)
+    out = {}
+    for g, c in chain.items():
+        add_scaled(out, normalized_boundary(group, g, keep), c)
+    return out
+
+
+def reference_group_diagonal(group, chain):
+    """Front/back coproduct on normalized group chains, as a chain over
+    pairs of group words; the reference for the same complex."""
+    keep = lambda g: not group.is_degenerate(g)
+    out = {}
+    for g, c in chain.items():
+        add_scaled(out, front_back_diagonal(group, g, keep), c)
+    return out
+
+
+def test_group_chains_match_reference():
+    words = 0
+    for name in ("S2", "D4sk1", "TwoLoopsCell"):
+        prov = SzProvider(LoopGroup(FIXTURES[name]))
+        fmap = word_map(prov, 2)
+        for w, value in fmap.mapping.items():
+            assert fmap.target.boundary_chain(value) == (
+                reference_group_boundary(prov.group, value)), (name, w)
+            assert fmap.target.diagonal_chain(value) == (
+                reference_group_diagonal(prov.group, value)), (name, w)
+            words += 1
+    assert words > 0
+
+
 def test_pontryagin_unit_and_boundary(providers):
     prov = providers["TwoLoopsCell"]
     g = prov.group
@@ -353,14 +388,47 @@ def test_pontryagin_unit_and_boundary(providers):
     assert pontryagin(g, unit, a) == a
     assert pontryagin(g, a, unit) == a
     # boundary of a product of degree-zero chains vanishes termwise
-    assert group_boundary(g, a) == {}
+    assert reference_group_boundary(g, a) == {}
 
 
 @pytest.mark.parametrize("name", ["S2", "D4sk1"])
 def test_word_map_is_twisting_cochain_image(name, providers):
-    prov = providers[name]
-    assert check_f_sz_chain_map(prov, 2).ok
-    assert check_f_sz_comultiplicative(prov, 2).ok
+    fmap = word_map(providers[name], 2)
+    assert check_chain_map(fmap).ok
+    assert check_coalgebra_map(on_cubes(fmap, CobarSet(FIXTURES[name]))).ok
+
+
+def test_word_map_checks_catch_a_negated_value():
+    prov = SzProvider(LoopGroup(FIXTURES["D4sk1"]))
+    fmap = word_map(prov, 2)
+    w = next(w for w in fmap.source.basis[2]
+             if fmap.target.boundary_chain(fmap.mapping[w]))
+    # a new chain: the provider's memo keeps the true value
+    fmap.mapping[w] = scaled(fmap.mapping[w], -1)
+    verdict = check_chain_map(fmap)
+    assert not verdict.ok
+    assert verdict.witness["check"] == "chain_map"
+    assert verdict.witness["label"] == w
+    verdict = check_coalgebra_map(on_cubes(fmap, CobarSet(prov.sset)))
+    assert not verdict.ok
+    assert verdict.witness["check"] == "coalgebra_map"
+    assert verdict.witness["label"] == word_to_cube(w)
+
+
+def test_word_map_files_each_group_word_by_its_dimension(monkeypatch):
+    # a degree-2 word whose value is a degree-1 word's lands in dimension
+    # 1 of the group chains, and the degree check names it
+    prov = SzProvider(LoopGroup(FIXTURES["D4sk1"]))
+    omega = omega_complex(prov.sset, 2)
+    w1, w2 = omega.basis[1][0], omega.basis[2][0]
+    true_f_sz = szczarba.f_sz
+    monkeypatch.setattr(szczarba, "f_sz", lambda provider, w: true_f_sz(
+        provider, w1 if w == w2 else w))
+    fmap = word_map(prov, 2)
+    g = next(iter(fmap.mapping[w2]))
+    assert g.n == 1 and fmap.target.degree_of(g) == 1
+    verdict = check_chain_map(fmap)
+    assert verdict.witness == {"check": "degree", "label": w2, "target": g}
 
 
 @pytest.mark.parametrize("name", ["S2", "D4sk1"])
@@ -374,7 +442,37 @@ def test_glued_map(name, providers):
 
 @pytest.mark.parametrize("name", ["S2", "D4sk1"])
 def test_main_comparison(name, providers):
-    assert main_theorem_check(CobarToGroupMap(providers[name]), 2).ok
+    prov = providers[name]
+    assert main_theorem_check(CobarToGroupMap(prov), word_map(prov, 2)).ok
+
+
+def test_glued_map_checks_fail_with_the_gluing_witness():
+    prov = SwappedSzProvider(LoopGroup(fixture("D4sk1")))
+    f = CobarToGroupMap(prov)
+    verdicts = [build_f(f, 2), check_f_simplicial(f, 2),
+                check_f_multiplicative(f, 2),
+                main_theorem_check(f, word_map(prov, 2))]
+    for verdict in verdicts:
+        assert not verdict.ok
+        assert verdict.witness["check"] == "family_compatibility"
+        assert verdict.witness["letter"] == nondeg("0123", 3)
+
+
+def test_main_theorem_suite_fails_with_witnesses_on_swapped_words(
+        monkeypatch):
+    def provider(group):
+        swapped = group.sset.name == "D4sk1"
+        return (SwappedSzProvider if swapped else SzProvider)(group)
+
+    monkeypatch.setattr(szczarba, "SzProvider", provider)
+    report = run_suite("main-theorem")
+    assert not report.ok
+    checks = {check.name: check for check in report.checks}
+    for name in ("cochain-map-D4sk1", "glue-D4sk1", "comparison-D4sk1"):
+        assert checks[name].status == "fail", name
+        assert checks[name].witness is not None, name
+    assert all(check.status == "pass" for name, check in checks.items()
+               if name.endswith("-S2"))
 
 
 def test_glued_map_evaluates_each_piece_once(monkeypatch):
@@ -548,9 +646,10 @@ def test_main_theorem_checks_leave_the_memo_unchanged():
     assert build_f(f, 2).ok
     assert check_f_simplicial(f, 2).ok
     assert check_f_multiplicative(f, 1).ok
-    assert main_theorem_check(f, 2).ok
-    assert check_f_sz_chain_map(provider, 2).ok
-    assert check_f_sz_comultiplicative(provider, 2).ok
+    fmap = word_map(provider, 2)
+    assert main_theorem_check(f, fmap).ok
+    assert check_chain_map(fmap).ok
+    assert check_coalgebra_map(on_cubes(fmap, f.cset)).ok
     for memo, entries in before.items():
         stored = getattr(provider, memo)
         for key, (chain, items) in entries.items():

@@ -53,6 +53,14 @@ def test_unknown_suite_rejected():
         run_suite("astrology")
 
 
+@pytest.mark.parametrize("name", ["cobar-iso", "szczarba-contract",
+                                  "main-theorem"])
+@pytest.mark.parametrize("max_dim", [0, -1])
+def test_suite_refuses_a_degree_where_it_checks_nothing(name, max_dim):
+    with pytest.raises(ValueError, match="checks nothing below degree 1"):
+        run_suite(name, max_dim)
+
+
 @pytest.mark.parametrize("max_dim, contract, twisting",
                          [(None, 2, 3), (1, 1, 1), (4, 4, 4)])
 def test_contract_suite_follows_max_dim(max_dim, contract, twisting,
