@@ -246,18 +246,32 @@ class ChainMap:
 
 
 def check_chain_map(f: ChainMap) -> Verdict:
-    for n in f.source.degrees:
-        for label in f.source.basis[n]:
-            for t, c in f.mapping[label].items():
-                if f.target.degree_of(t) != n:
-                    return Verdict.failed({"check": "degree", "label": label, "target": t})
+    """f keeps degrees and commutes with the differentials: d f = f d on
+    every source label, compared term by term in one difference chain."""
+    source, target, mapping = f.source, f.target, f.mapping
+    degree, d_target = target._degree, target.boundary
+    for n in source.degrees:
+        for label in source.basis[n]:
+            value = mapping[label]
+            for t in value:
+                if degree[t] != n:
+                    return Verdict.failed(
+                        {"check": "degree", "label": label, "target": t})
             if n == 0:
                 continue
-            lhs = f.target.boundary_chain(f.mapping[label])
-            rhs = f.apply(f.source.boundary[label])
-            if lhs != rhs:
+            diff = {}
+            get = diff.get
+            for t, c in value.items():
+                for s, e in d_target[t].items():
+                    diff[s] = get(s, 0) + c * e
+            for s, c in source.boundary[label].items():
+                for t, e in mapping[s].items():
+                    diff[t] = get(t, 0) - c * e
+            if any(diff.values()):
                 return Verdict.failed(
-                    {"check": "chain_map", "label": label, "d_f": lhs, "f_d": rhs})
+                    {"check": "chain_map", "label": label,
+                     "d_f": target.boundary_chain(value),
+                     "f_d": f.apply(source.boundary[label])})
     return Verdict.passed()
 
 

@@ -10,19 +10,45 @@ universal twisting map of the underlying simplicial set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .simplicial import (Simplex, SimplicialPresentation, SimplicialSet,
                          simplicial_identities)
 from .verdict import Verdict, check_identities
 
 
-@dataclass(frozen=True)
 class GroupWord:
-    """Reduced word in the dimension-n component of the loop group."""
+    """Reduced word in the dimension-n component of the loop group.
 
-    n: int
-    letters: tuple  # of (Simplex of dimension n + 1, +1 or -1)
+    ``letters`` is a tuple of (Simplex of dimension n + 1, +1 or -1).
+    Immutable; equality and hashing are on ``(n, letters)``.  The hash is
+    not stored: a stored hash is one more int object per live word, and
+    the memoized chains keep thousands of words alive.
+    """
+
+    __slots__ = ("n", "letters")
+
+    def __init__(self, n: int, letters: tuple):
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "letters", letters)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GroupWord is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"GroupWord is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not GroupWord:
+            return NotImplemented
+        return self is other or (self.n == other.n
+                                 and self.letters == other.letters)
+
+    def __hash__(self):
+        return hash((self.n, self.letters))
+
+    def __reduce__(self):
+        return GroupWord, (self.n, self.letters)
 
     def __repr__(self):
         if not self.letters:
@@ -34,17 +60,13 @@ class GroupWord:
         return len(self.letters)
 
 
-def _erased(x: Simplex) -> bool:
-    """Generators over bottom-degenerate simplices are the identity."""
-    return bool(x.degens) and x.degens[-1] == 0
-
-
 def _reduce(letters):
     out = []
     for x, e in letters:
-        if _erased(x):
+        # generators over bottom-degenerate simplices are the identity
+        if x.degens and x.degens[-1] == 0:
             continue
-        if out and out[-1][0] == x and out[-1][1] == -e:
+        if out and out[-1][1] == -e and out[-1][0] == x:
             out.pop()
         else:
             out.append((x, e))

@@ -293,12 +293,13 @@ class CobarToGroupMap:
     A letter of dimension m is evaluated through the glued family
     pi -> sz(pi, x) over the simplicial (m-1)-cube; a word splits its
     simplex into coordinate windows and multiplies; operator prefixes are
-    pushed onto the simplex side as projections and foldings.
+    pushed onto the simplex's bracket as projections and foldings.
 
     The map keeps its values: each letter's family is checked and glued
     once, and each (letter, piece) pair goes through the glued evaluator
-    once, so the memo is bounded by the distinct pieces asked for.  One map
-    serves every check of the glued map on the provider's simplicial set.
+    once, so the memo is bounded by the distinct pieces asked for; the
+    cube dimension of each base word is kept too.  One map serves every
+    check of the glued map on the provider's simplicial set.
     """
 
     def __init__(self, provider):
@@ -307,6 +308,7 @@ class CobarToGroupMap:
         self.group = provider.group
         self._letter_eval = {}
         self._values = {}
+        self._base_dims = {}
 
     def _letter(self, x: Simplex):
         if x not in self._letter_eval:
@@ -320,16 +322,28 @@ class CobarToGroupMap:
 
     def evaluate(self, cube, u: PartitionSimplex) -> GroupWord:
         base, ops = cube
-        d = self.cset.dim(cube)
-        if u.n != d:
+        d = self._base_dims.get(base)
+        if d is None:
+            d = self._base_dims[base] = sum(x.dim - 1 for x in base)
+        n = d + len(ops)
+        if u.n != n:
             raise ValueError("coordinate count mismatch")
+        # push the operator prefix onto the bracket, outermost first:
+        # s_i drops coordinate i, g_i merges coordinates i and i + 1
+        ks = u.ks
         for kind, i in ops:
-            lam = (CubeMorphism.sigma(d, i) if kind == "s"
-                   else CubeMorphism.gamma(d, i))
-            u = lambda_star(lam, u)
-            d -= 1
-        ks, m = u.ks, u.dim
+            if kind == "s":
+                if not 1 <= i <= n:
+                    raise ValueError("projection coordinate out of range")
+                ks = ks[:i - 1] + ks[i:]
+            else:
+                if not 1 <= i < n:
+                    raise ValueError("connection coordinate out of range")
+                ks = ks[:i - 1] + (max(ks[i - 1], ks[i]),) + ks[i + 1:]
+            n -= 1
+        m = u.dim
         values = self._values
+        pushed = u if not ops else None
         factors = []
         pos = 0
         for x in base:
@@ -340,7 +354,9 @@ class CobarToGroupMap:
             key = (x, window, m)
             value = values.get(key)
             if value is None:
-                piece = project_simplex(u, pos + 1, pos + k)
+                if pushed is None:
+                    pushed = PartitionSimplex(d, ks, m)
+                piece = project_simplex(pushed, pos + 1, pos + k)
                 value = values[key] = self._letter(x)(piece)
             factors.append(value)
             pos += k
@@ -368,7 +384,10 @@ def build_f(f: CobarToGroupMap, max_dim: int) -> Verdict:
 
     The top simplices and their pushforwards depend only on the dimension,
     the operator and the permutation, so they are built once per dimension
-    and shared by every cube of that dimension.
+    and shared by every cube of that dimension.  Each distinct pushforward
+    gets an index, and a cube keeps its right-hand values in a list by that
+    index, filled when first needed and dropped with the cube: each (cube,
+    pushforward) pair is evaluated once, in the order of first need.
     """
     cset = f.cset
     for n in range(max_dim + 1):
@@ -381,14 +400,20 @@ def build_f(f: CobarToGroupMap, max_dim: int) -> Verdict:
                for i in range(1, n + 1)]
             + [(("d", eps, i), CubeMorphism.delta(n, eps, i), downs)
                for eps in (0, 1) for i in range(1, n + 1)])
-        checks = [(op, [(u, lambda_star(lam, u)) for u in us])
+        index = {}
+        checks = [(op, [(u, index.setdefault(lambda_star(lam, u), len(index)))
+                        for u in us])
                   for op, lam, us in generators]
+        pushed = list(index)
         for z in cset.cubes(n):
+            rhs_values = [None] * len(pushed)
             for op, pairs in checks:
                 oz = _operator_image(cset, z, op)
-                for u, pushed in pairs:
+                for u, k in pairs:
                     lhs = f.evaluate(oz, u)
-                    rhs = f.evaluate(z, pushed)
+                    rhs = rhs_values[k]
+                    if rhs is None:
+                        rhs = rhs_values[k] = f.evaluate(z, pushed[k])
                     if lhs != rhs:
                         return Verdict.failed(
                             {"op": op, "z": z, "u": u,

@@ -48,35 +48,51 @@ def full_support_simplices(n: int, m: int):
 
 class TriangulatedCubicalSet(SimplicialSet):
     """The triangulation of a cubical set, as a simplicial set of reduced
-    representatives.  ``max_dim`` bounds the cube dimensions enumerated."""
+    representatives.  ``max_dim`` bounds the cube dimensions enumerated.
+
+    What the identifications read of a cube (its faces, and where it is
+    degenerate or folded) is computed once per cube and kept with the
+    triangulation, which frees it."""
 
     def __init__(self, cset: CubicalSet, max_dim: int):
         self.cset = cset
         self.max_dim = max_dim
+        self._sides = {}
 
     # ----- reduction to the canonical representative -----------------------------
 
+    def _cube_side(self, y):
+        """What the identifications read of the cube y, computed once per
+        cube: its dimension n, its 0- and 1-faces at coordinates 1..n, the
+        coordinates i with y = s_i d0_i y and those with y = g_i d1_i y."""
+        side = self._sides.get(y)
+        if side is None:
+            cset = self.cset
+            n = cset.dim(y)
+            lower = [cset.face(y, 0, i) for i in range(1, n + 1)]
+            upper = [cset.face(y, 1, i) for i in range(1, n + 1)]
+            side = self._sides[y] = (
+                n, lower, upper,
+                [i for i in range(1, n + 1)
+                 if cset.degen(lower[i - 1], i) == y],
+                [i for i in range(1, n)
+                 if cset.conn(upper[i - 1], i) == y])
+        return side
+
     def _reductions(self, y, u):
         """The applicable identifications, lazily, in a fixed scan order."""
-        cset = self.cset
-        n = cset.dim(y)
+        n, lower, upper, degenerate, folded = self._cube_side(y)
         # coordinates in the first part, then in the last, increasing
         for i, k in enumerate(u.ks, 1):
             if k == 0:
-                yield (cset.face(y, 1, i),
-                       lambda_star(CubeMorphism.sigma(n, i), u))
+                yield upper[i - 1], lambda_star(CubeMorphism.sigma(n, i), u)
         for i, k in enumerate(u.ks, 1):
             if k == u.dim + 1:
-                yield (cset.face(y, 0, i),
-                       lambda_star(CubeMorphism.sigma(n, i), u))
-        for i in range(1, n + 1):
-            fy = cset.face(y, 0, i)
-            if cset.degen(fy, i) == y:
-                yield (fy, lambda_star(CubeMorphism.sigma(n, i), u))
-        for i in range(1, n):
-            fy = cset.face(y, 1, i)
-            if cset.conn(fy, i) == y:
-                yield (fy, lambda_star(CubeMorphism.gamma(n, i), u))
+                yield lower[i - 1], lambda_star(CubeMorphism.sigma(n, i), u)
+        for i in degenerate:
+            yield lower[i - 1], lambda_star(CubeMorphism.sigma(n, i), u)
+        for i in folded:
+            yield upper[i - 1], lambda_star(CubeMorphism.gamma(n, i), u)
 
     def reduction_options(self, y, u):
         """Every applicable identification, in the scan order of canon."""

@@ -1,17 +1,21 @@
 import pytest
 
+from cobarlab import cobar
 from cobarlab.chains import (ChainComplex, ChainMap, add_scaled,
                              check_chain_map, check_coalgebra_map,
                              check_quasi_iso, mapping_cone, scaled,
                              tensor_chains, tensor_complex)
-from cobarlab.cobar import CobarSet
+from cobarlab.cobar import CobarSet, compare_models, omega_complex
 from cobarlab.cubes import (CubeMorphism, CubicalSet, ProductCubicalSet,
                             StandardCube, cubical_chains)
+from cobarlab.loopgroup import LoopGroup
 from cobarlab.perms import all_shuffles
 from cobarlab.simpcube import SimplicialCube
 from cobarlab.simplicial import fixture, simplicial_chains, sphere
 from cobarlab.snf import smith_normal_form
+from cobarlab.szczarba import SzProvider, word_map
 from cobarlab.triangulate import triangulation_map
+from cobarlab.verdict import Verdict
 
 
 def chain_sub(a, b):
@@ -278,3 +282,92 @@ def test_corrupted_diagonal_fails_with_witness():
     assert not verdict.ok
     assert verdict.witness["check"] == "coalgebra_map"
     assert verdict.witness["label"] == top
+
+
+def reference_check_chain_map(f):
+    """``check_chain_map`` before the term-by-term comparison: both sides
+    built as chains and compared whole."""
+    for n in f.source.degrees:
+        for label in f.source.basis[n]:
+            for t, c in f.mapping[label].items():
+                if f.target.degree_of(t) != n:
+                    return Verdict.failed(
+                        {"check": "degree", "label": label, "target": t})
+            if n == 0:
+                continue
+            lhs = f.target.boundary_chain(f.mapping[label])
+            rhs = f.apply(f.source.boundary[label])
+            if lhs != rhs:
+                return Verdict.failed(
+                    {"check": "chain_map", "label": label, "d_f": lhs,
+                     "f_d": rhs})
+    return Verdict.passed()
+
+
+def sign_flipped_triangulation():
+    """The benchmark's negative control: the top cube's image negated."""
+    _, _, _, tmap = triangulation_map(StandardCube(2), 3)
+    top = CubeMorphism.identity(2)
+    tmap.mapping[top] = {k: -c for k, c in tmap.mapping[top].items()}
+    return tmap
+
+
+def cobar_identification(sset, max_deg, corrupt=False):
+    """The label identification that ``compare_models`` checks; with
+    ``corrupt``, the cube of the first top-degree word with a nonzero
+    boundary has its boundary negated."""
+    omega = omega_complex(sset, max_deg)
+    cchain = cubical_chains(CobarSet(sset), max_deg)
+    if corrupt:
+        w = next(w for w in omega.basis[max_deg] if omega.boundary[w])
+        cube = cobar.word_to_cube(w)
+        cchain.boundary[cube] = scaled(cchain.boundary[cube], -1)
+    return ChainMap(omega, cchain, {
+        w: {cobar.word_to_cube(w): 1}
+        for words in omega.basis.values() for w in words})
+
+
+def misfiled_word_map():
+    """A degree-2 source word whose value is a degree-1 word's value."""
+    fmap = word_map(SzProvider(LoopGroup(fixture("D4sk1"))), 2)
+    w1, w2 = fmap.source.basis[1][0], fmap.source.basis[2][0]
+    fmap.mapping[w2] = fmap.mapping[w1]
+    return fmap
+
+
+@pytest.mark.parametrize("build,ok", [
+    (sign_flipped_triangulation, False),
+    (lambda: triangulation_map(StandardCube(2), 3)[3], True),
+    (lambda: cobar_identification(fixture("D4sk1"), 3), True),
+    (lambda: cobar_identification(fixture("D4sk1"), 2, corrupt=True), False),
+    (lambda: cobar_identification(fixture("D4sk1"), 3, corrupt=True), False),
+    (lambda: word_map(SzProvider(LoopGroup(fixture("D4sk1"))), 2), True),
+    (misfiled_word_map, False),
+], ids=["sign-flip", "triangulation", "cobar-D4sk1", "cobar-corrupt-2",
+        "cobar-corrupt-3", "word-map", "misfiled"])
+def test_chain_map_witness_matches_reference(build, ok):
+    f = build()
+    verdict, reference = check_chain_map(f), reference_check_chain_map(f)
+    assert verdict.ok == ok
+    assert verdict == reference
+    assert repr(verdict) == repr(reference)
+
+
+def test_compare_models_differential_matches_reference(monkeypatch):
+    true_chains = cobar.cubical_chains
+    sset = fixture("D4sk1")
+    omega = omega_complex(sset, 2)
+    w = next(w for w in omega.basis[2] if omega.boundary[w])
+
+    def corrupted(cset, max_deg):
+        cchain = true_chains(cset, max_deg)
+        cube = cobar.word_to_cube(w)
+        cchain.boundary[cube] = scaled(cchain.boundary[cube], -1)
+        return cchain
+
+    monkeypatch.setattr(cobar, "cubical_chains", corrupted)
+    verdicts = compare_models(sset, 2)[3]
+    monkeypatch.setattr(cobar, "check_chain_map", reference_check_chain_map)
+    reference = compare_models(sset, 2)[3]
+    assert not verdicts["differential"].ok
+    assert repr(verdicts) == repr(reference)

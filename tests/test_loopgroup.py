@@ -1,5 +1,6 @@
 import functools
 import itertools
+import pickle
 
 import pytest
 
@@ -153,3 +154,25 @@ def test_product_reduces_once():
                 continue
             assert g.product(n, words) == functools.reduce(g.mul, words)
     assert [g.product(n, []) for n in range(3)] == [g.one(n) for n in range(3)]
+
+
+def test_group_word_value_semantics():
+    g = LoopGroup(fixture("D4sk1"))
+    a = g.mul(g.tau(nondeg("0123", 3)), g.inv(g.tau(nondeg("0124", 3))))
+    # the repr of the former dataclass, which witnesses print
+    assert repr(a) == "<0123 0124'>" and repr(g.one(2)) == "<1>_2"
+    same = GroupWord(2, a.letters)
+    assert same == a and hash(same) == hash(a) and same is not a
+    assert hash(a) == hash((2, a.letters))
+    assert a != GroupWord(3, a.letters) and a != g.inv(a)
+    assert a != (2, a.letters)
+    copy = pickle.loads(pickle.dumps(a))
+    assert copy == a and hash(copy) == hash(a) and copy is not a
+    assert {a: 1}[copy] == 1
+    with pytest.raises(AttributeError):
+        a.n = 3
+    with pytest.raises(AttributeError):
+        a.letters = ()
+    with pytest.raises(AttributeError):
+        del a.n
+    assert not hasattr(a, "__dict__")

@@ -1,6 +1,9 @@
 import gc
+import importlib.util
+import itertools
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -9,20 +12,40 @@ from cobarlab import szczarba
 from cobarlab.chains import (add_scaled, check_chain_map, check_coalgebra_map,
                              scaled)
 from cobarlab.cobar import CobarSet, omega_complex, word_to_cube
+from cobarlab.cubes import CubeMorphism
 from cobarlab.loopgroup import LoopGroup
 from cobarlab.perms import (all_index_seqs, all_perms, compose, invert, p,
                             phi, psi_inv, remove_assignment, sign,
                             transposition, xi)
-from cobarlab.simplicial import (fixture, front_back_diagonal, nondeg,
-                                 normalized_boundary, shuffle_pair, sphere)
+from cobarlab.simpcube import (PartitionSimplex, lambda_star, project_simplex,
+                               u_pi)
+from cobarlab.simplicial import (SimplicialPresentation, degenerate_point,
+                                 fixture, front_back_diagonal, nondeg,
+                                 normalized_boundary, normalized_chains,
+                                 shuffle_pair, sphere)
 from cobarlab.szczarba import (CobarToGroupMap, SwappedSzProvider,
                                SzProvider, build_f,
                                check_f_multiplicative, check_f_simplicial,
                                contract_check, f_sz, main_theorem_check,
                                multi_degeneracy, on_cubes, pontryagin,
                                rival_convention_diagnosis, t_sz, word_map)
+from cobarlab.triangulate import TriangulatedCubicalSet
 from cobarlab.verdict import Verdict
 from cobarlab.verify import run_suite
+
+
+def _reference_reductions():
+    """``reference_reductions`` of tests/test_triangulate.py, loaded by path
+    so that it does not depend on how pytest imports test modules."""
+    path = Path(__file__).with_name("test_triangulate.py")
+    spec = importlib.util.spec_from_file_location("triangulate_reference",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.reference_reductions
+
+
+reference_reductions = _reference_reductions()
 
 
 FIXTURES = {
@@ -431,6 +454,40 @@ def test_word_map_files_each_group_word_by_its_dimension(monkeypatch):
     assert verdict.witness == {"check": "degree", "label": w2, "target": g}
 
 
+def collapsed_simplex(m, k):
+    """Delta^m with its k-skeleton collapsed to the base point: a generator
+    per vertex set of more than k + 1 vertices, named by its vertices."""
+    gens = {"*": 0}
+    faces = {}
+    for size in range(k + 2, m + 2):
+        for vs in itertools.combinations(range(m + 1), size):
+            name = "".join(map(str, vs))
+            gens[name] = size - 1
+            for i in range(size):
+                rest = "".join(map(str, vs[:i] + vs[i + 1:]))
+                faces[name, i] = (nondeg(rest, size - 2) if size - 2 > k
+                                  else degenerate_point("*", size - 2))
+    return SimplicialPresentation(f"Delta{m}/sk{k}", gens, faces)
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_group_chain_filter_drops_degenerate_faces(m, monkeypatch):
+    # over Delta^m/sk_2 the operator words have degenerate faces at
+    # degree 2, which the normalized group chains must drop
+    sset = collapsed_simplex(m, 2)
+    assert sset.validate_presentation(4).ok and sset.one_reduced
+    assert check_chain_map(word_map(SzProvider(LoopGroup(sset)), 2)).ok
+
+    def unfiltered(group, basis, keep):
+        return normalized_chains(group, basis, lambda g: True)
+
+    monkeypatch.setattr(szczarba, "normalized_chains", unfiltered)
+    verdict = check_chain_map(word_map(SzProvider(LoopGroup(sset)), 2))
+    assert not verdict.ok
+    assert verdict.witness["check"] == "chain_map"
+    assert verdict.witness["label"] == (nondeg("0123", 3),)
+
+
 @pytest.mark.parametrize("name", ["S2", "D4sk1"])
 def test_glued_map(name, providers):
     f = CobarToGroupMap(providers[name])
@@ -659,3 +716,152 @@ def test_main_theorem_checks_leave_the_memo_unchanged():
         assert chain == reference_t_sz(provider, x), x
     for w, chain in provider._f_chains.items():
         assert chain == reference_f_sz(provider, w), w
+
+
+# ----- the glued-map checks against their pre-bracket references -------------------
+
+
+def reference_evaluate(f, cube, u):
+    """The glued map on (cube, u) as computed before operator prefixes were
+    pushed on the bracket: each operator through ``lambda_star`` and every
+    letter's piece projected and evaluated, with no value memo."""
+    base, ops = cube
+    d = f.cset.dim(cube)
+    if u.n != d:
+        raise ValueError("coordinate count mismatch")
+    for kind, i in ops:
+        lam = (CubeMorphism.sigma(d, i) if kind == "s"
+               else CubeMorphism.gamma(d, i))
+        u = lambda_star(lam, u)
+        d -= 1
+    factors = []
+    pos = 0
+    for x in base:
+        k = x.dim - 1
+        factors.append(f._letter(x)(project_simplex(u, pos + 1, pos + k)))
+        pos += k
+    return f.group.product(u.dim, factors)
+
+
+@szczarba._fails_on_incompatible_family
+def reference_build_f(f, max_dim):
+    """``build_f`` before each cube kept its right-hand values: both sides
+    of every identity evaluated afresh, in the same order."""
+    cset = f.cset
+    for n in range(max_dim + 1):
+        ups = [u_pi(pi) for pi in all_perms(n + 1)]
+        downs = [u_pi(pi) for pi in all_perms(n - 1)] if n else []
+        generators = (
+            [(("s", i), CubeMorphism.sigma(n + 1, i), ups)
+             for i in range(1, n + 2)]
+            + [(("g", i), CubeMorphism.gamma(n + 1, i), ups)
+               for i in range(1, n + 1)]
+            + [(("d", eps, i), CubeMorphism.delta(n, eps, i), downs)
+               for eps in (0, 1) for i in range(1, n + 1)])
+        checks = [(op, [(u, lambda_star(lam, u)) for u in us])
+                  for op, lam, us in generators]
+        for z in cset.cubes(n):
+            for op, pairs in checks:
+                oz = szczarba._operator_image(cset, z, op)
+                for u, pushed in pairs:
+                    lhs = reference_evaluate(f, oz, u)
+                    rhs = reference_evaluate(f, z, pushed)
+                    if lhs != rhs:
+                        return Verdict.failed(
+                            {"op": op, "z": z, "u": u,
+                             "lhs": lhs, "rhs": rhs})
+    return Verdict.passed()
+
+
+def reference_check_f_simplicial(provider, max_dim, monkeypatch):
+    """``check_f_simplicial`` run on the reference evaluation and the
+    reference reduction scan."""
+    with monkeypatch.context() as patch:
+        patch.setattr(CobarToGroupMap, "evaluate", reference_evaluate)
+        patch.setattr(TriangulatedCubicalSet, "_reductions",
+                      reference_reductions)
+        return check_f_simplicial(CobarToGroupMap(provider), max_dim)
+
+
+GLUED_PROVIDERS = {"plain": SzProvider, "swapped": SwappedSzProvider}
+
+
+@pytest.mark.parametrize("kind", sorted(GLUED_PROVIDERS))
+@pytest.mark.parametrize("name", ["S2", "S3", "D4sk1"])
+def test_glued_map_verdicts_match_reference(name, kind, monkeypatch):
+    provider = GLUED_PROVIDERS[kind](LoopGroup(FIXTURES[name]))
+    built = build_f(CobarToGroupMap(provider), 2)
+    reference = reference_build_f(CobarToGroupMap(provider), 2)
+    assert built == reference and repr(built) == repr(reference)
+    simplicial = check_f_simplicial(CobarToGroupMap(provider), 2)
+    reference = reference_check_f_simplicial(provider, 2, monkeypatch)
+    assert simplicial == reference and repr(simplicial) == repr(reference)
+    if (name, kind) == ("D4sk1", "swapped"):
+        for verdict in (built, simplicial):
+            assert verdict.witness["check"] == "family_compatibility"
+            assert verdict.witness["pi"] == (1, 2)
+            assert verdict.witness["j"] == 1
+            assert verdict.witness["letter"] == nondeg("0123", 3)
+    else:
+        assert built.ok and simplicial.ok
+
+
+def test_corrupted_letter_value_fails_glue_like_reference(monkeypatch):
+    # the letter 0123 answers its value on the edge <|2|1> on <|1|2>
+    letter = nondeg("0123", 3)
+    edge, other = PartitionSimplex(2, (1, 2), 1), PartitionSimplex(2, (2, 1), 1)
+    real_letter = CobarToGroupMap._letter
+
+    def corrupted_letter(self, x):
+        evaluate = real_letter(self, x)
+        if x != letter:
+            return evaluate
+        return lambda u: evaluate(other if u == edge else u)
+
+    monkeypatch.setattr(CobarToGroupMap, "_letter", corrupted_letter)
+    provider = SzProvider(LoopGroup(FIXTURES["D4sk1"]))
+    verdict = build_f(CobarToGroupMap(provider), 2)
+    reference = reference_build_f(CobarToGroupMap(provider), 2)
+    assert not verdict.ok
+    assert verdict == reference and repr(verdict) == repr(reference)
+    w = verdict.witness
+    assert (w["op"], w["z"], w["u"]) == (("d", 0, 2), ((letter,), ()),
+                                         u_pi((1,)))
+
+
+def test_build_f_evaluates_each_pair_once_per_cube(monkeypatch):
+    calls = Counter()
+    real_evaluate = CobarToGroupMap.evaluate
+
+    def counting_evaluate(self, cube, u):
+        calls[cube, u] += 1
+        return real_evaluate(self, cube, u)
+
+    monkeypatch.setattr(CobarToGroupMap, "evaluate", counting_evaluate)
+    provider = SzProvider(LoopGroup(FIXTURES["D4sk1"]))
+    assert build_f(CobarToGroupMap(provider), 2).ok
+    # 9,426 before each cube kept its right-hand values
+    assert sum(calls.values()) == 6118
+    # a left-hand side reads a top simplex (dimension = coordinates); a
+    # right-hand side reads a pushforward of one, which changes the
+    # dimension or the coordinate count by one, so it names its cube z
+    rhs = [count for (cube, u), count in calls.items() if u.dim != u.n]
+    assert rhs and max(rhs) == 1
+
+
+@pytest.mark.parametrize("ops", [
+    (("s", 4),), (("s", 0),), (("g", 3),), (("g", 0),),
+    (("s", 1), ("g", 3)),
+], ids=["s4", "s0", "g3", "g0", "s1-g3"])
+def test_evaluate_refuses_out_of_range_operators(ops):
+    f = CobarToGroupMap(SzProvider(LoopGroup(FIXTURES["D4sk1"])))
+    # the letter gives two coordinates, each operator one more
+    top = u_pi(tuple(range(1, 3 + len(ops))))
+    with pytest.raises(ValueError, match="out of range"):
+        f.evaluate(((nondeg("0123", 3),), ops), top)
+
+
+def test_evaluate_refuses_a_coordinate_count_mismatch():
+    f = CobarToGroupMap(SzProvider(LoopGroup(FIXTURES["D4sk1"])))
+    with pytest.raises(ValueError, match="coordinate count mismatch"):
+        f.evaluate(((nondeg("0123", 3),), (("s", 1),)), u_pi((1, 2)))

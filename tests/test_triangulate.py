@@ -5,8 +5,9 @@ from cobarlab.chains import (check_chain_map, check_coalgebra_map,
 from cobarlab.cobar import CobarSet
 from cobarlab.cubes import CubeMorphism, ProductCubicalSet, StandardCube
 from cobarlab.perms import all_perms
-from cobarlab.simpcube import SimplicialCube, u_pi
-from cobarlab.simplicial import sphere
+from cobarlab.simpcube import (SimplicialCube, lambda_star, partition_degeneracy,
+                               partition_face, u_pi)
+from cobarlab.simplicial import fixture, sphere
 from cobarlab.triangulate import (TriangulatedCubicalSet, TriSimplex,
                                   full_support_simplices, triangulation_map,
                                   product_split_backward,
@@ -107,3 +108,57 @@ def test_product_splitting_bijection():
             assert product_split_forward(tri_prod, prod, a, b) == x
             seen.add((a, b))
     assert len(seen) == sum(len(tri_prod.nondegenerate(m)) for m in range(3))
+
+
+def reference_reductions(tri, y, u):
+    """The identifications of (y, u) in the scan order of ``canon``, with
+    every face and operator image read afresh from the cubical set."""
+    cset = tri.cset
+    n = cset.dim(y)
+    for i, k in enumerate(u.ks, 1):
+        if k == 0:
+            yield (cset.face(y, 1, i),
+                   lambda_star(CubeMorphism.sigma(n, i), u))
+    for i, k in enumerate(u.ks, 1):
+        if k == u.dim + 1:
+            yield (cset.face(y, 0, i),
+                   lambda_star(CubeMorphism.sigma(n, i), u))
+    for i in range(1, n + 1):
+        fy = cset.face(y, 0, i)
+        if cset.degen(fy, i) == y:
+            yield (fy, lambda_star(CubeMorphism.sigma(n, i), u))
+    for i in range(1, n):
+        fy = cset.face(y, 1, i)
+        if cset.conn(fy, i) == y:
+            yield (fy, lambda_star(CubeMorphism.gamma(n, i), u))
+
+
+def reference_canon(tri, y, u):
+    while (step := next(reference_reductions(tri, y, u), None)) is not None:
+        y, u = step
+    return TriSimplex(y, u)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: StandardCube(3), lambda: CobarSet(sphere(2)),
+    lambda: CobarSet(fixture("D4sk1"))], ids=["cube-3", "cobar-S2", "cobar-D4sk1"])
+def test_reductions_match_reference(build):
+    cset = build()
+    tri = TriangulatedCubicalSet(cset, 2)
+    pairs = []
+    # every canonical simplex, with its faces and degeneracies ...
+    for m in range(3):
+        for ts in tri.nondegenerate(m):
+            u = ts.simplex
+            pairs += [(ts.cube, v) for v in (
+                [u] + [partition_face(u, i) for i in range(m + 1) if m]
+                + [partition_degeneracy(u, i) for i in range(m + 1)])]
+    # ... and every cube, degenerate and folded ones included
+    for n in range(3):
+        simplices = [u for m in range(3) for u in SimplicialCube(n).simplices(m)]
+        pairs += [(y, u) for y in cset.cubes(n) for u in simplices]
+    for y, u in pairs:
+        assert tri.reduction_options(y, u) == list(
+            reference_reductions(tri, y, u)), (y, u)
+        assert tri.canon(y, u) == reference_canon(tri, y, u), (y, u)
+    assert pairs
