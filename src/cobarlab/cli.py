@@ -11,8 +11,10 @@ dimension.
 from __future__ import annotations
 
 import argparse
+import cProfile
 import json
 import os
+import pstats
 import sys
 
 from . import loopgroup, ssetfile, szczarba, verify
@@ -170,10 +172,17 @@ def cmd_verify(args) -> int:
             verify.check_request(name, max_dim)
         except ValueError as exc:
             raise InputError(exc)
+    profiler = cProfile.Profile() if args.profile else None
+    if profiler:
+        profiler.enable()
     reports = []
     for name in suites:
         reports.append(verify.run_suite(name, max_dim))
         print(reports[-1].render())
+    if profiler:
+        profiler.disable()
+        pstats.Stats(profiler, stream=sys.stderr).sort_stats(
+            "cumulative").print_stats(20)
     _write_json(reports, args.json_out)
     return 0 if all(report.ok for report in reports) else 1
 
@@ -217,6 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suite", default="all")
     sp.add_argument("--max-dim", type=int)
     sp.add_argument("--json-out")
+    sp.add_argument("--profile", action="store_true",
+                    help="print the 20 functions with the most cumulative"
+                    " time to stderr")
     sp.set_defaults(fn=cmd_verify)
     return parser
 

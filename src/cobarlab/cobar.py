@@ -20,6 +20,12 @@ degeneracies of each letter into operators (bottom ones become s_1, middle
 ones connections, top ones top degeneracies) and dropping letters over the
 base point.
 
+A face pushed through a non-empty operator word ends as a face of the
+normalized cube (base, ()), and many cubes share a base, so each cobar set
+keeps those base faces in a store that lives and dies with the set.  Direct
+faces of normalized cubes bypass it: the chain complexes read each of them
+once, where a store would only add hashing and memory.
+
 Words multiply by concatenation, with the right factor's operators shifted
 past the left factor; the unit is the empty word.
 """
@@ -90,13 +96,21 @@ def _op_words(d: int, r: int):
 
 
 class CobarSet(CubicalSet):
-    """Cubical monoid of simplex words over a 1-reduced presentation."""
+    """Cubical monoid of simplex words over a 1-reduced presentation.
+
+    The set stores the faces of normalized cubes that faces of cubes with
+    operators reduce to, keyed by (base, eps, i), each computed on its
+    first use; the store is freed with the set.  A face asked of a
+    normalized cube directly is computed without it, since the boundaries
+    of the normalized chains ask each such face once.
+    """
 
     def __init__(self, sset: SimplicialPresentation):
         if not sset.one_reduced:
             raise ValueError("the cobar construction needs a 1-reduced input")
         self.sset = sset
         (self.basepoint,) = [g for g, d in sset.gens.items() if d == 0]
+        self._base_faces = {}  # (base, eps, i) -> face of (base, ())
 
     # ----- cubical set interface ---------------------------------------------------
 
@@ -141,8 +155,14 @@ class CobarSet(CubicalSet):
                 op, eps, i = ("s", j), 0, j
             else:
                 op, i = ("g", j), i - 1
-            face_base, face_ops = self._face(base, inner, eps, i)
-            return (face_base, _compose_op(op, face_ops))
+            if inner:
+                face = self._face(base, inner, eps, i)
+            else:
+                key = (base, eps, i)
+                face = self._base_faces.get(key)
+                if face is None:
+                    face = self._base_faces[key] = self._face(base, (), eps, i)
+            return (face[0], _compose_op(op, face[1]))
         t, local = self._locate(base, i)
         x = base[t]
         if eps == 1:

@@ -4,8 +4,8 @@ A morphism of the cube category from the k-cube to the n-cube is stored in a
 canonical output table: each output coordinate is the constant 0, the
 constant 1, or the minimum over a nonempty block of input coordinates; the
 blocks are pairwise disjoint and strictly ordered.  Composition, equality and
-evaluation on vertices are exact on this table, and a generating word
-(faces delta, degeneracies sigma, connections gamma) can be extracted.
+evaluation on vertices are exact on this table.  The generators are the
+faces delta, the degeneracies sigma and the connections gamma.
 """
 
 from __future__ import annotations
@@ -142,51 +142,6 @@ class CubeMorphism:
                 + [(j,) for j in range(i + 2, n + 1)])
         return CubeMorphism(n, n - 1, tuple(outs))
 
-    # ----- word form -----------------------------------------------------------
-
-    def to_word(self):
-        """A generating word, outermost first, composing back to this morphism.
-
-        Entries are ('delta', eps, i), ('sigma', i), ('gamma', i).
-        """
-        word = []
-        consts = [(j, out) for j, out in enumerate(self.outputs, 1) if out in (0, 1)]
-        for j, eps in sorted(consts, reverse=True):
-            word.append(("delta", eps, j))
-        used = sorted(v for out in self.outputs if out not in (0, 1) for v in out)
-        relabel = {v: t for t, v in enumerate(used, 1)}
-        start = 1
-        merges = []
-        for out in self.outputs:
-            if out in (0, 1):
-                continue
-            merges.extend(("gamma", start) for _ in range(len(out) - 1))
-            start += len(out)
-        word.extend(merges)
-        unused = [v for v in range(1, self.source + 1) if v not in relabel]
-        word.extend(("sigma", v) for v in unused)
-        return word
-
-    @staticmethod
-    def from_word(word, source: int) -> "CubeMorphism":
-        """Compose a generating word (outermost first) starting at ``source``."""
-        morphism = CubeMorphism.identity(source)
-        for kind, *args in reversed(word):
-            n = morphism.target
-            if kind == "delta":
-                eps, i = args
-                gen = CubeMorphism.delta(n + 1, eps, i)
-            elif kind == "sigma":
-                (i,) = args
-                gen = CubeMorphism.sigma(n, i)
-            elif kind == "gamma":
-                (i,) = args
-                gen = CubeMorphism.gamma(n, i)
-            else:
-                raise ValueError(f"unknown generator {kind!r}")
-            morphism = gen.compose(morphism)
-        return morphism
-
 
 def _compose_outputs(outer: tuple, inner: tuple) -> tuple:
     """The output table of the composite of two morphisms, given theirs:
@@ -219,10 +174,33 @@ def _compose_outputs(outer: tuple, inner: tuple) -> tuple:
     return tuple(outs)
 
 
-def all_cube_morphisms(source: int, target: int):
-    """Every morphism from the source-cube to the target-cube, exactly once."""
-    for outs in _all_outputs(source, target):
-        yield CubeMorphism(source, target, outs)
+def _entry_table(gen: CubeMorphism) -> dict:
+    """Every possible output entry of a morphism out of the target cube of
+    ``gen`` (0, 1, or a block of its coordinates), mapped to the entry of
+    the composite with ``gen`` that it becomes."""
+    k = gen.target
+    entries = (0, 1) + tuple(block for r in range(1, k + 1)
+                             for block in itertools.combinations(
+                                 range(1, k + 1), r))
+    return dict(zip(entries, _compose_outputs(entries, gen.outputs)))
+
+
+# One table per generator, cached as the generators are; the generator is
+# built first, so an index out of range raises before anything is cached.
+
+@functools.lru_cache(maxsize=None)
+def _delta_entries(k: int, eps: int, i: int) -> dict:
+    return _entry_table(CubeMorphism.delta(k, eps, i))
+
+
+@functools.lru_cache(maxsize=None)
+def _sigma_entries(k: int, i: int) -> dict:
+    return _entry_table(CubeMorphism.sigma(k, i))
+
+
+@functools.lru_cache(maxsize=None)
+def _gamma_entries(k: int, i: int) -> dict:
+    return _entry_table(CubeMorphism.gamma(k, i))
 
 
 def _all_outputs(source: int, target: int):
@@ -361,6 +339,13 @@ class StandardCube(CubicalSet):
     by the cell's output table, and the structure maps return the stored
     cell: each distinct cell is built, through the checked constructor,
     once per complex, and the store is freed with the complex.
+
+    A face, degeneracy or connection of y is y composed with one generator,
+    and each entry of the composite depends only on the matching entry of
+    y.  So each map reads an entry table per (source dimension, generator,
+    index): every possible entry of y (0, 1, or a block of coordinates)
+    mapped to the entry it becomes.  The tables are built once per process
+    with the composition rule and cached as the generators are.
     """
 
     def __init__(self, n: int):
@@ -385,20 +370,32 @@ class StandardCube(CubicalSet):
         return y.source
 
     def face(self, y, eps, i):
-        k = y.source
-        gen = CubeMorphism.delta(k, eps, i)
-        return self._cell(k - 1, y.target,
-                          _compose_outputs(y.outputs, gen.outputs))
+        k = y.source - 1
+        outs = tuple(map(_delta_entries(y.source, eps, i).__getitem__,
+                         y.outputs))
+        cells = self._cells[k]
+        cell = cells.get(outs)
+        if cell is None:
+            cell = cells[outs] = CubeMorphism(k, y.target, outs)
+        return cell
 
     def degen(self, y, i):
         k = y.source + 1
-        gen = CubeMorphism.sigma(k, i)
-        return self._cell(k, y.target, _compose_outputs(y.outputs, gen.outputs))
+        outs = tuple(map(_sigma_entries(k, i).__getitem__, y.outputs))
+        cells = self._cells[k]
+        cell = cells.get(outs)
+        if cell is None:
+            cell = cells[outs] = CubeMorphism(k, y.target, outs)
+        return cell
 
     def conn(self, y, i):
         k = y.source + 1
-        gen = CubeMorphism.gamma(k, i)
-        return self._cell(k, y.target, _compose_outputs(y.outputs, gen.outputs))
+        outs = tuple(map(_gamma_entries(k, i).__getitem__, y.outputs))
+        cells = self._cells[k]
+        cell = cells.get(outs)
+        if cell is None:
+            cell = cells[outs] = CubeMorphism(k, y.target, outs)
+        return cell
 
 
 class ProductCubicalSet(CubicalSet):

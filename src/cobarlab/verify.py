@@ -5,7 +5,8 @@ suite produces a :class:`Report` with per-check status, a witness for any
 failure, and timing.  Reports render both as human-readable text and as a
 JSON-compatible dictionary, and the two renderings always agree on statuses.
 The Szczarba suites default to degree 2 and reach degree 3 at ``max_dim=3``;
-they and ``cobar-iso`` refuse a ``max_dim`` below 1, where they check nothing.
+they, ``cobar-iso`` and ``cube-lemmas`` refuse a ``max_dim`` below 1, where
+they check nothing.
 """
 
 from __future__ import annotations
@@ -247,10 +248,13 @@ def cubical_suite(max_dim=None) -> Report:
     checks.append(("product-1x1", lambda: prod11.validate(3)))
     checks.append(("product-2x1", lambda: prod21.validate(3)))
     for name in ("S2", "D4sk1"):
-        cset = CobarSet(fixture(name))
-        checks.append((f"cobar-{name}", lambda c=cset: c.validate(3)))
-        checks.append((f"cobar-chains-{name}",
-                       lambda c=cset: _chains_ok(cubical_chains(c, 3))))
+        # one cobar set per check, so the faces stored while validating are
+        # freed before the chain checks run
+        sset = fixture(name)
+        checks.append((f"cobar-{name}",
+                       lambda s=sset: CobarSet(s).validate(3)))
+        checks.append((f"cobar-chains-{name}", lambda s=sset:
+                       _chains_ok(cubical_chains(CobarSet(s), 3))))
     return run_checks("cubical", checks)
 
 
@@ -481,11 +485,13 @@ SUITES = {
 
 def check_request(name: str, max_dim=None) -> None:
     """Refuse an unknown suite, and a max_dim at which the suite would check
-    nothing: the Szczarba side enumerates nothing below degree 1."""
+    nothing: the Szczarba side enumerates nothing below degree 1, and the
+    cube lemmas' pushforward checks nothing below dimension 1."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; known: "
                          + ", ".join(sorted(SUITES)))
-    if (name in ("cobar-iso", "szczarba-contract", "main-theorem")
+    if (name in ("cube-lemmas", "cobar-iso", "szczarba-contract",
+                 "main-theorem")
             and max_dim is not None and max_dim < 1):
         raise ValueError(f"suite {name!r} checks nothing below degree 1;"
                          f" got max_dim {max_dim}")

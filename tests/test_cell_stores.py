@@ -9,6 +9,7 @@ from collections import Counter
 
 import pytest
 
+from cobarlab import cubes
 from cobarlab.cubes import CubeMorphism, StandardCube
 from cobarlab.simpcube import (SimplicialCube, partition_degeneracy,
                                partition_face)
@@ -44,8 +45,10 @@ def counting(cset, names):
     return cset, calls, results
 
 
-@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("n", range(5))
 def test_standard_cube_maps_equal_fresh_composites(n):
+    # the maps read per-generator entry tables; each result must be the
+    # composite with the generator, and the cell the store holds
     cube = StandardCube(n)
     results = []
     for k in range(n + 2):
@@ -64,6 +67,8 @@ def test_standard_cube_maps_equal_fresh_composites(n):
                 results.append(degen)
             results.append(y)
     assert one_object_per_value(results)
+    held = {id(y) for cells in cube._cells.values() for y in cells.values()}
+    assert all(id(y) in held for y in results)
 
 
 @pytest.mark.parametrize("n", range(4))
@@ -87,15 +92,22 @@ def test_simplicial_cube_maps_equal_fresh_brackets(n):
 def test_out_of_range_indices_raise_as_before():
     cube = StandardCube(2)
     y = CubeMorphism.identity(2)
+    tables = (cubes._delta_entries, cubes._sigma_entries,
+              cubes._gamma_entries)
+    cached = [table.cache_info().currsize for table in tables]
     for call, message in [
             (lambda: cube.face(y, 0, 3), "face coordinate out of range"),
+            (lambda: cube.face(y, 1, 0), "face coordinate out of range"),
             (lambda: cube.face(cube.cubes(0)[0], 1, 1),
              "face coordinate out of range"),
             (lambda: cube.degen(y, 4), "projection coordinate out of range"),
+            (lambda: cube.degen(y, 0), "projection coordinate out of range"),
             (lambda: cube.conn(y, 3), "connection coordinate out of range"),
             (lambda: cube.conn(y, 0), "connection coordinate out of range")]:
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             call()
+    # no entry table is cached for an index out of range
+    assert [table.cache_info().currsize for table in tables] == cached
     scube = SimplicialCube(2)
     vertex, edge = scube.nondegenerate(0)[0], scube.nondegenerate(1)[0]
     for call, message in [

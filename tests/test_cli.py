@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -172,19 +173,20 @@ def test_negative_dimension_exits_2(argv, capsys):
     assert "must be >= 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("suite", ["cobar-iso", "szczarba-contract",
-                                   "main-theorem", "all"])
+@pytest.mark.parametrize("suite", ["cube-lemmas", "cobar-iso",
+                                   "szczarba-contract", "main-theorem", "all"])
 def test_verify_refuses_degree_zero_where_nothing_is_checked(suite, capsys):
-    # the Szczarba side enumerates nothing below degree 1, so a report
-    # there would pass vacuously; nothing runs before the refusal
+    # the Szczarba side enumerates nothing below degree 1, nor do the cube
+    # lemmas' pushforward checks, so a report there would pass vacuously;
+    # nothing runs before the refusal
     assert main(["verify", "--suite", suite, "--max-dim", "0"]) == 2
     out = capsys.readouterr()
     assert "checks nothing below degree 1" in out.err
     assert out.out == ""
 
 
-@pytest.mark.parametrize("suite", ["cobar-iso", "szczarba-contract",
-                                   "main-theorem"])
+@pytest.mark.parametrize("suite", ["cube-lemmas", "cobar-iso",
+                                   "szczarba-contract", "main-theorem"])
 def test_verify_runs_at_degree_one(suite, capsys):
     assert main(["verify", "--suite", suite, "--max-dim", "1"]) == 0
     assert f"suite {suite}: PASS" in capsys.readouterr().out
@@ -226,6 +228,28 @@ def test_verify_runs_beyond_degree_two(suite, monkeypatch, capsys):
     assert main(["verify", "--suite", suite, "--max-dim", "3"]) == 0
     assert seen == [3]
     assert "suite main-theorem: PASS" in capsys.readouterr().out
+
+
+def test_verify_profile_writes_to_stderr_only(tmp_path, capsys):
+    # the profile goes to stderr; the report on stdout and in the JSON file
+    # is the one a run without --profile writes, up to its timings
+    def run(*extra):
+        out_path = tmp_path / f"report{len(extra)}.json"
+        assert main(["verify", "--suite", "cube-lemmas", "--max-dim", "2",
+                     "--json-out", str(out_path), *extra]) == 0
+        out = capsys.readouterr()
+        data = json.loads(out_path.read_text())
+        for check in data["checks"]:
+            check.pop("millis")
+        return re.sub(r"\(\d+ ms\)", "", out.out), data, out.err
+
+    plain_out, plain_json, plain_err = run()
+    out, data, err = run("--profile")
+    assert (out, data) == (plain_out, plain_json)
+    assert plain_err == ""
+    assert "Ordered by: cumulative time" in err
+    assert "List reduced from" in err and "due to restriction <20>" in err
+    assert "verify.py" in err and "(run_suite)" in err
 
 
 def test_closed_stdout_ends_without_traceback():

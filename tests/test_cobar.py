@@ -154,3 +154,52 @@ def test_loop_space_homology_of_wedge():
     assert cx.homology(0).betti == 1
     assert cx.homology(1).betti == 6
     assert cx.check_coalgebra().ok
+
+
+# ----- the store of base faces -------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["S2", "D4sk1"])
+def test_stored_faces_match_a_fresh_set(name):
+    # every face of every cube through dimension 4, degenerate and folded
+    # cubes included, is the same read from a store that validate(3)
+    # filled as computed on a set whose store is empty
+    sset = fixture(name)
+    filled = CobarSet(sset)
+    assert filled.validate(3).ok and filled._base_faces
+    faces = 0
+    for n in range(5):
+        for cube in filled.cubes(n):
+            for i in range(1, n + 1):
+                for eps in (0, 1):
+                    assert (filled.face(cube, eps, i)
+                            == CobarSet(sset).face(cube, eps, i))
+                    faces += 1
+    assert faces == {"S2": 436, "D4sk1": 180_252}[name]
+
+
+def test_validate_canonicalizes_each_base_face_once(monkeypatch):
+    calls = 0
+    canonicalize = CobarSet.canonicalize
+
+    def counted(self, simplices):
+        nonlocal calls
+        calls += 1
+        return canonicalize(self, simplices)
+
+    monkeypatch.setattr(CobarSet, "canonicalize", counted)
+    cset = CobarSet(fixture("D4sk1"))
+    assert cset.validate(3).ok
+    # 74,338 calls without the store: each face pushed through an operator
+    # word computed its base face anew
+    assert calls <= 14_092
+    assert len(cset._base_faces) == 7_046
+
+
+def test_cubical_chains_leave_the_store_empty():
+    # the boundaries read direct faces of normalized cubes only, which
+    # bypass the store
+    cset = CobarSet(fixture("D4sk1"))
+    cx = cubical_chains(cset, 3)
+    assert [cx.homology(n).betti for n in range(3)] == [1, 6, 36]
+    assert cset._base_faces == {}

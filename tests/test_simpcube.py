@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cobarlab.cubes import CubeMorphism, all_cube_morphisms
+from cobarlab.cubes import CubeMorphism
 from cobarlab.perms import all_perms, psi_inv
 from cobarlab.simpcube import (PartitionSimplex, SimplicialCube,
                                combine_simplices, common_bars, extend_family,
@@ -14,6 +14,7 @@ from cobarlab.simpcube import (PartitionSimplex, SimplicialCube,
 from cobarlab.simplicial import shuffle_pair, sphere
 from cobarlab.verify import (check_degeneracy_lemma, check_face_lemma,
                              check_hereditary)
+from test_cubes import all_cube_morphisms
 
 
 def test_u_pi_shape():

@@ -53,8 +53,8 @@ def test_unknown_suite_rejected():
         run_suite("astrology")
 
 
-@pytest.mark.parametrize("name", ["cobar-iso", "szczarba-contract",
-                                  "main-theorem"])
+@pytest.mark.parametrize("name", ["cube-lemmas", "cobar-iso",
+                                  "szczarba-contract", "main-theorem"])
 @pytest.mark.parametrize("max_dim", [0, -1])
 def test_suite_refuses_a_degree_where_it_checks_nothing(name, max_dim):
     with pytest.raises(ValueError, match="checks nothing below degree 1"):
