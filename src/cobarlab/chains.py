@@ -26,10 +26,6 @@ def add_scaled(dst: Chain, src: Chain, coeff: int = 1) -> Chain:
     return dst
 
 
-def scaled(src: Chain, coeff: int) -> Chain:
-    return {label: coeff * c for label, c in src.items()} if coeff else {}
-
-
 def tensor_chains(a: Chain, b: Chain, sign: int = 1) -> Chain:
     out: Chain = {}
     for la, ca in a.items():
@@ -198,29 +194,6 @@ class ChainComplex:
         betti = self.rank(n) - rank_dn - len(factors_up)
         torsion = tuple(d for d in factors_up if d > 1)
         return Homology(betti, torsion)
-
-
-def tensor_complex(c1: ChainComplex, c2: ChainComplex, max_degree=None) -> ChainComplex:
-    """Tensor product complex; labels are pairs, signs follow the Koszul rule."""
-    if max_degree is None:
-        max_degree = c1.max_degree + c2.max_degree
-    basis = {}
-    boundary = {}
-    for n in range(max_degree + 1):
-        labels = []
-        for p in range(n + 1):
-            for a in c1.basis.get(p, ()):
-                for b in c2.basis.get(n - p, ()):
-                    labels.append((a, b))
-                    d: Chain = {}
-                    for a2, ca in c1.boundary[a].items():
-                        add_scaled(d, {(a2, b): 1}, ca)
-                    s = -1 if p % 2 else 1
-                    for b2, cb in c2.boundary[b].items():
-                        add_scaled(d, {(a, b2): 1}, s * cb)
-                    boundary[(a, b)] = d
-        basis[n] = tuple(labels)
-    return ChainComplex(basis, boundary)
 
 
 @dataclass

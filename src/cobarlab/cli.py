@@ -40,6 +40,16 @@ def _dimension(value, default: int) -> int:
     return default if value is None else _nonnegative(value)
 
 
+def _degree(value, default: int, command: str) -> int:
+    """``_dimension``, refused below 1 for a command that compares nothing
+    at degree 0 and would pass vacuously there."""
+    value = _dimension(value, default)
+    if value < 1:
+        raise InputError(f"{command} checks nothing below degree 1;"
+                         f" got {value}")
+    return value
+
+
 def _load_sset(source: str):
     if os.path.exists(source):
         try:
@@ -123,7 +133,7 @@ def cmd_homology(args) -> int:
 
 def cmd_triangulate(args) -> int:
     cset = _cubical_fixture(args.fixture)
-    max_dim = _dimension(args.max_dim, 3)
+    max_dim = _degree(args.max_dim, 3, "triangulate")
     _, _, _, tmap = triangulation_map(cset, max_dim)
     checks = [
         ("chain-map", lambda: check_chain_map(tmap)),
@@ -135,7 +145,7 @@ def cmd_triangulate(args) -> int:
 
 def cmd_cobar(args) -> int:
     sset = _load_sset(args.input)
-    max_deg = _dimension(args.max_deg, 3)
+    max_deg = _degree(args.max_deg, 3, "cobar")
     _build(CobarSet, sset)  # refuse an input that is not 1-reduced up front
     _, _, _, verdicts = compare_models(sset, max_deg)
     report = verify.run_checks(

@@ -3,9 +3,9 @@
 A morphism of the cube category from the k-cube to the n-cube is stored in a
 canonical output table: each output coordinate is the constant 0, the
 constant 1, or the minimum over a nonempty block of input coordinates; the
-blocks are pairwise disjoint and strictly ordered.  Composition, equality and
-evaluation on vertices are exact on this table.  The generators are the
-faces delta, the degeneracies sigma and the connections gamma.
+blocks are pairwise disjoint and strictly ordered.  Composition and equality
+are exact on this table.  The generators are the faces delta, the
+degeneracies sigma and the connections gamma.
 """
 
 from __future__ import annotations
@@ -86,16 +86,6 @@ class CubeMorphism:
     def __repr__(self):
         return (f"CubeMorphism(source={self.source!r}, "
                 f"target={self.target!r}, outputs={self.outputs!r})")
-
-    def evaluate(self, point: tuple) -> tuple:
-        """Apply to a point of the source cube (works for 0/1 vertices and
-        for exact Fractions alike, using min for blocks)."""
-        if len(point) != self.source:
-            raise ValueError("point has wrong dimension")
-        return tuple(
-            out if out in (0, 1) else min(point[v - 1] for v in out)
-            for out in self.outputs
-        )
 
     def compose(self, inner: "CubeMorphism") -> "CubeMorphism":
         """self o inner (apply ``inner`` first)."""

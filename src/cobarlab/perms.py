@@ -28,10 +28,6 @@ def is_permutation(pi) -> bool:
     return sorted(pi) == list(range(1, n + 1))
 
 
-def identity_perm(n: int) -> Permutation:
-    return tuple(range(1, n + 1))
-
-
 def inversions(pi: Permutation) -> int:
     """Number of pairs k < l with pi(k) > pi(l)."""
     n = len(pi)

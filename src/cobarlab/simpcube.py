@@ -87,32 +87,6 @@ class PartitionSimplex:
         body = "|".join("".join(map(str, sorted(p))) for p in self.parts)
         return f"<{body}>"
 
-    # ----- coordinate views -----------------------------------------------------
-
-    def part_index(self, coord: int) -> int:
-        if not 1 <= coord <= self.n:
-            raise ValueError(f"coordinate {coord} out of range")
-        return self.ks[coord - 1]
-
-    def bracket(self):
-        """(k_1, ..., k_n): part index of each coordinate, plus the dimension."""
-        return self.ks, self.dim
-
-    def to_matrix(self):
-        """Row i is the 0/1 step vector of coordinate i over the m+1 vertices."""
-        m = self.dim
-        return tuple(tuple(0 if c < k else 1 for c in range(m + 1))
-                     for k in self.ks)
-
-    def vertex(self, c: int) -> tuple:
-        """The c-th vertex (0 <= c <= dim) as a 0/1 coordinate tuple."""
-        return tuple(0 if c < k else 1 for k in self.ks)
-
-    def vertices(self):
-        ks = self.ks
-        return [tuple(0 if c < k else 1 for k in ks)
-                for c in range(self.dim + 1)]
-
 
 def from_parts(n: int, parts) -> PartitionSimplex:
     """The simplex of the ordered partition ``parts`` of {1..n}."""
@@ -127,23 +101,6 @@ def from_parts(n: int, parts) -> PartitionSimplex:
         for i in p:
             ks[i - 1] = k
     return PartitionSimplex(n, ks, len(parts) - 2)
-
-
-def from_matrix(rows) -> PartitionSimplex:
-    """Inverse of :meth:`PartitionSimplex.to_matrix`; rows must be step vectors."""
-    n = len(rows)
-    if n == 0:
-        raise ValueError("cannot infer the simplex dimension from no rows")
-    m = len(rows[0]) - 1
-    ks = []
-    for i, row in enumerate(rows, 1):
-        if len(row) != m + 1:
-            raise ValueError("ragged matrix")
-        k = sum(1 for v in row if v == 0)
-        if tuple(row) != tuple(0 if c < k else 1 for c in range(m + 1)):
-            raise ValueError(f"row {i} is not a 0*1* step vector: {row}")
-        ks.append(k)
-    return PartitionSimplex(n, ks, m)
 
 
 def u_pi(pi) -> PartitionSimplex:

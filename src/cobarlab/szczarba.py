@@ -37,8 +37,7 @@ from .loopgroup import GroupWord, LoopGroup
 from .perms import (all_perms, compose, phi_perm, remove_assignment, sign,
                     sz_shuffle_split, transposition)
 from .simpcube import (PartitionSimplex, combine_simplices, extend_family,
-                       lambda_star, partition_degeneracy, project_simplex,
-                       u_pi)
+                       lambda_star, partition_degeneracy, u_pi)
 from .simplicial import (Simplex, monotone_operators, normalized_chains,
                          shuffle_pair, shuffle_terms)
 from .verdict import Verdict
@@ -297,9 +296,8 @@ class CobarToGroupMap:
 
     The map keeps its values: each letter's family is checked and glued
     once, and each (letter, piece) pair goes through the glued evaluator
-    once, so the memo is bounded by the distinct pieces asked for; the
-    cube dimension of each base word is kept too.  One map serves every
-    check of the glued map on the provider's simplicial set.
+    once, so the memo is bounded by the distinct pieces asked for.  One map
+    serves every check of the glued map on the provider's simplicial set.
     """
 
     def __init__(self, provider):
@@ -308,7 +306,6 @@ class CobarToGroupMap:
         self.group = provider.group
         self._letter_eval = {}
         self._values = {}
-        self._base_dims = {}
 
     def _letter(self, x: Simplex):
         if x not in self._letter_eval:
@@ -322,10 +319,7 @@ class CobarToGroupMap:
 
     def evaluate(self, cube, u: PartitionSimplex) -> GroupWord:
         base, ops = cube
-        d = self._base_dims.get(base)
-        if d is None:
-            d = self._base_dims[base] = sum(x.dim - 1 for x in base)
-        n = d + len(ops)
+        n = sum(x.dim - 1 for x in base) + len(ops)
         if u.n != n:
             raise ValueError("coordinate count mismatch")
         # push the operator prefix onto the bracket, outermost first:
@@ -343,7 +337,6 @@ class CobarToGroupMap:
             n -= 1
         m = u.dim
         values = self._values
-        pushed = u if not ops else None
         factors = []
         pos = 0
         for x in base:
@@ -354,25 +347,14 @@ class CobarToGroupMap:
             key = (x, window, m)
             value = values.get(key)
             if value is None:
-                if pushed is None:
-                    pushed = PartitionSimplex(d, ks, m)
-                piece = project_simplex(pushed, pos + 1, pos + k)
-                value = values[key] = self._letter(x)(piece)
+                value = values[key] = self._letter(x)(
+                    PartitionSimplex(k, window, m))
             factors.append(value)
             pos += k
         return self.group.product(m, factors)
 
     def __call__(self, tri_simplex) -> GroupWord:
         return self.evaluate(tri_simplex.cube, tri_simplex.simplex)
-
-
-def _operator_image(cset: CobarSet, z, op):
-    """The image of the cube z under the generator named by ``op``."""
-    if op[0] == "s":
-        return cset.degen(z, op[1])
-    if op[0] == "g":
-        return cset.conn(z, op[1])
-    return cset.face(z, op[1], op[2])
 
 
 @_fails_on_incompatible_family
@@ -394,21 +376,23 @@ def build_f(f: CobarToGroupMap, max_dim: int) -> Verdict:
         ups = [u_pi(pi) for pi in all_perms(n + 1)]
         downs = [u_pi(pi) for pi in all_perms(n - 1)] if n else []
         generators = (
-            [(("s", i), CubeMorphism.sigma(n + 1, i), ups)
-             for i in range(1, n + 2)]
-            + [(("g", i), CubeMorphism.gamma(n + 1, i), ups)
-               for i in range(1, n + 1)]
-            + [(("d", eps, i), CubeMorphism.delta(n, eps, i), downs)
+            [(("s", i), functools.partial(cset.degen, i=i),
+              CubeMorphism.sigma(n + 1, i), ups) for i in range(1, n + 2)]
+            + [(("g", i), functools.partial(cset.conn, i=i),
+                CubeMorphism.gamma(n + 1, i), ups) for i in range(1, n + 1)]
+            + [(("d", eps, i), functools.partial(cset.face, eps=eps, i=i),
+                CubeMorphism.delta(n, eps, i), downs)
                for eps in (0, 1) for i in range(1, n + 1)])
         index = {}
-        checks = [(op, [(u, index.setdefault(lambda_star(lam, u), len(index)))
-                        for u in us])
-                  for op, lam, us in generators]
+        checks = [(op, image,
+                   [(u, index.setdefault(lambda_star(lam, u), len(index)))
+                    for u in us])
+                  for op, image, lam, us in generators]
         pushed = list(index)
         for z in cset.cubes(n):
             rhs_values = [None] * len(pushed)
-            for op, pairs in checks:
-                oz = _operator_image(cset, z, op)
+            for op, image, pairs in checks:
+                oz = image(z)
                 for u, k in pairs:
                     lhs = f.evaluate(oz, u)
                     rhs = rhs_values[k]

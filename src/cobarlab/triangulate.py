@@ -94,10 +94,6 @@ class TriangulatedCubicalSet(SimplicialSet):
         for i in folded:
             yield upper[i - 1], lambda_star(CubeMorphism.gamma(n, i), u)
 
-    def reduction_options(self, y, u):
-        """Every applicable identification, in the scan order of canon."""
-        return list(self._reductions(y, u))
-
     def canon(self, y, u: PartitionSimplex) -> TriSimplex:
         """The reduced representative, reached by applying the first
         applicable identification until none applies."""

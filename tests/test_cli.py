@@ -185,6 +185,19 @@ def test_verify_refuses_degree_zero_where_nothing_is_checked(suite, capsys):
     assert out.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["triangulate", "--fixture", "cube2", "--max-dim", "0"],
+    ["cobar", "S2", "--max-deg", "0"],
+], ids=["triangulate", "cobar"])
+def test_comparisons_refuse_degree_zero(argv, capsys):
+    # quasi-iso runs over range(max_dim) and the cobar comparison has no
+    # word to compare at degree 0, so a report there would pass vacuously
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert "checks nothing below degree 1" in out.err
+    assert out.out == ""
+
+
 @pytest.mark.parametrize("suite", ["cube-lemmas", "cobar-iso",
                                    "szczarba-contract", "main-theorem"])
 def test_verify_runs_at_degree_one(suite, capsys):

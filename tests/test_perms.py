@@ -4,11 +4,14 @@ import math
 import pytest
 
 from cobarlab.perms import (Shuffle, add_assignment, all_index_seqs, all_perms,
-                            all_shuffles, compose, concat, identity_perm,
-                            inversions, invert, is_index_seq, is_permutation,
-                            p, p_inv, phi, phi_perm, psi, psi_inv,
-                            remove_assignment, sign, sz_shuffle_split,
-                            transposition, xi)
+                            all_shuffles, compose, concat, inversions, invert,
+                            is_index_seq, is_permutation, p, p_inv, phi,
+                            phi_perm, psi, psi_inv, remove_assignment, sign,
+                            sz_shuffle_split, transposition, xi)
+
+
+def identity_perm(n: int):
+    return tuple(range(1, n + 1))
 
 
 def brute_inversions(pi):

@@ -8,13 +8,57 @@ from cobarlab.cubes import CubeMorphism
 from cobarlab.perms import all_perms, psi_inv
 from cobarlab.simpcube import (PartitionSimplex, SimplicialCube,
                                combine_simplices, common_bars, extend_family,
-                               from_matrix, from_parts, hereditary_path,
-                               lambda_star, partition_face,
-                               partition_degeneracy, project_simplex, u_pi)
+                               from_parts, hereditary_path, lambda_star,
+                               partition_face, partition_degeneracy,
+                               project_simplex, u_pi)
 from cobarlab.simplicial import shuffle_pair, sphere
 from cobarlab.verify import (check_degeneracy_lemma, check_face_lemma,
                              check_hereditary)
-from test_cubes import all_cube_morphisms
+from test_cubes import all_cube_morphisms, evaluate
+
+
+# ----- coordinate views of a partition simplex --------------------------------------
+
+
+def part_index(u: PartitionSimplex, coord: int) -> int:
+    if not 1 <= coord <= u.n:
+        raise ValueError(f"coordinate {coord} out of range")
+    return u.ks[coord - 1]
+
+
+def to_matrix(u: PartitionSimplex):
+    """Row i is the 0/1 step vector of coordinate i over the m+1 vertices."""
+    m = u.dim
+    return tuple(tuple(0 if c < k else 1 for c in range(m + 1))
+                 for k in u.ks)
+
+
+def vertex(u: PartitionSimplex, c: int) -> tuple:
+    """The c-th vertex (0 <= c <= dim) as a 0/1 coordinate tuple."""
+    return tuple(0 if c < k else 1 for k in u.ks)
+
+
+def vertices(u: PartitionSimplex):
+    ks = u.ks
+    return [tuple(0 if c < k else 1 for k in ks)
+            for c in range(u.dim + 1)]
+
+
+def from_matrix(rows) -> PartitionSimplex:
+    """Inverse of :func:`to_matrix`; rows must be step vectors."""
+    n = len(rows)
+    if n == 0:
+        raise ValueError("cannot infer the simplex dimension from no rows")
+    m = len(rows[0]) - 1
+    ks = []
+    for i, row in enumerate(rows, 1):
+        if len(row) != m + 1:
+            raise ValueError("ragged matrix")
+        k = sum(1 for v in row if v == 0)
+        if tuple(row) != tuple(0 if c < k else 1 for c in range(m + 1)):
+            raise ValueError(f"row {i} is not a 0*1* step vector: {row}")
+        ks.append(k)
+    return PartitionSimplex(n, ks, m)
 
 
 def test_u_pi_shape():
@@ -90,9 +134,9 @@ def test_hereditary_property():
 def test_matrix_and_vertex_forms():
     u = u_pi((2, 1))
     assert from_parts(u.n, u.parts) == u
-    assert from_matrix(u.to_matrix()) == u
-    assert u.vertex(0) == (0, 0)
-    assert u.vertex(2) == (1, 1)
+    assert from_matrix(to_matrix(u)) == u
+    assert vertex(u, 0) == (0, 0)
+    assert vertex(u, 2) == (1, 1)
 
 
 def test_combine_project_roundtrip():
@@ -135,7 +179,7 @@ def realize(u: PartitionSimplex, weights) -> tuple:
     weights = tuple(Fraction(w) for w in weights)
     if len(weights) != m + 1 or sum(weights) != 1:
         raise ValueError("need m+1 barycentric weights summing to 1")
-    ks, _ = u.bracket()
+    ks = u.ks
     return tuple(sum(weights[k:], Fraction(0)) for k in ks)
 
 
@@ -204,10 +248,10 @@ def test_bracket_reads_part_index():
         cube = SimplicialCube(n)
         for m in range(3):
             for u in cube.simplices(m):
-                ks = tuple(u.part_index(i) for i in range(1, n + 1))
-                assert u.bracket() == (ks, m)
+                ks = tuple(part_index(u, i) for i in range(1, n + 1))
+                assert (u.ks, u.dim) == (ks, m)
                 with pytest.raises(ValueError):
-                    u.part_index(n + 1)
+                    part_index(u, n + 1)
 
 
 def _lambda_star_by_vertices(lam, u):
@@ -215,7 +259,7 @@ def _lambda_star_by_vertices(lam, u):
     result back from its 0/1 matrix."""
     if lam.target == 0:
         return from_parts(0, tuple(frozenset() for _ in range(u.dim + 2)))
-    cols = [lam.evaluate(v) for v in u.vertices()]
+    cols = [evaluate(lam, v) for v in vertices(u)]
     rows = tuple(tuple(col[i] for col in cols) for i in range(lam.target))
     return from_matrix(rows)
 
@@ -245,7 +289,7 @@ def test_parts_round_trip_through_the_bracket():
     simplices = _cube_simplices()
     for u in simplices:
         for v in (from_parts(u.n, u.parts),
-                  PartitionSimplex(u.n, *u.bracket())):
+                  PartitionSimplex(u.n, u.ks, u.dim)):
             assert v == u and hash(v) == hash(u)
         assert u.is_degenerate == any(not p for p in u.parts[1:-1])
     assert len(set(simplices)) == len(simplices) == sum(

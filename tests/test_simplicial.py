@@ -1,10 +1,11 @@
 import pytest
 
-from cobarlab.chains import ChainMap, check_chain_map, tensor_complex
+from cobarlab.chains import ChainMap, check_chain_map
 from cobarlab.simplicial import (ProductSimplicialSet, Simplex,
                                  SimplicialSet, degenerate_point, fixture,
                                  nondeg, shuffle_terms, sphere,
                                  simplicial_chains, standard_simplex)
+from test_chains import tensor_complex
 
 FIXTURES = ("Delta2", "I", "S2", "S3", "D4sk1", "TwoLoopsCell")
 

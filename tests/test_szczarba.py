@@ -1,16 +1,13 @@
 import gc
-import importlib.util
 import itertools
 import weakref
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
 from cobarlab import szczarba
 
-from cobarlab.chains import (add_scaled, check_chain_map, check_coalgebra_map,
-                             scaled)
+from cobarlab.chains import add_scaled, check_chain_map, check_coalgebra_map
 from cobarlab.cobar import CobarSet, omega_complex, word_to_cube
 from cobarlab.cubes import CubeMorphism
 from cobarlab.loopgroup import LoopGroup
@@ -32,20 +29,8 @@ from cobarlab.szczarba import (CobarToGroupMap, SwappedSzProvider,
 from cobarlab.triangulate import TriangulatedCubicalSet
 from cobarlab.verdict import Verdict
 from cobarlab.verify import run_suite
-
-
-def _reference_reductions():
-    """``reference_reductions`` of tests/test_triangulate.py, loaded by path
-    so that it does not depend on how pytest imports test modules."""
-    path = Path(__file__).with_name("test_triangulate.py")
-    spec = importlib.util.spec_from_file_location("triangulate_reference",
-                                                  path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.reference_reductions
-
-
-reference_reductions = _reference_reductions()
+from test_chains import scaled
+from test_triangulate import reference_reductions
 
 
 FIXTURES = {
@@ -560,9 +545,9 @@ def test_glued_map_evaluates_each_piece_once(monkeypatch):
 
 def test_glued_map_projects_only_on_a_memo_miss(monkeypatch):
     evaluations = Counter()
-    projections = Counter()
+    pieces = Counter()
     real_extend_family = szczarba.extend_family
-    real_project = szczarba.project_simplex
+    real_partition_simplex = szczarba.PartitionSimplex
 
     def counting_extend_family(n, family, target):
         evaluate, verdict = real_extend_family(n, family, target)
@@ -573,18 +558,19 @@ def test_glued_map_projects_only_on_a_memo_miss(monkeypatch):
 
         return counted, verdict
 
-    def counting_project(u, lo, hi):
-        piece = real_project(u, lo, hi)
-        projections[piece] += 1
+    def counting_partition_simplex(n, ks, dim):
+        piece = real_partition_simplex(n, ks, dim)
+        pieces[piece] += 1
         return piece
 
     monkeypatch.setattr(szczarba, "extend_family", counting_extend_family)
-    monkeypatch.setattr(szczarba, "project_simplex", counting_project)
+    monkeypatch.setattr(szczarba, "PartitionSimplex",
+                        counting_partition_simplex)
     sset = FIXTURES["D4sk1"]
     verdict = build_f(CobarToGroupMap(SzProvider(LoopGroup(sset))), 2)
     assert verdict.ok and evaluations
     # every piece that is built goes straight to a letter evaluator
-    assert projections == evaluations
+    assert pieces == evaluations
 
 
 @pytest.mark.parametrize("name", ["S2", "D4sk1"])
@@ -743,6 +729,15 @@ def reference_evaluate(f, cube, u):
     return f.group.product(u.dim, factors)
 
 
+def reference_operator_image(cset, z, op):
+    """The image of the cube z under the generator named by ``op``."""
+    if op[0] == "s":
+        return cset.degen(z, op[1])
+    if op[0] == "g":
+        return cset.conn(z, op[1])
+    return cset.face(z, op[1], op[2])
+
+
 @szczarba._fails_on_incompatible_family
 def reference_build_f(f, max_dim):
     """``build_f`` before each cube kept its right-hand values: both sides
@@ -762,7 +757,7 @@ def reference_build_f(f, max_dim):
                   for op, lam, us in generators]
         for z in cset.cubes(n):
             for op, pairs in checks:
-                oz = szczarba._operator_image(cset, z, op)
+                oz = reference_operator_image(cset, z, op)
                 for u, pushed in pairs:
                     lhs = reference_evaluate(f, oz, u)
                     rhs = reference_evaluate(f, z, pushed)

@@ -14,6 +14,11 @@ from cobarlab.triangulate import (TriangulatedCubicalSet, TriSimplex,
                                   product_split_forward)
 
 
+def reduction_options(tri, y, u):
+    """Every applicable identification, in the scan order of canon."""
+    return list(tri._reductions(y, u))
+
+
 def test_full_support_counts():
     # m-simplices touching every wall: surjections {1..n} -> {1..m}
     assert len(list(full_support_simplices(2, 1))) == 1
@@ -35,7 +40,7 @@ def test_canon_is_reduction_order_independent():
     u = u_pi((1, 2, 3, 4))
     expected = tri.canon(y, u)
     # applying any applicable reduction first reaches the same normal form
-    options = tri.reduction_options(y, u)
+    options = reduction_options(tri, y, u)
     for y2, u2 in options:
         assert tri.canon(y2, u2) == expected
 
@@ -51,7 +56,7 @@ def test_canon_is_first_reduction_fixed_point(cset):
             for u in simplices:
                 # reference: apply the first listed reduction until none is left
                 y2, u2 = y, u
-                while options := tri.reduction_options(y2, u2):
+                while options := reduction_options(tri, y2, u2):
                     y2, u2 = options[0]
                 assert tri.canon(y, u) == TriSimplex(y2, u2)
                 pairs += 1
@@ -158,7 +163,7 @@ def test_reductions_match_reference(build):
         simplices = [u for m in range(3) for u in SimplicialCube(n).simplices(m)]
         pairs += [(y, u) for y in cset.cubes(n) for u in simplices]
     for y, u in pairs:
-        assert tri.reduction_options(y, u) == list(
+        assert reduction_options(tri, y, u) == list(
             reference_reductions(tri, y, u)), (y, u)
         assert tri.canon(y, u) == reference_canon(tri, y, u), (y, u)
     assert pairs
