@@ -80,6 +80,13 @@ class LoopGroup(SimplicialSet):
     sends a generator over x to the word over (d_1 x, then d_0 x inverted),
     the "rival" convention to the reversed and inverted word.
 
+    Faces and degeneracies act on each letter separately (Kan, 1958), so
+    the group keeps the presentation's face and degeneracy of each letter
+    it has met, keyed by (letter, index) and filled through the
+    presentation's checked maps on first use.  The stores hold plain
+    letter faces, not twisted pairs, so one rule serves both conventions;
+    they belong to the group and are freed with it.
+
     The degeneracy test reads the letters (:meth:`is_degenerate`); front
     and back faces come from :class:`SimplicialSet`.  Each dimension is an
     infinite free group, so there is no list of nondegenerate elements: the
@@ -94,6 +101,8 @@ class LoopGroup(SimplicialSet):
             raise ValueError(f"unknown twist convention {twist!r}")
         self.sset = sset
         self.twist = twist
+        self._faces = {}
+        self._degeneracies = {}
 
     # ----- group structure ---------------------------------------------------------
 
@@ -151,27 +160,48 @@ class LoopGroup(SimplicialSet):
             common.intersection_update(x.degens)
         return bool(common)
 
+    def _letter_images(self, store: dict, op, a: GroupWord, j: int) -> list:
+        """The letters of ``a`` with ``op(x, j)`` in place of each x, read
+        from ``store`` and filled on a miss."""
+        out = []
+        for x, e in a.letters:
+            key = (x, j)
+            y = store.get(key)
+            if y is None:
+                y = store[key] = op(x, j)
+            out.append((y, e))
+        return out
+
     def face(self, a: GroupWord, i: int) -> GroupWord:
         if not 0 <= i <= a.n:
             raise ValueError("face index out of range")
+        faces, face = self._faces, self.sset.face
+        if i > 0:
+            return GroupWord(a.n - 1, _reduce(
+                self._letter_images(faces, face, a, i + 1)))
+        rival = self.twist == "rival"
         out = []
         for x, e in a.letters:
-            if i > 0:
-                out.append((self.sset.face(x, i + 1), e))
-                continue
-            pair = [(self.sset.face(x, 1), 1), (self.sset.face(x, 0), -1)]
-            if self.twist == "rival":
-                pair = [(self.sset.face(x, 0), -1), (self.sset.face(x, 1), 1)]
-            if e < 0:
-                pair = [(y, -f) for y, f in reversed(pair)]
-            out.extend(pair)
+            d1 = faces.get((x, 1))
+            if d1 is None:
+                d1 = faces[x, 1] = face(x, 1)
+            d0 = faces.get((x, 0))
+            if d0 is None:
+                d0 = faces[x, 0] = face(x, 0)
+            # the generator over x goes to (d_1 x)(d_0 x)^-1, or under the
+            # rival convention to (d_0 x)^-1 (d_1 x); its inverse to the
+            # inverse word
+            if rival:
+                out += ((d0, -1), (d1, 1)) if e > 0 else ((d1, -1), (d0, 1))
+            else:
+                out += ((d1, 1), (d0, -1)) if e > 0 else ((d0, 1), (d1, -1))
         return GroupWord(a.n - 1, _reduce(out))
 
     def degeneracy(self, a: GroupWord, i: int) -> GroupWord:
         if not 0 <= i <= a.n:
             raise ValueError("degeneracy index out of range")
-        letters = tuple((self.sset.degeneracy(x, i + 1), e) for x, e in a.letters)
-        return GroupWord(a.n + 1, _reduce(letters))
+        return GroupWord(a.n + 1, _reduce(self._letter_images(
+            self._degeneracies, self.sset.degeneracy, a, i + 1)))
 
 
 def check_group_identities(group: LoopGroup, elements) -> Verdict:

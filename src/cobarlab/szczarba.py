@@ -20,10 +20,14 @@ chains that the simplicial builder makes on the words its values touch;
 ``check_chain_map`` and ``check_coalgebra_map`` (on the cobar cubical
 chains, :func:`on_cubes`) check that it commutes with d and with the diagonal.
 
-Each provider keeps the cochains it has computed: ``t_sz`` per simplex and
-``f_sz`` per word, the latter as the product of its longest proper prefix's
-value with the last letter's.  The memo belongs to the provider and is
-freed with it; callers only read the shared chains.
+Each provider keeps what it has computed: the operator word ``sz(pi, x)``
+keyed by ``(pi, x)``, and the cochains ``t_sz`` per simplex and ``f_sz``
+per word, the latter as the product of its longest proper prefix's value
+with the last letter's.  The stores belong to the provider and are freed
+with it; callers only read the shared words and chains.  The loop group
+keeps its letters' faces and degeneracies the same way, and
+``check_f_simplicial`` keeps the value of each canonical simplex for the
+length of one call.
 """
 
 from __future__ import annotations
@@ -84,12 +88,16 @@ class SzProvider:
     n + 1 and returns the n + 1 factors of the operator word, leftmost
     first; ``sz(pi, x)`` is their product, a group word of dimension n.
 
-    ``t_sz`` and ``f_sz`` store their chains here, by simplex and by word.
+    ``sz`` keeps each word it builds, keyed by ``(pi, x)``, and ``t_sz``
+    and ``f_sz`` store their chains here, by simplex and by word; all three
+    stores live as long as the provider.  A subclass that overrides
+    ``factors`` fills the store from its own factors.
     """
 
     def __init__(self, group: LoopGroup):
         self.group = group
         self.sset = group.sset
+        self._words = {}
         self._t_chains = {}
         self._f_chains = {}
 
@@ -103,7 +111,12 @@ class SzProvider:
                 for faces, degens in word_operators(pi)]
 
     def sz(self, pi: tuple, x: Simplex) -> GroupWord:
-        return self.group.product(len(pi), self.factors(pi, x))
+        key = (pi, x)
+        word = self._words.get(key)
+        if word is None:
+            word = self._words[key] = self.group.product(
+                len(pi), self.factors(pi, x))
+        return word
 
 
 class SwappedSzProvider(SzProvider):
@@ -408,20 +421,32 @@ def build_f(f: CobarToGroupMap, max_dim: int) -> Verdict:
 @_fails_on_incompatible_family
 def check_f_simplicial(f: CobarToGroupMap, max_dim: int) -> Verdict:
     """The glued map commutes with faces and degeneracies on the canonical
-    simplices of the triangulated cobar construction."""
+    simplices of the triangulated cobar construction.
+
+    Neighbouring simplices share faces and degeneracies, so the check keeps
+    the value of each canonical simplex it meets and evaluates it once; the
+    values are dropped when the check returns."""
     from .triangulate import TriangulatedCubicalSet
 
     tri = TriangulatedCubicalSet(f.cset, max_dim)
     group = f.group
+    values = {}
+
+    def value(ts):
+        val = values.get(ts)
+        if val is None:
+            val = values[ts] = f(ts)
+        return val
+
     for m in range(max_dim + 1):
         for ts in tri.nondegenerate(m):
-            val = f(ts)
+            val = value(ts)
             for i in range(m + 1):
-                if m >= 1 and group.face(val, i) != f(tri.face(ts, i)):
+                if m >= 1 and group.face(val, i) != value(tri.face(ts, i)):
                     return Verdict.failed({"check": "face", "ts": ts, "i": i})
                 if (m + 1 <= max_dim
                         and group.degeneracy(val, i)
-                        != f(tri.degeneracy(ts, i))):
+                        != value(tri.degeneracy(ts, i))):
                     return Verdict.failed(
                         {"check": "degeneracy", "ts": ts, "i": i})
     return Verdict.passed()

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import pickle
+from collections import Counter
 
 import pytest
 
@@ -176,3 +177,130 @@ def test_group_word_value_semantics():
     with pytest.raises(AttributeError):
         del a.n
     assert not hasattr(a, "__dict__")
+
+
+# ----- the group's store of letter faces and degeneracies --------------------
+
+
+def reference_face(group, a, i):
+    """``LoopGroup.face`` without the group's store: every letter's faces
+    read from the presentation on every call."""
+    if not 0 <= i <= a.n:
+        raise ValueError("face index out of range")
+    sset = group.sset
+    out = []
+    for x, e in a.letters:
+        if i > 0:
+            out.append((sset.face(x, i + 1), e))
+            continue
+        pair = [(sset.face(x, 1), 1), (sset.face(x, 0), -1)]
+        if group.twist == "rival":
+            pair = [(sset.face(x, 0), -1), (sset.face(x, 1), 1)]
+        if e < 0:
+            pair = [(y, -f) for y, f in reversed(pair)]
+        out.extend(pair)
+    return group.word(a.n - 1, out)
+
+
+def reference_degeneracy(group, a, i):
+    """``LoopGroup.degeneracy`` without the group's store."""
+    if not 0 <= i <= a.n:
+        raise ValueError("degeneracy index out of range")
+    return group.word(a.n + 1, [(group.sset.degeneracy(x, i + 1), e)
+                                for x, e in a.letters])
+
+
+class CountingPresentation:
+    """A presentation that counts the faces and degeneracies asked of it."""
+
+    def __init__(self, sset):
+        self.sset = sset
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        return getattr(self.sset, name)
+
+    def face(self, x, i):
+        self.calls["face"] += 1
+        return self.sset.face(x, i)
+
+    def degeneracy(self, x, i):
+        self.calls["degeneracy"] += 1
+        return self.sset.degeneracy(x, i)
+
+
+def store_test_words(g):
+    """Generator elements through dimension 3, and the pairwise products in
+    equal dimensions of those through dimension 2."""
+    small = generator_elements(g, 2)
+    return generator_elements(g, 3) + [
+        g.mul(a, b) for a, b in itertools.product(small, repeat=2)
+        if a.n == b.n]
+
+
+@pytest.mark.parametrize("twist", ["standard", "rival"])
+def test_group_reads_each_letter_operator_once(twist):
+    presentation = CountingPresentation(fixture("D4sk1"))
+    g = LoopGroup(presentation, twist=twist)
+    gens = generator_elements(g, 3)
+    words = store_test_words(g)
+    ops = [(op, a, i) for a in words for i in range(a.n + 1)
+           for op in (g.face, g.degeneracy)]
+    first = [op(a, i) for op, a, i in ops]
+    seen = dict(presentation.calls)
+    assert seen["face"] and seen["degeneracy"]
+    # each letter of a product already met its faces and degeneracies on a
+    # generator, so asking again reads only the store
+    assert [op(a, i) for op, a, i in ops] == first
+    assert dict(presentation.calls) == seen
+    products = [a for a in words if a not in gens]
+    assert products
+    fresh = LoopGroup(presentation, twist=twist)
+    for a in gens:
+        for i in range(a.n + 1):
+            fresh.face(a, i), fresh.degeneracy(a, i)
+    before = dict(presentation.calls)
+    for a in products:
+        for i in range(a.n + 1):
+            fresh.face(a, i), fresh.degeneracy(a, i)
+    assert dict(presentation.calls) == before
+
+
+@pytest.mark.parametrize("twist", ["standard", "rival"])
+@pytest.mark.parametrize("build", [
+    sphere(2), sphere(3), fixture("D4sk1"), fixture("TwoLoopsCell")])
+def test_stored_group_operators_match_the_presentation(build, twist):
+    g = LoopGroup(build, twist=twist)
+    words = store_test_words(g)
+    for a in words:
+        for i in range(a.n + 1):
+            assert g.face(a, i) == reference_face(g, a, i), (a, i)
+            assert g.degeneracy(a, i) == reference_degeneracy(g, a, i), (a, i)
+    assert g._faces and g._degeneracies
+    for (x, j), y in g._faces.items():
+        assert y == build.face(x, j)
+    for (x, j), y in g._degeneracies.items():
+        assert y == build.degeneracy(x, j)
+    a = words[0]
+    for op in (g.face, g.degeneracy):
+        with pytest.raises(ValueError, match="index out of range"):
+            op(a, a.n + 1)
+        with pytest.raises(ValueError, match="index out of range"):
+            op(a, -1)
+
+
+def test_standard_and_rival_groups_keep_separate_stores():
+    sset = fixture("TwoLoopsCell")
+    standard, rival = LoopGroup(sset), LoopGroup(sset, twist="rival")
+    t = nondeg("T", 2)
+    a, b = standard.tau(nondeg("a", 1)), standard.tau(nondeg("b", 1))
+    for _ in range(2):  # the second round reads the stores
+        assert standard.face(standard.tau(t), 0) == standard.mul(
+            b, standard.inv(a))
+        assert rival.face(rival.tau(t), 0) == rival.mul(rival.inv(a), b)
+        assert standard.face(standard.inv(standard.tau(t)), 0) == \
+            standard.mul(a, standard.inv(b))
+        assert rival.face(rival.inv(rival.tau(t)), 0) == rival.mul(
+            rival.inv(b), a)
+    assert standard._faces == rival._faces
+    assert standard._faces is not rival._faces

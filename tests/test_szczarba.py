@@ -860,3 +860,113 @@ def test_evaluate_refuses_a_coordinate_count_mismatch():
     f = CobarToGroupMap(SzProvider(LoopGroup(FIXTURES["D4sk1"])))
     with pytest.raises(ValueError, match="coordinate count mismatch"):
         f.evaluate(((nondeg("0123", 3),), (("s", 1),)), u_pi((1, 2)))
+
+
+# ----- the provider's store of words and the simplicial check's values -------------
+
+
+def test_contract_builds_each_word_once(monkeypatch):
+    calls = Counter()
+    real_factors = SzProvider.factors
+
+    def counting_factors(self, pi, x):
+        calls[pi, x] += 1
+        return real_factors(self, pi, x)
+
+    monkeypatch.setattr(SzProvider, "factors", counting_factors)
+    assert contract_check(SzProvider(LoopGroup(FIXTURES["D4sk1"])), 2).ok
+    # 612 calls before the provider kept its words
+    assert sum(calls.values()) == 84 and set(calls.values()) == {1}
+
+
+def test_check_f_simplicial_evaluates_each_simplex_once(monkeypatch):
+    calls = Counter()
+    real_evaluate = CobarToGroupMap.evaluate
+
+    def counting_evaluate(self, cube, u):
+        calls[cube, u] += 1
+        return real_evaluate(self, cube, u)
+
+    monkeypatch.setattr(CobarToGroupMap, "evaluate", counting_evaluate)
+    provider = SzProvider(LoopGroup(FIXTURES["D4sk1"]))
+    assert check_f_simplicial(CobarToGroupMap(provider), 2).ok
+    # 1,417 calls before the check kept its values
+    assert sum(calls.values()) == 557 and set(calls.values()) == {1}
+
+
+def unstored_sz(provider, pi, x):
+    return provider.group.product(len(pi), provider.factors(pi, x))
+
+
+@pytest.mark.parametrize("twist", ["standard", "rival"])
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_stored_words_match_unstored_products(name, twist):
+    group = LoopGroup(FIXTURES[name], twist=twist)
+    providers = (SzProvider(group), SwappedSzProvider(group))
+    if twist == "standard":
+        assert contract_check(providers[0], 3).ok
+    pairs = 0
+    for provider in providers:
+        for n in range(4):
+            for x in group.sset.simplices(n + 1):
+                for pi in all_perms(n):
+                    word = provider.sz(pi, x)
+                    assert word == unstored_sz(provider, pi, x), (pi, x)
+                    assert provider.sz(pi, x) is word
+        assert provider._words
+        for (pi, x), word in provider._words.items():
+            assert word == unstored_sz(provider, pi, x), (pi, x)
+            pairs += 1
+    assert pairs
+
+
+def unstored_check_f_simplicial(f, max_dim):
+    """``check_f_simplicial`` evaluating every simplex it meets afresh."""
+    tri = TriangulatedCubicalSet(f.cset, max_dim)
+    group = f.group
+    try:
+        for m in range(max_dim + 1):
+            for ts in tri.nondegenerate(m):
+                val = f(ts)
+                for i in range(m + 1):
+                    if m >= 1 and group.face(val, i) != f(tri.face(ts, i)):
+                        return Verdict.failed(
+                            {"check": "face", "ts": ts, "i": i})
+                    if (m + 1 <= max_dim
+                            and group.degeneracy(val, i)
+                            != f(tri.degeneracy(ts, i))):
+                        return Verdict.failed(
+                            {"check": "degeneracy", "ts": ts, "i": i})
+    except szczarba.IncompatibleFamily as exc:
+        return Verdict.failed(exc.args[0])
+    return Verdict.passed()
+
+
+def negative_control_verdicts(simplicial):
+    """The contract, glue and simplicial verdicts of both swapped providers
+    on D4sk1, and the rival-convention diagnosis, by their reprs."""
+    out = {}
+    for pi, dim in (((2, 1), 2), ((2, 1, 3), 3)):
+        def fresh():
+            return SwappedSzProvider(LoopGroup(FIXTURES["D4sk1"]), pi)
+        out[pi, "contract"] = contract_check(fresh(), dim)
+        out[pi, "glue"] = build_f(CobarToGroupMap(fresh()), dim)
+        out[pi, "simplicial"] = simplicial(CobarToGroupMap(fresh()), dim)
+    diagnosis = rival_convention_diagnosis(fixture("TwoLoopsCell"))
+    out["rival"] = sorted(diagnosis.items())
+    return {key: repr(value) for key, value in out.items()}
+
+
+def test_negative_controls_match_unstored_reference(monkeypatch):
+    from test_loopgroup import reference_degeneracy, reference_face
+
+    stored = negative_control_verdicts(check_f_simplicial)
+    with monkeypatch.context() as patch:
+        patch.setattr(SzProvider, "sz", unstored_sz)
+        patch.setattr(LoopGroup, "face", reference_face)
+        patch.setattr(LoopGroup, "degeneracy", reference_degeneracy)
+        unstored = negative_control_verdicts(unstored_check_f_simplicial)
+    assert stored == unstored
+    for key, verdict in stored.items():
+        if key != "rival":
+            assert verdict.startswith("Verdict(ok=False"), key
