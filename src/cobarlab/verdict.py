@@ -33,45 +33,74 @@ def check_identities(elements, operators, table, top, key="x", values=True):
     ``elements`` yields ``(n, x)`` pairs, x of dimension n, and ``top`` is
     the last dimension among them.  ``operators`` maps an operator letter
     to its function, called as ``op(x, *args)`` with one or two index
-    arguments; the letter ``d`` names a face, which lowers the dimension by
-    one.  ``table(n)`` lists the identities on an n-dimensional element as
-    rows ``(label, fields, lhs, rhs)``: ``fields`` are the witness's index
-    fields, and ``lhs`` and ``rhs`` are operator words of at most two
-    operators, innermost first, each a tuple ``(letter, *args)``; the empty
-    word is the element itself.  A witness names the identity, the element
-    under ``key`` and the fields, and carries both sides when ``values`` is
-    set.
+    arguments.  The letter ``d`` names a face, which lowers the dimension
+    by one; every other letter (a degeneracy ``s``, a connection ``g``)
+    raises it by one.  The checker relies on this rule.  ``table(n)`` lists
+    the identities on an n-dimensional element as rows ``(label, fields,
+    lhs, rhs)``: ``fields`` are the witness's index fields, and ``lhs`` and
+    ``rhs`` are operator words of at most two operators, innermost first,
+    each a tuple ``(letter, *args)``; the empty word is the element itself.
+    A witness names the identity, the element under ``key`` and the fields,
+    and carries both sides when ``values`` is set.
 
     Each dimension's table is compiled once, to a list of the distinct
     first operators of its words and to rows that index into it, so each
-    first operator is applied to each element once.  While it checks
-    dimension n, the checker also keeps the first-operator list of each
-    element of dimension n - 1, keyed by that element.  A side whose first
-    operator is a face and whose second operator is a first operator of
-    dimension n - 1 reads its value from the list of that face.  When a
-    face of the element is not a key (elements need not come dimension by
-    dimension), its list is computed with dimension n - 1's first
-    operators and stored.  No list is kept for ``top``, and none outlives
-    the call.
+    first operator is applied to each element once.  An element's
+    first-operator list is slot 0, the element, followed by its image
+    under each first operator.  A side whose second operator is a first
+    operator of the dimension its first operator leads to reads its value
+    from the list of that value, which the checker keeps in a dict keyed by
+    the value:
+
+    - a face of an n-element reads from the list of dimension n - 1; these
+      lists are the ones kept for the elements of dimension n - 1, and a
+      face that is not a key gets its list computed and stored;
+    - below ``top``, a degeneracy or connection of an n-element reads from
+      a dict of dimension n + 1 lists, filled on a miss; when the elements
+      reach dimension n + 1, that dict becomes the dimension's own store,
+      so an element found in it reuses its list, and the store is kept
+      until dimension n + 2 is done;
+    - at ``top``, each element takes its list out of the store, and the
+      lists of dimension ``top + 1`` live in a window of one element: those
+      made by the previous element are found, all older ones are dropped.
+
+    When the elements skip or repeat a dimension, every store is emptied.
+    No list outlives the call.  Equal sides are compared by identity
+    first, so stored-cell structures make no ``__eq__`` call on a row that
+    holds.
     """
+    firsts = {}
     plans = {}
     dim = None
-    cur = None
+    cur = nxt = None
     for n, x in elements:
         if n != dim:
-            prev = cur if dim is not None and n == dim + 1 else {}
-            cur = {} if n < top else None
+            if dim is not None and n == dim + 1:
+                prev, cur = cur, nxt
+            else:
+                prev, cur = {}, {}
+            nxt, older = {}, {}
+            window = n >= top
             dim = n
             plan = plans.get(n)
             if plan is None:
-                plan = _plan(plans, table, operators, n)
-            firsts, faces, reads, rows = plan[1:]
-            lower = plans[n - 1][1] if faces else ()
-        first = [x]
-        first += [op(x, a) if b is None else op(x, a, b)
-                  for op, a, b in firsts]
-        if cur is not None:
-            cur[x] = first
+                plan = plans[n] = _plan(firsts, table, operators, n)
+            ops, faces, rises, reads, rows = plan
+            lower = firsts[n - 1][2] if faces else ()
+            upper = firsts[n + 1][2] if rises else ()
+        if window:
+            first = cur.pop(x, None)
+            older, nxt = nxt, {}
+        else:
+            first = cur.get(x)
+        if first is None:
+            first = [x]
+            first += [op(x, a) if b is None else op(x, a, b)
+                      for op, a, b in ops]
+            if not window:
+                cur[x] = first
+        else:
+            first[0] = x
         lists = []
         for k in faces:
             stored = prev.get(first[k])
@@ -80,8 +109,17 @@ def check_identities(elements, operators, table, top, key="x", values=True):
                 stored = prev[face] = [face] + [
                     op(face, a) if b is None else op(face, a, b)
                     for op, a, b in lower]
-            # keep the stored face, so that the table holds one object per
-            # distinct face
+            # keep the stored value, so that the lists hold one object per
+            # distinct value
+            first[k] = stored[0]
+            lists.append(stored)
+        for k in rises:
+            y = first[k]
+            stored = nxt.get(y) or older.get(y)
+            if stored is None:
+                stored = nxt[y] = [y] + [
+                    op(y, a) if b is None else op(y, a, b)
+                    for op, a, b in upper]
             first[k] = stored[0]
             lists.append(stored)
         vals = first + [lists[f][p] for f, p in reads]
@@ -92,7 +130,7 @@ def check_identities(elements, operators, table, top, key="x", values=True):
             rhs = vals[rk]
             if rop is not None:
                 rhs = rop(rhs, ra) if rb is None else rop(rhs, ra, rb)
-            if lhs != rhs:
+            if lhs is not rhs and lhs != rhs:
                 witness = {"identity": label, key: x, **fields}
                 if values:
                     witness["lhs"] = lhs
@@ -101,55 +139,69 @@ def check_identities(elements, operators, table, top, key="x", values=True):
     return Verdict.passed()
 
 
-def _plan(plans, table, operators, n):
-    """Compile dimension n's table into ``plans[n]``: ``(slots, firsts,
-    faces, reads, rows)``.
+def _firsts(firsts, table, operators, n):
+    """Dimension n's table and its distinct first operators, kept in
+    ``firsts[n]`` as ``(rows, slots, ops)``.
 
-    Slot 0 of an element's first-operator list is the element itself, slot
-    k its image under ``firsts[k - 1]``; ``slots`` maps each first operator
-    to its slot.  Each operator is bound as ``(function, first index,
-    second index or None)``, so that it is called with its arguments
-    spelled out: a call through ``*args`` costs several times a direct
-    call.  ``rows`` index into the first-operator list extended by
-    ``reads``: read ``(f, p)`` is slot p of the dimension n - 1 list of the
-    face in slot ``faces[f]``.  A side read this way calls no operator; any
-    other side calls its second operator.
+    ``slots`` maps each first operator to its slot in an element's
+    first-operator list (slot 0 is the element), and ``ops[k - 1]`` is the
+    operator of slot k, bound as ``(function, first index, second index or
+    None)`` so that it is called with its arguments spelled out: a call
+    through ``*args`` costs several times a direct call.
     """
-    below = {}
-    if n > 0:
-        below = (plans.get(n - 1) or _plan(plans, table, operators, n - 1))[0]
-    slots = {}
-    firsts = []
+    got = firsts.get(n)
+    if got is None:
+        rows = table(n)
+        slots = {}
+        for _, _, lhs, rhs in rows:
+            for word in (lhs, rhs):
+                if word and word[0] not in slots:
+                    slots[word[0]] = len(slots) + 1
+        got = firsts[n] = (rows, slots, [_bind(operators, op) for op in slots])
+    return got
+
+
+def _bind(operators, op):
+    return (operators[op[0]],) + op[1:] + (None,) * (3 - len(op))
+
+
+def _plan(firsts, table, operators, n):
+    """Compile dimension n's table: ``(ops, faces, rises, reads, rows)``.
+
+    ``ops`` are dimension n's bound first operators.  ``faces`` and
+    ``rises`` are the slots whose values have a list read: faces, with
+    lists of dimension n - 1, and degeneracies or connections, with lists
+    of dimension n + 1.  ``rows`` index into the first-operator list
+    extended by ``reads``: read ``(f, p)`` is slot p of the f-th of those
+    lists, faces first.  A side read this way calls no operator; any other
+    side calls its second operator.
+    """
+    rows, slots, ops = _firsts(firsts, table, operators, n)
+    below = _firsts(firsts, table, operators, n - 1)[1] if n > 0 else {}
+    above = _firsts(firsts, table, operators, n + 1)[1]
     faces = []
+    rises = []
     reads = {}
-
-    def bind(op):
-        return (operators[op[0]],) + op[1:] + (None,) * (3 - len(op))
-
-    rows = table(n)
-    for _, _, lhs, rhs in rows:
-        for word in (lhs, rhs):
-            if len(word) > 2:
-                raise ValueError(f"operator word {word!r} is longer than two")
-            if word and word[0] not in slots:
-                slots[word[0]] = len(firsts) + 1
-                firsts.append(bind(word[0]))
-    width = len(firsts) + 1
+    width = len(ops) + 1
 
     def side(word):
+        if len(word) > 2:
+            raise ValueError(f"operator word {word!r} is longer than two")
         if not word:
             return 0, None, None, None
         slot = slots[word[0]]
         if len(word) == 1:
             return slot, None, None, None
-        if word[0][0] == "d" and word[1] in below:
-            if slot not in faces:
-                faces.append(slot)
-            read = (faces.index(slot), below[word[1]])
-            return width + reads.setdefault(read, len(reads)), None, None, None
-        return (slot,) + bind(word[1])
+        links, near = (faces, below) if word[0][0] == "d" else (rises, above)
+        if word[1] not in near:
+            return (slot,) + _bind(operators, word[1])
+        if slot not in links:
+            links.append(slot)
+        read = (slot, near[word[1]])
+        return width + reads.setdefault(read, len(reads)), None, None, None
 
     rows = [(label, fields) + side(lhs) + side(rhs)
             for label, fields, lhs, rhs in rows]
-    plans[n] = (slots, firsts, faces, list(reads), rows)
-    return plans[n]
+    links = faces + rises
+    reads = [(links.index(slot), p) for slot, p in reads]
+    return ops, faces, rises, reads, rows

@@ -239,6 +239,7 @@ def _chains_ok(cx) -> Verdict:
 
 def cubical_suite(max_dim=None) -> Report:
     max_dim = 4 if max_dim is None else max_dim
+    cobar_deg = min(3, max_dim)
     checks = []
     for n in range(max_dim + 1):
         checks.append((f"standard-cube-{n}",
@@ -252,9 +253,9 @@ def cubical_suite(max_dim=None) -> Report:
         # freed before the chain checks run
         sset = fixture(name)
         checks.append((f"cobar-{name}",
-                       lambda s=sset: CobarSet(s).validate(3)))
+                       lambda s=sset: CobarSet(s).validate(cobar_deg)))
         checks.append((f"cobar-chains-{name}", lambda s=sset:
-                       _chains_ok(cubical_chains(CobarSet(s), 3))))
+                       _chains_ok(cubical_chains(CobarSet(s), cobar_deg))))
     return run_checks("cubical", checks)
 
 

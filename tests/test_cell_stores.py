@@ -140,11 +140,15 @@ def test_stores_belong_to_their_complex(make, cells):
 def test_standard_cube_store_holds_what_the_checker_made():
     cube, calls, results = counting(StandardCube(4), ("face", "degen", "conn"))
     assert cube.validate(4).ok
-    assert sum(calls.values()) == 259_767
-    assert stored(cube) == [16, 48, 136, 368, 961, 2441, 6061]
+    assert sum(calls.values()) == 123_254
+    # the 5-dimensional lists of the top rows' degeneracies and connections
+    # hold every first operator of dimension 5, so they also build
+    # s_{m+1} g_m of the identity 4-cube (m = 1..4), which no row reads:
+    # four 6-cells more than the 6,061 the rows reach
+    assert stored(cube) == [16, 48, 136, 368, 961, 2441, 6065]
     # the elements come from the store, and enumerating them adds nothing
     elements = {y for k in range(5) for y in cube.cubes(k)}
-    assert stored(cube) == [16, 48, 136, 368, 961, 2441, 6061]
+    assert stored(cube) == [16, 48, 136, 368, 961, 2441, 6065]
     held = {y for cells in cube._cells.values() for y in cells.values()}
     assert held == elements | results
 
@@ -152,7 +156,7 @@ def test_standard_cube_store_holds_what_the_checker_made():
 def test_simplicial_cube_store_holds_what_the_checker_made():
     cube, calls, results = counting(SimplicialCube(4), ("face", "degeneracy"))
     assert cube.validate(5).ok
-    assert sum(calls.values()) == 370_198
+    assert sum(calls.values()) == 145_542
     # every m-simplex, degenerate or not: (m + 2)^4 brackets
     assert stored(cube) == [16, 81, 256, 625, 1296, 2401, 4096, 6561]
     held = {u for cells in cube._cells.values() for u in cells.values()}

@@ -3,15 +3,20 @@ corrupted for that family, so no family can drop out of a table unseen, and
 the checker, which reads values from its tables, gives the same verdict as a
 reference checker that calls every operator."""
 
+import random
 from collections import Counter
 
 import pytest
 
-from cobarlab.cubes import CubeMorphism, StandardCube, cubical_identities
+from cobarlab.cobar import CobarSet
+from cobarlab.cubes import (CubeMorphism, ProductCubicalSet, StandardCube,
+                            cubical_identities)
 from cobarlab.loopgroup import LoopGroup, check_group_identities
+from cobarlab.simpcube import SimplicialCube
 from cobarlab.simplicial import (Simplex, fixture, nondeg,
                                  simplicial_identities)
-from cobarlab.verdict import Verdict
+from cobarlab.verdict import Verdict, check_identities
+from cobarlab.verify import SIMPLICIAL_FIXTURES
 
 
 def patched(obj, name, wrong):
@@ -167,11 +172,14 @@ def reference_simplicial(sset, max_dim):
         {"d": sset.face, "s": sset.degeneracy}, simplicial_identities)
 
 
+def cube_operators(cset):
+    return {"d": cset.face, "s": cset.degen, "g": cset.conn}
+
+
 def reference_cubical(cset, max_dim):
     return reference_check(
         ((n, y) for n in range(max_dim + 1) for y in cset.cubes(n)),
-        {"d": cset.face, "s": cset.degen, "g": cset.conn},
-        cubical_identities, key="y", values=False)
+        cube_operators(cset), cubical_identities, key="y", values=False)
 
 
 @pytest.mark.parametrize("max_dim", [3, 4])
@@ -213,12 +221,201 @@ def test_loop_group_checks_elements_in_any_order():
 
 
 def test_standard_cube_operator_call_count():
-    # the faces of each face are read from the previous dimension's table;
-    # calling every second operator made 127,582 calls
+    # the second operators of faces are read from the previous dimension's
+    # lists, those of degeneracies and connections from the next one's
     cube = StandardCube(3)
     calls = Counter()
     for name in ("face", "degen", "conn"):
         patched(cube, name, lambda op, y, *args, name=name:
                 calls.update([name]) or op(y, *args))
     assert cube.validate(4).ok
-    assert sum(calls.values()) == 82_304
+    assert sum(calls.values()) == 36_270
+
+
+def test_cobar_set_operator_call_count():
+    cobar = CobarSet(fixture("D4sk1"))
+    calls = Counter()
+    for name in ("face", "degen", "conn"):
+        patched(cobar, name, lambda op, y, *args, name=name:
+                calls.update([name]) or op(y, *args))
+    assert cobar.validate(3).ok
+    assert sum(calls.values()) == 199_172
+
+
+# ----- the read paths of degeneracy and connection words -----------------------------
+
+
+def watched(cube, name, cell, args, top):
+    """The checker's elements for ``cube.validate(top)``, and a list that
+    records the element being checked whenever ``cube``'s operator ``name``
+    is called on ``cell`` with ``args``."""
+    checking = []
+    calls = []
+    patched(cube, name, lambda op, y, *a: (
+        calls.append(checking[-1]) if y == cell and a == args else None)
+        or op(y, *a))
+
+    def elements():
+        for n in range(top + 1):
+            for y in cube.cubes(n):
+                checking.append(y)
+                yield n, y
+    return elements(), checking, calls
+
+
+def rising_corruption(n):
+    """The n-cube with a wrong connection g_2 on s_1 of the 1-cube along
+    the last coordinate (other coordinates 0): it answers g_1."""
+    degenerate = CubeMorphism(2, n, (0,) * (n - 1) + ((2,),))
+    return patched(StandardCube(n), "conn",
+                   lambda g, y, i: g(y, 1) if y == degenerate and i == 2
+                   else g(y, i)), degenerate
+
+
+def window_corruption(n):
+    """The n-cube with a wrong degeneracy s_3 on the 3-cube that is both
+    g_2 and s_1 of a 2-cube: it answers s_1."""
+    folded = CubeMorphism(3, n, (0,) * (n - 1) + ((2, 3),))
+    return patched(StandardCube(n), "degen",
+                   lambda s, y, i: s(y, 1) if y == folded and i == 3
+                   else s(y, i)), folded
+
+
+@pytest.mark.parametrize("top", [2, 3])
+def test_read_from_next_dimension_below_top_matches_reference(top):
+    # the conn-degen row g_2 s_1 = s_1 g_1 on the identity 1-cube reads
+    # g_2 of s_1 id from that 2-cube's list, made while the 1-cube is
+    # checked, before the 2-cube's own rows run
+    cube, degenerate = rising_corruption(1)
+    elements, checking, calls = watched(cube, "conn", degenerate, (2,), top)
+    fast = check_identities(elements, cube_operators(cube),
+                            cubical_identities, top, key="y", values=False)
+    identity = CubeMorphism.identity(1)
+    assert fast == Verdict.failed({"identity": "gs", "y": identity,
+                                   "i": 2, "j": 1})
+    assert calls == [identity] and degenerate not in checking
+    assert repr(fast) == repr(reference_cubical(rising_corruption(1)[0], top))
+
+
+def test_read_through_top_window_matches_reference():
+    # no row of g_2 x reads s_3 g_2 x (it is no side of an identity), but
+    # that element's window list holds it; the next element y, with
+    # s_1 y = g_2 x, reads it from there in the row s_1 s_2 = s_3 s_1
+    cube, folded = window_corruption(1)
+    elements, checking, calls = watched(cube, "degen", folded, (3,), 2)
+    fast = check_identities(elements, cube_operators(cube),
+                            cubical_identities, 2, key="y", values=False)
+    assert not fast.ok and fast.witness["identity"] == "ss"
+    y = fast.witness["y"]
+    assert y.source == 2 and cube.degen(y, 1) == folded
+    assert calls == [checking[checking.index(y) - 1]]
+    assert repr(fast) == repr(reference_cubical(window_corruption(1)[0], 2))
+
+
+SQUARE_CORRUPTIONS = {
+    "dd": CUBICAL["dd"],
+    "rising": lambda: rising_corruption(2)[0],
+    "window": lambda: window_corruption(2)[0],
+}
+
+
+def square_elements(cube, order):
+    elements = [(n, y) for n in range(4) for y in cube.cubes(n)]
+    if order == "gap":
+        return [(n, y) for n, y in elements if n != 2]
+    random.Random(order).shuffle(elements)
+    return elements
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, "gap"])
+@pytest.mark.parametrize("label", sorted(SQUARE_CORRUPTIONS))
+def test_unordered_elements_match_reference(label, order):
+    # stores reset whenever a dimension is skipped or repeated
+    cube = SQUARE_CORRUPTIONS[label]()
+    fast = check_identities(square_elements(cube, order),
+                            cube_operators(cube), cubical_identities, 3,
+                            key="y", values=False)
+    cube = SQUARE_CORRUPTIONS[label]()
+    slow = reference_check(square_elements(cube, order),
+                           cube_operators(cube), cubical_identities,
+                           key="y", values=False)
+    assert not fast.ok
+    assert repr(fast) == repr(slow)
+
+
+PASSING = {
+    **{f"standard-cube-{n}": (lambda n=n: StandardCube(n), min(n + 1, 3))
+       for n in range(4)},
+    **{f"simplicial-cube-{n}": (lambda n=n: SimplicialCube(n), n + 1)
+       for n in range(4)},
+    **{name: (lambda name=name: fixture(name), 4)
+       for name in SIMPLICIAL_FIXTURES},
+    "cobar-S2": (lambda: CobarSet(fixture("S2")), 3),
+    "product-1x1": (
+        lambda: ProductCubicalSet(StandardCube(1), StandardCube(1)), 3),
+    "product-2x1": (
+        lambda: ProductCubicalSet(StandardCube(2), StandardCube(1)), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PASSING))
+def test_passing_structure_matches_reference(name):
+    build, max_dim = PASSING[name]
+    structure = build()
+    reference = (reference_simplicial if hasattr(structure, "simplices")
+                 else reference_cubical)
+    fast = structure.validate(max_dim)
+    assert fast.ok
+    assert fast == reference(build(), max_dim)
+
+
+# ----- the checker's precondition ----------------------------------------------------
+
+
+def dims_follow_letters(dim, operators, table, elements):
+    """True when, on every word of every row of each element's table, ``d``
+    lowers the dimension by one and every other letter raises it by one."""
+    for n, x in elements:
+        for _, _, lhs, rhs in table(n):
+            for word in (lhs, rhs):
+                value, expected = x, n
+                for letter, *args in word:
+                    value = operators[letter](value, *args)
+                    expected += -1 if letter == "d" else 1
+                    if dim(value) != expected:
+                        return False
+    return True
+
+
+def _group_words():
+    group = LoopGroup(fixture("D4sk1"))
+    words = [group.tau(x) for n in (2, 3) for x in group.sset.nondegenerate(n)]
+    return group, [(a.n, a) for a in words + [group.mul(a, a) for a in words]]
+
+
+@pytest.mark.parametrize("name, build", [
+    ("standard-cube", lambda: StandardCube(2)),
+    ("product", lambda: ProductCubicalSet(StandardCube(1), StandardCube(1))),
+    ("cobar-S2", lambda: CobarSet(fixture("S2"))),
+    ("simplicial-cube", lambda: SimplicialCube(2)),
+    ("presentation", lambda: fixture("D4sk1")),
+])
+def test_operators_move_dimension_by_letter(name, build):
+    structure = build()
+    if hasattr(structure, "simplices"):
+        operators = {"d": structure.face, "s": structure.degeneracy}
+        table = simplicial_identities
+        elements = [(n, x) for n in range(3) for x in structure.simplices(n)]
+    else:
+        operators = cube_operators(structure)
+        table = cubical_identities
+        elements = [(n, y) for n in range(3) for y in structure.cubes(n)]
+    assert elements
+    assert dims_follow_letters(structure.dim, operators, table, elements)
+
+
+def test_loop_group_operators_move_dimension_by_letter():
+    group, elements = _group_words()
+    assert dims_follow_letters(group.dim, {"d": group.face,
+                                           "s": group.degeneracy},
+                               simplicial_identities, elements)

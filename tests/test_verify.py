@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from cobarlab import loopgroup, perms, szczarba, verify
+from cobarlab.cubes import cubical_chains
 from cobarlab.verdict import Verdict
 from cobarlab.verify import SUITES, run_suite
 
@@ -83,6 +84,25 @@ def test_contract_suite_follows_max_dim(max_dim, contract, twisting,
     monkeypatch.setattr(loopgroup, "check_twisting", counting("twisting"))
     run_suite("szczarba-contract", max_dim)
     assert seen == {("contract", contract): 3, ("twisting", twisting): 3}
+
+
+@pytest.mark.parametrize("max_dim, degree", [(None, 3), (1, 1), (4, 3)])
+def test_cubical_cobar_checks_follow_max_dim(max_dim, degree, monkeypatch):
+    # the cobar sets and their chains are built at min(3, max_dim)
+    seen = Counter()
+
+    def validate(cobar, n):
+        seen["validate", n] += 1
+        return Verdict.passed()
+
+    def chains(cobar, n):
+        seen["chains", n] += 1
+        return cubical_chains(cobar, n)
+
+    monkeypatch.setattr(verify.CobarSet, "validate", validate)
+    monkeypatch.setattr(verify, "cubical_chains", chains)
+    assert run_suite("cubical", max_dim).ok
+    assert seen == {("validate", degree): 2, ("chains", degree): 2}
 
 
 @pytest.mark.parametrize("name, wrong, label", [
