@@ -127,39 +127,91 @@ class ChainComplex:
         return out
 
     def check_coalgebra(self) -> Verdict:
-        """Diagonal is a chain map, coassociative and counital."""
+        """Diagonal is a chain map, coassociative and counital.
+
+        The checks run on label numbers: the labels are numbered once, in
+        basis order, and a pair of numbers ``(a, b)`` is the int
+        ``a * size + b`` (a triple likewise), so every term is added under
+        an int key.  Each boundary and each kept diagonal is translated to
+        numbers the first time a check needs it.  The labels are checked
+        in basis order, each by the chain-map, coassociativity and counit
+        checks in turn; the first failure's witness is built on labels.
+        """
         if self._diagonal_fn is None:
             return Verdict.failed({"check": "coalgebra", "error": "no diagonal"})
-        diagonal_of = self.diagonal_of
+        labels = []
+        degrees = []
         for n in self.degrees:
-            for label in self.basis[n]:
-                delta = diagonal_of(label)
-                if n >= 1:
-                    lhs = self.diagonal_chain(self.boundary[label])
-                    rhs = self._tensor_boundary(delta)
-                    if lhs != rhs:
-                        return Verdict.failed(
-                            {"check": "diagonal_chain_map", "label": label,
-                             "delta_d": lhs, "d_delta": rhs})
-                left: Chain = {}
-                right: Chain = {}
-                for (a, b), c in delta.items():
-                    for (a1, a2), ca in diagonal_of(a).items():
-                        add_scaled(left, {(a1, a2, b): 1}, c * ca)
-                    for (b1, b2), cb in diagonal_of(b).items():
-                        add_scaled(right, {(a, b1, b2): 1}, c * cb)
-                if left != right:
-                    return Verdict.failed({"check": "coassociativity", "label": label})
-                # counit: degree-0 labels count with weight 1
-                lcounit: Chain = {}
-                rcounit: Chain = {}
-                for (a, b), c in delta.items():
-                    if self.degree_of(a) == 0:
-                        add_scaled(lcounit, {b: 1}, c)
-                    if self.degree_of(b) == 0:
-                        add_scaled(rcounit, {a: 1}, c)
-                if lcounit != {label: 1} or rcounit != {label: 1}:
-                    return Verdict.failed({"check": "counit", "label": label})
+            labels += self.basis[n]
+            degrees += [n] * self.rank(n)
+        size = len(labels)
+        number = {label: k for k, label in enumerate(labels)}
+        boundaries = [None] * size
+        diagonals = [None] * size
+
+        def boundary(k):
+            d = boundaries[k]
+            if d is None:
+                d = boundaries[k] = {
+                    number[t]: c for t, c in self.boundary[labels[k]].items()}
+            return d
+
+        def diagonal(k):
+            d = diagonals[k]
+            if d is None:
+                d = diagonals[k] = {
+                    number[a] * size + number[b]: c
+                    for (a, b), c in self.diagonal_of(labels[k]).items()}
+            return d
+
+        for k, label in enumerate(labels):
+            terms = [divmod(p, size) + (c,) for p, c in diagonal(k).items()]
+            if degrees[k] >= 1:
+                # delta d - (d tensor 1 + 1 tensor d) delta, the sign of the
+                # second part that of the front label's degree
+                diff = {}
+                get = diff.get
+                for t, c in boundary(k).items():
+                    for p, e in diagonal(t).items():
+                        diff[p] = get(p, 0) + c * e
+                for a, b, c in terms:
+                    for t, e in boundary(a).items():
+                        p = t * size + b
+                        diff[p] = get(p, 0) - c * e
+                    if degrees[a] % 2:
+                        c = -c
+                    front = a * size
+                    for t, e in boundary(b).items():
+                        diff[front + t] = get(front + t, 0) - c * e
+                if any(diff.values()):
+                    return Verdict.failed(
+                        {"check": "diagonal_chain_map", "label": label,
+                         "delta_d": self.diagonal_chain(self.boundary[label]),
+                         "d_delta": self._tensor_boundary(
+                             self.diagonal_of(label))})
+            # (delta tensor 1) delta - (1 tensor delta) delta
+            diff = {}
+            get = diff.get
+            for a, b, c in terms:
+                for p, e in diagonal(a).items():
+                    p = p * size + b
+                    diff[p] = get(p, 0) + c * e
+                front = a * size * size
+                for p, e in diagonal(b).items():
+                    diff[front + p] = get(front + p, 0) - c * e
+            if any(diff.values()):
+                return Verdict.failed({"check": "coassociativity", "label": label})
+            # counit: degree-0 labels count with weight 1, and both sides
+            # must give the label back
+            left = {k: -1}
+            right = {k: -1}
+            for a, b, c in terms:
+                if degrees[a] == 0:
+                    left[b] = left.get(b, 0) + c
+                if degrees[b] == 0:
+                    right[a] = right.get(a, 0) + c
+            if any(left.values()) or any(right.values()):
+                return Verdict.failed({"check": "counit", "label": label})
         return Verdict.passed()
 
     # ----- homology -----------------------------------------------------------

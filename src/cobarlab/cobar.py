@@ -98,6 +98,10 @@ def _op_words(d: int, r: int):
 class CobarSet(CubicalSet):
     """Cubical monoid of simplex words over a 1-reduced presentation.
 
+    The public ``face``, ``degen`` and ``conn`` refuse an index out of
+    range; :meth:`validate` calls their cores, which skip that check,
+    since every index of a row of the cubical identities is in range.
+
     The set stores the faces of normalized cubes that faces of cubes with
     operators reduce to, keyed by (base, eps, i), each computed on its
     first use; the store is freed with the set.  A face asked of a
@@ -121,19 +125,36 @@ class CobarSet(CubicalSet):
     def degen(self, cube, i):
         if not 1 <= i <= self.dim(cube) + 1:
             raise ValueError("degeneracy index out of range")
-        base, ops = cube
-        return (base, _compose_op(("s", i), ops))
+        return self._degen_core(cube, i)
 
     def conn(self, cube, i):
         if not 1 <= i <= self.dim(cube):
             raise ValueError("connection index out of range")
-        base, ops = cube
-        return (base, _compose_op(("g", i), ops))
+        return self._conn_core(cube, i)
 
     def face(self, cube, eps, i):
         if not 1 <= i <= self.dim(cube):
             raise ValueError("face index out of range")
         return self._face(cube[0], cube[1], eps, i)
+
+    # ----- in-range cores ----------------------------------------------------------
+    # The public operators above are these behind a range check, which sums
+    # the letter dimensions of the base on every call.
+
+    def _operators(self) -> dict:
+        return {"d": self._face_core, "s": self._degen_core,
+                "g": self._conn_core}
+
+    def _face_core(self, cube, eps, i):
+        return self._face(cube[0], cube[1], eps, i)
+
+    def _degen_core(self, cube, i):
+        base, ops = cube
+        return (base, _compose_op(("s", i), ops))
+
+    def _conn_core(self, cube, i):
+        base, ops = cube
+        return (base, _compose_op(("g", i), ops))
 
     def _face(self, base, ops, eps, i):
         """Face of an in-range coordinate; the cubical identities keep every

@@ -254,11 +254,22 @@ class CubicalSet:
                 and not self.is_folded(y)]
 
     def validate(self, max_dim: int) -> Verdict:
-        """Exhaustive cubical identities (with connections) up to max_dim."""
+        """Exhaustive cubical identities (with connections) up to max_dim.
+
+        The checker calls the operators that :meth:`_operators` hands out;
+        it asks only for indices of the rows of :func:`cubical_identities`,
+        which are in range by construction.
+        """
         return check_identities(
             ((n, y) for n in range(max_dim + 1) for y in self.cubes(n)),
-            {"d": self.face, "s": self.degen, "g": self.conn},
-            cubical_identities, max_dim, key="y", values=False)
+            self._operators(), cubical_identities, max_dim, key="y",
+            values=False)
+
+    def _operators(self) -> dict:
+        """The face, degeneracy and connection the identity checker calls,
+        by letter: the public ones, unless a subclass has cheaper ones
+        that trust their indices to be in range."""
+        return {"d": self.face, "s": self.degen, "g": self.conn}
 
 
 def cubical_identities(n: int) -> list:
@@ -485,10 +496,13 @@ def cubical_chains(cset: CubicalSet, max_dim: int) -> ChainComplex:
 
     Boundary d y = sum_i (-1)^i (d0_i y - d1_i y); the diagonal, built on
     demand, is the two-sided face splitting over all shuffles of the
-    coordinate set.
+    coordinate set.  Each diagonal term is keyed by the basis label objects
+    themselves, not by the faces just computed that equal them, so that a
+    lookup of a diagonal label hits by identity and the kept diagonals hold
+    no second copy of a label.
     """
     basis = {n: tuple(cset.normalized(n)) for n in range(max_dim + 1)}
-    present = {y for labels in basis.values() for y in labels}
+    present = {y: y for labels in basis.values() for y in labels}
     boundary = {}
     for n in range(max_dim + 1):
         for y in basis[n]:
@@ -509,10 +523,11 @@ def cubical_chains(cset: CubicalSet, max_dim: int) -> ChainComplex:
         backs = _face_table(cset, y, 1, n)
         delta: Chain = {}
         for front_coords, back_coords, sign in _shuffle_splits(n):
-            front = fronts[front_coords]
-            back = backs[back_coords]
-            if front in present and back in present:
-                add_scaled(delta, {(front, back): 1}, sign)
+            front = present.get(fronts[front_coords])
+            if front is not None:
+                back = present.get(backs[back_coords])
+                if back is not None:
+                    add_scaled(delta, {(front, back): 1}, sign)
         return delta
 
     return ChainComplex(basis, boundary, diagonal)

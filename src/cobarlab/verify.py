@@ -239,23 +239,23 @@ def _chains_ok(cx) -> Verdict:
 
 def cubical_suite(max_dim=None) -> Report:
     max_dim = 4 if max_dim is None else max_dim
-    cobar_deg = min(3, max_dim)
+    top = min(3, max_dim)  # products and cobar sets stop at 3
     checks = []
     for n in range(max_dim + 1):
         checks.append((f"standard-cube-{n}",
                        lambda n=n: StandardCube(n).validate(min(n + 1, max_dim))))
     prod11 = ProductCubicalSet(StandardCube(1), StandardCube(1))
     prod21 = ProductCubicalSet(StandardCube(2), StandardCube(1))
-    checks.append(("product-1x1", lambda: prod11.validate(3)))
-    checks.append(("product-2x1", lambda: prod21.validate(3)))
+    checks.append(("product-1x1", lambda: prod11.validate(top)))
+    checks.append(("product-2x1", lambda: prod21.validate(top)))
     for name in ("S2", "D4sk1"):
         # one cobar set per check, so the faces stored while validating are
         # freed before the chain checks run
         sset = fixture(name)
         checks.append((f"cobar-{name}",
-                       lambda s=sset: CobarSet(s).validate(cobar_deg)))
+                       lambda s=sset: CobarSet(s).validate(top)))
         checks.append((f"cobar-chains-{name}", lambda s=sset:
-                       _chains_ok(cubical_chains(CobarSet(s), cobar_deg))))
+                       _chains_ok(cubical_chains(CobarSet(s), top))))
     return run_checks("cubical", checks)
 
 

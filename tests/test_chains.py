@@ -15,6 +15,7 @@ from cobarlab.snf import smith_normal_form
 from cobarlab.szczarba import SzProvider, word_map
 from cobarlab.triangulate import triangulation_map
 from cobarlab.verdict import Verdict
+from cobarlab.verify import SIMPLICIAL_FIXTURES
 
 
 def scaled(src: Chain, coeff: int) -> Chain:
@@ -285,8 +286,107 @@ def test_complex_without_diagonal():
     verdict = cx.check_coalgebra()
     assert not verdict.ok
     assert verdict.witness == {"check": "coalgebra", "error": "no diagonal"}
+    assert repr(verdict) == repr(reference_check_coalgebra(cx))
     with pytest.raises(ValueError):
         cx.diagonal_of("v")
+
+
+def test_cubical_diagonal_keys_terms_by_stored_labels():
+    cx = cubical_chains(CobarSet(fixture("D4sk1")), 2)
+    stored = {y: y for y in all_labels(cx)}
+    for y in all_labels(cx):
+        for a, b in cx.diagonal_of(y):
+            assert stored[a] is a and stored[b] is b, (y, a, b)
+
+
+def reference_check_coalgebra(cx):
+    """``check_coalgebra`` on labels: every sum is a chain keyed by labels,
+    built with ``add_scaled``, and the sides are compared whole."""
+    if cx._diagonal_fn is None:
+        return Verdict.failed({"check": "coalgebra", "error": "no diagonal"})
+    diagonal_of = cx.diagonal_of
+    for n in cx.degrees:
+        for label in cx.basis[n]:
+            delta = diagonal_of(label)
+            if n >= 1:
+                lhs = cx.diagonal_chain(cx.boundary[label])
+                rhs = cx._tensor_boundary(delta)
+                if lhs != rhs:
+                    return Verdict.failed(
+                        {"check": "diagonal_chain_map", "label": label,
+                         "delta_d": lhs, "d_delta": rhs})
+            left: Chain = {}
+            right: Chain = {}
+            for (a, b), c in delta.items():
+                for (a1, a2), ca in diagonal_of(a).items():
+                    add_scaled(left, {(a1, a2, b): 1}, c * ca)
+                for (b1, b2), cb in diagonal_of(b).items():
+                    add_scaled(right, {(a, b1, b2): 1}, c * cb)
+            if left != right:
+                return Verdict.failed({"check": "coassociativity", "label": label})
+            lcounit: Chain = {}
+            rcounit: Chain = {}
+            for (a, b), c in delta.items():
+                if cx.degree_of(a) == 0:
+                    add_scaled(lcounit, {b: 1}, c)
+                if cx.degree_of(b) == 0:
+                    add_scaled(rcounit, {a: 1}, c)
+            if lcounit != {label: 1} or rcounit != {label: 1}:
+                return Verdict.failed({"check": "counit", "label": label})
+    return Verdict.passed()
+
+
+COALGEBRAS = {
+    **{f"simplicial-{name}": lambda name=name: simplicial_chains(
+        fixture(name), 3) for name in SIMPLICIAL_FIXTURES},
+    "cobar-S2": lambda: cubical_chains(CobarSet(fixture("S2")), 3),
+    "cobar-D4sk1": lambda: cubical_chains(CobarSet(fixture("D4sk1")), 2),
+    "standard-cube-3": lambda: cubical_chains(StandardCube(3), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COALGEBRAS))
+def test_coalgebra_verdict_matches_reference(name):
+    verdict = COALGEBRAS[name]().check_coalgebra()
+    assert verdict.ok
+    assert repr(verdict) == repr(reference_check_coalgebra(COALGEBRAS[name]()))
+
+
+def corruptions(cx):
+    """Complexes that share the boundaries of ``cx``, each with the
+    diagonal of one label corrupted: its sign flipped, its first term
+    dropped, or a term added (the label paired with the first vertex, or
+    with itself)."""
+    vertex = cx.basis[0][0]
+    kinds = {
+        "flip": lambda delta, y: {k: -c for k, c in delta.items()},
+        "drop": lambda delta, y: dict(list(delta.items())[1:]),
+        "add-vertex": lambda delta, y: add_scaled(dict(delta),
+                                                  {(vertex, y): 1}),
+        "add-square": lambda delta, y: add_scaled(dict(delta), {(y, y): 1}),
+    }
+    targets = [labels[k] for labels in cx.basis.values() if labels
+               for k in {0, len(labels) // 2, len(labels) - 1}]
+    for kind, wrong in kinds.items():
+        for target in targets:
+            def corrupted(y, wrong=wrong, target=target):
+                delta = cx.diagonal_of(y)
+                return wrong(delta, y) if y == target else delta
+            yield kind, target, ChainComplex(cx.basis, cx.boundary, corrupted)
+
+
+@pytest.mark.parametrize("name", ["simplicial-D4sk1", "cobar-D4sk1",
+                                  "standard-cube-3"])
+def test_corrupted_coalgebra_witness_matches_reference(name):
+    cx = COALGEBRAS[name]()
+    failures = set()
+    for kind, target, bad in corruptions(cx):
+        verdict = bad.check_coalgebra()
+        assert repr(verdict) == repr(reference_check_coalgebra(bad)), (
+            kind, target)
+        if not verdict.ok:
+            failures.add(verdict.witness["check"])
+    assert failures == {"diagonal_chain_map", "coassociativity", "counit"}
 
 
 def test_corrupted_diagonal_fails_with_witness():

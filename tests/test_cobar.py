@@ -32,6 +32,26 @@ def test_cubical_identities_on_cobar():
     assert CobarSet(fixture("D4sk1")).validate(2).ok
 
 
+@pytest.mark.parametrize("cube", [
+    ((), ()),
+    word_to_cube((nondeg("sigma", 2),)),
+    ((nondeg("sigma", 2), nondeg("sigma", 2)), (("s", 1),)),
+], ids=["unit", "letter", "degenerate-word"])
+def test_public_operators_refuse_indices_out_of_range(cube):
+    cset = CobarSet(sphere(2))
+    n = cset.dim(cube)
+    for eps in (0, 1):
+        for i in (0, n + 1):
+            with pytest.raises(ValueError, match="face index"):
+                cset.face(cube, eps, i)
+    for i in (0, n + 2):
+        with pytest.raises(ValueError, match="degeneracy index"):
+            cset.degen(cube, i)
+    for i in (0, n + 1):
+        with pytest.raises(ValueError, match="connection index"):
+            cset.conn(cube, i)
+
+
 def test_degenerate_letters_are_operator_images():
     cset = CobarSet(sphere(2))
     sigma = nondeg("sigma", 2)

@@ -233,9 +233,10 @@ def test_standard_cube_operator_call_count():
 
 
 def test_cobar_set_operator_call_count():
+    # the checker calls the cores, which skip the public range check
     cobar = CobarSet(fixture("D4sk1"))
     calls = Counter()
-    for name in ("face", "degen", "conn"):
+    for name in ("_face_core", "_degen_core", "_conn_core"):
         patched(cobar, name, lambda op, y, *args, name=name:
                 calls.update([name]) or op(y, *args))
     assert cobar.validate(3).ok
@@ -351,6 +352,9 @@ PASSING = {
     **{name: (lambda name=name: fixture(name), 4)
        for name in SIMPLICIAL_FIXTURES},
     "cobar-S2": (lambda: CobarSet(fixture("S2")), 3),
+    # the reference calls the public operators, which refuse an index out
+    # of range, so the checker's cores are asked for none
+    "cobar-D4sk1": (lambda: CobarSet(fixture("D4sk1")), 2),
     "product-1x1": (
         lambda: ProductCubicalSet(StandardCube(1), StandardCube(1)), 3),
     "product-2x1": (

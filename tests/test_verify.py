@@ -105,6 +105,20 @@ def test_cubical_cobar_checks_follow_max_dim(max_dim, degree, monkeypatch):
     assert seen == {("validate", degree): 2, ("chains", degree): 2}
 
 
+@pytest.mark.parametrize("max_dim, degree", [(None, 3), (1, 1), (4, 3)])
+def test_cubical_product_checks_follow_max_dim(max_dim, degree, monkeypatch):
+    # the products are validated at min(3, max_dim), as the cobar sets are
+    seen = Counter()
+
+    def validate(product, n):
+        seen[n] += 1
+        return Verdict.passed()
+
+    monkeypatch.setattr(verify.ProductCubicalSet, "validate", validate)
+    assert run_suite("cubical", max_dim).ok
+    assert seen == {degree: 2}
+
+
 @pytest.mark.parametrize("name, wrong, label", [
     # a transposition that swaps the wrong pair of letters
     ("transposition", lambda n, j: perms.transposition(n, n - j),
