@@ -51,7 +51,10 @@ class ChainComplex:
     each label to a chain one degree down; ``diagonal`` (optional) is a
     function taking a label to a chain in the tensor square, keyed by label
     pairs.  It runs only when :meth:`diagonal_of` first asks for that label,
-    so boundaries and homology never pay for the coalgebra.
+    so boundaries and homology never pay for the coalgebra.  The chain
+    builders' diagonals read the faces that their boundaries computed,
+    kept in the diagonal function's closure, so those faces live exactly
+    as long as the complex.
     """
 
     def __init__(self, basis, boundary, diagonal=None):
@@ -127,15 +130,17 @@ class ChainComplex:
         return out
 
     def check_coalgebra(self) -> Verdict:
-        """Diagonal is a chain map, coassociative and counital.
+        """Diagonal has degree 0, is a chain map, coassociative and counital.
 
         The checks run on label numbers: the labels are numbered once, in
         basis order, and a pair of numbers ``(a, b)`` is the int
         ``a * size + b`` (a triple likewise), so every term is added under
         an int key.  Each boundary and each kept diagonal is translated to
         numbers the first time a check needs it.  The labels are checked
-        in basis order, each by the chain-map, coassociativity and counit
-        checks in turn; the first failure's witness is built on labels.
+        in basis order, each by the degree, chain-map, coassociativity and
+        counit checks in turn; the first failure's witness is built on
+        labels.  The degree check asks that every term (a, b) of the
+        diagonal of x have deg a + deg b = deg x.
         """
         if self._diagonal_fn is None:
             return Verdict.failed({"check": "coalgebra", "error": "no diagonal"})
@@ -166,6 +171,11 @@ class ChainComplex:
 
         for k, label in enumerate(labels):
             terms = [divmod(p, size) + (c,) for p, c in diagonal(k).items()]
+            for a, b, _ in terms:
+                if degrees[a] + degrees[b] != degrees[k]:
+                    return Verdict.failed(
+                        {"check": "diagonal_degree", "label": label,
+                         "term": (labels[a], labels[b])})
             if degrees[k] >= 1:
                 # delta d - (d tensor 1 + 1 tensor d) delta, the sign of the
                 # second part that of the front label's degree

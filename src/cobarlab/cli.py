@@ -21,8 +21,6 @@ from . import loopgroup, ssetfile, szczarba, verify
 from .cobar import CobarSet, compare_models
 from .cubes import ProductCubicalSet, StandardCube
 from .simplicial import Simplex, fixture, simplicial_chains
-from .triangulate import triangulation_map
-from .chains import check_chain_map, check_quasi_iso
 
 
 class InputError(Exception):
@@ -134,12 +132,9 @@ def cmd_homology(args) -> int:
 def cmd_triangulate(args) -> int:
     cset = _cubical_fixture(args.fixture)
     max_dim = _degree(args.max_dim, 3, "triangulate")
-    _, _, _, tmap = triangulation_map(cset, max_dim)
-    checks = [
-        ("chain-map", lambda: check_chain_map(tmap)),
-        ("quasi-iso", lambda: check_quasi_iso(tmap, range(max_dim))),
-    ]
-    report = verify.run_checks(f"triangulate-{args.fixture}", checks)
+    report = verify.run_checks(f"triangulate-{args.fixture}", [
+        ("triangulation",
+         lambda: verify.check_triangulation(cset, max_dim))])
     return _emit(report, args.json_out)
 
 

@@ -22,9 +22,11 @@ base point.
 
 A face pushed through a non-empty operator word ends as a face of the
 normalized cube (base, ()), and many cubes share a base, so each cobar set
-keeps those base faces in a store that lives and dies with the set.  Direct
-faces of normalized cubes bypass it: the chain complexes read each of them
-once, where a store would only add hashing and memory.
+keeps those base faces in a store that lives and dies with the set.  The
+identity checker reads direct faces of normalized cubes from the same
+store, whose keys they share.  The public ``face`` bypasses it for them:
+the chain builders ask each such face once and keep it with the complex,
+where a store would only add hashing and memory.
 
 Words multiply by concatenation, with the right factor's operators shifted
 past the left factor; the unit is the empty word.
@@ -104,9 +106,11 @@ class CobarSet(CubicalSet):
 
     The set stores the faces of normalized cubes that faces of cubes with
     operators reduce to, keyed by (base, eps, i), each computed on its
-    first use; the store is freed with the set.  A face asked of a
-    normalized cube directly is computed without it, since the boundaries
-    of the normalized chains ask each such face once.
+    first use; the store is freed with the set.  The identity checker's
+    face core reads and fills the same store for a direct face of a
+    normalized cube.  The public ``face`` computes such a face without
+    it, since the chain builders ask each one once and keep it with the
+    complex.
     """
 
     def __init__(self, sset: SimplicialPresentation):
@@ -146,7 +150,14 @@ class CobarSet(CubicalSet):
                 "g": self._conn_core}
 
     def _face_core(self, cube, eps, i):
-        return self._face(cube[0], cube[1], eps, i)
+        base, ops = cube
+        if ops:
+            return self._face(base, ops, eps, i)
+        key = (base, eps, i)
+        face = self._base_faces.get(key)
+        if face is None:
+            face = self._base_faces[key] = self._face(base, (), eps, i)
+        return face
 
     def _degen_core(self, cube, i):
         base, ops = cube

@@ -472,23 +472,16 @@ class ProductCubicalSet(CubicalSet):
 
 @functools.lru_cache(maxsize=None)
 def _shuffle_splits(n: int):
-    """(front coordinates, back coordinates, sign) of every shuffle of n
-    coordinates, in the order of :func:`all_shuffles` over k = 0..n."""
-    return tuple((sh.beta, sh.alpha, sh.sign())
+    """(front mask, back mask, sign) of every shuffle of n coordinates, in
+    the order of :func:`all_shuffles` over k = 0..n.  A mask has bit n - i
+    set for each coordinate i of its side, the order in which the face
+    tables of :func:`cubical_chains` grow."""
+
+    def mask(coords):
+        return sum(1 << (n - i) for i in coords)
+
+    return tuple((mask(sh.beta), mask(sh.alpha), sh.sign())
                  for k in range(n + 1) for sh in all_shuffles(k, n - k))
-
-
-def _face_table(cset: CubicalSet, y, eps: int, n: int) -> dict:
-    """The iterated face of the n-cube y in direction eps at every subset of
-    its coordinates, keyed by the increasing tuple of the subset; faces are
-    taken at original coordinates, largest first.  Each subset's face is
-    one face, at its smallest coordinate, of the face of the subset without
-    it: 2^n - 1 face calls in all."""
-    table = {(): y}
-    for i in range(n, 0, -1):
-        for coords, z in list(table.items()):
-            table[(i,) + coords] = cset.face(z, eps, i)
-    return table
 
 
 def cubical_chains(cset: CubicalSet, max_dim: int) -> ChainComplex:
@@ -496,38 +489,76 @@ def cubical_chains(cset: CubicalSet, max_dim: int) -> ChainComplex:
 
     Boundary d y = sum_i (-1)^i (d0_i y - d1_i y); the diagonal, built on
     demand, is the two-sided face splitting over all shuffles of the
-    coordinate set.  Each diagonal term is keyed by the basis label objects
-    themselves, not by the faces just computed that equal them, so that a
-    lookup of a diagonal label hits by identity and the kept diagonals hold
-    no second copy of a label.
+    coordinate set.
+
+    While it builds the boundaries, the builder keeps one row per basis
+    label: the label, then its faces d0_1, d1_1, ..., d0_n, d1_n, each the
+    face's own row when that face is a label and the face itself when it
+    is not.  The diagonal reads its iterated faces from the rows, so only
+    a face of a cube that is no label calls ``cset.face`` again.  The rows
+    live in the builder's closure and are freed with the complex; nothing
+    is stored on ``cset``.  Boundary chains and diagonal terms are keyed by
+    the basis label objects themselves, not by the faces just computed
+    that equal them, so that a lookup of a label hits by identity and the
+    complex holds no second copy of a label.
     """
     basis = {n: tuple(cset.normalized(n)) for n in range(max_dim + 1)}
-    present = {y: y for labels in basis.values() for y in labels}
+    rows = {}
     boundary = {}
     for n in range(max_dim + 1):
         for y in basis[n]:
+            row = [y]
             d: Chain = {}
             for i in range(1, n + 1):
                 sign = -1 if i % 2 else 1
-                f0 = cset.face(y, 0, i)
-                if f0 in present:
-                    add_scaled(d, {f0: 1}, sign)
-                f1 = cset.face(y, 1, i)
-                if f1 in present:
-                    add_scaled(d, {f1: 1}, -sign)
+                for face in (cset.face(y, 0, i), cset.face(y, 1, i)):
+                    face_row = rows.get(face)
+                    if face_row is None:
+                        row.append(face)
+                    else:
+                        row.append(face_row)
+                        add_scaled(d, {face_row[0]: 1}, sign)
+                    sign = -sign
+            rows[y] = row
             boundary[y] = d
 
+    def face_of(z, eps, i):
+        """A face of a cube that is no label, computed: the face's row
+        when the face is a label, else the face."""
+        face = cset.face(z, eps, i)
+        return rows.get(face, face)
+
+    def face_labels(row, eps, n):
+        """The iterated face of a label's n-cube in direction eps at every
+        subset of its coordinates, indexed by mask, as the label it is or
+        None.  Faces are taken at original coordinates, largest first:
+        each subset's face is one face, at its smallest coordinate, of the
+        face of the subset without it, read from a row where there is
+        one."""
+        table = [row]
+        for i in range(n, 0, -1):
+            k = 2 * i - 1 + eps
+            table += [z[k] if z.__class__ is list else face_of(z, eps, i)
+                      for z in table]
+        return [z[0] if z.__class__ is list else None for z in table]
+
     def diagonal(y) -> Chain:
-        n = cset.dim(y)
-        fronts = _face_table(cset, y, 0, n)
-        backs = _face_table(cset, y, 1, n)
+        row = rows[y]
+        n = (len(row) - 1) // 2
+        fronts = face_labels(row, 0, n)
+        backs = face_labels(row, 1, n)
         delta: Chain = {}
-        for front_coords, back_coords, sign in _shuffle_splits(n):
-            front = present.get(fronts[front_coords])
+        for front_mask, back_mask, sign in _shuffle_splits(n):
+            front = fronts[front_mask]
             if front is not None:
-                back = present.get(backs[back_coords])
+                back = backs[back_mask]
                 if back is not None:
-                    add_scaled(delta, {(front, back): 1}, sign)
+                    key = (front, back)
+                    c = delta.get(key, 0) + sign
+                    if c:
+                        delta[key] = c
+                    else:
+                        del delta[key]
         return delta
 
     return ChainComplex(basis, boundary, diagonal)

@@ -294,48 +294,78 @@ class ProductSimplicialSet(SimplicialSet):
 # ----- chains with the front/back-face diagonal ---------------------------------
 
 
-def normalized_boundary(sset: SimplicialSet, x, keep) -> Chain:
-    """Alternating face sum of x over the faces that ``keep`` accepts."""
-    d: Chain = {}
-    n = sset.dim(x)
-    if n == 0:
-        return d
-    for i in range(n + 1):
-        fx = sset.face(x, i)
-        if keep(fx):
-            add_scaled(d, {fx: 1}, -1 if i % 2 else 1)
-    return d
-
-
-def front_back_diagonal(sset: SimplicialSet, x, keep) -> Chain:
-    """Sum of (front_face(x, i), back_face(x, i)) over the pairs whose two
-    faces ``keep`` accepts."""
-    # fronts[i] and backs[i] are each one face of the one before them
-    n = sset.dim(x)
-    fronts = [x]
-    backs = [x]
-    for i in range(n, 0, -1):
-        fronts.append(sset.face(fronts[-1], i))
-        backs.append(sset.face(backs[-1], 0))
-    fronts.reverse()
-    delta: Chain = {}
-    for front, back in zip(fronts, backs):
-        if keep(front) and keep(back):
-            add_scaled(delta, {(front, back): 1}, 1)
-    return delta
-
-
 def normalized_chains(sset: SimplicialSet, basis: dict, keep) -> ChainComplex:
     """Normalized chains on ``basis`` (degree -> simplices): the faces and
     diagonal terms that ``keep`` rejects are zero.
 
     Carries the front-face/back-face diagonal, built on demand, making it a
     dg-coalgebra.
+
+    While it builds the boundaries, the builder keeps one row per basis
+    simplex: the simplex, or None when ``keep`` rejects it, then its faces
+    d_0, ..., d_n, each the face's own row when that face is a basis
+    simplex and the face itself when it is not.  The diagonal reads its
+    iterated front and back faces from the rows, so only a face of a
+    simplex outside the basis calls ``sset.face`` again.  The rows live in
+    the builder's closure and are freed with the complex; nothing is
+    stored on ``sset``.  Boundary chains and diagonal terms are keyed by
+    the basis simplices themselves where a face is one.
     """
-    boundary = {x: normalized_boundary(sset, x, keep)
-                for labels in basis.values() for x in labels}
-    return ChainComplex(
-        basis, boundary, lambda x: front_back_diagonal(sset, x, keep))
+    rows = {}
+    boundary = {}
+    for n in sorted(basis):
+        for x in basis[n]:
+            row = [x if keep(x) else None]
+            d: Chain = {}
+            for i in range(n + 1 if n else 0):
+                face = sset.face(x, i)
+                face_row = rows.get(face)
+                if face_row is None:
+                    row.append(face)
+                    label = face if keep(face) else None
+                else:
+                    row.append(face_row)
+                    label = face_row[0]
+                if label is not None:
+                    add_scaled(d, {label: 1}, -1 if i % 2 else 1)
+            rows[x] = row
+            boundary[x] = d
+
+    def face_of(z, i):
+        """The i-th face of a row's simplex, read from the row, or of a
+        face outside the basis, computed; a face that is a basis simplex
+        comes back as its row."""
+        if z.__class__ is list:
+            return z[1 + i]
+        face = sset.face(z, i)
+        return rows.get(face, face)
+
+    def label(z):
+        """The kept simplex that a row or a face outside the basis is, or
+        None."""
+        if z.__class__ is list:
+            return z[0]
+        return z if keep(z) else None
+
+    def diagonal(x) -> Chain:
+        # fronts[i] and backs[i] are each one face of the one before them
+        row = rows[x]
+        fronts = [row]
+        backs = [row]
+        for i in range(sset.dim(x), 0, -1):
+            fronts.append(face_of(fronts[-1], i))
+            backs.append(face_of(backs[-1], 0))
+        fronts.reverse()
+        delta: Chain = {}
+        for front, back in zip(fronts, backs):
+            front = label(front)
+            if front is not None:
+                back = label(back)
+                if back is not None:
+                    add_scaled(delta, {(front, back): 1}, 1)
+        return delta
+
+    return ChainComplex(basis, boundary, diagonal)
 
 
 def simplicial_chains(sset: SimplicialSet, max_dim: int) -> ChainComplex:

@@ -54,10 +54,11 @@ def test_criterion_2_structural_identities(announce, suite_report):
 
 
 def test_criterion_3_triangulation(announce):
-    verdicts = [verify.check_triangulation_cube(n) for n in range(4)]
+    verdicts = [verify.check_triangulation(StandardCube(n), n + 1)
+                for n in range(4)]
     verdicts.append(verify.check_triangulation(
-        ProductCubicalSet(StandardCube(1), StandardCube(1))))
-    verdicts.append(verify.check_triangulation(CobarSet(fixture("S2"))))
+        ProductCubicalSet(StandardCube(1), StandardCube(1)), 3))
+    verdicts.append(verify.check_triangulation(CobarSet(fixture("S2")), 3))
     verdicts.append(verify.check_product_splitting())
     verdicts.append(verify.check_product_splitting_dgc())
     announce(3, "triangulation", all_ok(verdicts))

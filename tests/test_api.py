@@ -38,6 +38,8 @@ MOVED = (
     "triangulate.TriangulatedCubicalSet.reduction_options",
     "chains.tensor_complex",
     "chains.scaled",
+    "simplicial.normalized_boundary",
+    "simplicial.front_back_diagonal",
 )
 
 

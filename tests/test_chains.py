@@ -10,10 +10,11 @@ from cobarlab.cubes import (CubeMorphism, CubicalSet, ProductCubicalSet,
 from cobarlab.loopgroup import LoopGroup
 from cobarlab.perms import all_shuffles
 from cobarlab.simpcube import SimplicialCube
-from cobarlab.simplicial import fixture, simplicial_chains, sphere
+from cobarlab.simplicial import (SimplicialSet, fixture, nondeg,
+                                 simplicial_chains, sphere)
 from cobarlab.snf import smith_normal_form
 from cobarlab.szczarba import SzProvider, word_map
-from cobarlab.triangulate import triangulation_map
+from cobarlab.triangulate import TriangulatedCubicalSet, triangulation_map
 from cobarlab.verdict import Verdict
 from cobarlab.verify import SIMPLICIAL_FIXTURES
 
@@ -172,12 +173,14 @@ def reference_cubical_diagonal(cset, present, y):
     return delta
 
 
-def reference_simplicial_diagonal(sset, present, x):
+def reference_simplicial_diagonal(sset, keep, x):
+    """The front/back formula: every front and back face is taken afresh
+    from x, and kept when ``keep`` accepts both."""
     delta = {}
     for i in range(sset.dim(x) + 1):
         front = sset.front_face(x, i)
         back = sset.back_face(x, i)
-        if front in present and back in present:
+        if keep(front) and keep(back):
             add_scaled(delta, {(front, back): 1}, 1)
     return delta
 
@@ -218,8 +221,14 @@ class CountingCubes(CubicalSet):
     (lambda: CobarSet(fixture("S3")), 4),
     (lambda: StandardCube(4), 4),
     (lambda: ProductCubicalSet(StandardCube(2), StandardCube(1)), 3),
-], ids=["cobar-D4sk1", "cobar-S3", "standard-cube-4", "product-2x1"])
+    (lambda: CobarSet(fixture("S2")), 4),
+    (lambda: StandardCube(3), 3),
+], ids=["cobar-D4sk1", "cobar-S3", "standard-cube-4", "product-2x1",
+        "cobar-S2", "standard-cube-3"])
 def test_cubical_diagonal_matches_per_shuffle_formula(build, max_dim):
+    # on cobar-S3 some faces of normalized cubes carry operators, so are no
+    # labels, and the diagonal faces them anew; on the others every face
+    # of a label is a label
     cset = build()
     cx = cubical_chains(cset, max_dim)
     present = set(all_labels(cx))
@@ -228,29 +237,92 @@ def test_cubical_diagonal_matches_per_shuffle_formula(build, max_dim):
         assert cx.diagonal_of(y) == reference_cubical_diagonal(cset, present, y), y
 
 
+def simplicial_complex(sset, max_dim):
+    """The simplicial chains of sset, with the basis test as its filter."""
+    cx = simplicial_chains(sset, max_dim)
+    return sset, cx, set(all_labels(cx)).__contains__
+
+
+def group_chains():
+    """The group chains of the degree-2 word map on D4sk1, on the words its
+    values touch and filtered by nondegeneracy: 205 faces of basis words
+    lie outside the basis and are kept."""
+    provider = SzProvider(LoopGroup(fixture("D4sk1")))
+    group = provider.group
+    return (group, word_map(provider, 2).target,
+            lambda g: not group.is_degenerate(g))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: simplicial_complex(fixture("D4sk1"), 4),
+    lambda: simplicial_complex(SimplicialCube(3), 3),
+    lambda: group_chains(),
+    lambda: simplicial_complex(
+        TriangulatedCubicalSet(CobarSet(fixture("S2")), 3), 3),
+], ids=["D4sk1", "simplicial-cube-3", "group-D4sk1", "triangulated-cobar-S2"])
+def test_simplicial_diagonal_matches_front_back_formula(build):
+    sset, cx, keep = build()
+    assert cx.basis[cx.max_degree]
+    for x in all_labels(cx):
+        assert cx.diagonal_of(x) == reference_simplicial_diagonal(
+            sset, keep, x), x
+
+
+def test_diagonal_takes_two_faces_per_coordinate_subset():
+    # the diagonal of an n-cube takes its 2 (2^n - 1) iterated faces from
+    # the rows its boundary kept; only a face of a cube that is no label
+    # calls face again.  Every face of a label on D4sk1 and S2 is a label;
+    # 12 on S3 carry operators.  Taking every face afresh would make
+    # 16,064, 52 and 36 calls.
+    for name, max_dim, calls in [("D4sk1", 3, 0), ("S2", 4, 0),
+                                 ("S3", 4, 20)]:
+        counting = CountingCubes(CobarSet(fixture(name)))
+        cx = cubical_chains(counting, max_dim)
+        built = counting.faces
+        for y in all_labels(cx):
+            cx.diagonal_of(y)
+            cx.diagonal_of(y)  # kept, not computed again
+        assert counting.faces - built == calls, name
+
+
+class CountingSimplices(SimplicialSet):
+    """A simplicial set that delegates to another and counts face calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.faces = 0
+
+    def nondegenerate(self, n):
+        return self.inner.nondegenerate(n)
+
+    def dim(self, x):
+        return self.inner.dim(x)
+
+    def face(self, x, i):
+        self.faces += 1
+        return self.inner.face(x, i)
+
+    def degeneracy(self, x, i):
+        return self.inner.degeneracy(x, i)
+
+
 @pytest.mark.parametrize("build,max_dim", [
     (lambda: fixture("D4sk1"), 4),
     (lambda: SimplicialCube(3), 3),
 ], ids=["D4sk1", "simplicial-cube-3"])
-def test_simplicial_diagonal_matches_front_back_formula(build, max_dim):
-    sset = build()
-    cx = simplicial_chains(sset, max_dim)
-    present = set(all_labels(cx))
-    assert cx.basis[max_dim]
-    for x in all_labels(cx):
-        assert cx.diagonal_of(x) == reference_simplicial_diagonal(sset, present, x), x
-
-
-def test_diagonal_takes_two_faces_per_coordinate_subset():
-    counting = CountingCubes(CobarSet(fixture("D4sk1")))
-    cx = cubical_chains(counting, 3)
-    for n in cx.degrees:
-        for y in cx.basis[n]:
-            before = counting.faces
-            cx.diagonal_of(y)
-            assert counting.faces - before == 2 * (2 ** n - 1)
-            cx.diagonal_of(y)  # kept, not computed again
-            assert counting.faces - before == 2 * (2 ** n - 1)
+def test_simplicial_chains_keep_no_face_on_the_set(build, max_dim):
+    # each build computes the n + 1 faces of every basis simplex of
+    # dimension n >= 1 once: nothing outlives a complex on the set
+    counting = CountingSimplices(build())
+    builds = []
+    for _ in range(2):
+        before = counting.faces
+        cx = simplicial_chains(counting, max_dim)
+        builds.append(counting.faces - before)
+        for x in all_labels(cx):
+            cx.diagonal_of(x)
+    assert builds[0] == builds[1] == sum(
+        (n + 1) * cx.rank(n) for n in cx.degrees if n)
 
 
 def test_homology_and_d_squared_build_no_diagonal():
@@ -308,6 +380,11 @@ def reference_check_coalgebra(cx):
     for n in cx.degrees:
         for label in cx.basis[n]:
             delta = diagonal_of(label)
+            for a, b in delta:
+                if cx.degree_of(a) + cx.degree_of(b) != n:
+                    return Verdict.failed(
+                        {"check": "diagonal_degree", "label": label,
+                         "term": (a, b)})
             if n >= 1:
                 lhs = cx.diagonal_chain(cx.boundary[label])
                 rhs = cx._tensor_boundary(delta)
@@ -386,7 +463,27 @@ def test_corrupted_coalgebra_witness_matches_reference(name):
             kind, target)
         if not verdict.ok:
             failures.add(verdict.witness["check"])
-    assert failures == {"diagonal_chain_map", "coassociativity", "counit"}
+    assert failures == {"diagonal_degree", "diagonal_chain_map",
+                        "coassociativity", "counit"}
+
+
+def test_diagonal_of_wrong_degree_fails_with_witness():
+    # x -> 1 (x) x + x (x) 1 + x (x) x is counital, coassociative and
+    # commutes with d, but x (x) x has degree 4 for the degree-2 word x
+    cx = cubical_chains(CobarSet(fixture("D4sk1")), 2)
+    word = nondeg("012", 2)
+    x = next(y for y in cx.basis[2] if y == ((word, word), ()))
+
+    def corrupted(y):
+        delta = cx.diagonal_of(y)
+        return add_scaled(dict(delta), {(x, x): 1}) if y == x else delta
+
+    bad = ChainComplex(cx.basis, cx.boundary, corrupted)
+    verdict = bad.check_coalgebra()
+    assert not verdict.ok
+    assert verdict.witness == {"check": "diagonal_degree", "label": x,
+                               "term": (x, x)}
+    assert repr(verdict) == repr(reference_check_coalgebra(bad))
 
 
 def test_corrupted_diagonal_fails_with_witness():

@@ -17,8 +17,7 @@ from cobarlab.perms import (all_index_seqs, all_perms, compose, invert, p,
 from cobarlab.simpcube import (PartitionSimplex, lambda_star, project_simplex,
                                u_pi)
 from cobarlab.simplicial import (SimplicialPresentation, degenerate_point,
-                                 fixture, front_back_diagonal, nondeg,
-                                 normalized_boundary, normalized_chains,
+                                 fixture, nondeg, normalized_chains,
                                  shuffle_pair, sphere)
 from cobarlab.szczarba import (CobarToGroupMap, SwappedSzProvider,
                                SzProvider, build_f,
@@ -352,6 +351,38 @@ def test_t_sz_values(providers):
     assert t_sz(prov, sigma) == {g.tau(sigma): 1}
     # the vertex contributes nothing
     assert t_sz(prov, prov.sset.nondegenerate(0)[0]) == {}
+
+
+def normalized_boundary(sset, x, keep):
+    """Alternating face sum of x over the faces that ``keep`` accepts, each
+    face taken afresh."""
+    d = {}
+    n = sset.dim(x)
+    if n == 0:
+        return d
+    for i in range(n + 1):
+        fx = sset.face(x, i)
+        if keep(fx):
+            add_scaled(d, {fx: 1}, -1 if i % 2 else 1)
+    return d
+
+
+def front_back_diagonal(sset, x, keep):
+    """Sum of (front_face(x, i), back_face(x, i)) over the pairs whose two
+    faces ``keep`` accepts, each face taken afresh."""
+    # fronts[i] and backs[i] are each one face of the one before them
+    n = sset.dim(x)
+    fronts = [x]
+    backs = [x]
+    for i in range(n, 0, -1):
+        fronts.append(sset.face(fronts[-1], i))
+        backs.append(sset.face(backs[-1], 0))
+    fronts.reverse()
+    delta = {}
+    for front, back in zip(fronts, backs):
+        if keep(front) and keep(back):
+            add_scaled(delta, {(front, back): 1}, 1)
+    return delta
 
 
 def reference_group_boundary(group, chain):
