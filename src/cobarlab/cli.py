@@ -27,25 +27,12 @@ class InputError(Exception):
     pass
 
 
-def _nonnegative(value):
-    if value is not None and value < 0:
-        raise InputError(f"dimensions must be >= 0, got {value}")
-    return value
-
-
-def _dimension(value, default: int) -> int:
-    """An explicit --max-dim/--max-deg, else the default."""
-    return default if value is None else _nonnegative(value)
-
-
-def _degree(value, default: int, command: str) -> int:
-    """``_dimension``, refused below 1 for a command that compares nothing
-    at degree 0 and would pass vacuously there."""
-    value = _dimension(value, default)
-    if value < 1:
-        raise InputError(f"{command} checks nothing below degree 1;"
-                         f" got {value}")
-    return value
+def _degree(command: str, value, default: int, least: int = 0) -> int:
+    """``verify.degree``, its refusal reported as an input error."""
+    try:
+        return verify.degree(command, value, default, least)
+    except ValueError as exc:
+        raise InputError(exc)
 
 
 def _load_sset(source: str):
@@ -110,7 +97,7 @@ def _write_json(reports, json_out):
 
 def cmd_validate(args) -> int:
     sset = _load_sset(args.input)
-    max_dim = _dimension(args.max_dim, 4)
+    max_dim = _degree("validate", args.max_dim, 4)
     verdict = sset.validate_presentation(max_dim)
     if verdict.ok:
         print(f"{sset.name}: valid up to dimension {max_dim}")
@@ -121,7 +108,7 @@ def cmd_validate(args) -> int:
 
 def cmd_homology(args) -> int:
     sset = _load_sset(args.input)
-    max_dim = _dimension(args.max_dim, 4)
+    max_dim = _degree("homology", args.max_dim, 4)
     # H_n needs the (n+1)-cells, so the complex carries one degree more
     cx = simplicial_chains(sset, max_dim + 1)
     for n in range(max_dim + 1):
@@ -131,7 +118,7 @@ def cmd_homology(args) -> int:
 
 def cmd_triangulate(args) -> int:
     cset = _cubical_fixture(args.fixture)
-    max_dim = _degree(args.max_dim, 3, "triangulate")
+    max_dim = _degree("triangulate", args.max_dim, 3, 1)
     report = verify.run_checks(f"triangulate-{args.fixture}", [
         ("triangulation",
          lambda: verify.check_triangulation(cset, max_dim))])
@@ -140,7 +127,7 @@ def cmd_triangulate(args) -> int:
 
 def cmd_cobar(args) -> int:
     sset = _load_sset(args.input)
-    max_deg = _degree(args.max_deg, 3, "cobar")
+    max_deg = _degree("cobar", args.max_deg, 3, 1)
     _build(CobarSet, sset)  # refuse an input that is not 1-reduced up front
     _, _, _, verdicts = compare_models(sset, max_deg)
     report = verify.run_checks(
@@ -171,10 +158,9 @@ def cmd_szczarba(args) -> int:
 
 def cmd_verify(args) -> int:
     suites = sorted(verify.SUITES) if args.suite == "all" else [args.suite]
-    max_dim = _nonnegative(args.max_dim)
     for name in suites:
         try:
-            verify.check_request(name, max_dim)
+            verify.check_request(name, args.max_dim)
         except ValueError as exc:
             raise InputError(exc)
     profiler = cProfile.Profile() if args.profile else None
@@ -182,7 +168,7 @@ def cmd_verify(args) -> int:
         profiler.enable()
     reports = []
     for name in suites:
-        reports.append(verify.run_suite(name, max_dim))
+        reports.append(verify.run_suite(name, args.max_dim))
         print(reports[-1].render())
     if profiler:
         profiler.disable()

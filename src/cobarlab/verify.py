@@ -199,15 +199,15 @@ def check_hereditary(n_max: int = 4) -> Verdict:
     return Verdict.passed()
 
 
-def combinatorics_suite(max_dim=None) -> Report:
-    return run_checks("combinatorics", [
+def combinatorics_checks(_):
+    return [
         ("p-bijection-parity", check_p_bijection),
         ("psi-bijection", check_psi_bijection),
         ("xi-vs-value-split", check_xi_split),
         ("phi-translation", check_phi_agreement),
         ("assignment-roundtrip", check_assignment_roundtrip),
         ("hereditary-paths", check_hereditary),
-    ])
+    ]
 
 
 # ----- simplicial -------------------------------------------------------------------
@@ -216,16 +216,15 @@ def combinatorics_suite(max_dim=None) -> Report:
 SIMPLICIAL_FIXTURES = ("Delta2", "I", "S2", "S3", "D4sk1", "TwoLoopsCell")
 
 
-def simplicial_suite(max_dim=None) -> Report:
-    max_dim = 5 if max_dim is None else max_dim
+def simplicial_checks(d):
     checks = []
     for name in SIMPLICIAL_FIXTURES:
         sset = fixture(name)
         checks.append((f"identities-{name}",
-                       lambda s=sset: s.validate_presentation(max_dim)))
+                       lambda s=sset: s.validate_presentation(d)))
         checks.append((f"chains-{name}",
                        lambda s=sset: _chains_ok(simplicial_chains(s, 3))))
-    return run_checks("simplicial", checks)
+    return checks
 
 
 def _chains_ok(cx) -> Verdict:
@@ -237,13 +236,12 @@ def _chains_ok(cx) -> Verdict:
 # ----- cubical ----------------------------------------------------------------------
 
 
-def cubical_suite(max_dim=None) -> Report:
-    max_dim = 4 if max_dim is None else max_dim
-    top = min(3, max_dim)  # products and cobar sets stop at 3
+def cubical_checks(d):
+    top = min(3, d)  # products and cobar sets stop at 3
     checks = []
-    for n in range(max_dim + 1):
+    for n in range(d + 1):
         checks.append((f"standard-cube-{n}",
-                       lambda n=n: StandardCube(n).validate(min(n + 1, max_dim))))
+                       lambda n=n: StandardCube(n).validate(min(n + 1, d))))
     prod11 = ProductCubicalSet(StandardCube(1), StandardCube(1))
     prod21 = ProductCubicalSet(StandardCube(2), StandardCube(1))
     checks.append(("product-1x1", lambda: prod11.validate(top)))
@@ -256,7 +254,7 @@ def cubical_suite(max_dim=None) -> Report:
                        lambda s=sset: CobarSet(s).validate(top)))
         checks.append((f"cobar-chains-{name}", lambda s=sset:
                        _chains_ok(cubical_chains(CobarSet(s), top))))
-    return run_checks("cubical", checks)
+    return checks
 
 
 # ----- simplicial-cube lemmas -------------------------------------------------------
@@ -313,13 +311,12 @@ def check_degeneracy_lemma(n_max: int = 4) -> Verdict:
     return Verdict.passed()
 
 
-def cube_lemmas_suite(max_dim=None) -> Report:
-    n_max = 4 if max_dim is None else max_dim
-    return run_checks("cube-lemmas", [
-        ("simplicial-identities", lambda: check_cube_simplicial_identities(n_max)),
-        ("face-pushforward", lambda: check_face_lemma(n_max)),
-        ("degeneracy-pushforward", lambda: check_degeneracy_lemma(n_max)),
-    ])
+def cube_lemmas_checks(d):
+    return [
+        ("simplicial-identities", lambda: check_cube_simplicial_identities(d)),
+        ("face-pushforward", lambda: check_face_lemma(d)),
+        ("degeneracy-pushforward", lambda: check_degeneracy_lemma(d)),
+    ]
 
 
 # ----- triangulation ----------------------------------------------------------------
@@ -381,10 +378,10 @@ def check_product_splitting_dgc() -> Verdict:
     return v if not v.ok else check_coalgebra_map(qmap)
 
 
-def triangulation_suite(max_dim=None) -> Report:
+def triangulation_checks(d):
     checks = [(f"cube-{n}",
                lambda n=n: check_triangulation(StandardCube(n), n + 1))
-              for n in range(4 if max_dim is None else min(max_dim, 4))]
+              for n in range(min(d, 4))]
     checks += [
         ("product-1x1", lambda: check_triangulation(
             ProductCubicalSet(StandardCube(1), StandardCube(1)), 3)),
@@ -392,7 +389,7 @@ def triangulation_suite(max_dim=None) -> Report:
         ("product-splitting", check_product_splitting),
         ("product-splitting-chains", check_product_splitting_dgc),
     ]
-    return run_checks("triangulation", checks)
+    return checks
 
 
 # ----- cobar isomorphism ------------------------------------------------------------
@@ -406,57 +403,50 @@ def check_cobar_iso(name: str, max_deg: int = 3) -> Verdict:
     return Verdict.passed()
 
 
-def cobar_iso_suite(max_dim=None) -> Report:
-    max_deg = 3 if max_dim is None else max_dim
-    return run_checks("cobar-iso", [
-        (f"iso-{name}", lambda n=name: check_cobar_iso(n, max_deg))
-        for name in ("S2", "S3", "D4sk1")
-    ])
+def cobar_iso_checks(d):
+    return [(f"iso-{name}", lambda n=name: check_cobar_iso(n, d))
+            for name in ("S2", "S3", "D4sk1")]
 
 
 # ----- szczarba contract ------------------------------------------------------------
 
 
-def szczarba_contract_suite(max_dim=None) -> Report:
-    contract_dim = 2 if max_dim is None else max_dim
-    twisting_dim = 3 if max_dim is None else max_dim
+def szczarba_contract_checks(d):
     checks = []
     for name in ("S2", "S3", "D4sk1"):
         provider = szczarba.SzProvider(loopgroup.LoopGroup(fixture(name)))
         checks.append((f"contract-{name}",
-                       lambda p=provider:
-                       szczarba.contract_check(p, contract_dim)))
+                       lambda p=provider: szczarba.contract_check(p, d)))
         checks.append((f"twisting-{name}",
                        lambda g=provider.group:
-                       loopgroup.check_twisting(g, twisting_dim)))
+                       loopgroup.check_twisting(g, 3 if d == 2 else d)))
     def rival():
-        d = szczarba.rival_convention_diagnosis(fixture("TwoLoopsCell"))
-        plain, swapped = d["plain"], d["swapped"]
+        diag = szczarba.rival_convention_diagnosis(fixture("TwoLoopsCell"))
+        plain, swapped = diag["plain"], diag["swapped"]
         if plain.ok or plain.witness["identity"] != "d-i":
             return Verdict.failed({"check": "plain order", "verdict": plain})
         if swapped.ok or swapped.witness["identity"] != "d-iii":
             return Verdict.failed({"check": "swapped order", "verdict": swapped})
         return Verdict.passed()
     checks.append(("rival-convention-fails", rival))
-    return run_checks("szczarba-contract", checks)
+    return checks
 
 
 # ----- main theorem -----------------------------------------------------------------
 
 
-def main_theorem_suite(max_dim=None) -> Report:
-    max_deg = 2 if max_dim is None else max_dim
+def main_theorem_checks(d):
     checks = []
     for name in ("S2", "D4sk1"):
         # one provider, one glued map and one word map per fixture, shared
         # by every check
         provider = szczarba.SzProvider(loopgroup.LoopGroup(fixture(name)))
         f = szczarba.CobarToGroupMap(provider)
-        fmap = szczarba.word_map(provider, max_deg)
+        fmap = szczarba.word_map(provider, d)
         checks += [
-            (f"glue-{name}", lambda f=f: szczarba.build_f(f, max_deg)),
+            (f"glue-{name}", lambda f=f: szczarba.build_f(f, d)),
             (f"simplicial-{name}",
-             lambda f=f: szczarba.check_f_simplicial(f, max_deg)),
+             lambda f=f: szczarba.check_f_simplicial(f, d)),
             (f"multiplicative-{name}",
              lambda f=f: szczarba.check_f_multiplicative(f, 1)),
             (f"comparison-{name}",
@@ -466,35 +456,58 @@ def main_theorem_suite(max_dim=None) -> Report:
              lambda f=f, m=fmap:
              check_coalgebra_map(szczarba.on_cubes(m, f.cset))),
         ]
-    return run_checks("main-theorem", checks)
+    return checks
+
+
+@dataclass(frozen=True)
+class Suite:
+    """A named batch of checks: ``checks(d)`` gives its (name, check) pairs
+    at degree d, ``degree`` is the default d (None: the checks have fixed
+    sizes), and a d below ``least`` is refused."""
+    checks: object
+    degree: object
+    least: int = 0
 
 
 SUITES = {
-    "combinatorics": combinatorics_suite,
-    "simplicial": simplicial_suite,
-    "cubical": cubical_suite,
-    "cube-lemmas": cube_lemmas_suite,
-    "triangulation": triangulation_suite,
-    "cobar-iso": cobar_iso_suite,
-    "szczarba-contract": szczarba_contract_suite,
-    "main-theorem": main_theorem_suite,
+    "combinatorics": Suite(combinatorics_checks, None),
+    "simplicial": Suite(simplicial_checks, 5),
+    "cubical": Suite(cubical_checks, 4),
+    "cube-lemmas": Suite(cube_lemmas_checks, 4, 1),
+    "triangulation": Suite(triangulation_checks, 4),
+    "cobar-iso": Suite(cobar_iso_checks, 3, 1),
+    "szczarba-contract": Suite(szczarba_contract_checks, 2, 1),
+    "main-theorem": Suite(main_theorem_checks, 2, 1),
 }
 
 
-def check_request(name: str, max_dim=None) -> None:
-    """Refuse an unknown suite, and a max_dim at which the suite would check
-    nothing: the Szczarba side enumerates nothing below degree 1, and the
-    cube lemmas' pushforward checks nothing below dimension 1."""
+def degree(what: str, max_dim, default, least: int = 0):
+    """The degree ``what`` runs at: ``max_dim`` if given, else ``default``;
+    None for checks of fixed sizes, whatever ``max_dim`` says.  A negative
+    max_dim is refused, and so is one below ``least``, where the checks
+    would enumerate nothing and pass vacuously."""
+    if max_dim is None:
+        return default
+    if max_dim < 0:
+        floor = f", and it checks nothing below degree {least}" if least else ""
+        raise ValueError(f"{what}: dimensions must be >= 0{floor};"
+                         f" got {max_dim}")
+    if max_dim < least:
+        raise ValueError(f"{what} checks nothing below degree {least};"
+                         f" got {max_dim}")
+    return None if default is None else max_dim
+
+
+def check_request(name: str, max_dim=None):
+    """The degree the named suite runs at; raises ValueError for an unknown
+    suite and for a degree the suite refuses."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; known: "
                          + ", ".join(sorted(SUITES)))
-    if (name in ("cube-lemmas", "cobar-iso", "szczarba-contract",
-                 "main-theorem")
-            and max_dim is not None and max_dim < 1):
-        raise ValueError(f"suite {name!r} checks nothing below degree 1;"
-                         f" got max_dim {max_dim}")
+    suite = SUITES[name]
+    return degree(f"suite {name!r}", max_dim, suite.degree, suite.least)
 
 
 def run_suite(name: str, max_dim=None) -> Report:
-    check_request(name, max_dim)
-    return SUITES[name](max_dim)
+    d = check_request(name, max_dim)
+    return run_checks(name, SUITES[name].checks(d))

@@ -210,8 +210,7 @@ def test_verify_all_keeps_every_suite_in_json(tmp_path, monkeypatch, capsys):
     from cobarlab.verdict import Verdict
 
     def suite(name):
-        return lambda max_dim: verify.run_checks(
-            name, [(f"{name}-check", Verdict.passed)])
+        return verify.Suite(lambda d: [(f"{name}-check", Verdict.passed)], 0)
 
     monkeypatch.setattr(verify, "SUITES", {"alpha": suite("alpha"),
                                            "beta": suite("beta")})
@@ -232,12 +231,12 @@ def test_verify_runs_beyond_degree_two(suite, monkeypatch, capsys):
 
     seen = []
 
-    def stub(max_dim):
-        seen.append(max_dim)
-        return verify.run_checks("main-theorem",
-                                 [("stub-check", Verdict.passed)])
+    def stub(d):
+        seen.append(d)
+        return [("stub-check", Verdict.passed)]
 
-    monkeypatch.setattr(verify, "SUITES", {"main-theorem": stub})
+    monkeypatch.setattr(verify, "SUITES",
+                        {"main-theorem": verify.Suite(stub, 2, 1)})
     assert main(["verify", "--suite", suite, "--max-dim", "3"]) == 0
     assert seen == [3]
     assert "suite main-theorem: PASS" in capsys.readouterr().out
