@@ -118,10 +118,11 @@ def cmd_homology(args) -> int:
 
 def cmd_triangulate(args) -> int:
     cset = _cubical_fixture(args.fixture)
-    max_dim = _degree("triangulate", args.max_dim, 3, 1)
-    report = verify.run_checks(f"triangulate-{args.fixture}", [
-        ("triangulation",
-         lambda: verify.check_triangulation(cset, max_dim))])
+    report = verify.run_checks(
+        f"triangulate-{args.fixture}",
+        lambda d: [("triangulation",
+                    lambda: verify.check_triangulation(cset, d))],
+        _degree("triangulate", args.max_dim, 3, 1))
     return _emit(report, args.json_out)
 
 
@@ -129,10 +130,12 @@ def cmd_cobar(args) -> int:
     sset = _load_sset(args.input)
     max_deg = _degree("cobar", args.max_deg, 3, 1)
     _build(CobarSet, sset)  # refuse an input that is not 1-reduced up front
-    _, _, _, verdicts = compare_models(sset, max_deg)
+    # the comparison runs as set-up; its verdicts are the checks
     report = verify.run_checks(
         f"cobar-{sset.name}",
-        [(name, lambda v=v: v) for name, v in verdicts.items()])
+        lambda d: [(name, lambda v=v: v)
+                   for name, v in compare_models(sset, d)[3].items()],
+        max_deg)
     return _emit(report, args.json_out)
 
 

@@ -10,9 +10,8 @@ universal twisting map of the underlying simplicial set.
 
 from __future__ import annotations
 
-from .simplicial import (Simplex, SimplicialPresentation, SimplicialSet,
-                         simplicial_identities)
-from .verdict import Verdict, check_identities
+from .simplicial import Simplex, SimplicialPresentation, SimplicialSet
+from .verdict import Verdict
 
 
 class GroupWord:
@@ -89,9 +88,7 @@ class LoopGroup(SimplicialSet):
 
     The degeneracy test reads the letters (:meth:`is_degenerate`); front
     and back faces come from :class:`SimplicialSet`.  Each dimension is an
-    infinite free group, so there is no list of nondegenerate elements: the
-    identities are checked on given elements by
-    :func:`check_group_identities`.
+    infinite free group, so there is no list of nondegenerate elements.
     """
 
     def __init__(self, sset: SimplicialPresentation, twist: str = "standard"):
@@ -202,37 +199,6 @@ class LoopGroup(SimplicialSet):
             raise ValueError("degeneracy index out of range")
         return GroupWord(a.n + 1, _reduce(self._letter_images(
             self._degeneracies, self.sset.degeneracy, a, i + 1)))
-
-
-def check_group_identities(group: LoopGroup, elements) -> Verdict:
-    """Simplicial identities and multiplicativity of the structure maps on
-    the given elements (and their pairwise products in equal dimensions)."""
-    verdict = check_identities(((a.n, a) for a in elements),
-                               {"d": group.face, "s": group.degeneracy},
-                               simplicial_identities,
-                               max((a.n for a in elements), default=0))
-    if not verdict.ok:
-        return verdict
-    by_dim = {}
-    for a in elements:
-        by_dim.setdefault(a.n, []).append(a)
-    for n, items in by_dim.items():
-        for a in items:
-            for b in items:
-                ab = group.mul(a, b)
-                for i in range(n + 1):
-                    if group.face(ab, i) != group.mul(group.face(a, i),
-                                                      group.face(b, i)):
-                        return Verdict.failed(
-                            {"identity": "face multiplicative", "a": a, "b": b,
-                             "i": i})
-                for i in range(n + 1):
-                    if group.degeneracy(ab, i) != group.mul(
-                            group.degeneracy(a, i), group.degeneracy(b, i)):
-                        return Verdict.failed(
-                            {"identity": "degeneracy multiplicative", "a": a,
-                             "b": b, "i": i})
-    return Verdict.passed()
 
 
 def check_twisting(group: LoopGroup, max_dim: int) -> Verdict:

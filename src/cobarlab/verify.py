@@ -1,17 +1,33 @@
 """Verification suites: named batches of exact identity checks with reports.
 
-Each suite is a list of named checks returning a :class:`Verdict`; running a
-suite produces a :class:`Report` with per-check status, a witness for any
-failure, and timing.  Reports render both as human-readable text and as a
-JSON-compatible dictionary, and the two renderings always agree on statuses.
-The Szczarba suites default to degree 2 and reach degree 3 at ``max_dim=3``;
-they, ``cobar-iso`` and ``cube-lemmas`` refuse a ``max_dim`` below 1, where
-they check nothing.
+Each suite is a :class:`Suite` row in :data:`SUITES`: its named checks at
+a degree d, the default d, and the least d it accepts.  Running a suite
+produces a :class:`Report` with the degree, the set-up time, per-check
+status, a witness for any failure, and timing.  Reports render both as
+human-readable text and as a JSON-compatible dictionary, and the two
+renderings always agree on statuses.  :func:`degree` resolves a requested
+``max_dim`` and refuses a negative one, or one below the suite's least:
+
+=================  =======  =====  ==========================================
+suite              default  least  what runs at degree d
+=================  =======  =====  ==========================================
+combinatorics      --       0      fixed sizes; d is not used
+simplicial         5        0      identities to d; chains to 3
+cubical            4        0      standard cubes 0..d; products, cobar sets
+                                   and their chains to min(3, d)
+cube-lemmas        4        1      all three lemmas to d
+triangulation      4        0      cube-n for n < min(d, 4); the rest fixed
+cobar-iso          3        1      both cobar models to d
+szczarba-contract  2        1      contract to d, twisting map to d + 1
+main-theorem       2        1      glue, simplicial and word map to d;
+                                   multiplicative to max(1, d - 1)
+=================  =======  =====  ==========================================
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import loopgroup, szczarba
@@ -41,6 +57,8 @@ class CheckResult:
 @dataclass
 class Report:
     suite: str
+    degree: int | None = None  # None: the checks have fixed sizes
+    setup_ms: float = 0.0  # building the checks, before the first one runs
     checks: list = field(default_factory=list)
 
     @property
@@ -48,8 +66,9 @@ class Report:
         return all(c.status == "pass" for c in self.checks)
 
     def render(self) -> str:
-        lines = [f"suite {self.suite}: "
-                 + ("PASS" if self.ok else "FAIL")]
+        at = "" if self.degree is None else f" at degree {self.degree}"
+        lines = [f"suite {self.suite}: " + ("PASS" if self.ok else "FAIL")
+                 + f"{at} (setup {self.setup_ms:.0f} ms)"]
         for c in sorted(self.checks, key=lambda c: c.name):
             lines.append(f"  [{c.status:4s}] {c.name} ({c.millis:.0f} ms)")
             if c.status == "fail":
@@ -64,11 +83,16 @@ class Report:
             if c.status == "fail":
                 item["witness"] = repr(c.witness)
             checks.append(item)
-        return {"suite": self.suite, "checks": checks}
+        return {"suite": self.suite, "degree": self.degree,
+                "setup_ms": round(self.setup_ms, 3), "checks": checks}
 
 
-def run_checks(suite: str, named_checks) -> Report:
-    report = Report(suite)
+def run_checks(suite: str, checks, d: int | None) -> Report:
+    """Run the named checks ``checks(d)`` gives; the call itself is the
+    report's set-up time."""
+    start = time.perf_counter()
+    named_checks = checks(d)
+    report = Report(suite, d, (time.perf_counter() - start) * 1000)
     for name, fn in named_checks:
         start = time.perf_counter()
         verdict = fn()
@@ -419,7 +443,7 @@ def szczarba_contract_checks(d):
                        lambda p=provider: szczarba.contract_check(p, d)))
         checks.append((f"twisting-{name}",
                        lambda g=provider.group:
-                       loopgroup.check_twisting(g, 3 if d == 2 else d)))
+                       loopgroup.check_twisting(g, d + 1)))
     def rival():
         diag = szczarba.rival_convention_diagnosis(fixture("TwoLoopsCell"))
         plain, swapped = diag["plain"], diag["swapped"]
@@ -448,7 +472,9 @@ def main_theorem_checks(d):
             (f"simplicial-{name}",
              lambda f=f: szczarba.check_f_simplicial(f, d)),
             (f"multiplicative-{name}",
-             lambda f=f: szczarba.check_f_multiplicative(f, 1)),
+             # one degree below the suite's, and at least 1: it checks
+             # every pair of cubes, so its cost grows as their count squared
+             lambda f=f: szczarba.check_f_multiplicative(f, max(1, d - 1))),
             (f"comparison-{name}",
              lambda f=f, m=fmap: szczarba.main_theorem_check(f, m)),
             (f"cochain-map-{name}", lambda m=fmap: check_chain_map(m)),
@@ -464,8 +490,8 @@ class Suite:
     """A named batch of checks: ``checks(d)`` gives its (name, check) pairs
     at degree d, ``degree`` is the default d (None: the checks have fixed
     sizes), and a d below ``least`` is refused."""
-    checks: object
-    degree: object
+    checks: Callable[[int | None], list]
+    degree: int | None
     least: int = 0
 
 
@@ -510,4 +536,4 @@ def check_request(name: str, max_dim=None):
 
 def run_suite(name: str, max_dim=None) -> Report:
     d = check_request(name, max_dim)
-    return run_checks(name, SUITES[name].checks(d))
+    return run_checks(name, SUITES[name].checks, d)

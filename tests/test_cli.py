@@ -251,9 +251,10 @@ def test_verify_profile_writes_to_stderr_only(tmp_path, capsys):
                      "--json-out", str(out_path), *extra]) == 0
         out = capsys.readouterr()
         data = json.loads(out_path.read_text())
+        data.pop("setup_ms")
         for check in data["checks"]:
             check.pop("millis")
-        return re.sub(r"\(\d+ ms\)", "", out.out), data, out.err
+        return re.sub(r"\((setup )?\d+ ms\)", "", out.out), data, out.err
 
     plain_out, plain_json, plain_err = run()
     out, data, err = run("--profile")

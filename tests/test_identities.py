@@ -11,7 +11,7 @@ import pytest
 from cobarlab.cobar import CobarSet
 from cobarlab.cubes import (CubeMorphism, ProductCubicalSet, StandardCube,
                             cubical_identities)
-from cobarlab.loopgroup import LoopGroup, check_group_identities
+from cobarlab.loopgroup import LoopGroup
 from cobarlab.simpcube import SimplicialCube
 from cobarlab.simplicial import (Simplex, fixture, nondeg,
                                  simplicial_identities)
@@ -111,6 +111,37 @@ def test_cubical_family_fires(label):
     assert verdict.witness["identity"] == label
     assert {"y", "i", "j"} <= set(verdict.witness)
     assert "lhs" not in verdict.witness
+
+
+def check_group_identities(group: LoopGroup, elements) -> Verdict:
+    """Simplicial identities and multiplicativity of the structure maps on
+    the given elements (and their pairwise products in equal dimensions)."""
+    verdict = check_identities(((a.n, a) for a in elements),
+                               {"d": group.face, "s": group.degeneracy},
+                               simplicial_identities,
+                               max((a.n for a in elements), default=0))
+    if not verdict.ok:
+        return verdict
+    by_dim = {}
+    for a in elements:
+        by_dim.setdefault(a.n, []).append(a)
+    for n, items in by_dim.items():
+        for a in items:
+            for b in items:
+                ab = group.mul(a, b)
+                for i in range(n + 1):
+                    if group.face(ab, i) != group.mul(group.face(a, i),
+                                                      group.face(b, i)):
+                        return Verdict.failed(
+                            {"identity": "face multiplicative", "a": a, "b": b,
+                             "i": i})
+                for i in range(n + 1):
+                    if group.degeneracy(ab, i) != group.mul(
+                            group.degeneracy(a, i), group.degeneracy(b, i)):
+                        return Verdict.failed(
+                            {"identity": "degeneracy multiplicative", "a": a,
+                             "b": b, "i": i})
+    return Verdict.passed()
 
 
 def _group_case(label):

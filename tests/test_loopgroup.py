@@ -6,10 +6,10 @@ from collections import Counter
 import pytest
 
 from cobarlab.chains import check_chain_map, check_coalgebra_map
-from cobarlab.loopgroup import (GroupWord, LoopGroup, check_group_identities,
-                                check_twisting)
+from cobarlab.loopgroup import GroupWord, LoopGroup, check_twisting
 from cobarlab.simplicial import (SimplicialSet, fixture, nondeg, sphere,
                                  standard_simplex)
+from test_identities import check_group_identities
 
 
 def generator_elements(group, max_dim):

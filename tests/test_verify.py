@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -63,10 +64,11 @@ def test_suite_refuses_a_degree_where_it_checks_nothing(name, max_dim):
 
 
 @pytest.mark.parametrize("max_dim, contract, twisting",
-                         [(None, 2, 3), (1, 1, 1), (4, 4, 4)])
+                         [(None, 2, 3), (1, 1, 2), (4, 4, 5)])
 def test_contract_suite_follows_max_dim(max_dim, contract, twisting,
                                         monkeypatch):
-    # an explicit max_dim takes the contract and the twisting check there
+    # the contract runs at the degree, and the twisting check one above it,
+    # on the simplices whose words the contract checks
     seen = Counter()
 
     def counting(name):
@@ -84,6 +86,63 @@ def test_contract_suite_follows_max_dim(max_dim, contract, twisting,
     monkeypatch.setattr(loopgroup, "check_twisting", counting("twisting"))
     run_suite("szczarba-contract", max_dim)
     assert seen == {("contract", contract): 3, ("twisting", twisting): 3}
+
+
+@pytest.mark.parametrize("max_dim, degree", [(None, 1), (1, 1), (2, 1), (3, 2)])
+def test_multiplicative_checks_follow_max_dim(max_dim, degree, monkeypatch):
+    # products of total degree below the suite's degree, and at least 1
+    seen = Counter()
+
+    def multiplicative(f, n):
+        seen[n] += 1
+        return Verdict.passed()
+
+    passed = lambda *args: Verdict.passed()
+    for name in ("build_f", "check_f_simplicial", "main_theorem_check",
+                 "on_cubes"):
+        monkeypatch.setattr(szczarba, name, passed)
+    monkeypatch.setattr(szczarba, "word_map", lambda provider, n: None)
+    monkeypatch.setattr(szczarba, "check_f_multiplicative", multiplicative)
+    monkeypatch.setattr(verify, "check_chain_map", passed)
+    monkeypatch.setattr(verify, "check_coalgebra_map", passed)
+    assert run_suite("main-theorem", max_dim).ok
+    assert seen == {degree: 2}
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_suite_refuses_a_degree_below_its_least(name):
+    least = SUITES[name].least
+    assert run_suite(name, least).ok
+    with pytest.raises(ValueError, match="must be >= 0"):
+        run_suite(name, -1)
+    if least > 0:
+        with pytest.raises(ValueError,
+                           match=f"checks nothing below degree {least}"):
+            run_suite(name, least - 1)
+
+
+@pytest.mark.parametrize("name, max_dim, degree", [
+    ("cube-lemmas", None, 4), ("cube-lemmas", 2, 2),
+    ("combinatorics", None, None), ("combinatorics", 3, None)])
+def test_report_says_its_degree(name, max_dim, degree):
+    report = run_suite(name, max_dim)
+    assert report.degree == degree
+    data = report.to_dict()
+    assert data["degree"] == degree and data["setup_ms"] >= 0
+    at = "" if degree is None else f" at degree {degree}"
+    assert report.render().startswith(f"suite {name}: PASS{at} (setup ")
+
+
+def test_report_times_the_setup(monkeypatch):
+    # the set-up is building the checks, before the first one runs
+    def checks(d):
+        time.sleep(0.02)
+        return [("quick", Verdict.passed)]
+
+    monkeypatch.setitem(SUITES, "sleepy", verify.Suite(checks, 1))
+    report = run_suite("sleepy")
+    assert report.setup_ms >= 20 and report.checks[0].millis < 20
+    assert report.to_dict()["setup_ms"] >= 20
 
 
 @pytest.mark.parametrize("max_dim, degree", [(None, 3), (1, 1), (4, 3)])
