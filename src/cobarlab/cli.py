@@ -76,6 +76,21 @@ def _cubical_fixture(name: str):
                      " cube<k>x<l>, or cobar-<sset>")
 
 
+def _check_json_out(json_out):
+    """Refuse a ``--json-out`` path that cannot be written, before any
+    check runs; nothing is written."""
+    if not json_out:
+        return
+    parent = os.path.dirname(os.path.abspath(json_out))
+    if os.path.isdir(json_out):
+        raise InputError(f"--json-out {json_out!r} is a directory")
+    if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
+        raise InputError(f"--json-out {json_out!r}: no writable directory"
+                         f" {parent!r}")
+    if os.path.exists(json_out) and not os.access(json_out, os.W_OK):
+        raise InputError(f"--json-out {json_out!r} is not writable")
+
+
 def _emit(report, json_out):
     print(report.render())
     _write_json([report], json_out)
@@ -117,6 +132,7 @@ def cmd_homology(args) -> int:
 
 
 def cmd_triangulate(args) -> int:
+    _check_json_out(args.json_out)
     cset = _cubical_fixture(args.fixture)
     report = verify.run_checks(
         f"triangulate-{args.fixture}",
@@ -127,6 +143,7 @@ def cmd_triangulate(args) -> int:
 
 
 def cmd_cobar(args) -> int:
+    _check_json_out(args.json_out)
     sset = _load_sset(args.input)
     max_deg = _degree("cobar", args.max_deg, 3, 1)
     _build(CobarSet, sset)  # refuse an input that is not 1-reduced up front
@@ -160,6 +177,7 @@ def cmd_szczarba(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_json_out(args.json_out)
     suites = sorted(verify.SUITES) if args.suite == "all" else [args.suite]
     for name in suites:
         try:

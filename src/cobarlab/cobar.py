@@ -106,11 +106,13 @@ class CobarSet(CubicalSet):
 
     The set stores the faces of normalized cubes that faces of cubes with
     operators reduce to, keyed by (base, eps, i), each computed on its
-    first use; the store is freed with the set.  The identity checker's
-    face core reads and fills the same store for a direct face of a
-    normalized cube.  The public ``face`` computes such a face without
-    it, since the chain builders ask each one once and keep it with the
-    complex.
+    first use; the store is freed with the set.  The face core that
+    :meth:`_operators` hands out reads and fills the same store for a
+    direct face of a normalized cube, so the faces that the identity
+    checker, a triangulation's cube sides and ``build_f`` ask for stay in
+    the store as long as the set lives.  The public ``face`` computes such
+    a face without it, since the chain builders ask each one once and
+    keep it with the complex.
     """
 
     def __init__(self, sset: SimplicialPresentation):
@@ -146,6 +148,7 @@ class CobarSet(CubicalSet):
     # the letter dimensions of the base on every call.
 
     def _operators(self) -> dict:
+        """The in-range cores; the face core fills the set's store."""
         return {"d": self._face_core, "s": self._degen_core,
                 "g": self._conn_core}
 
@@ -222,7 +225,10 @@ class CobarSet(CubicalSet):
 
     def mul(self, c1, c2):
         base1, ops1 = c1
-        return _concat(base1, ops1, sum(x.dim - 1 for x in base1), *c2)
+        base2, ops2 = c2
+        # the shift only moves the right operators
+        shift = sum(x.dim - 1 for x in base1) if ops2 else 0
+        return _concat(base1, ops1, shift, base2, ops2)
 
     # ----- canonicalization ------------------------------------------------------------
 

@@ -266,9 +266,12 @@ class CubicalSet:
             values=False)
 
     def _operators(self) -> dict:
-        """The face, degeneracy and connection the identity checker calls,
-        by letter: the public ones, unless a subclass has cheaper ones
-        that trust their indices to be in range."""
+        """The face, degeneracy and connection that callers whose indices
+        are in range by construction call, by letter: the identity
+        checker, the sides of a triangulation and the glued-map check.
+        These are the public ones, unless a subclass has cheaper ones that
+        trust their indices to be in range (a subclass's may also keep
+        what they compute on the set, as ``CobarSet``'s face core does)."""
         return {"d": self.face, "s": self.degen, "g": self.conn}
 
 

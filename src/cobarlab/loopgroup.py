@@ -61,14 +61,16 @@ class GroupWord:
 
 def _reduce(letters):
     out = []
-    for x, e in letters:
+    for letter in letters:
+        x, e = letter
         # generators over bottom-degenerate simplices are the identity
         if x.degens and x.degens[-1] == 0:
             continue
         if out and out[-1][1] == -e and out[-1][0] == x:
             out.pop()
         else:
-            out.append((x, e))
+            # the letter itself, not a copy: stored words share letters
+            out.append(letter)
     return tuple(out)
 
 

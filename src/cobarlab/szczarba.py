@@ -16,18 +16,20 @@ and ``main_theorem_check`` compares the composite of that map with the
 triangulation chain map against the word-by-word twisting cochain.
 
 The word-by-word map is a ``ChainMap`` (:func:`word_map`) into the group
-chains that the simplicial builder makes on the words its values touch;
-``check_chain_map`` and ``check_coalgebra_map`` (on the cobar cubical
-chains, :func:`on_cubes`) check that it commutes with d and with the diagonal.
+chains that the simplicial builder makes on the words its values touch and
+their iterated faces; ``check_chain_map`` and ``check_coalgebra_map`` (on
+the cobar cubical chains, :func:`on_cubes`) check that it commutes with d
+and with the diagonal.
 
 Each provider keeps what it has computed: the operator word ``sz(pi, x)``
 keyed by ``(pi, x)``, and the cochains ``t_sz`` per simplex and ``f_sz``
 per word, the latter as the product of its longest proper prefix's value
 with the last letter's.  The stores belong to the provider and are freed
 with it; callers only read the shared words and chains.  The loop group
-keeps its letters' faces and degeneracies the same way, and
-``check_f_simplicial`` keeps the value of each canonical simplex for the
-length of one call.
+keeps its letters' faces and degeneracies the same way, the glued map
+keeps each letter's value on each piece under a key of a name and ints,
+and ``check_f_simplicial`` keeps the value of each canonical simplex for
+the length of one call.
 """
 
 from __future__ import annotations
@@ -260,7 +262,13 @@ def f_sz(provider, word) -> Chain:
 def word_map(provider, max_deg: int) -> ChainMap:
     """The word-by-word map w -> f_sz(w), from the tensor-algebra model
     through degree max_deg to the normalized chains of the group on the
-    nondegenerate words its values touch."""
+    nondegenerate words its values touch and on every nondegenerate
+    iterated face of them.
+
+    The basis is closed under faces, through degenerate faces too, so
+    every boundary term and every front/back diagonal term of a basis
+    word is a basis word or zero: the target is a complex of its own, on
+    which d^2, the coalgebra identities and homology can be checked."""
     group = provider.group
     omega = omega_complex(provider.sset, max_deg)
     mapping = {w: f_sz(provider, w)
@@ -269,6 +277,17 @@ def word_map(provider, max_deg: int) -> ChainMap:
     for value in mapping.values():
         for g in value:
             basis.setdefault(g.n, {})[g] = None
+    pending = [g for words in basis.values() for g in words]
+    seen = set(pending)
+    while pending:
+        g = pending.pop()
+        for i in range(g.n + 1 if g.n else 0):
+            face = group.face(g, i)
+            if face not in seen:
+                seen.add(face)
+                pending.append(face)
+                if not group.is_degenerate(face):
+                    basis.setdefault(face.n, {})[face] = None
     target = normalized_chains(group, basis,
                                lambda g: not group.is_degenerate(g))
     return ChainMap(omega, target, mapping)
@@ -307,10 +326,23 @@ class CobarToGroupMap:
     simplex into coordinate windows and multiplies; operator prefixes are
     pushed onto the simplex's bracket as projections and foldings.
 
+    A cube is read through a reader built once for it (:meth:`pieces`):
+    its letters and operator indices are checked and the letters' windows
+    fixed when the reader is built, so a call only compares the bracket's
+    coordinate count with the cube's, pushes the operators onto the
+    bracket and reads the letters' values.  :meth:`evaluator` multiplies
+    them and :meth:`evaluate` builds one evaluator for a single call.
+
     The map keeps its values: each letter's family is checked and glued
-    once, and each (letter, piece) pair goes through the glued evaluator
-    once, so the memo is bounded by the distinct pieces asked for.  One map
-    serves every check of the glued map on the provider's simplicial set.
+    once, and each piece goes through the glued evaluator once, so the
+    memo is bounded by the distinct pieces asked for.  A piece is keyed by
+    small values, ``(generator name, window, m)``; base letters must be
+    nondegenerate generators of the provider's presentation, so the name
+    and the window's length (the letter's dimension minus one) name the
+    letter, and no simplex is hashed or compared on a read.  A one-letter
+    cube's value is the stored piece itself, so equal values of one piece
+    are one object.  One map serves every check of the glued map on the
+    provider's simplicial set.
     """
 
     def __init__(self, provider):
@@ -321,50 +353,94 @@ class CobarToGroupMap:
         self._values = {}
 
     def _letter(self, x: Simplex):
-        if x not in self._letter_eval:
+        """The glued evaluator of the base letter x, checked and glued on
+        first use; x must be a nondegenerate generator of dimension >= 2
+        of the provider's presentation."""
+        evaluate = self._letter_eval.get(x)
+        if evaluate is None:
+            sset = self.provider.sset
+            if x.degens or x.dim < 2 or sset.gens.get(x.gen) != x.dim:
+                raise ValueError(f"{x!r} is not a base letter over"
+                                 f" {sset.name}")
             n = x.dim - 1
             family = {pi: self.provider.sz(pi, x) for pi in all_perms(n)}
             evaluate, verdict = extend_family(n, family, self.group)
             if not verdict.ok:
                 raise IncompatibleFamily({**verdict.witness, "letter": x})
             self._letter_eval[x] = evaluate
-        return self._letter_eval[x]
+        return evaluate
 
-    def evaluate(self, cube, u: PartitionSimplex) -> GroupWord:
+    def _piece(self, x: Simplex, key: tuple) -> GroupWord:
+        """The value of the letter x on the piece ``key = (x.gen, window,
+        m)``, read from the memo or computed and stored."""
+        value = self._values.get(key)
+        if value is None:
+            _, window, m = key
+            value = self._values[key] = self._letter(x)(
+                PartitionSimplex(len(window), window, m))
+        return value
+
+    def pieces(self, cube):
+        """``u -> [value of each letter of cube on its piece of u]``, left
+        to right, for one cube.  What does not depend on u is done once:
+        the letters and the operator indices are checked, and each
+        letter's window of the pushed bracket is fixed.  A call checks
+        the coordinate count, pushes the operator prefix onto the bracket
+        and reads the stored pieces."""
         base, ops = cube
-        n = sum(x.dim - 1 for x in base) + len(ops)
-        if u.n != n:
-            raise ValueError("coordinate count mismatch")
-        # push the operator prefix onto the bracket, outermost first:
-        # s_i drops coordinate i, g_i merges coordinates i and i + 1
-        ks = u.ks
-        for kind, i in ops:
-            if kind == "s":
-                if not 1 <= i <= n:
-                    raise ValueError("projection coordinate out of range")
-                ks = ks[:i - 1] + ks[i:]
-            else:
-                if not 1 <= i < n:
-                    raise ValueError("connection coordinate out of range")
-                ks = ks[:i - 1] + (max(ks[i - 1], ks[i]),) + ks[i + 1:]
-            n -= 1
-        m = u.dim
-        values = self._values
-        factors = []
+        windows = []
         pos = 0
         for x in base:
-            k = x.dim - 1
-            # the piece of x is the window of k coordinates from pos + 1;
-            # it is keyed by its bracket and built only on a memo miss
-            window = ks[pos:pos + k]
-            key = (x, window, m)
-            value = values.get(key)
-            if value is None:
-                value = values[key] = self._letter(x)(
-                    PartitionSimplex(k, window, m))
-            factors.append(value)
-            pos += k
-        return self.group.product(m, factors)
+            if x.degens:
+                raise ValueError("base letters must be nondegenerate")
+            windows.append((x, x.gen, pos, pos + x.dim - 1))
+            pos += x.dim - 1
+        n = d = pos + len(ops)
+        for kind, i in ops:
+            if kind == "s" and not 1 <= i <= d:
+                raise ValueError("projection coordinate out of range")
+            if kind == "g" and not 1 <= i < d:
+                raise ValueError("connection coordinate out of range")
+            d -= 1
+        values, piece = self._values, self._piece
+
+        def read(u: PartitionSimplex) -> list:
+            if u.n != n:
+                raise ValueError("coordinate count mismatch")
+            ks, m = u.ks, u.dim
+            # push the operator prefix onto the bracket, outermost first:
+            # s_i drops coordinate i, g_i merges coordinates i and i + 1
+            for kind, i in ops:
+                if kind == "s":
+                    ks = ks[:i - 1] + ks[i:]
+                else:
+                    ks = ks[:i - 1] + (max(ks[i - 1], ks[i]),) + ks[i + 1:]
+            factors = []
+            for x, gen, lo, hi in windows:
+                key = (gen, ks[lo:hi], m)
+                value = values.get(key)
+                if value is None:
+                    value = piece(x, key)
+                factors.append(value)
+            return factors
+
+        return read
+
+    def evaluator(self, cube):
+        """``u -> evaluate(cube, u)`` for one cube: the product of its
+        pieces, or the one stored piece of a one-letter cube."""
+        read, product = self.pieces(cube), self.group.product
+
+        def evaluate(u: PartitionSimplex) -> GroupWord:
+            factors = read(u)
+            return (factors[0] if len(factors) == 1
+                    else product(u.dim, factors))
+
+        return evaluate
+
+    def evaluate(self, cube, u: PartitionSimplex) -> GroupWord:
+        """The value of the cube on the simplex u of its simplicial cube."""
+        return self.evaluator(cube)(u)
 
     def __call__(self, tri_simplex) -> GroupWord:
         return self.evaluate(tri_simplex.cube, tri_simplex.simplex)
@@ -383,17 +459,26 @@ def build_f(f: CobarToGroupMap, max_dim: int) -> Verdict:
     gets an index, and a cube keeps its right-hand values in a list by that
     index, filled when first needed and dropped with the cube: each (cube,
     pushforward) pair is evaluated once, in the order of first need.
+
+    Both sides are read as lists of letter values, through one reader
+    (:meth:`CobarToGroupMap.pieces`) per cube z and one per image of z.
+    Equal lists multiply to equal words, so the two products are formed
+    only when the lists differ; a failure reports the products.  The
+    images are taken through the set's in-range operators, so on a
+    ``CobarSet`` the faces of normalized cubes stay in the set's store.
     """
     cset = f.cset
+    # every operator index below is in range for the cubes it meets
+    face, degen, conn = (cset._operators()[op] for op in "dsg")
     for n in range(max_dim + 1):
         ups = [u_pi(pi) for pi in all_perms(n + 1)]
         downs = [u_pi(pi) for pi in all_perms(n - 1)] if n else []
         generators = (
-            [(("s", i), functools.partial(cset.degen, i=i),
+            [(("s", i), functools.partial(degen, i=i),
               CubeMorphism.sigma(n + 1, i), ups) for i in range(1, n + 2)]
-            + [(("g", i), functools.partial(cset.conn, i=i),
+            + [(("g", i), functools.partial(conn, i=i),
                 CubeMorphism.gamma(n + 1, i), ups) for i in range(1, n + 1)]
-            + [(("d", eps, i), functools.partial(cset.face, eps=eps, i=i),
+            + [(("d", eps, i), functools.partial(face, eps=eps, i=i),
                 CubeMorphism.delta(n, eps, i), downs)
                for eps in (0, 1) for i in range(1, n + 1)])
         index = {}
@@ -403,14 +488,20 @@ def build_f(f: CobarToGroupMap, max_dim: int) -> Verdict:
                   for op, image, lam, us in generators]
         pushed = list(index)
         for z in cset.cubes(n):
-            rhs_values = [None] * len(pushed)
+            on_z = f.pieces(z)
+            rhs_pieces = [None] * len(pushed)
             for op, image, pairs in checks:
-                oz = image(z)
+                on_oz = f.pieces(image(z))
                 for u, k in pairs:
-                    lhs = f.evaluate(oz, u)
-                    rhs = rhs_values[k]
+                    lhs = on_oz(u)
+                    rhs = rhs_pieces[k]
                     if rhs is None:
-                        rhs = rhs_values[k] = f.evaluate(z, pushed[k])
+                        rhs = rhs_pieces[k] = on_z(pushed[k])
+                    # equal pieces multiply to equal words
+                    if lhs == rhs:
+                        continue
+                    lhs = f.group.product(u.dim, lhs)
+                    rhs = f.group.product(u.dim, rhs)
                     if lhs != rhs:
                         return Verdict.failed(
                             {"op": op, "z": z, "u": u,
@@ -425,7 +516,10 @@ def check_f_simplicial(f: CobarToGroupMap, max_dim: int) -> Verdict:
 
     Neighbouring simplices share faces and degeneracies, so the check keeps
     the value of each canonical simplex it meets and evaluates it once; the
-    values are dropped when the check returns."""
+    values are dropped when the check returns.  The triangulation's
+    reductions step from a cube to its faces by reference, so equal cubes
+    of canonical simplices are one object and a lookup of a value
+    compares its cube by identity."""
     from .triangulate import TriangulatedCubicalSet
 
     tri = TriangulatedCubicalSet(f.cset, max_dim)
@@ -493,13 +587,14 @@ def main_theorem_check(f: CobarToGroupMap, fmap: ChainMap) -> Verdict:
     equals the word-by-word map ``fmap`` on every word of its source."""
     group = f.group
     for d, words in fmap.source.basis.items():
+        tops = [(u_pi(pi), sign(pi)) for pi in all_perms(d)]
         for w in words:
-            cube = word_to_cube(w)
+            on_w = f.evaluator(word_to_cube(w))
             lhs: Chain = {}
-            for pi in all_perms(d):
-                val = f.evaluate(cube, u_pi(pi))
+            for u, sgn in tops:
+                val = on_w(u)
                 if not group.is_degenerate(val):
-                    add_scaled(lhs, {val: 1}, sign(pi))
+                    add_scaled(lhs, {val: 1}, sgn)
             rhs = fmap.mapping[w]
             if lhs != rhs:
                 return Verdict.failed({"word": w, "lhs": lhs, "rhs": rhs})

@@ -11,21 +11,52 @@ y neither degenerate nor folded and u touching every coordinate wall.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .chains import Chain, ChainComplex, ChainMap, add_scaled
-from .cubes import CubeMorphism, CubicalSet, cubical_chains
+from .chains import Chain, ChainMap, add_scaled
+from .cubes import CubicalSet, cubical_chains
 from .perms import all_perms, sign
-from .simpcube import (PartitionSimplex, SimplicialCube, combine_simplices,
-                       lambda_star, partition_degeneracy, partition_face,
-                       project_simplex, u_pi)
+from .simpcube import (PartitionSimplex, _degeneracy_bracket, _face_bracket,
+                       combine_simplices, project_simplex, u_pi)
 from .simplicial import SimplicialSet, simplicial_chains
 
 
-@dataclass(frozen=True)
 class TriSimplex:
-    cube: object
-    simplex: PartitionSimplex
+    """The class [cube; simplex] of the triangulation, stored by its
+    reduced representative.
+
+    Immutable; equality and hashing are on ``(cube, simplex)``, and the
+    hash is computed once, at construction, since simplices of the
+    triangulation are keys of the chain builders' and the glued-map
+    checks' tables.
+    """
+
+    __slots__ = ("cube", "simplex", "_hash")
+
+    def __init__(self, cube, simplex: PartitionSimplex):
+        init = object.__setattr__
+        init(self, "cube", cube)
+        init(self, "simplex", simplex)
+        init(self, "_hash", hash((cube, simplex)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TriSimplex is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"TriSimplex is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not TriSimplex:
+            return NotImplemented
+        return self is other or (self._hash == other._hash
+                                 and self.simplex == other.simplex
+                                 and self.cube == other.cube)
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return TriSimplex, (self.cube, self.simplex)
 
     def __repr__(self):
         return f"[{self.cube!r}; {self.simplex!r}]"
@@ -46,64 +77,116 @@ def full_support_simplices(n: int, m: int):
             yield PartitionSimplex(n, ks, m)
 
 
+class _Side:
+    """What the identifications read of one cube: the cube, its dimension
+    n, its 0- and 1-faces at coordinates 1..n (``lower`` and ``upper``),
+    the coordinates i with y = s_i d0_i y (``degenerate``) and those with
+    y = g_i d1_i y (``folded``).  A face in ``lower`` or ``upper`` is
+    replaced by its own side the first time a reduction steps to it."""
+
+    __slots__ = ("cube", "n", "lower", "upper", "degenerate", "folded")
+
+    def __init__(self, cset: CubicalSet, ops: dict, y):
+        # every index below is in range, so ``ops``, the set's in-range
+        # operators, serve
+        face, degen, conn = ops["d"], ops["s"], ops["g"]
+        n = cset.dim(y)
+        lower = [face(y, 0, i) for i in range(1, n + 1)]
+        upper = [face(y, 1, i) for i in range(1, n + 1)]
+        self.cube = y
+        self.n = n
+        self.lower = lower
+        self.upper = upper
+        self.degenerate = [i for i in range(1, n + 1)
+                           if degen(lower[i - 1], i) == y]
+        self.folded = [i for i in range(1, n)
+                       if conn(upper[i - 1], i) == y]
+
+
 class TriangulatedCubicalSet(SimplicialSet):
     """The triangulation of a cubical set, as a simplicial set of reduced
     representatives.  ``max_dim`` bounds the cube dimensions enumerated.
 
     What the identifications read of a cube (its faces, and where it is
-    degenerate or folded) is computed once per cube and kept with the
-    triangulation, which frees it."""
+    degenerate or folded) is computed once per cube, through the set's
+    in-range operators, and kept with the triangulation, which frees it;
+    a set whose operators store their results (``CobarSet``'s face core
+    does) keeps those faces as long as the set lives.  A reduction steps from a cube's side
+    to its face's side by reference, so once the faces on its way have
+    been met, a canonical representative is reached with one store
+    lookup.  Its cube is the object that keys the store: equal cubes of
+    canonical simplices, those that :meth:`nondegenerate` lists included,
+    are one object, and comparing them is an identity test."""
 
     def __init__(self, cset: CubicalSet, max_dim: int):
         self.cset = cset
         self.max_dim = max_dim
+        self._operators = cset._operators()
         self._sides = {}
 
     # ----- reduction to the canonical representative -----------------------------
 
-    def _cube_side(self, y):
-        """What the identifications read of the cube y, computed once per
-        cube: its dimension n, its 0- and 1-faces at coordinates 1..n, the
-        coordinates i with y = s_i d0_i y and those with y = g_i d1_i y."""
+    def _cube_side(self, y) -> _Side:
+        """The side of the cube y, computed once per cube."""
         side = self._sides.get(y)
         if side is None:
-            cset = self.cset
-            n = cset.dim(y)
-            lower = [cset.face(y, 0, i) for i in range(1, n + 1)]
-            upper = [cset.face(y, 1, i) for i in range(1, n + 1)]
-            side = self._sides[y] = (
-                n, lower, upper,
-                [i for i in range(1, n + 1)
-                 if cset.degen(lower[i - 1], i) == y],
-                [i for i in range(1, n)
-                 if cset.conn(upper[i - 1], i) == y])
+            side = self._sides[y] = _Side(self.cset, self._operators, y)
         return side
 
-    def _reductions(self, y, u):
-        """The applicable identifications, lazily, in a fixed scan order."""
-        n, lower, upper, degenerate, folded = self._cube_side(y)
-        # coordinates in the first part, then in the last, increasing
-        for i, k in enumerate(u.ks, 1):
-            if k == 0:
-                yield upper[i - 1], lambda_star(CubeMorphism.sigma(n, i), u)
-        for i, k in enumerate(u.ks, 1):
-            if k == u.dim + 1:
-                yield lower[i - 1], lambda_star(CubeMorphism.sigma(n, i), u)
-        for i in degenerate:
-            yield lower[i - 1], lambda_star(CubeMorphism.sigma(n, i), u)
-        for i in folded:
-            yield upper[i - 1], lambda_star(CubeMorphism.gamma(n, i), u)
+    def _face_side(self, faces: list, i: int) -> _Side:
+        """The side of ``faces[i]``, put in its place on first use."""
+        face = faces[i]
+        if face.__class__ is not _Side:
+            face = faces[i] = self._cube_side(face)
+        return face
+
+    def _canon(self, side: _Side, ks: tuple, m: int, u=None) -> TriSimplex:
+        """The reduced representative of the class of the cube of
+        ``side`` and the m-simplex with bracket ks.
+
+        The first applicable identification is applied until none
+        applies, in a fixed scan order: a coordinate in the first part
+        (replace the cube by its 1-face there), then one in the last part
+        (its 0-face), then a coordinate where the cube is degenerate, then
+        one where it is folded, each the lowest such coordinate.  Each
+        step cuts the bracket: a projection drops coordinate i, a folding
+        puts coordinates i and i + 1 in the later of their two parts.  The
+        simplex is built once, at the end, unless u, the simplex with
+        bracket ks, is the answer."""
+        face_side = self._face_side
+        while True:
+            if 0 in ks:
+                i = ks.index(0)
+                side, ks = face_side(side.upper, i), ks[:i] + ks[i + 1:]
+            elif m + 1 in ks:
+                i = ks.index(m + 1)
+                side, ks = face_side(side.lower, i), ks[:i] + ks[i + 1:]
+            elif side.degenerate:
+                i = side.degenerate[0] - 1
+                side, ks = face_side(side.lower, i), ks[:i] + ks[i + 1:]
+            elif side.folded:
+                i = side.folded[0] - 1
+                side, ks = face_side(side.upper, i), (
+                    ks[:i] + (max(ks[i], ks[i + 1]),) + ks[i + 2:])
+            else:
+                break
+        if u is None or ks is not u.ks:
+            u = PartitionSimplex(side.n, ks, m)
+        return TriSimplex(side.cube, u)
 
     def canon(self, y, u: PartitionSimplex) -> TriSimplex:
-        """The reduced representative, reached by applying the first
-        applicable identification until none applies."""
-        if self.cset.dim(y) != u.n:
+        """The reduced representative of [y; u], reached by applying the
+        first applicable identification until none applies (see
+        :meth:`_canon` for their scan order).
+
+        The cube's dimension and faces are read from its stored side, the
+        bracket of u is cut step by step with no generator and no
+        intermediate simplex, and the simplex of the result is built once,
+        at the end; it is u itself when no identification applies."""
+        side = self._cube_side(y)
+        if side.n != u.n:
             raise ValueError("cube dimension must match the simplex coordinates")
-        while True:
-            step = next(self._reductions(y, u), None)
-            if step is None:
-                return TriSimplex(y, u)
-            y, u = step
+        return self._canon(side, u.ks, u.dim, u)
 
     # ----- simplicial set interface -----------------------------------------------
 
@@ -111,6 +194,7 @@ class TriangulatedCubicalSet(SimplicialSet):
         out = []
         for n in range(m, self.max_dim + 1):
             for y in self.cset.normalized(n):
+                y = self._cube_side(y).cube
                 for u in full_support_simplices(n, m):
                     out.append(TriSimplex(y, u))
         return out
@@ -119,10 +203,14 @@ class TriangulatedCubicalSet(SimplicialSet):
         return x.simplex.dim
 
     def face(self, x: TriSimplex, i: int) -> TriSimplex:
-        return self.canon(x.cube, partition_face(x.simplex, i))
+        u = x.simplex
+        return self._canon(self._cube_side(x.cube), _face_bracket(u, i),
+                           u.dim - 1)
 
     def degeneracy(self, x: TriSimplex, i: int) -> TriSimplex:
-        return self.canon(x.cube, partition_degeneracy(x.simplex, i))
+        u = x.simplex
+        return self._canon(self._cube_side(x.cube),
+                           _degeneracy_bracket(u, i), u.dim + 1)
 
 
 def triangulation_map(cset: CubicalSet, max_dim: int):

@@ -277,3 +277,38 @@ def test_closed_stdout_ends_without_traceback():
             env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
     assert proc.stderr == ""
     assert proc.returncode == 141
+
+
+JSON_COMMANDS = {
+    "verify": ["verify", "--suite", "main-theorem"],
+    "cobar": ["cobar", "S2"],
+    "triangulate": ["triangulate", "--fixture", "cube1"],
+}
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", sorted(JSON_COMMANDS))
+def test_unwritable_json_out_is_refused_before_any_check(
+        command, where, tmp_path, monkeypatch, capsys):
+    from cobarlab import verify
+
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "run_checks", no_check)
+    monkeypatch.setattr(verify, "run_suite", no_check)
+    target = (tmp_path / "missing" / "x.json" if where == "missing-directory"
+              else tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    assert main([*JSON_COMMANDS[command], "--json-out", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --json-out ") and "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", sorted(JSON_COMMANDS))
+def test_writable_json_out_is_written(command, tmp_path, capsys):
+    out_path = tmp_path / "report.json"
+    assert main([*JSON_COMMANDS[command], "--json-out", str(out_path)]) == 0
+    assert json.loads(out_path.read_text())["checks"]

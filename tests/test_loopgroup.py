@@ -157,6 +157,15 @@ def test_product_reduces_once():
     assert [g.product(n, []) for n in range(3)] == [g.one(n) for n in range(3)]
 
 
+def test_reduced_words_share_their_letters():
+    # a product keeps the factors' letter pairs, not copies of them, so
+    # the words a check stores share their letters
+    g = LoopGroup(fixture("D4sk1"))
+    a, b = g.tau(nondeg("0123", 3)), g.inv(g.tau(nondeg("0124", 3)))
+    ab = g.mul(a, b)
+    assert ab.letters[0] is a.letters[0] and ab.letters[1] is b.letters[0]
+
+
 def test_group_word_value_semantics():
     g = LoopGroup(fixture("D4sk1"))
     a = g.mul(g.tau(nondeg("0123", 3)), g.inv(g.tau(nondeg("0124", 3))))

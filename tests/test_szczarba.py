@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import weakref
@@ -29,7 +30,7 @@ from cobarlab.triangulate import TriangulatedCubicalSet
 from cobarlab.verdict import Verdict
 from cobarlab.verify import run_suite
 from test_chains import scaled
-from test_triangulate import reference_reductions
+from test_triangulate import patch_reference_reductions
 
 
 FIXTURES = {
@@ -454,6 +455,25 @@ def test_word_map_checks_catch_a_negated_value():
     assert verdict.witness["label"] == word_to_cube(w)
 
 
+@pytest.mark.parametrize("name, rank", [("S2", 1), ("D4sk1", 6)])
+def test_word_map_target_is_a_complex_of_its_own(name, rank):
+    provider = SzProvider(LoopGroup(FIXTURES[name]))
+    target = word_map(provider, 2).target
+    group = provider.group
+    basis = {g for words in target.basis.values() for g in words}
+    # every nondegenerate face of a basis word is a basis word
+    for g in basis:
+        for i in range(g.n + 1 if g.n else 0):
+            face = group.face(g, i)
+            assert group.is_degenerate(face) or face in basis, (g, i)
+    # all three raised KeyError while faces of basis words were missing
+    assert target.check_d_squared().ok
+    assert target.check_coalgebra().ok
+    h1 = target.homology(1)
+    # the rank of H_1 of the loop space: one class per 2-sphere
+    assert (h1.betti, tuple(h1.torsion)) == (rank, ())
+
+
 def test_word_map_files_each_group_word_by_its_dimension(monkeypatch):
     # a degree-2 word whose value is a degree-1 word's lands in dimension
     # 1 of the group chains, and the degree check names it
@@ -604,17 +624,33 @@ def test_glued_map_projects_only_on_a_memo_miss(monkeypatch):
     assert pieces == evaluations
 
 
+def record_pieces(monkeypatch, record):
+    """Patch the glued map so that every read of a cube's pieces, by
+    ``evaluate`` or by a check, also calls ``record(f, cube, u, pieces)``."""
+    real_pieces = CobarToGroupMap.pieces
+
+    def pieces(self, cube):
+        read = real_pieces(self, cube)
+
+        def recorded(u):
+            out = read(u)
+            record(self, cube, u, out)
+            return out
+
+        return recorded
+
+    monkeypatch.setattr(CobarToGroupMap, "pieces", pieces)
+
+
 @pytest.mark.parametrize("name", ["S2", "D4sk1"])
 def test_glued_map_values_match_fresh_map(name, providers, monkeypatch):
     seen = {}
-    real_evaluate = CobarToGroupMap.evaluate
 
-    def recording_evaluate(self, cube, u):
-        value = real_evaluate(self, cube, u)
+    def record(f, cube, u, pieces):
+        value = f.group.product(u.dim, pieces)
         seen.setdefault((cube, u), set()).add(value)
-        return value
 
-    monkeypatch.setattr(CobarToGroupMap, "evaluate", recording_evaluate)
+    record_pieces(monkeypatch, record)
     prov = providers[name]
     f = CobarToGroupMap(prov)
     verdict = build_f(f, 2)
@@ -770,9 +806,11 @@ def reference_operator_image(cset, z, op):
 
 
 @szczarba._fails_on_incompatible_family
-def reference_build_f(f, max_dim):
+def reference_build_f(f, max_dim, evaluate=None):
     """``build_f`` before each cube kept its right-hand values: both sides
-    of every identity evaluated afresh, in the same order."""
+    of every identity evaluated afresh, in the same order, by
+    ``evaluate(f, cube, u)`` (by default :func:`reference_evaluate`)."""
+    evaluate = evaluate or reference_evaluate
     cset = f.cset
     for n in range(max_dim + 1):
         ups = [u_pi(pi) for pi in all_perms(n + 1)]
@@ -790,8 +828,8 @@ def reference_build_f(f, max_dim):
             for op, pairs in checks:
                 oz = reference_operator_image(cset, z, op)
                 for u, pushed in pairs:
-                    lhs = reference_evaluate(f, oz, u)
-                    rhs = reference_evaluate(f, z, pushed)
+                    lhs = evaluate(f, oz, u)
+                    rhs = evaluate(f, z, pushed)
                     if lhs != rhs:
                         return Verdict.failed(
                             {"op": op, "z": z, "u": u,
@@ -801,12 +839,12 @@ def reference_build_f(f, max_dim):
 
 def reference_check_f_simplicial(provider, max_dim, monkeypatch):
     """``check_f_simplicial`` run on the reference evaluation and the
-    reference reduction scan."""
+    reference reduction scan, with the number of reference reductions."""
     with monkeypatch.context() as patch:
         patch.setattr(CobarToGroupMap, "evaluate", reference_evaluate)
-        patch.setattr(TriangulatedCubicalSet, "_reductions",
-                      reference_reductions)
-        return check_f_simplicial(CobarToGroupMap(provider), max_dim)
+        reductions = patch_reference_reductions(patch)
+        verdict = check_f_simplicial(CobarToGroupMap(provider), max_dim)
+    return verdict, len(reductions)
 
 
 GLUED_PROVIDERS = {"plain": SzProvider, "swapped": SwappedSzProvider}
@@ -820,8 +858,10 @@ def test_glued_map_verdicts_match_reference(name, kind, monkeypatch):
     reference = reference_build_f(CobarToGroupMap(provider), 2)
     assert built == reference and repr(built) == repr(reference)
     simplicial = check_f_simplicial(CobarToGroupMap(provider), 2)
-    reference = reference_check_f_simplicial(provider, 2, monkeypatch)
+    reference, reductions = reference_check_f_simplicial(
+        provider, 2, monkeypatch)
     assert simplicial == reference and repr(simplicial) == repr(reference)
+    assert reductions
     if (name, kind) == ("D4sk1", "swapped"):
         for verdict in (built, simplicial):
             assert verdict.witness["check"] == "family_compatibility"
@@ -857,13 +897,11 @@ def test_corrupted_letter_value_fails_glue_like_reference(monkeypatch):
 
 def test_build_f_evaluates_each_pair_once_per_cube(monkeypatch):
     calls = Counter()
-    real_evaluate = CobarToGroupMap.evaluate
 
-    def counting_evaluate(self, cube, u):
+    def record(f, cube, u, pieces):
         calls[cube, u] += 1
-        return real_evaluate(self, cube, u)
 
-    monkeypatch.setattr(CobarToGroupMap, "evaluate", counting_evaluate)
+    record_pieces(monkeypatch, record)
     provider = SzProvider(LoopGroup(FIXTURES["D4sk1"]))
     assert build_f(CobarToGroupMap(provider), 2).ok
     # 9,426 before each cube kept its right-hand values
@@ -973,31 +1011,194 @@ def unstored_check_f_simplicial(f, max_dim):
     return Verdict.passed()
 
 
-def negative_control_verdicts(simplicial):
-    """The contract, glue and simplicial verdicts of both swapped providers
-    on D4sk1, and the rival-convention diagnosis, by their reprs."""
+SWAPS = (((2, 1), 2), ((2, 1, 3), 3))
+
+
+def swapped_word_maps():
+    """The comparison's input for each swapped provider, by permutation."""
+    return {pi: word_map(SwappedSzProvider(LoopGroup(FIXTURES["D4sk1"]), pi),
+                         dim) for pi, dim in SWAPS}
+
+
+def negative_control_verdicts(glued_checks, fmaps):
+    """The contract verdicts and the verdicts of the four glued-map checks
+    (``glued_checks``, by name, each called with the map, the degree and
+    the word map in ``fmaps``) for both swapped providers on D4sk1, and
+    the rival-convention diagnosis, by their reprs."""
     out = {}
-    for pi, dim in (((2, 1), 2), ((2, 1, 3), 3)):
+    for pi, dim in SWAPS:
         def fresh():
             return SwappedSzProvider(LoopGroup(FIXTURES["D4sk1"]), pi)
         out[pi, "contract"] = contract_check(fresh(), dim)
-        out[pi, "glue"] = build_f(CobarToGroupMap(fresh()), dim)
-        out[pi, "simplicial"] = simplicial(CobarToGroupMap(fresh()), dim)
+        fmap = fmaps[pi]
+        for name, check in glued_checks.items():
+            out[pi, name] = check(CobarToGroupMap(fresh()), dim, fmap)
     diagnosis = rival_convention_diagnosis(fixture("TwoLoopsCell"))
     out["rival"] = sorted(diagnosis.items())
     return {key: repr(value) for key, value in out.items()}
 
 
+def object_keyed(memos):
+    """``object_keyed_evaluate`` with one memo per map, kept in
+    ``memos``."""
+    def evaluate(f, cube, u):
+        return object_keyed_evaluate(f, cube, u, memos.setdefault(f, {}))
+    return evaluate
+
+
 def test_negative_controls_match_unstored_reference(monkeypatch):
     from test_loopgroup import reference_degeneracy, reference_face
 
-    stored = negative_control_verdicts(check_f_simplicial)
+    fmaps = swapped_word_maps()  # one input for both sides
+    stored = negative_control_verdicts({
+        "glue": lambda f, d, fmap: build_f(f, d),
+        "simplicial": lambda f, d, fmap: check_f_simplicial(f, d),
+        "multiplicative": lambda f, d, fmap: check_f_multiplicative(f, d),
+        "comparison": lambda f, d, fmap: main_theorem_check(f, fmap)},
+        fmaps)
+    evaluate = object_keyed(weakref.WeakKeyDictionary())
     with monkeypatch.context() as patch:
         patch.setattr(SzProvider, "sz", unstored_sz)
         patch.setattr(LoopGroup, "face", reference_face)
         patch.setattr(LoopGroup, "degeneracy", reference_degeneracy)
-        unstored = negative_control_verdicts(unstored_check_f_simplicial)
-    assert stored == unstored
+        # the map as it was before pieces were keyed by small values
+        patch.setattr(CobarToGroupMap, "evaluate", evaluate)
+        patch.setattr(CobarToGroupMap, "evaluator",
+                      lambda f, cube: functools.partial(evaluate, f, cube))
+        reductions = patch_reference_reductions(patch)
+        unstored = negative_control_verdicts({
+            "glue": lambda f, d, fmap: reference_build_f(f, d, evaluate),
+            "simplicial": lambda f, d, fmap: unstored_check_f_simplicial(
+                f, d),
+            "multiplicative": lambda f, d, fmap: check_f_multiplicative(f, d),
+            "comparison": lambda f, d, fmap: main_theorem_check(f, fmap)},
+            fmaps)
+    assert stored == unstored and reductions
     for key, verdict in stored.items():
         if key != "rival":
             assert verdict.startswith("Verdict(ok=False"), key
+    # the four glued-map checks fail on the family that does not glue,
+    # with one witness
+    for pi, _ in SWAPS:
+        witnesses = {stored[pi, name] for name in (
+            "glue", "simplicial", "multiplicative", "comparison")}
+        assert len(witnesses) == 1
+        assert "family_compatibility" in witnesses.pop()
+
+
+# ----- the small-key glued map against the object-keyed one ------------------------
+
+
+def object_keyed_evaluate(f, cube, u, values):
+    """``CobarToGroupMap.evaluate`` as it was when its memo was keyed by
+    ``(letter, window, m)``: the cube dimension summed over the letters,
+    the operator prefix pushed onto the bracket, each piece looked up by
+    its letter object in ``values`` (a dict the caller owns) and the
+    pieces multiplied, one-letter cubes included."""
+    base, ops = cube
+    n = sum(x.dim - 1 for x in base) + len(ops)
+    if u.n != n:
+        raise ValueError("coordinate count mismatch")
+    ks = u.ks
+    for kind, i in ops:
+        if kind == "s":
+            if not 1 <= i <= n:
+                raise ValueError("projection coordinate out of range")
+            ks = ks[:i - 1] + ks[i:]
+        else:
+            if not 1 <= i < n:
+                raise ValueError("connection coordinate out of range")
+            ks = ks[:i - 1] + (max(ks[i - 1], ks[i]),) + ks[i + 1:]
+        n -= 1
+    m = u.dim
+    factors = []
+    pos = 0
+    for x in base:
+        k = x.dim - 1
+        window = ks[pos:pos + k]
+        key = (x, window, m)
+        value = values.get(key)
+        if value is None:
+            value = values[key] = f._letter(x)(PartitionSimplex(k, window, m))
+        factors.append(value)
+        pos += k
+    return f.group.product(m, factors)
+
+
+def glued_map_reads(f, monkeypatch):
+    """Every (cube, u) that the four glued-map checks read at degree 2,
+    with the value the map gave, after checking that all four pass."""
+    reads = {}
+
+    def record(g, cube, u, pieces):
+        value = pieces[0] if len(pieces) == 1 else g.group.product(
+            u.dim, pieces)
+        reads.setdefault((cube, u), []).append(value)
+
+    with monkeypatch.context() as patch:
+        record_pieces(patch, record)
+        assert build_f(f, 2).ok
+        assert check_f_simplicial(f, 2).ok
+        assert main_theorem_check(f, word_map(f.provider, 2)).ok
+        assert check_f_multiplicative(f, 2).ok
+    return reads
+
+
+@pytest.mark.parametrize("name", ["S2", "S3", "D4sk1"])
+def test_small_keys_give_the_object_keyed_values(name, monkeypatch):
+    provider = SzProvider(LoopGroup(FIXTURES[name]))
+    f = CobarToGroupMap(provider)
+    reads = glued_map_reads(f, monkeypatch)
+    reference = CobarToGroupMap(provider)
+    values = {}
+    one_letter = 0
+    for (cube, u), got in reads.items():
+        want = object_keyed_evaluate(reference, cube, u, values)
+        assert all(value == want for value in got), (cube, u)
+        assert f.evaluate(cube, u) == want
+        if len(cube[0]) == 1:
+            # a one-letter cube hands out its stored piece
+            assert all(value is got[0] for value in got), (cube, u)
+            assert f.evaluate(cube, u) is got[0]
+            one_letter += 1
+    assert one_letter and len(reads) > one_letter
+    # one piece per (letter, window, m), as before
+    assert len(f._values) == len(values)
+
+
+def test_a_count_mismatch_is_refused_before_any_piece(monkeypatch):
+    def no_piece(self, x, key):
+        raise AssertionError("a piece was built")
+
+    monkeypatch.setattr(CobarToGroupMap, "_piece", no_piece)
+    f = CobarToGroupMap(SzProvider(LoopGroup(FIXTURES["D4sk1"])))
+    letters = (nondeg("0123", 3), nondeg("012", 2))
+    for cube, u in [((letters, ()), u_pi((1, 2))),
+                    ((letters, ()), u_pi((1, 2, 3, 4))),
+                    ((letters, (("s", 1),)), u_pi((1, 2, 3)))]:
+        with pytest.raises(ValueError, match="coordinate count mismatch"):
+            f.evaluate(cube, u)
+
+
+def test_base_letters_outside_the_presentation_are_refused():
+    s2, s3 = FIXTURES["S2"], FIXTURES["S3"]
+    f = CobarToGroupMap(SzProvider(LoopGroup(s3)))
+    sigma = nondeg("sigma", 3)
+    top = u_pi((1, 2))
+    value = f.evaluate(((sigma,), ()), top)
+    # s_0 of the 2-sphere's cell has the name and the dimension of the
+    # 3-sphere's cell, so a key by name and window alone would read the
+    # value just stored
+    degenerate = s2.degeneracy(nondeg("sigma", 2), 0)
+    assert (degenerate.gen, degenerate.dim) == (sigma.gen, sigma.dim)
+    with pytest.raises(ValueError, match="nondegenerate"):
+        f.evaluate(((degenerate,), ()), top)
+    # a letter of the same name and another dimension, or of a name the
+    # presentation lacks, has no glued family here
+    for letter in (nondeg("sigma", 2), nondeg("0123", 3)):
+        k = letter.dim - 1
+        with pytest.raises(ValueError, match="not a base letter over S3"):
+            f.evaluate(((letter,), ()), u_pi(tuple(range(1, k + 1))))
+    # an equal letter built apart from the presentation is the same letter
+    assert f.evaluate(((nondeg("sigma", 3),), ()), top) is value
+    assert f.evaluate(((fixture("S3").nondegenerate(3)[0],), ()), top) is value

@@ -14,9 +14,29 @@ from cobarlab.triangulate import (TriangulatedCubicalSet, TriSimplex,
                                   product_split_forward)
 
 
+def reductions(tri, y, u):
+    """The applicable identifications of (y, u), lazily, in the scan order
+    of ``canon``, read from the triangulation's store of cube sides."""
+    side = tri._cube_side(y)
+    n = side.n
+    lower = [tri._face_side(side.lower, i).cube for i in range(n)]
+    upper = [tri._face_side(side.upper, i).cube for i in range(n)]
+    # coordinates in the first part, then in the last, increasing
+    for i, k in enumerate(u.ks, 1):
+        if k == 0:
+            yield upper[i - 1], lambda_star(CubeMorphism.sigma(n, i), u)
+    for i, k in enumerate(u.ks, 1):
+        if k == u.dim + 1:
+            yield lower[i - 1], lambda_star(CubeMorphism.sigma(n, i), u)
+    for i in side.degenerate:
+        yield lower[i - 1], lambda_star(CubeMorphism.sigma(n, i), u)
+    for i in side.folded:
+        yield upper[i - 1], lambda_star(CubeMorphism.gamma(n, i), u)
+
+
 def reduction_options(tri, y, u):
     """Every applicable identification, in the scan order of canon."""
-    return list(tri._reductions(y, u))
+    return list(reductions(tri, y, u))
 
 
 def test_full_support_counts():
@@ -144,6 +164,26 @@ def reference_canon(tri, y, u):
     return TriSimplex(y, u)
 
 
+def patch_reference_reductions(patch):
+    """Make ``canon``, ``face`` and ``degeneracy`` of every triangulation
+    reduce through :func:`reference_canon`, as they all did through one
+    reduction scan before ``face`` and ``degeneracy`` cut brackets.
+    Returns a list that gets one entry per reference reduction."""
+    calls = []
+
+    def canon(tri, y, u):
+        calls.append((y, u))
+        return reference_canon(tri, y, u)
+
+    patch.setattr(TriangulatedCubicalSet, "canon", canon)
+    patch.setattr(TriangulatedCubicalSet, "face", lambda tri, x, i: canon(
+        tri, x.cube, partition_face(x.simplex, i)))
+    patch.setattr(TriangulatedCubicalSet, "degeneracy",
+                  lambda tri, x, i: canon(
+                      tri, x.cube, partition_degeneracy(x.simplex, i)))
+    return calls
+
+
 @pytest.mark.parametrize("build", [
     lambda: StandardCube(3), lambda: CobarSet(sphere(2)),
     lambda: CobarSet(fixture("D4sk1"))], ids=["cube-3", "cobar-S2", "cobar-D4sk1"])
@@ -167,3 +207,41 @@ def test_reductions_match_reference(build):
             reference_reductions(tri, y, u)), (y, u)
         assert tri.canon(y, u) == reference_canon(tri, y, u), (y, u)
     assert pairs
+
+
+def test_tri_simplex_is_an_immutable_value():
+    import pickle
+
+    tri = TriangulatedCubicalSet(CobarSet(fixture("D4sk1")), 2)
+    ts = tri.nondegenerate(2)[-1]
+    fresh = TriSimplex(ts.cube, ts.simplex)
+    assert ts == fresh and hash(ts) == hash(fresh) and ts is not fresh
+    assert hash(ts) == hash((ts.cube, ts.simplex))
+    assert {ts: 1}[fresh] == 1
+    assert ts != TriSimplex(ts.cube, partition_face(ts.simplex, 0))
+    assert ts != (ts.cube, ts.simplex)
+    # the repr of the former dataclass, which witnesses print
+    assert repr(ts) == f"[{ts.cube!r}; {ts.simplex!r}]"
+    copy = pickle.loads(pickle.dumps(ts))
+    assert copy == ts and hash(copy) == hash(ts)
+    with pytest.raises(AttributeError, match="immutable"):
+        ts.cube = fresh.cube
+    with pytest.raises(AttributeError, match="immutable"):
+        del ts.simplex
+    assert ts == fresh
+
+
+@pytest.mark.parametrize("build", [
+    lambda: StandardCube(3), lambda: CobarSet(fixture("D4sk1"))],
+    ids=["cube-3", "cobar-D4sk1"])
+def test_canonical_simplices_share_their_cubes(build):
+    tri = TriangulatedCubicalSet(build(), 2)
+    cubes = {}
+    for m in range(3):
+        for ts in tri.nondegenerate(m):
+            out = [ts] + [tri.face(ts, i) for i in range(m + 1) if m]
+            out += [tri.degeneracy(ts, i) for i in range(m + 1)]
+            for x in out:
+                # equal cubes of canonical simplices are one object
+                assert cubes.setdefault(x.cube, x.cube) is x.cube
+    assert cubes
