@@ -51,10 +51,7 @@ class ChainComplex:
     each label to a chain one degree down; ``diagonal`` (optional) is a
     function taking a label to a chain in the tensor square, keyed by label
     pairs.  It runs only when :meth:`diagonal_of` first asks for that label,
-    so boundaries and homology never pay for the coalgebra.  The chain
-    builders' diagonals read the faces that their boundaries computed,
-    kept in the diagonal function's closure, so those faces live exactly
-    as long as the complex.
+    so boundaries and homology never pay for the coalgebra.
     """
 
     def __init__(self, basis, boundary, diagonal=None):
@@ -256,6 +253,57 @@ class ChainComplex:
         betti = self.rank(n) - rank_dn - len(factors_up)
         torsion = tuple(d for d in factors_up if d > 1)
         return Homology(betti, torsion)
+
+
+def normalized_complex(basis, signs, face, diagonal) -> ChainComplex:
+    """Normalized chains on ``basis`` (degree -> labels) of a simplicial
+    or cubical set: a face that is not a basis label is zero.
+
+    ``face(z, k)`` is the face of a cell z in slot k, slots counted from
+    1, and ``signs(n)`` gives the boundary sign of each slot of a degree-n
+    cell, slot 1 first; it also says how many slots there are.
+
+    While it builds the boundaries, the builder keeps one row per basis
+    label: a list of the label, then each of its faces in slot order, as
+    the face's own row when that face is a label and as the face itself
+    when it is not.  ``diagonal(row, slot)`` is the diagonal of the label
+    whose row it is given, built on demand.  ``slot(z, k)`` reads slot k
+    of a row; for a cell that is no label it computes the face, handing
+    back the face's row when the face is a label.  So each face of a label
+    is computed once per complex; only a face of a cell that is no label
+    is computed again.  A diagonal tells a label's row, whose item 0 is
+    the label, from a cell that is none by ``z.__class__ is list``.  The
+    rows live in the complex's diagonal and are freed with it; nothing is
+    stored on the set.  Boundary chains and diagonal terms are keyed by
+    the basis label objects themselves, not by the faces just computed
+    that equal them, so that a lookup of a label hits by identity and the
+    complex holds no second copy of a label.
+    """
+    rows = {}
+    boundary = {}
+    for n in sorted(basis):
+        slot_signs = tuple(enumerate(signs(n), 1))
+        for x in basis[n]:
+            row = [x]
+            d: Chain = {}
+            for k, sign in slot_signs:
+                z = face(x, k)
+                z_row = rows.get(z)
+                if z_row is None:
+                    row.append(z)
+                else:
+                    row.append(z_row)
+                    add_scaled(d, {z_row[0]: 1}, sign)
+            rows[x] = row
+            boundary[x] = d
+
+    def slot(z, k):
+        if z.__class__ is list:
+            return z[k]
+        z = face(z, k)
+        return rows.get(z, z)
+
+    return ChainComplex(basis, boundary, lambda x: diagonal(rows[x], slot))
 
 
 @dataclass

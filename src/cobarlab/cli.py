@@ -39,7 +39,7 @@ def _load_sset(source: str):
     if os.path.exists(source):
         try:
             return ssetfile.load(source)
-        except ssetfile.ParseError as exc:
+        except (ssetfile.ParseError, OSError, UnicodeDecodeError) as exc:
             raise InputError(f"{source}: {exc}")
     try:
         return fixture(source)

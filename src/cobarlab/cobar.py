@@ -25,7 +25,7 @@ normalized cube (base, ()), and many cubes share a base, so each cobar set
 keeps those base faces in a store that lives and dies with the set.  The
 identity checker reads direct faces of normalized cubes from the same
 store, whose keys they share.  The public ``face`` bypasses it for them:
-the chain builders ask each such face once and keep it with the complex,
+the chain builder asks each such face once and keeps it with the complex,
 where a store would only add hashing and memory.
 
 Words multiply by concatenation, with the right factor's operators shifted
@@ -111,8 +111,8 @@ class CobarSet(CubicalSet):
     direct face of a normalized cube, so the faces that the identity
     checker, a triangulation's cube sides and ``build_f`` ask for stay in
     the store as long as the set lives.  The public ``face`` computes such
-    a face without it, since the chain builders ask each one once and
-    keep it with the complex.
+    a face without it, since the chain builder asks each one once and
+    keeps it with the complex.
     """
 
     def __init__(self, sset: SimplicialPresentation):

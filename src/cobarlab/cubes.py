@@ -14,7 +14,7 @@ import collections
 import functools
 import itertools
 
-from .chains import Chain, ChainComplex, add_scaled
+from .chains import Chain, ChainComplex, normalized_complex
 from .perms import all_shuffles
 from .verdict import Verdict, check_identities
 
@@ -27,7 +27,7 @@ class CubeMorphism:
 
     Immutable; equality and hashing are on ``(source, target, outputs)``.
     The hash is computed once, at construction, since morphisms are keys
-    of the identity checker's and the chain builders' tables.
+    of the identity checker's and the chain builder's tables.
     """
 
     __slots__ = ("source", "target", "outputs", "_hash")
@@ -478,7 +478,7 @@ def _shuffle_splits(n: int):
     """(front mask, back mask, sign) of every shuffle of n coordinates, in
     the order of :func:`all_shuffles` over k = 0..n.  A mask has bit n - i
     set for each coordinate i of its side, the order in which the face
-    tables of :func:`cubical_chains` grow."""
+    tables of :func:`_shuffle_diagonal` grow."""
 
     def mask(coords):
         return sum(1 << (n - i) for i in coords)
@@ -487,81 +487,54 @@ def _shuffle_splits(n: int):
                  for k in range(n + 1) for sh in all_shuffles(k, n - k))
 
 
-def cubical_chains(cset: CubicalSet, max_dim: int) -> ChainComplex:
-    """Normalized cubical chains: degenerate and folded cubes are zero.
+def _shuffle_diagonal(row, slot) -> Chain:
+    """The two-sided face splitting of a label's n-cube over all shuffles
+    of its coordinates, read from the label's row."""
 
-    Boundary d y = sum_i (-1)^i (d0_i y - d1_i y); the diagonal, built on
-    demand, is the two-sided face splitting over all shuffles of the
-    coordinate set.
-
-    While it builds the boundaries, the builder keeps one row per basis
-    label: the label, then its faces d0_1, d1_1, ..., d0_n, d1_n, each the
-    face's own row when that face is a label and the face itself when it
-    is not.  The diagonal reads its iterated faces from the rows, so only
-    a face of a cube that is no label calls ``cset.face`` again.  The rows
-    live in the builder's closure and are freed with the complex; nothing
-    is stored on ``cset``.  Boundary chains and diagonal terms are keyed by
-    the basis label objects themselves, not by the faces just computed
-    that equal them, so that a lookup of a label hits by identity and the
-    complex holds no second copy of a label.
-    """
-    basis = {n: tuple(cset.normalized(n)) for n in range(max_dim + 1)}
-    rows = {}
-    boundary = {}
-    for n in range(max_dim + 1):
-        for y in basis[n]:
-            row = [y]
-            d: Chain = {}
-            for i in range(1, n + 1):
-                sign = -1 if i % 2 else 1
-                for face in (cset.face(y, 0, i), cset.face(y, 1, i)):
-                    face_row = rows.get(face)
-                    if face_row is None:
-                        row.append(face)
-                    else:
-                        row.append(face_row)
-                        add_scaled(d, {face_row[0]: 1}, sign)
-                    sign = -sign
-            rows[y] = row
-            boundary[y] = d
-
-    def face_of(z, eps, i):
-        """A face of a cube that is no label, computed: the face's row
-        when the face is a label, else the face."""
-        face = cset.face(z, eps, i)
-        return rows.get(face, face)
-
-    def face_labels(row, eps, n):
-        """The iterated face of a label's n-cube in direction eps at every
-        subset of its coordinates, indexed by mask, as the label it is or
-        None.  Faces are taken at original coordinates, largest first:
-        each subset's face is one face, at its smallest coordinate, of the
-        face of the subset without it, read from a row where there is
-        one."""
+    def face_labels(eps, n):
+        """The iterated face in direction eps at every subset of the
+        coordinates, indexed by mask, as the label it is or None.  Faces
+        are taken at original coordinates, largest first: each subset's
+        face is one face, at its smallest coordinate, of the face of the
+        subset without it."""
         table = [row]
         for i in range(n, 0, -1):
             k = 2 * i - 1 + eps
-            table += [z[k] if z.__class__ is list else face_of(z, eps, i)
-                      for z in table]
+            table += [slot(z, k) for z in table]
         return [z[0] if z.__class__ is list else None for z in table]
 
-    def diagonal(y) -> Chain:
-        row = rows[y]
-        n = (len(row) - 1) // 2
-        fronts = face_labels(row, 0, n)
-        backs = face_labels(row, 1, n)
-        delta: Chain = {}
-        for front_mask, back_mask, sign in _shuffle_splits(n):
-            front = fronts[front_mask]
-            if front is not None:
-                back = backs[back_mask]
-                if back is not None:
-                    key = (front, back)
-                    c = delta.get(key, 0) + sign
-                    if c:
-                        delta[key] = c
-                    else:
-                        del delta[key]
-        return delta
+    n = (len(row) - 1) // 2
+    fronts = face_labels(0, n)
+    backs = face_labels(1, n)
+    delta: Chain = {}
+    for front_mask, back_mask, sign in _shuffle_splits(n):
+        front = fronts[front_mask]
+        if front is not None:
+            back = backs[back_mask]
+            if back is not None:
+                key = (front, back)
+                c = delta.get(key, 0) + sign
+                if c:
+                    delta[key] = c
+                else:
+                    del delta[key]
+    return delta
 
-    return ChainComplex(basis, boundary, diagonal)
+
+def cubical_chains(cset: CubicalSet, max_dim: int) -> ChainComplex:
+    """Normalized cubical chains: degenerate and folded cubes are zero.
+
+    Boundary d y = sum_i (-1)^i (d0_i y - d1_i y), slot 2i - 1 + eps of a
+    row holding d^eps_i; the diagonal, built on demand, is the two-sided
+    face splitting over all shuffles of the coordinate set.
+    """
+
+    def signs(n):
+        return tuple((-1) ** (i + eps)
+                     for i in range(1, n + 1) for eps in (0, 1))
+
+    def face(y, k):
+        return cset.face(y, 1 - k % 2, (k + 1) // 2)
+
+    basis = {n: tuple(cset.normalized(n)) for n in range(max_dim + 1)}
+    return normalized_complex(basis, signs, face, _shuffle_diagonal)

@@ -12,7 +12,7 @@ import itertools
 from operator import gt
 from pathlib import Path
 
-from .chains import Chain, ChainComplex, add_scaled
+from .chains import Chain, ChainComplex, add_scaled, normalized_complex
 from .perms import all_shuffles
 from .verdict import Verdict, check_identities
 
@@ -294,85 +294,36 @@ class ProductSimplicialSet(SimplicialSet):
 # ----- chains with the front/back-face diagonal ---------------------------------
 
 
-def normalized_chains(sset: SimplicialSet, basis: dict, keep) -> ChainComplex:
-    """Normalized chains on ``basis`` (degree -> simplices): the faces and
-    diagonal terms that ``keep`` rejects are zero.
+def _front_back_diagonal(row, slot) -> Chain:
+    """The sum of (front_face(x, i), back_face(x, i)) over the pairs of
+    labels, read from the row of x."""
+    # fronts[i] and backs[i] are each one face of the one before them
+    fronts = [row]
+    backs = [row]
+    for i in range(len(row) - 2, 0, -1):
+        fronts.append(slot(fronts[-1], 1 + i))
+        backs.append(slot(backs[-1], 1))
+    fronts.reverse()
+    delta: Chain = {}
+    for front, back in zip(fronts, backs):
+        if front.__class__ is list and back.__class__ is list:
+            add_scaled(delta, {(front[0], back[0]): 1}, 1)
+    return delta
 
-    Carries the front-face/back-face diagonal, built on demand, making it a
-    dg-coalgebra.
 
-    While it builds the boundaries, the builder keeps one row per basis
-    simplex: the simplex, or None when ``keep`` rejects it, then its faces
-    d_0, ..., d_n, each the face's own row when that face is a basis
-    simplex and the face itself when it is not.  The diagonal reads its
-    iterated front and back faces from the rows, so only a face of a
-    simplex outside the basis calls ``sset.face`` again.  The rows live in
-    the builder's closure and are freed with the complex; nothing is
-    stored on ``sset``.  Boundary chains and diagonal terms are keyed by
-    the basis simplices themselves where a face is one.
-    """
-    rows = {}
-    boundary = {}
-    for n in sorted(basis):
-        for x in basis[n]:
-            row = [x if keep(x) else None]
-            d: Chain = {}
-            for i in range(n + 1 if n else 0):
-                face = sset.face(x, i)
-                face_row = rows.get(face)
-                if face_row is None:
-                    row.append(face)
-                    label = face if keep(face) else None
-                else:
-                    row.append(face_row)
-                    label = face_row[0]
-                if label is not None:
-                    add_scaled(d, {label: 1}, -1 if i % 2 else 1)
-            rows[x] = row
-            boundary[x] = d
-
-    def face_of(z, i):
-        """The i-th face of a row's simplex, read from the row, or of a
-        face outside the basis, computed; a face that is a basis simplex
-        comes back as its row."""
-        if z.__class__ is list:
-            return z[1 + i]
-        face = sset.face(z, i)
-        return rows.get(face, face)
-
-    def label(z):
-        """The kept simplex that a row or a face outside the basis is, or
-        None."""
-        if z.__class__ is list:
-            return z[0]
-        return z if keep(z) else None
-
-    def diagonal(x) -> Chain:
-        # fronts[i] and backs[i] are each one face of the one before them
-        row = rows[x]
-        fronts = [row]
-        backs = [row]
-        for i in range(sset.dim(x), 0, -1):
-            fronts.append(face_of(fronts[-1], i))
-            backs.append(face_of(backs[-1], 0))
-        fronts.reverse()
-        delta: Chain = {}
-        for front, back in zip(fronts, backs):
-            front = label(front)
-            if front is not None:
-                back = label(back)
-                if back is not None:
-                    add_scaled(delta, {(front, back): 1}, 1)
-        return delta
-
-    return ChainComplex(basis, boundary, diagonal)
+def normalized_chains(sset: SimplicialSet, basis: dict) -> ChainComplex:
+    """Normalized chains on ``basis`` (degree -> simplices), slot 1 + i of
+    a row holding d_i with sign (-1)^i, and the front-face/back-face
+    diagonal, built on demand, making it a dg-coalgebra."""
+    return normalized_complex(
+        basis, lambda n: tuple((-1) ** i for i in range(n + 1)) if n else (),
+        lambda x, k: sset.face(x, k - 1), _front_back_diagonal)
 
 
 def simplicial_chains(sset: SimplicialSet, max_dim: int) -> ChainComplex:
     """Normalized chains on every nondegenerate simplex up to max_dim."""
     basis = {n: tuple(sset.nondegenerate(n)) for n in range(max_dim + 1)}
-    keep = {x for labels in basis.values() for x in labels}.__contains__
-    return normalized_chains(sset, basis, keep)
+    return normalized_chains(sset, basis)
 
 
 def shuffle_terms(left: SimplicialSet, right: SimplicialSet, x, y) -> Chain:

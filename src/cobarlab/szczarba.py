@@ -288,8 +288,7 @@ def word_map(provider, max_deg: int) -> ChainMap:
                 pending.append(face)
                 if not group.is_degenerate(face):
                     basis.setdefault(face.n, {})[face] = None
-    target = normalized_chains(group, basis,
-                               lambda g: not group.is_degenerate(g))
+    target = normalized_chains(group, basis)
     return ChainMap(omega, target, mapping)
 
 

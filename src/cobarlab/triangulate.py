@@ -26,7 +26,7 @@ class TriSimplex:
 
     Immutable; equality and hashing are on ``(cube, simplex)``, and the
     hash is computed once, at construction, since simplices of the
-    triangulation are keys of the chain builders' and the glued-map
+    triangulation are keys of the chain builder's and the glued-map
     checks' tables.
     """
 

@@ -1,6 +1,6 @@
 import pytest
 
-from cobarlab import cobar
+from cobarlab import cobar, cubes
 from cobarlab.chains import (Chain, ChainComplex, ChainMap, add_scaled,
                              check_chain_map, check_coalgebra_map,
                              check_quasi_iso, mapping_cone, tensor_chains)
@@ -245,8 +245,9 @@ def simplicial_complex(sset, max_dim):
 
 def group_chains():
     """The group chains of the degree-2 word map on D4sk1, on the words its
-    values touch and filtered by nondegeneracy: 205 faces of basis words
-    lie outside the basis and are kept."""
+    values touch and their faces, with nondegeneracy as the reference's
+    filter: the word map's basis holds every nondegenerate iterated face
+    of its words."""
     provider = SzProvider(LoopGroup(fixture("D4sk1")))
     group = provider.group
     return (group, word_map(provider, 2).target,
@@ -323,6 +324,173 @@ def test_simplicial_chains_keep_no_face_on_the_set(build, max_dim):
             cx.diagonal_of(x)
     assert builds[0] == builds[1] == sum(
         (n + 1) * cx.rank(n) for n in cx.degrees if n)
+
+
+# ----- the one builder against the two it replaced -------------------------------
+
+
+def reference_cubical_chains(cset, max_dim):
+    """Normalized cubical chains as a builder of their own made them: rows
+    of faces d0_1, d1_1, ..., d0_n, d1_n, and a diagonal that reads its
+    iterated faces from them."""
+    basis = {n: tuple(cset.normalized(n)) for n in range(max_dim + 1)}
+    rows = {}
+    boundary = {}
+    for n in range(max_dim + 1):
+        for y in basis[n]:
+            row = [y]
+            d = {}
+            for i in range(1, n + 1):
+                sign = -1 if i % 2 else 1
+                for face in (cset.face(y, 0, i), cset.face(y, 1, i)):
+                    face_row = rows.get(face)
+                    if face_row is None:
+                        row.append(face)
+                    else:
+                        row.append(face_row)
+                        add_scaled(d, {face_row[0]: 1}, sign)
+                    sign = -sign
+            rows[y] = row
+            boundary[y] = d
+
+    def face_of(z, eps, i):
+        face = cset.face(z, eps, i)
+        return rows.get(face, face)
+
+    def face_labels(row, eps, n):
+        table = [row]
+        for i in range(n, 0, -1):
+            k = 2 * i - 1 + eps
+            table += [z[k] if z.__class__ is list else face_of(z, eps, i)
+                      for z in table]
+        return [z[0] if z.__class__ is list else None for z in table]
+
+    def diagonal(y):
+        row = rows[y]
+        n = (len(row) - 1) // 2
+        fronts = face_labels(row, 0, n)
+        backs = face_labels(row, 1, n)
+        delta = {}
+        for front_mask, back_mask, sign in cubes._shuffle_splits(n):
+            front = fronts[front_mask]
+            if front is not None:
+                back = backs[back_mask]
+                if back is not None:
+                    key = (front, back)
+                    c = delta.get(key, 0) + sign
+                    if c:
+                        delta[key] = c
+                    else:
+                        del delta[key]
+        return delta
+
+    return ChainComplex(basis, boundary, diagonal)
+
+
+def reference_normalized_chains(sset, basis, keep):
+    """Normalized simplicial chains on ``basis`` as a builder of their own
+    made them: the faces and diagonal terms that ``keep`` rejects are
+    zero, and a basis simplex that ``keep`` rejects has None for its
+    label in its row."""
+    rows = {}
+    boundary = {}
+    for n in sorted(basis):
+        for x in basis[n]:
+            row = [x if keep(x) else None]
+            d = {}
+            for i in range(n + 1 if n else 0):
+                face = sset.face(x, i)
+                face_row = rows.get(face)
+                if face_row is None:
+                    row.append(face)
+                    label = face if keep(face) else None
+                else:
+                    row.append(face_row)
+                    label = face_row[0]
+                if label is not None:
+                    add_scaled(d, {label: 1}, -1 if i % 2 else 1)
+            rows[x] = row
+            boundary[x] = d
+
+    def face_of(z, i):
+        if z.__class__ is list:
+            return z[1 + i]
+        face = sset.face(z, i)
+        return rows.get(face, face)
+
+    def label(z):
+        if z.__class__ is list:
+            return z[0]
+        return z if keep(z) else None
+
+    def diagonal(x):
+        row = rows[x]
+        fronts = [row]
+        backs = [row]
+        for i in range(sset.dim(x), 0, -1):
+            fronts.append(face_of(fronts[-1], i))
+            backs.append(face_of(backs[-1], 0))
+        fronts.reverse()
+        delta = {}
+        for front, back in zip(fronts, backs):
+            front = label(front)
+            if front is not None:
+                back = label(back)
+                if back is not None:
+                    add_scaled(delta, {(front, back): 1}, 1)
+        return delta
+
+    return ChainComplex(basis, boundary, diagonal)
+
+
+def cubical_pair(cset, max_dim):
+    return (cubical_chains(cset, max_dim),
+            reference_cubical_chains(cset, max_dim))
+
+
+def simplicial_pair(sset, max_dim):
+    cx = simplicial_chains(sset, max_dim)
+    present = set(all_labels(cx)).__contains__
+    return cx, reference_normalized_chains(sset, cx.basis, present)
+
+
+def word_map_pair(sset, max_deg):
+    """The target of the word map and the same basis filtered, as the
+    word map once filtered it, by nondegeneracy."""
+    group = LoopGroup(sset)
+    cx = word_map(SzProvider(group), max_deg).target
+    return cx, reference_normalized_chains(
+        group, cx.basis, lambda g: not group.is_degenerate(g))
+
+
+def collapsed_simplex_pair():
+    from test_szczarba import collapsed_simplex  # it imports this module
+    return word_map_pair(collapsed_simplex(5, 2), 2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cubical_pair(CobarSet(fixture("S2")), 3),
+    lambda: cubical_pair(CobarSet(fixture("D4sk1")), 3),
+    lambda: cubical_pair(StandardCube(3), 3),
+    lambda: cubical_pair(
+        ProductCubicalSet(StandardCube(2), StandardCube(1)), 3),
+    lambda: simplicial_pair(SimplicialCube(3), 3),
+    lambda: simplicial_pair(fixture("D4sk1"), 3),
+    lambda: word_map_pair(fixture("D4sk1"), 2),
+    collapsed_simplex_pair,
+], ids=["cobar-S2", "cobar-D4sk1", "standard-cube-3", "product-2x1",
+        "simplicial-cube-3", "simplicial-D4sk1", "word-map-D4sk1",
+        "word-map-Delta5/sk2"])
+def test_builder_matches_the_builders_it_replaced(build):
+    # equal as dicts and in key order, so that every iteration over a
+    # boundary or a diagonal, and so every witness, is unchanged
+    cx, ref = build()
+    assert list(cx.basis.items()) == list(ref.basis.items())
+    assert cx.basis[cx.max_degree]
+    for x in all_labels(ref):
+        assert list(cx.boundary[x].items()) == list(ref.boundary[x].items()), x
+        assert (list(cx.diagonal_of(x).items())
+                == list(ref.diagonal_of(x).items())), x
 
 
 def test_homology_and_d_squared_build_no_diagonal():

@@ -47,6 +47,21 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["validate"], ["homology"], ["cobar"], ["szczarba", "--simplex", "x"]],
+    ids=["validate", "homology", "cobar", "szczarba"])
+@pytest.mark.parametrize("kind", ["directory", "non-utf-8"])
+def test_unreadable_file_exits_2(command, kind, tmp_path, capsys):
+    if kind == "directory":
+        path = tmp_path
+    else:
+        path = tmp_path / "latin1.sset"
+        path.write_bytes("sset X\n# caf\xe9\n".encode("latin-1"))
+    assert main([command[0], str(path), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+
 def test_homology_output(capsys):
     assert main(["homology", "S3", "--max-dim", "3"]) == 0
     out = capsys.readouterr().out

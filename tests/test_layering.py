@@ -1,4 +1,5 @@
-"""The structure layers never reach the loop-group side.
+"""The structure layers never reach the loop-group side, and the library
+has one normalized-chain builder.
 
 The modules that the structure checks and the loop-space homology run must
 not import ``loopgroup`` or ``szczarba``, at module level or inside a
@@ -52,3 +53,45 @@ def test_lower_layer_imports_no_loop_group_module(module):
 ])
 def test_the_guard_sees_every_import_form(source, found):
     assert imported_modules(ast.parse(source)) & UPPER == found
+
+
+# ----- one normalized-chain builder ---------------------------------------------
+
+COMPLEX_MAKERS = {("chains", "normalized_complex"), ("chains", "mapping_cone"),
+                  ("cobar", "omega_complex")}
+
+
+def complex_makers(module, tree):
+    """(module, top-level function or class) of each ``ChainComplex(``
+    call in an ast."""
+    out = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else (
+                    getattr(func, "id", None))
+                if name == "ChainComplex":
+                    out.add((module, getattr(top, "name", None)))
+    return out
+
+
+def test_only_the_builder_cone_and_word_complex_make_complexes():
+    # the normalized chains of every simplicial and cubical set come from
+    # chains.normalized_complex; omega_complex stays an independent model
+    found = set()
+    for path in sorted(LIBRARY.glob("*.py")):
+        found |= complex_makers(path.stem, ast.parse(
+            path.read_text(encoding="utf-8")))
+    assert found == COMPLEX_MAKERS
+
+
+@pytest.mark.parametrize("source,found", [
+    ("def f():\n    return ChainComplex({}, {})", {("m", "f")}),
+    ("def f():\n    return chains.ChainComplex({}, {})", {("m", "f")}),
+    ("class C:\n    def g(self):\n        ChainComplex({}, {})", {("m", "C")}),
+    ("cx = ChainComplex({}, {})", {("m", None)}),
+    ("def f(cx):\n    return cx.basis", set()),
+])
+def test_the_builder_guard_sees_every_call_form(source, found):
+    assert complex_makers("m", ast.parse(source)) == found
