@@ -100,9 +100,10 @@ def _op_words(d: int, r: int):
 class CobarSet(CubicalSet):
     """Cubical monoid of simplex words over a 1-reduced presentation.
 
-    The public ``face``, ``degen`` and ``conn`` refuse an index out of
-    range; :meth:`validate` calls their cores, which skip that check,
-    since every index of a row of the cubical identities is in range.
+    The public ``face``, ``degen`` and ``conn`` refuse an index or a face
+    direction out of range; :meth:`validate` calls their cores, which skip
+    that check, since every index of a row of the cubical identities is in
+    range.
 
     The set stores the faces of normalized cubes that faces of cubes with
     operators reduce to, keyed by (base, eps, i), each computed on its
@@ -139,6 +140,8 @@ class CobarSet(CubicalSet):
         return self._conn_core(cube, i)
 
     def face(self, cube, eps, i):
+        if eps not in (0, 1):
+            raise ValueError("face direction must be 0 or 1")
         if not 1 <= i <= self.dim(cube):
             raise ValueError("face index out of range")
         return self._face(cube[0], cube[1], eps, i)

@@ -386,8 +386,9 @@ def fixture(name: str) -> SimplicialPresentation:
     """A fresh presentation of a named fixture.
 
     Delta<n> is the standard n-simplex, I the 1-simplex and S<n> (n >= 2)
-    the n-simplex with its boundary collapsed.  Two are read from their
-    files in ``fixtures/``: D4sk1, the 4-simplex with its 1-skeleton
+    the n-simplex with its boundary collapsed, n written in decimal with
+    no sign and no leading zero.  Two are read from their files in
+    ``fixtures/``: D4sk1, the 4-simplex with its 1-skeleton
     collapsed to the basepoint, and TwoLoopsCell, one vertex, two loops a
     and b, and a 2-cell with faces (a, b, b).  TwoLoopsCell is reduced but
     not 1-reduced; its loop group has noncommuting generators in dimension
@@ -396,10 +397,11 @@ def fixture(name: str) -> SimplicialPresentation:
     """
     if name == "I":
         return standard_simplex(1, name="I")
-    if name.startswith("Delta"):
-        return standard_simplex(int(name[5:]))
-    if name.startswith("S"):
-        return sphere(int(name[1:]))
+    for prefix, build in (("Delta", standard_simplex), ("S", sphere)):
+        n = name.removeprefix(prefix)
+        # only the canonical decimal: no sign, space or leading zero
+        if n != name and n.isdecimal() and str(int(n)) == n:
+            return build(int(n))
     from . import ssetfile  # ssetfile builds on this module
 
     path = FIXTURE_DIR / f"{name}.sset"

@@ -1,134 +1,31 @@
-"""Smith normal form over the integers, with unimodular transforms.
+"""Smith normal form over the integers, by elimination on sparse columns.
 
-Matrices are lists of lists of Python ints (exact, arbitrary precision).
-:func:`invariant_factors` works on sparse columns instead: it splits off
-the unit summands by elimination on +-1 pivots and hands only the rest to
-the dense :func:`smith_normal_form`.
+:func:`invariant_factors` takes a matrix as its sparse columns and
+:func:`matrix_rank` as a list of lists; all arithmetic is on exact Python
+ints.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import NamedTuple
-
-
-def identity_matrix(n: int):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-class SNFResult(NamedTuple):
-    """diag: nonneg invariant factors (d_1 | d_2 | ...); U*A*V == D."""
-
-    diag: tuple
-    rank: int
-    U: list
-    V: list
-
-
-def smith_normal_form(a) -> SNFResult:
-    """Diagonalize an integer matrix: U*A*V = D with U, V unimodular.
-
-    The diagonal entries are nonnegative and each divides the next.
-
-    >>> smith_normal_form([[2, 4], [4, 4]]).diag
-    (2, 4)
-    """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = [list(map(int, row)) for row in a]
-    if any(len(row) != cols for row in m):
-        raise ValueError("ragged matrix")
-    u = identity_matrix(rows)
-    v = identity_matrix(cols)
-
-    def row_add(i, j, k):  # row_i += k * row_j
-        for t in range(cols):
-            m[i][t] += k * m[j][t]
-        for t in range(rows):
-            u[i][t] += k * u[j][t]
-
-    def col_add(i, j, k):  # col_i += k * col_j
-        for t in range(rows):
-            m[t][i] += k * m[t][j]
-        for t in range(cols):
-            v[t][i] += k * v[t][j]
-
-    def row_swap(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for t in range(rows):
-            m[t][i], m[t][j] = m[t][j], m[t][i]
-        for t in range(cols):
-            v[t][i], v[t][j] = v[t][j], v[t][i]
-
-    def row_negate(i):
-        for t in range(cols):
-            m[i][t] = -m[i][t]
-        for t in range(rows):
-            u[i][t] = -u[i][t]
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        # locate a nonzero entry of least magnitude in the trailing block
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        if best[0] != t:
-            row_swap(t, best[0])
-        if best[1] != t:
-            col_swap(t, best[1])
-        # euclidean reduction of the pivot row and column
-        dirty = False
-        for i in range(t + 1, rows):
-            if m[i][t] != 0:
-                q = m[i][t] // m[t][t]
-                row_add(i, t, -q)
-                if m[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, cols):
-            if m[t][j] != 0:
-                q = m[t][j] // m[t][t]
-                col_add(j, t, -q)
-                if m[t][j] != 0:
-                    dirty = True
-        if dirty:
-            continue
-        # pivot must divide the rest of the block for the divisibility chain
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if m[i][j] % m[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_add(t, offender, 1)
-            continue
-        if m[t][t] < 0:
-            row_negate(t)
-        t += 1
-
-    diag = tuple(m[i][i] for i in range(limit) if m[i][i] != 0)
-    return SNFResult(diag, len(diag), u, v)
+from math import gcd
 
 
 def invariant_factors(columns) -> tuple:
     """Nonzero invariant factors of the matrix with the given sparse columns.
 
     Each column is a dict ``{row: nonzero int}``; rows are any hashable
-    keys.  The result has the form of :attr:`SNFResult.diag`.  Each +-1
-    pivot, once its row is cleared from the other columns by exact column
-    operations, splits off a unit summand, so the pivot row and column are
-    dropped; what is left when no +-1 entry remains goes to the dense
-    :func:`smith_normal_form`.
+    keys.  The result is the nonzero diagonal of the Smith normal form:
+    positive, each dividing the next.  Each +-1 pivot, once its row is
+    cleared from the other columns by exact column operations, splits off a
+    unit summand, so the pivot row and column are dropped.  When no +-1
+    entry is left, Euclid steps go on with the sparse columns: the pivot is
+    an entry p of least absolute value; its row is cleared by column
+    operations, and then its column by row operations, which change only
+    that column since the row holds only p.  Each step leaves remainders
+    smaller than |p|, the next pivots; once row and column are clear, |p|
+    splits off.  Pairwise gcd and lcm turn the split-off entries into the
+    divisibility chain.
 
     >>> invariant_factors([{0: 1, 1: -1}, {1: 2, 2: 2}])
     (1, 2)
@@ -172,15 +69,42 @@ def invariant_factors(columns) -> tuple:
             rows[s].discard(j)
         cols[j] = None
         units += 1
-    rest = [col for col in cols if col]
-    if not rest:
-        return (1,) * units
-    index = {r: i for i, r in enumerate(dict.fromkeys(r for col in rest for r in col))}
-    dense = [[0] * len(rest) for _ in index]
-    for j, col in enumerate(rest):
-        for r, c in col.items():
-            dense[index[r]][j] = c
-    return (1,) * units + smith_normal_form(dense).diag
+    # no +-1 entry is left; the pivot is chosen by magnitude alone, since
+    # row keys need not be orderable
+    split = []
+    while entries := [(j, r) for j, col in enumerate(cols) if col for r in col]:
+        j, r = min(entries, key=lambda e: abs(cols[e[0]][e[1]]))
+        pivot_col = cols[j]
+        p = pivot_col[r]
+        for k in rows[r] - {j}:
+            col = cols[k]
+            q = col[r] // p  # col_k -= q * col_j leaves col_k[r] % p
+            for s, c in pivot_col.items():
+                new = col.get(s, 0) - q * c
+                if new:
+                    if s not in col:
+                        rows[s].add(k)
+                    col[s] = new
+                elif s in col:
+                    del col[s]
+                    rows[s].discard(k)
+        if len(rows[r]) > 1:
+            continue
+        for s in [s for s in pivot_col if s != r]:
+            if pivot_col[s] % p:  # row_s -= (pivot_col[s] // p) * row_r
+                pivot_col[s] %= p
+            else:
+                del pivot_col[s]
+                rows[s].discard(j)
+        if len(pivot_col) == 1:
+            split.append(abs(p))
+            rows[r].discard(j)
+            cols[j] = None
+    for i in range(len(split)):
+        for k in range(i + 1, len(split)):
+            g = gcd(split[i], split[k])
+            split[i], split[k] = g, split[i] * split[k] // g
+    return (1,) * units + tuple(split)
 
 
 def matrix_rank(a) -> int:

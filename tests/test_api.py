@@ -39,6 +39,9 @@ MOVED = (
     "simplicial.normalized_boundary",
     "simplicial.front_back_diagonal",
     "loopgroup.check_group_identities",
+    "snf.smith_normal_form",
+    "snf.SNFResult",
+    "snf.identity_matrix",
 )
 
 

@@ -12,11 +12,11 @@ from cobarlab.perms import all_shuffles
 from cobarlab.simpcube import SimplicialCube
 from cobarlab.simplicial import (SimplicialSet, fixture, nondeg,
                                  simplicial_chains, sphere)
-from cobarlab.snf import smith_normal_form
 from cobarlab.szczarba import SzProvider, word_map
 from cobarlab.triangulate import TriangulatedCubicalSet, triangulation_map
 from cobarlab.verdict import Verdict
 from cobarlab.verify import SIMPLICIAL_FIXTURES
+from test_snf import smith_normal_form
 
 
 def scaled(src: Chain, coeff: int) -> Chain:

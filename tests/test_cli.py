@@ -170,6 +170,15 @@ def test_negative_simplex_fixture_exits_2(name, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["S 3", "S+3", "S3 ", "S02", "Delta02",
+                                  "Delta 2", "S", "Delta"])
+def test_noncanonical_fixture_name_exits_2(name, capsys):
+    with pytest.raises(ValueError, match="unknown fixture"):
+        fixture(name)
+    assert main(["validate", name]) == 2
+    assert "error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["cubeX", "cube2xY", "cube", "cube1x2x3"])
 def test_bad_cube_fixture_exits_2(name, capsys):
     assert main(["triangulate", "--fixture", name]) == 2

@@ -44,6 +44,10 @@ def test_public_operators_refuse_indices_out_of_range(cube):
         for i in (0, n + 1):
             with pytest.raises(ValueError, match="face index"):
                 cset.face(cube, eps, i)
+    for eps in (-1, 2):
+        for i in range(1, n + 2):
+            with pytest.raises(ValueError, match="face direction"):
+                cset.face(cube, eps, i)
     for i in (0, n + 2):
         with pytest.raises(ValueError, match="degeneracy index"):
             cset.degen(cube, i)
