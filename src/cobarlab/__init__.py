@@ -1,7 +1,7 @@
 """cobarlab: exact-arithmetic cubical/simplicial topology engine.
 
-Everything here computes over exact integers (or Fractions for geometric
-realization); there is no floating point anywhere in the library.
+Every check computes over exact integers, with no tolerance; the only
+floating-point values are the timings in reports.
 """
 
 __version__ = "0.1.0"

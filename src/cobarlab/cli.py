@@ -20,7 +20,8 @@ import sys
 from . import loopgroup, ssetfile, szczarba, verify
 from .cobar import CobarSet, compare_models
 from .cubes import ProductCubicalSet, StandardCube
-from .simplicial import Simplex, fixture, simplicial_chains
+from .simplicial import (Simplex, canonical_decimal, fixture,
+                         simplicial_chains)
 
 
 class InputError(Exception):
@@ -58,9 +59,10 @@ def _build(make, sset):
 
 
 def _cube_dim(text: str, name: str) -> int:
-    if not text.isdecimal():
+    n = canonical_decimal(text)
+    if n is None:
         raise InputError(f"bad cube dimension {text!r} in fixture {name!r}")
-    return int(text)
+    return n
 
 
 def _cubical_fixture(name: str):
@@ -124,7 +126,11 @@ def cmd_validate(args) -> int:
 def cmd_homology(args) -> int:
     sset = _load_sset(args.input)
     max_dim = _degree("homology", args.max_dim, 4)
-    # H_n needs the (n+1)-cells, so the complex carries one degree more
+    # H_n needs the (n+1)-cells, so the complex carries one degree more,
+    # and the identities must hold through that degree
+    verdict = sset.validate_presentation(max_dim + 1)
+    if not verdict.ok:
+        raise InputError(f"{sset.name}: INVALID: {verdict.witness!r}")
     cx = simplicial_chains(sset, max_dim + 1)
     for n in range(max_dim + 1):
         print(f"H_{n}({sset.name}) = {cx.homology(n)}")

@@ -9,14 +9,12 @@ a unique representation and equality is structural.
 from __future__ import annotations
 
 import itertools
+import re
 from operator import gt
-from pathlib import Path
 
 from .chains import Chain, ChainComplex, add_scaled, normalized_complex
 from .perms import all_shuffles
 from .verdict import Verdict, check_identities
-
-FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 
 class Simplex:
@@ -382,29 +380,66 @@ def sphere(n: int) -> SimplicialPresentation:
     return SimplicialPresentation(f"S{n}", gens, faces)
 
 
+def collapsed_simplex(m: int, k: int) -> SimplicialPresentation:
+    """Delta^m with its k-skeleton collapsed to the base point: a generator
+    per vertex set of more than k + 1 vertices, named by its vertices."""
+    if m > 9:
+        raise ValueError("the vertices of a collapsed simplex are named by"
+                         f" single digits, so m <= 9, not {m}")
+    gens = {"*": 0}
+    faces = {}
+    for size in range(k + 2, m + 2):
+        for vs in itertools.combinations(range(m + 1), size):
+            name = "".join(map(str, vs))
+            gens[name] = size - 1
+            for i in range(size):
+                rest = "".join(map(str, vs[:i] + vs[i + 1:]))
+                faces[name, i] = (nondeg(rest, size - 2) if size - 2 > k
+                                  else degenerate_point("*", size - 2))
+    return SimplicialPresentation(f"D{m}sk{k}", gens, faces)
+
+
+def two_loops_cell() -> SimplicialPresentation:
+    """One vertex, two loops a and b, and a 2-cell T with faces (a, b, b)."""
+    point, a, b = nondeg("*", 0), nondeg("a", 1), nondeg("b", 1)
+    gens = {"*": 0, "a": 1, "b": 1, "T": 2}
+    faces = {("a", 0): point, ("a", 1): point, ("b", 0): point,
+             ("b", 1): point, ("T", 0): a, ("T", 1): b, ("T", 2): b}
+    return SimplicialPresentation("TwoLoopsCell", gens, faces)
+
+
+def canonical_decimal(text: str):
+    """The number ``text`` writes in canonical decimal, or None: digits
+    only, with no sign, space or leading zero."""
+    return int(text) if text.isdecimal() and str(int(text)) == text else None
+
+
+# name pattern -> builder, called with the pattern's groups as numbers
+FIXTURES = (
+    ("I", lambda: standard_simplex(1, name="I")),
+    ("TwoLoopsCell", two_loops_cell),
+    ("Delta(.+)", standard_simplex),
+    ("S(.+)", sphere),
+    ("D(.+)sk(.+)", collapsed_simplex),
+)
+
+
 def fixture(name: str) -> SimplicialPresentation:
-    """A fresh presentation of a named fixture.
+    """A fresh presentation of a named fixture, built by its generator.
 
-    Delta<n> is the standard n-simplex, I the 1-simplex and S<n> (n >= 2)
-    the n-simplex with its boundary collapsed, n written in decimal with
-    no sign and no leading zero.  Two are read from their files in
-    ``fixtures/``: D4sk1, the 4-simplex with its 1-skeleton
-    collapsed to the basepoint, and TwoLoopsCell, one vertex, two loops a
-    and b, and a 2-cell with faces (a, b, b).  TwoLoopsCell is reduced but
-    not 1-reduced; its loop group has noncommuting generators in dimension
-    0, which makes it sensitive to ordering conventions that collapse on
-    1-reduced inputs.
+    I is the 1-simplex, Delta<n> the standard n-simplex, S<n> (n >= 2) the
+    n-simplex with its boundary collapsed and D<m>sk<k> (m <= 9) the
+    m-simplex with its k-skeleton collapsed to the base point, a wedge of
+    C(m, k + 1) spheres S^(k+1); each number is written in canonical
+    decimal.  TwoLoopsCell is one vertex, two loops a and b, and a 2-cell
+    with faces (a, b, b): reduced but not 1-reduced, its loop group has
+    noncommuting generators in dimension 0, which makes it sensitive to
+    ordering conventions that collapse on 1-reduced inputs.
     """
-    if name == "I":
-        return standard_simplex(1, name="I")
-    for prefix, build in (("Delta", standard_simplex), ("S", sphere)):
-        n = name.removeprefix(prefix)
-        # only the canonical decimal: no sign, space or leading zero
-        if n != name and n.isdecimal() and str(int(n)) == n:
-            return build(int(n))
-    from . import ssetfile  # ssetfile builds on this module
-
-    path = FIXTURE_DIR / f"{name}.sset"
-    if not name.isalnum() or not path.is_file():
-        raise ValueError(f"unknown fixture {name!r}")
-    return ssetfile.load(path)
+    for pattern, build in FIXTURES:
+        match = re.fullmatch(pattern, name)
+        if match:
+            numbers = [canonical_decimal(n) for n in match.groups()]
+            if None not in numbers:
+                return build(*numbers)
+    raise ValueError(f"unknown fixture {name!r}")

@@ -10,8 +10,8 @@ from cobarlab.cubes import (CubeMorphism, CubicalSet, ProductCubicalSet,
 from cobarlab.loopgroup import LoopGroup
 from cobarlab.perms import all_shuffles
 from cobarlab.simpcube import SimplicialCube
-from cobarlab.simplicial import (SimplicialSet, fixture, nondeg,
-                                 simplicial_chains, sphere)
+from cobarlab.simplicial import (SimplicialSet, collapsed_simplex, fixture,
+                                 nondeg, simplicial_chains, sphere)
 from cobarlab.szczarba import SzProvider, word_map
 from cobarlab.triangulate import TriangulatedCubicalSet, triangulation_map
 from cobarlab.verdict import Verdict
@@ -463,11 +463,6 @@ def word_map_pair(sset, max_deg):
         group, cx.basis, lambda g: not group.is_degenerate(g))
 
 
-def collapsed_simplex_pair():
-    from test_szczarba import collapsed_simplex  # it imports this module
-    return word_map_pair(collapsed_simplex(5, 2), 2)
-
-
 @pytest.mark.parametrize("build", [
     lambda: cubical_pair(CobarSet(fixture("S2")), 3),
     lambda: cubical_pair(CobarSet(fixture("D4sk1")), 3),
@@ -477,7 +472,7 @@ def collapsed_simplex_pair():
     lambda: simplicial_pair(SimplicialCube(3), 3),
     lambda: simplicial_pair(fixture("D4sk1"), 3),
     lambda: word_map_pair(fixture("D4sk1"), 2),
-    collapsed_simplex_pair,
+    lambda: word_map_pair(collapsed_simplex(5, 2), 2),
 ], ids=["cobar-S2", "cobar-D4sk1", "standard-cube-3", "product-2x1",
         "simplicial-cube-3", "simplicial-D4sk1", "word-map-D4sk1",
         "word-map-Delta5/sk2"])

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ import cobarlab
 from cobarlab.cli import main
 from cobarlab.simplicial import fixture
 from cobarlab.ssetfile import save
-from test_ssetfile import FIXTURE_DIR, PROBES
+from test_ssetfile import PROBES
 
 
 def test_validate_fixture(capsys):
@@ -153,10 +154,11 @@ def test_contradicted_header_claim_exits_2(name, command, tmp_path, capsys):
 
 def test_reducedness_is_read_from_the_generators(tmp_path, capsys):
     # TwoLoopsCell is reduced whether or not its header says so
-    shipped = FIXTURE_DIR / "TwoLoopsCell.sset"
-    path = tmp_path / "TwoLoopsCell.sset"
-    path.write_text(shipped.read_text().replace(" reduced\n", "\n", 1))
-    assert main(["szczarba", str(shipped), "--simplex", "T"]) == 0
+    saved = tmp_path / "TwoLoopsCell.sset"
+    save(saved, fixture("TwoLoopsCell"))
+    path = tmp_path / "unflagged.sset"
+    path.write_text(saved.read_text().replace(" reduced\n", "\n", 1))
+    assert main(["szczarba", str(saved), "--simplex", "T"]) == 0
     want = capsys.readouterr().out
     assert main(["szczarba", str(path), "--simplex", "T"]) == 0
     assert capsys.readouterr().out == want
@@ -171,7 +173,8 @@ def test_negative_simplex_fixture_exits_2(name, capsys):
 
 
 @pytest.mark.parametrize("name", ["S 3", "S+3", "S3 ", "S02", "Delta02",
-                                  "Delta 2", "S", "Delta"])
+                                  "Delta 2", "S", "Delta", "D04sk1", "D4sk01",
+                                  "D4sk", "Dsk1"])
 def test_noncanonical_fixture_name_exits_2(name, capsys):
     with pytest.raises(ValueError, match="unknown fixture"):
         fixture(name)
@@ -179,10 +182,42 @@ def test_noncanonical_fixture_name_exits_2(name, capsys):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["cubeX", "cube2xY", "cube", "cube1x2x3"])
+@pytest.mark.parametrize("name", ["cubeX", "cube2xY", "cube", "cube1x2x3",
+                                  "cube02", "cube1x01", "cube01x1"])
 def test_bad_cube_fixture_exits_2(name, capsys):
     assert main(["triangulate", "--fixture", name]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m,k", [(4, 1), (5, 1), (5, 2)])
+def test_collapsed_simplex_is_a_wedge_of_spheres(m, k, capsys):
+    # Delta^m/sk_k is a wedge of C(m, k + 1) spheres S^(k+1)
+    assert main(["homology", f"D{m}sk{k}", "--max-dim", str(k + 1)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    top = " + ".join(["Z"] * math.comb(m, k + 1))
+    assert lines == [f"H_{n}(D{m}sk{k}) = {h}" for n, h in
+                     enumerate(["Z"] + ["0"] * k + [top])]
+
+
+def test_homology_refuses_an_invalid_presentation(tmp_path, capsys):
+    # the faces of 012 are 01, 02, 01: d_0 d_1 is vertex 2, d_0 d_0 vertex 1
+    path = tmp_path / "bad.sset"
+    path.write_text("sset Bad\n"
+                    "gen 0 dim=0\ngen 1 dim=0\ngen 2 dim=0\n"
+                    "gen 01 dim=1\ngen 02 dim=1\ngen 12 dim=1\n"
+                    "gen 012 dim=2\n"
+                    "face 01 0 = 1\nface 01 1 = 0\n"
+                    "face 02 0 = 2\nface 02 1 = 0\n"
+                    "face 12 0 = 2\nface 12 1 = 1\n"
+                    "face 012 0 = 01\nface 012 1 = 02\nface 012 2 = 01\n")
+    assert main(["validate", str(path)]) == 1
+    witness = ("{'identity': 'dd', 'x': 012, 'i': 0, 'j': 1, 'lhs': 2,"
+               " 'rhs': 1}")
+    assert capsys.readouterr().out == f"Bad: INVALID: {witness}\n"
+    assert main(["homology", str(path), "--max-dim", "2"]) == 2
+    out = capsys.readouterr()
+    assert out.err == f"error: Bad: INVALID: {witness}\n"
+    assert out.out == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -55,6 +55,13 @@ def test_the_guard_sees_every_import_form(source, found):
     assert imported_modules(ast.parse(source)) & UPPER == found
 
 
+def test_simplicial_imports_no_presentation_file_reader():
+    # fixtures are built by generators; the reader of files builds on
+    # simplicial, so an import back would be a cycle
+    tree = ast.parse((LIBRARY / "simplicial.py").read_text(encoding="utf-8"))
+    assert "ssetfile" not in imported_modules(tree)
+
+
 # ----- one normalized-chain builder ---------------------------------------------
 
 COMPLEX_MAKERS = {("chains", "normalized_complex"), ("chains", "mapping_cone"),

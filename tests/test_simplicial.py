@@ -127,3 +127,12 @@ def test_validate_detects_corruption():
 def test_fixture_unknown_name():
     with pytest.raises(ValueError):
         fixture("nope")
+
+
+def test_collapsed_simplex_refuses_two_digit_vertices():
+    # vertex sets are named by their digits, which stay unique only while
+    # every vertex is one digit: from m = 13 on, {12, 13} and {1, 2, 13}
+    # would both be 1213
+    with pytest.raises(ValueError, match="single digits"):
+        fixture("D13sk0")
+    assert fixture("D9sk8").gens == {"*": 0, "0123456789": 9}

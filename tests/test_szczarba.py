@@ -1,6 +1,5 @@
 import functools
 import gc
-import itertools
 import weakref
 from collections import Counter
 
@@ -17,9 +16,8 @@ from cobarlab.perms import (all_index_seqs, all_perms, compose, invert, p,
                             transposition, xi)
 from cobarlab.simpcube import (PartitionSimplex, lambda_star, project_simplex,
                                u_pi)
-from cobarlab.simplicial import (SimplicialPresentation, degenerate_point,
-                                 fixture, nondeg, normalized_chains,
-                                 shuffle_pair, sphere)
+from cobarlab.simplicial import (collapsed_simplex, fixture, nondeg,
+                                 normalized_chains, shuffle_pair, sphere)
 from cobarlab.szczarba import (CobarToGroupMap, SwappedSzProvider,
                                SzProvider, build_f,
                                check_f_multiplicative, check_f_simplicial,
@@ -488,22 +486,6 @@ def test_word_map_files_each_group_word_by_its_dimension(monkeypatch):
     assert g.n == 1 and fmap.target.degree_of(g) == 1
     verdict = check_chain_map(fmap)
     assert verdict.witness == {"check": "degree", "label": w2, "target": g}
-
-
-def collapsed_simplex(m, k):
-    """Delta^m with its k-skeleton collapsed to the base point: a generator
-    per vertex set of more than k + 1 vertices, named by its vertices."""
-    gens = {"*": 0}
-    faces = {}
-    for size in range(k + 2, m + 2):
-        for vs in itertools.combinations(range(m + 1), size):
-            name = "".join(map(str, vs))
-            gens[name] = size - 1
-            for i in range(size):
-                rest = "".join(map(str, vs[:i] + vs[i + 1:]))
-                faces[name, i] = (nondeg(rest, size - 2) if size - 2 > k
-                                  else degenerate_point("*", size - 2))
-    return SimplicialPresentation(f"Delta{m}/sk{k}", gens, faces)
 
 
 @pytest.mark.parametrize("m", [4, 5])
