@@ -15,12 +15,13 @@ import cProfile
 import json
 import os
 import pstats
+import re
 import sys
 
 from . import loopgroup, ssetfile, szczarba, verify
 from .cobar import CobarSet, compare_models
 from .cubes import ProductCubicalSet, StandardCube
-from .simplicial import (Simplex, canonical_decimal, fixture,
+from .simplicial import (FIXTURES, Simplex, canonical_decimal, fixture,
                          simplicial_chains)
 
 
@@ -44,7 +45,9 @@ def _load_sset(source: str):
             raise InputError(f"{source}: {exc}")
     try:
         return fixture(source)
-    except ValueError:
+    except ValueError as exc:
+        if any(re.fullmatch(pattern, source) for pattern, _ in FIXTURES):
+            raise InputError(f"{source}: {exc}")  # the builder's reason
         raise InputError(f"{source!r} is neither a readable file nor a known"
                          " fixture")
 

@@ -3,6 +3,8 @@ the one exhaustive checker of operator identities that produces it."""
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter
 from typing import Any, NamedTuple
 
 
@@ -85,7 +87,7 @@ def check_identities(elements, operators, table, top, key="x", values=True):
             plan = plans.get(n)
             if plan is None:
                 plan = plans[n] = _plan(firsts, table, operators, n)
-            ops, faces, rises, reads, rows = plan
+            ops, faces, rises, rows, left, right = plan
             lower = firsts[n - 1][2] if faces else ()
             upper = firsts[n + 1][2] if rises else ()
         if window:
@@ -122,7 +124,9 @@ def check_identities(elements, operators, table, top, key="x", values=True):
                     for op, a, b in upper]
             first[k] = stored[0]
             lists.append(stored)
-        vals = first + [lists[f][p] for f, p in reads]
+        vals = list(chain(first, *lists))
+        if left is not None and left(vals) == right(vals):
+            continue
         for label, fields, lk, lop, la, lb, rk, rop, ra, rb in rows:
             lhs = vals[lk]
             if lop is not None:
@@ -166,42 +170,56 @@ def _bind(operators, op):
 
 
 def _plan(firsts, table, operators, n):
-    """Compile dimension n's table: ``(ops, faces, rises, reads, rows)``.
+    """Compile dimension n's table: ``(ops, faces, rises, rows, left,
+    right)``.
 
     ``ops`` are dimension n's bound first operators.  ``faces`` and
     ``rises`` are the slots whose values have a list read: faces, with
     lists of dimension n - 1, and degeneracies or connections, with lists
-    of dimension n + 1.  ``rows`` index into the first-operator list
-    extended by ``reads``: read ``(f, p)`` is slot p of the f-th of those
-    lists, faces first.  A side read this way calls no operator; any other
-    side calls its second operator.
+    of dimension n + 1.  ``rows`` index into the concatenation of the
+    first-operator list and those lists, faces first.  A side read this way
+    calls no operator; any other side calls its second operator.  When no
+    side calls one, ``left`` and ``right`` pick every row's two sides out
+    of the concatenation, so one tuple comparison checks them all (tuple
+    equality tests identity before ``==``, as the row loop does); else
+    both are None.
     """
     rows, slots, ops = _firsts(firsts, table, operators, n)
     below = _firsts(firsts, table, operators, n - 1)[1] if n > 0 else {}
     above = _firsts(firsts, table, operators, n + 1)[1]
     faces = []
     rises = []
-    reads = {}
-    width = len(ops) + 1
+    for _, _, lhs, rhs in rows:
+        for word in (lhs, rhs):
+            if len(word) > 2:
+                raise ValueError(f"operator word {word!r} is longer than two")
+            if len(word) == 2:
+                links, near = ((faces, below) if word[0][0] == "d"
+                               else (rises, above))
+                slot = slots[word[0]]
+                if word[1] in near and slot not in links:
+                    links.append(slot)
+    offset = {}
+    at = len(ops) + 1
+    for links, near in ((faces, below), (rises, above)):
+        for slot in links:
+            offset[slot] = at
+            at += len(near) + 1
 
     def side(word):
-        if len(word) > 2:
-            raise ValueError(f"operator word {word!r} is longer than two")
         if not word:
             return 0, None, None, None
         slot = slots[word[0]]
         if len(word) == 1:
             return slot, None, None, None
-        links, near = (faces, below) if word[0][0] == "d" else (rises, above)
+        near = below if word[0][0] == "d" else above
         if word[1] not in near:
             return (slot,) + _bind(operators, word[1])
-        if slot not in links:
-            links.append(slot)
-        read = (slot, near[word[1]])
-        return width + reads.setdefault(read, len(reads)), None, None, None
+        return offset[slot] + near[word[1]], None, None, None
 
     rows = [(label, fields) + side(lhs) + side(rhs)
             for label, fields, lhs, rhs in rows]
-    links = faces + rises
-    reads = [(links.index(slot), p) for slot, p in reads]
-    return ops, faces, rises, reads, rows
+    if any(row[3] is not None or row[7] is not None for row in rows):
+        return ops, faces, rises, rows, None, None
+    return (ops, faces, rises, rows, itemgetter(*[row[2] for row in rows], 0),
+            itemgetter(*[row[6] for row in rows], 0))

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from . import loopgroup, szczarba
 from .chains import (check_chain_map, check_coalgebra_map, check_quasi_iso)
@@ -46,20 +45,46 @@ from .triangulate import (TriangulatedCubicalSet, product_split_backward,
 from .verdict import Verdict
 
 
-@dataclass
 class CheckResult:
-    name: str
-    status: str  # "pass" or "fail"
-    witness: object
-    millis: float
+    __slots__ = ("name", "status", "witness", "millis")
+
+    def __init__(self, name: str, status: str, witness: object,
+                 millis: float):
+        self.name = name
+        self.status = status  # "pass" or "fail"
+        self.witness = witness
+        self.millis = millis
+
+    def __eq__(self, other):
+        if other.__class__ is not CheckResult:
+            return NotImplemented
+        return ((self.name, self.status, self.witness, self.millis)
+                == (other.name, other.status, other.witness, other.millis))
+
+    def __repr__(self):
+        return (f"CheckResult(name={self.name!r}, status={self.status!r}, "
+                f"witness={self.witness!r}, millis={self.millis!r})")
 
 
-@dataclass
 class Report:
-    suite: str
-    degree: int | None = None  # None: the checks have fixed sizes
-    setup_ms: float = 0.0  # building the checks, before the first one runs
-    checks: list = field(default_factory=list)
+    __slots__ = ("suite", "degree", "setup_ms", "checks")
+
+    def __init__(self, suite: str, degree: int | None = None,
+                 setup_ms: float = 0.0, checks: list | None = None):
+        self.suite = suite
+        self.degree = degree  # None: the checks have fixed sizes
+        self.setup_ms = setup_ms  # building the checks, before the first runs
+        self.checks = [] if checks is None else checks
+
+    def __eq__(self, other):
+        if other.__class__ is not Report:
+            return NotImplemented
+        return ((self.suite, self.degree, self.setup_ms, self.checks)
+                == (other.suite, other.degree, other.setup_ms, other.checks))
+
+    def __repr__(self):
+        return (f"Report(suite={self.suite!r}, degree={self.degree!r}, "
+                f"setup_ms={self.setup_ms!r}, checks={self.checks!r})")
 
     @property
     def ok(self) -> bool:
@@ -485,14 +510,42 @@ def main_theorem_checks(d):
     return checks
 
 
-@dataclass(frozen=True)
 class Suite:
     """A named batch of checks: ``checks(d)`` gives its (name, check) pairs
     at degree d, ``degree`` is the default d (None: the checks have fixed
-    sizes), and a d below ``least`` is refused."""
-    checks: Callable[[int | None], list]
-    degree: int | None
-    least: int = 0
+    sizes), and a d below ``least`` is refused.  Immutable; equality and
+    hashing are on ``(checks, degree, least)``."""
+
+    __slots__ = ("checks", "degree", "least")
+
+    def __init__(self, checks: Callable[[int | None], list],
+                 degree: int | None, least: int = 0):
+        init = object.__setattr__
+        init(self, "checks", checks)
+        init(self, "degree", degree)
+        init(self, "least", least)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Suite is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Suite is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Suite:
+            return NotImplemented
+        return ((self.checks, self.degree, self.least)
+                == (other.checks, other.degree, other.least))
+
+    def __hash__(self):
+        return hash((self.checks, self.degree, self.least))
+
+    def __reduce__(self):
+        return Suite, (self.checks, self.degree, self.least)
+
+    def __repr__(self):
+        return (f"Suite(checks={self.checks!r}, degree={self.degree!r}, "
+                f"least={self.least!r})")
 
 
 SUITES = {

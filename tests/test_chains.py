@@ -1,8 +1,8 @@
 import pytest
 
 from cobarlab import cobar, cubes
-from cobarlab.chains import (Chain, ChainComplex, ChainMap, add_scaled,
-                             check_chain_map, check_coalgebra_map,
+from cobarlab.chains import (Chain, ChainComplex, ChainMap, Homology,
+                             add_scaled, check_chain_map, check_coalgebra_map,
                              check_quasi_iso, mapping_cone, tensor_chains)
 from cobarlab.cobar import CobarSet, compare_models, omega_complex
 from cobarlab.cubes import (CubeMorphism, CubicalSet, ProductCubicalSet,
@@ -119,6 +119,24 @@ def test_quasi_iso_fails_for_zero_map():
     zero = ChainMap(cx, cx, {"v": {}, "e": {}})
     assert check_chain_map(zero).ok
     assert not check_quasi_iso(zero).ok
+
+
+def test_homology_and_chain_map_value_semantics():
+    # the reprs of the former dataclasses; a chain map's leaves out mapping
+    h = Homology(2, (3,))
+    assert repr(h) == "Homology(betti=2, torsion=(3,))" and str(h) == "Z + Z + Z/3"
+    assert h == Homology(betti=2, torsion=(3,)) and h != Homology(2, ())
+    h.betti = 0
+    assert h == Homology(0, (3,))
+    cx = circle()
+    f = ChainMap(cx, cx, {"v": {"v": 1}, "e": {"e": 1}})
+    assert repr(f) == f"ChainMap(source={cx!r}, target={cx!r})"
+    assert f == ChainMap(cx, cx, {"v": {"v": 1}, "e": {"e": 1}})
+    assert f != ChainMap(cx, cx, {"v": {}, "e": {}})
+    assert f != ChainMap(circle(), cx, f.mapping)  # complexes by identity
+    for value in (h, f):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
 
 
 def dense_homology(cx, n):

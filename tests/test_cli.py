@@ -38,7 +38,20 @@ def test_validate_corrupt_file_exits_1(tmp_path, capsys):
 
 def test_unreadable_input_exits_2(capsys):
     assert main(["validate", "no-such-fixture"]) == 2
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("error: 'no-such-fixture' is neither a"
+                                       " readable file nor a known fixture\n")
+
+
+@pytest.mark.parametrize("name,reason", [
+    ("S1", "need n >= 2"),
+    ("D10sk1", "m <= 9, not 10"),
+])
+def test_fixture_builder_reason_is_printed(name, reason, capsys):
+    # a name that a fixture pattern matches reports why its builder refused
+    assert main(["validate", name]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name}: ") and reason in err
+    assert "neither" not in err and "Traceback" not in err
 
 
 def test_parse_error_exits_2(tmp_path, capsys):

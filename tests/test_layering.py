@@ -1,5 +1,5 @@
-"""The structure layers never reach the loop-group side, and the library
-has one normalized-chain builder.
+"""The structure layers never reach the loop-group side, the library has
+one normalized-chain builder, and importing it stays light.
 
 The modules that the structure checks and the loop-space homology run must
 not import ``loopgroup`` or ``szczarba``, at module level or inside a
@@ -8,6 +8,9 @@ their paths.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,6 +63,36 @@ def test_simplicial_imports_no_presentation_file_reader():
     # simplicial, so an import back would be a cycle
     tree = ast.parse((LIBRARY / "simplicial.py").read_text(encoding="utf-8"))
     assert "ssetfile" not in imported_modules(tree)
+
+
+# ----- import weight ----------------------------------------------------------
+
+def test_no_module_imports_dataclasses():
+    # dataclasses loads inspect, ast, dis and tokenize, about a tenth of a
+    # fresh process's set-up; the record classes are plain slotted classes
+    for path in sorted(LIBRARY.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert "dataclasses" not in imported_modules(tree), path.name
+
+
+def test_importing_the_library_loads_no_dataclasses_or_inspect():
+    # compared with a bare interpreter, so that what ``site`` preloads does
+    # not count; ``cli`` is left out, since the standard library's pstats,
+    # which its --profile option uses, imports dataclasses itself
+    modules = sorted(p.stem for p in LIBRARY.glob("*.py")
+                     if p.stem not in ("__init__", "cli"))
+    env = dict(os.environ, PYTHONPATH=str(LIBRARY.parent))
+
+    def loaded(imports):
+        code = f"import sys\n{imports}\nprint(' '.join(sys.modules))"
+        return set(subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True,
+                                  check=True).stdout.split())
+
+    added = (loaded("".join(f"import cobarlab.{m}\n" for m in modules))
+             - loaded(""))
+    assert f"cobarlab.{modules[0]}" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
 # ----- one normalized-chain builder ---------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 
 import pytest
 
@@ -93,6 +94,22 @@ def test_shuffle_validation():
         Shuffle((1, 2), (2, 3))  # not a partition
     with pytest.raises(ValueError):
         Shuffle((3, 1), (2,))  # not increasing
+
+
+def test_shuffle_value_semantics():
+    sh = Shuffle((2, 5), (1, 3, 4))
+    # the repr of the former dataclass, which the psi_inv doctest prints
+    assert repr(sh) == "Shuffle(alpha=(2, 5), beta=(1, 3, 4))"
+    assert sh == Shuffle(alpha=(2, 5), beta=(1, 3, 4))
+    assert hash(sh) == hash(((2, 5), (1, 3, 4)))
+    assert sh != Shuffle((1, 2), (3, 4, 5)) and sh != ((2, 5), (1, 3, 4))
+    assert len({sh, Shuffle((2, 5), (1, 3, 4))}) == 1
+    copy = pickle.loads(pickle.dumps(sh))
+    assert copy == sh and copy is not sh
+    with pytest.raises(AttributeError):
+        sh.alpha = (1, 2)
+    with pytest.raises(AttributeError):
+        del sh.beta
 
 
 def test_xi_agrees_with_value_split():

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import pickle
 import time
 from collections import Counter
 from pathlib import Path
@@ -48,6 +49,52 @@ def test_report_renderings_agree(suite_report):
         assert f"[{check['status']:4s}] {check['name']}" in text
         assert "millis" in check
     json.dumps(data)  # machine rendering is serializable
+
+
+def test_report_value_semantics():
+    # the reprs and renderings of the former dataclasses
+    fail = verify.CheckResult("b", "fail", {"identity": "dd"}, 2.25)
+    assert repr(fail) == ("CheckResult(name='b', status='fail',"
+                          " witness={'identity': 'dd'}, millis=2.25)")
+    assert fail == verify.CheckResult(name="b", status="fail",
+                                      witness={"identity": "dd"}, millis=2.25)
+    assert fail != verify.CheckResult("b", "fail", None, 2.25)
+    empty, other = verify.Report("s"), verify.Report("s")
+    assert repr(empty) == "Report(suite='s', degree=None, setup_ms=0.0, checks=[])"
+    assert empty == other and empty.ok
+    empty.checks.append(fail)
+    assert other.checks == [] and empty != other
+    report = verify.Report("s", 3, 12.5,
+                           [fail, verify.CheckResult("a", "pass", None, 0.5)])
+    assert report.render() == (
+        "suite s: FAIL at degree 3 (setup 12 ms)\n"
+        "  [pass] a (0 ms)\n"
+        "  [fail] b (2 ms)\n"
+        "         witness: {'identity': 'dd'}")
+    assert report.to_dict() == {
+        "suite": "s", "degree": 3, "setup_ms": 12.5, "checks": [
+            {"name": "a", "status": "pass", "millis": 0.5},
+            {"name": "b", "status": "fail", "millis": 2.25,
+             "witness": "{'identity': 'dd'}"}]}
+    for value in (fail, report):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+    assert pickle.loads(pickle.dumps(report)) == report
+
+
+def test_suite_value_semantics():
+    suite = SUITES["cube-lemmas"]
+    assert repr(suite) == (f"Suite(checks={verify.cube_lemmas_checks!r},"
+                           " degree=4, least=1)")
+    assert suite == verify.Suite(verify.cube_lemmas_checks, 4, 1)
+    assert verify.Suite(print, None) == verify.Suite(print, None, least=0)
+    assert suite != verify.Suite(verify.cube_lemmas_checks, 4)
+    assert hash(suite) == hash((verify.cube_lemmas_checks, 4, 1))
+    assert pickle.loads(pickle.dumps(suite)) == suite
+    with pytest.raises(AttributeError):
+        suite.degree = 5
+    with pytest.raises(AttributeError):
+        del suite.least
 
 
 def test_unknown_suite_rejected():
