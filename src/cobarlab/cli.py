@@ -11,17 +11,15 @@ dimension.
 from __future__ import annotations
 
 import argparse
-import cProfile
 import json
 import os
-import pstats
 import re
 import sys
 
 from . import loopgroup, ssetfile, szczarba, verify
 from .cobar import CobarSet, compare_models
 from .cubes import ProductCubicalSet, StandardCube
-from .simplicial import (FIXTURES, Simplex, canonical_decimal, fixture,
+from .simplicial import (FIXTURES, canonical_decimal, fixture,
                          simplicial_chains)
 
 
@@ -179,7 +177,7 @@ def cmd_szczarba(args) -> int:
     sset = _load_sset(args.input)
     if args.simplex not in sset.gens:
         raise InputError(f"unknown generator {args.simplex!r}")
-    x = Simplex((), args.simplex, sset.gens[args.simplex])
+    x = sset.simplex((), args.simplex, sset.gens[args.simplex])
     provider = szczarba.SzProvider(_build(loopgroup.LoopGroup, sset))
     print(f"t({x!r}) = {_format_chain(szczarba.t_sz(provider, x))}")
     return 0
@@ -193,8 +191,12 @@ def cmd_verify(args) -> int:
             verify.check_request(name, args.max_dim)
         except ValueError as exc:
             raise InputError(exc)
-    profiler = cProfile.Profile() if args.profile else None
-    if profiler:
+    profiler = None
+    if args.profile:
+        # imported here: pstats loads dataclasses and inspect
+        import cProfile
+        import pstats
+        profiler = cProfile.Profile()
         profiler.enable()
     reports = []
     for name in suites:

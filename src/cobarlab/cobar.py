@@ -257,7 +257,8 @@ class CobarSet(CubicalSet):
             base = ()
             m = 1
         elif x.gen_dim >= 2:
-            base = (x if not degens else Simplex((), x.gen, x.gen_dim),)
+            base = (x if not degens
+                    else self.sset.simplex((), x.gen, x.gen_dim),)
             m = x.gen_dim
         else:
             raise ValueError("a 1-reduced input has no nondegenerate edges")

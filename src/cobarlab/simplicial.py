@@ -200,6 +200,17 @@ def simplicial_identities(n: int) -> list:
     return rows
 
 
+class _SimplexStore(dict):
+    """Simplices by ``(degens, gen, gen_dim)``; a key read for the first
+    time is built through the checked constructor and kept."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        x = self[key] = Simplex(*key)
+        return x
+
+
 class SimplicialPresentation(SimplicialSet):
     """Simplicial set given by generators, dimensions and a face table.
 
@@ -207,12 +218,20 @@ class SimplicialPresentation(SimplicialSet):
     :class:`Simplex` over the same presentation.  Whether the set is
     reduced or 1-reduced is read from the generators (:attr:`reduced`,
     :attr:`one_reduced`), never declared.
+
+    The presentation keeps one object per simplex it hands out: faces,
+    degeneracies and generators come from a store keyed on
+    ``(degens, gen, gen_dim)``, so equal simplices of one presentation are
+    one object and compare by identity.  Simplices built by hand still
+    compare equal to the stored ones.
     """
 
     def __init__(self, name, gens, faces):
         self.name = name
         self.gens = dict(gens)
-        self.faces = dict(faces)
+        self._store = _SimplexStore()
+        self.faces = {key: self._store[x.degens, x.gen, x.gen_dim]
+                      for key, x in dict(faces).items()}
 
     @property
     def reduced(self) -> bool:
@@ -224,8 +243,12 @@ class SimplicialPresentation(SimplicialSet):
         """Reduced, and no generator of dimension 1."""
         return self.reduced and 1 not in self.gens.values()
 
+    def simplex(self, degens: tuple, gen: str, gen_dim: int) -> Simplex:
+        """The stored simplex equal to ``Simplex(degens, gen, gen_dim)``."""
+        return self._store[degens, gen, gen_dim]
+
     def nondegenerate(self, n: int):
-        return [nondeg(g, d) for g, d in self.gens.items() if d == n]
+        return [self._store[(), g, d] for g, d in self.gens.items() if d == n]
 
     def dim(self, x: Simplex) -> int:
         return x.dim
@@ -233,7 +256,7 @@ class SimplicialPresentation(SimplicialSet):
     def degeneracy(self, x: Simplex, i: int) -> Simplex:
         if not 0 <= i <= x.dim:
             raise ValueError(f"s_{i} undefined on a {x.dim}-simplex")
-        return Simplex(insert_degeneracy(x.degens, i), x.gen, x.gen_dim)
+        return self._store[insert_degeneracy(x.degens, i), x.gen, x.gen_dim]
 
     def face(self, x: Simplex, i: int) -> Simplex:
         if x.dim == 0:
@@ -243,7 +266,7 @@ class SimplicialPresentation(SimplicialSet):
         if not x.degens:
             return self.faces[(x.gen, i)]
         j = x.degens[0]
-        rest = Simplex(x.degens[1:], x.gen, x.gen_dim)
+        rest = self._store[x.degens[1:], x.gen, x.gen_dim]
         if i < j:
             return self.degeneracy(self.face(rest, i), j - 1)
         if i in (j, j + 1):

@@ -1,18 +1,23 @@
 """The per-complex cell stores of ``StandardCube`` and ``SimplicialCube``:
 every structure map returns the cell the fresh formula gives, each
 distinct cell is one object, the store holds exactly the cells that were
-handed out, and it lives and dies with its complex."""
+handed out, and it lives and dies with its complex.  The simplex store of
+a presentation is counted here too: the layers above it never compare two
+equal simplices field by field."""
 
 import gc
 import weakref
 from collections import Counter
+from math import comb
 
 import pytest
 
-from cobarlab import cubes
+from cobarlab import cubes, verify
+from cobarlab.cobar import CobarSet
 from cobarlab.cubes import CubeMorphism, StandardCube
 from cobarlab.simpcube import (SimplicialCube, partition_degeneracy,
                                partition_face)
+from cobarlab.simplicial import Simplex, fixture
 
 
 def one_object_per_value(results):
@@ -161,3 +166,44 @@ def test_simplicial_cube_store_holds_what_the_checker_made():
     assert stored(cube) == [16, 81, 256, 625, 1296, 2401, 4096, 6561]
     held = {u for cells in cube._cells.values() for u in cells.values()}
     assert held == results | {u for m in range(6) for u in cube.simplices(m)}
+
+
+# ----- the simplex store of a presentation ---------------------------------------
+
+
+def test_no_two_equal_simplices_are_compared_field_by_field(monkeypatch):
+    # a stored simplex meets only itself when it is equal, and a dict hit
+    # on the same object never calls __eq__
+    equal_but_distinct = Counter()
+    eq = Simplex.__eq__
+
+    def counted(x, y):
+        result = eq(x, y)
+        if result is True and x is not y:
+            equal_but_distinct[x] += 1
+        return result
+
+    monkeypatch.setattr(Simplex, "__eq__", counted)
+    assert CobarSet(fixture("D4sk1")).validate(3).ok
+    assert verify.run_suite("cobar-iso").ok
+    assert sum(equal_but_distinct.values()) == 0
+
+
+def test_presentation_builds_each_simplex_once(monkeypatch):
+    sset = fixture("D4sk1")
+    before = len(sset._store)
+    calls = Counter()
+    init = Simplex.__init__
+
+    def counted(x, *args):
+        calls["init"] += 1
+        init(x, *args)
+
+    monkeypatch.setattr(Simplex, "__init__", counted)
+    assert sset.validate_presentation(5).ok
+    # the ss rows degenerate 5-simplices twice, so the store holds every
+    # simplex up to dimension 7; a generator of dimension d has C(n, d)
+    # n-simplices over it
+    assert len(sset._store) == sum(comb(n, d) for d in sset.gens.values()
+                                   for n in range(d, 8)) == 974
+    assert calls["init"] == len(sset._store) - before == 958

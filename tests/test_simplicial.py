@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from cobarlab.chains import ChainMap, check_chain_map
@@ -122,6 +125,72 @@ def test_validate_detects_corruption():
     bad = fixture("TwoLoopsCell")
     bad.faces[("T", 0)] = bad.faces[("a", 0)]  # wrong dimension
     assert not bad.validate_presentation(3).ok
+    # the corrupted-face-table negative control edits the table after
+    # construction, past the store
+    bad = fixture("Delta2")
+    bad.faces[("0.1.2", 0)] = bad.faces[("0.1.2", 2)]
+    verdict = bad.validate_presentation(3)
+    assert not verdict.ok
+    assert verdict.witness == {"identity": "dd", "x": nondeg("0.1.2", 2),
+                               "i": 0, "j": 1, "lhs": nondeg("2", 0),
+                               "rhs": nondeg("1", 0)}
+
+
+# ----- one stored object per simplex ---------------------------------------------
+
+
+def test_operators_hand_out_one_object_per_simplex():
+    s = fixture("D4sk1")
+    x = s.nondegenerate(3)[0]
+    assert s.nondegenerate(3)[0] is x
+    assert s.face(s.degeneracy(x, 0), 0) is x  # d_0 s_0 x = x
+    assert s.face(s.degeneracy(x, 2), 3) is x  # d_3 s_2 x = x
+    assert s.degeneracy(s.degeneracy(x, 0), 0) is s.degeneracy(
+        s.degeneracy(x, 0), 1)  # s_0 s_0 = s_1 s_0
+    assert s.front_face(x, 2) is s.face(x, 3)
+    assert s.back_face(x, 1) is s.face(x, 0)
+    # a nondegenerate face in the table is the generator's simplex itself
+    for (g, i), y in s.faces.items():
+        if not y.degens:
+            assert any(y is z for z in s.nondegenerate(y.dim)), (g, i)
+    seen = {}
+    for n in range(5):
+        for y in s.simplices(n):
+            for z in [y] + [s.face(y, i) for i in range(n + 1) if n]:
+                assert seen.setdefault(z, z) is z
+    assert all(s.simplex(y.degens, y.gen, y.gen_dim) is y for y in seen)
+
+
+def test_simplex_built_by_hand_is_answered_from_the_store():
+    s = fixture("D4sk1")
+    x = s.nondegenerate(3)[0]
+    by_hand = Simplex((), x.gen, 3)
+    assert by_hand == x and hash(by_hand) == hash(x) and by_hand is not x
+    assert s.degeneracy(by_hand, 1) is s.degeneracy(x, 1)
+    assert s.face(Simplex((1,), x.gen, 3), 1) is x
+    assert s.simplex((), x.gen, 3) is x
+
+
+def test_malformed_simplex_cannot_replace_a_stored_one():
+    # the store is keyed on the whole triple, so a hand-built simplex with
+    # the wrong generator dimension lands under a key of its own
+    s = fixture("D4sk1")
+    wrong = s.degeneracy(Simplex((), "0123", 5), 0)
+    assert (wrong.gen_dim, wrong.dim) == (5, 6)
+    right = s.degeneracy(s.nondegenerate(3)[0], 0)
+    assert right.gen == "0123" and (right.gen_dim, right.dim) == (3, 4)
+    assert right != wrong and s.simplex((0,), "0123", 3) is right
+
+
+def test_store_lives_and_dies_with_its_presentation():
+    first, second = fixture("D4sk1"), fixture("D4sk1")
+    assert first.validate_presentation(2).ok
+    a, b = list(first.simplices(3)), list(second.simplices(3))
+    assert a == b and not {id(x) for x in a} & {id(x) for x in b}
+    ref = weakref.ref(first)
+    del first
+    gc.collect()
+    assert ref() is None
 
 
 def test_fixture_unknown_name():
