@@ -8,7 +8,7 @@ one complex.  All arithmetic is exact.
 from __future__ import annotations
 
 from .snf import invariant_factors
-from .verdict import Verdict
+from .verdict import Record, Verdict
 
 Chain = dict
 
@@ -32,20 +32,12 @@ def tensor_chains(a: Chain, b: Chain, sign: int = 1) -> Chain:
     return out
 
 
-class Homology:
-    __slots__ = ("betti", "torsion")
+class Homology(Record):
+    __slots__ = _fields = ("betti", "torsion")
 
     def __init__(self, betti: int, torsion: tuple):
         self.betti = betti
         self.torsion = torsion  # invariant factors > 1, each dividing the next
-
-    def __eq__(self, other):
-        if other.__class__ is not Homology:
-            return NotImplemented
-        return (self.betti, self.torsion) == (other.betti, other.torsion)
-
-    def __repr__(self):
-        return f"Homology(betti={self.betti!r}, torsion={self.torsion!r})"
 
     def __str__(self):
         parts = ["Z"] * self.betti + [f"Z/{t}" for t in self.torsion]
@@ -314,25 +306,19 @@ def normalized_complex(basis, signs, face, diagonal) -> ChainComplex:
     return ChainComplex(basis, boundary, lambda x: diagonal(rows[x], slot))
 
 
-class ChainMap:
+class ChainMap(Record):
     """Degree-zero linear map between complexes, given on basis labels.
 
     Its repr leaves out ``mapping``.
     """
 
-    __slots__ = ("source", "target", "mapping")
+    __slots__ = _fields = ("source", "target", "mapping")
 
     def __init__(self, source: ChainComplex, target: ChainComplex,
                  mapping: dict):
         self.source = source
         self.target = target
         self.mapping = mapping
-
-    def __eq__(self, other):
-        if other.__class__ is not ChainMap:
-            return NotImplemented
-        return ((self.source, self.target, self.mapping)
-                == (other.source, other.target, other.mapping))
 
     def __repr__(self):
         return f"ChainMap(source={self.source!r}, target={self.target!r})"

@@ -10,16 +10,15 @@ degeneracies sigma and the connections gamma.
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 
 from .chains import Chain, ChainComplex, normalized_complex
 from .perms import all_shuffles
-from .verdict import Verdict, check_identities
+from .verdict import Frozen, Store, Verdict, check_identities
 
 
-class CubeMorphism:
+class CubeMorphism(Frozen):
     """Map from the source-dimensional cube to the target-dimensional cube.
 
     ``outputs`` has one entry per target coordinate: 0, 1, or a strictly
@@ -30,7 +29,8 @@ class CubeMorphism:
     of the identity checker's and the chain builder's tables.
     """
 
-    __slots__ = ("source", "target", "outputs", "_hash")
+    _fields = ("source", "target", "outputs")
+    __slots__ = _fields + ("_hash",)
 
     def __init__(self, source: int, target: int, outputs: tuple):
         if source < 0:
@@ -62,13 +62,6 @@ class CubeMorphism:
         init(self, "outputs", outputs)
         init(self, "_hash", hash((source, target, outputs)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"CubeMorphism is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(
-            f"CubeMorphism is immutable; cannot delete {name!r}")
-
     def __eq__(self, other):
         if other.__class__ is not CubeMorphism:
             return NotImplemented
@@ -79,13 +72,6 @@ class CubeMorphism:
 
     def __hash__(self):
         return self._hash
-
-    def __reduce__(self):
-        return CubeMorphism, (self.source, self.target, self.outputs)
-
-    def __repr__(self):
-        return (f"CubeMorphism(source={self.source!r}, "
-                f"target={self.target!r}, outputs={self.outputs!r})")
 
     def compose(self, inner: "CubeMorphism") -> "CubeMorphism":
         """self o inner (apply ``inner`` first)."""
@@ -339,10 +325,11 @@ class StandardCube(CubicalSet):
     """The n-cube as a representable cubical set: k-cubes are morphisms
     from the k-cube into the n-cube.
 
-    The complex stores each cell it hands out, one dict per dimension keyed
-    by the cell's output table, and the structure maps return the stored
-    cell: each distinct cell is built, through the checked constructor,
-    once per complex, and the store is freed with the complex.
+    The complex stores each cell it hands out, one :class:`~.verdict.Store`
+    per dimension keyed by the cell's output table, and the structure maps
+    return the stored cell: each distinct cell is built, through the
+    checked constructor with this cube's n, once per complex, and the
+    store is freed with the complex.
 
     A face, degeneracy or connection of y is y composed with one generator,
     and each entry of the composite depends only on the matching entry of
@@ -356,50 +343,30 @@ class StandardCube(CubicalSet):
         if n < 0:
             raise ValueError(f"cube dimension must be nonnegative, got {n}")
         self.n = n
-        self._cells = collections.defaultdict(dict)
-
-    def _cell(self, k: int, target: int, outs: tuple) -> CubeMorphism:
-        """The stored k-cube with output table ``outs``."""
-        cells = self._cells[k]
-        cell = cells.get(outs)
-        if cell is None:
-            cell = cells[outs] = CubeMorphism(k, target, outs)
-        return cell
+        self._cells = Store(lambda k: Store(
+            functools.partial(CubeMorphism, k, n)))
 
     def cubes(self, k: int):
-        return [self._cell(k, self.n, outs)
-                for outs in _all_outputs(k, self.n)]
+        cells = self._cells[k]
+        return [cells[outs] for outs in _all_outputs(k, self.n)]
 
     def dim(self, y: CubeMorphism) -> int:
         return y.source
 
     def face(self, y, eps, i):
-        k = y.source - 1
         outs = tuple(map(_delta_entries(y.source, eps, i).__getitem__,
                          y.outputs))
-        cells = self._cells[k]
-        cell = cells.get(outs)
-        if cell is None:
-            cell = cells[outs] = CubeMorphism(k, y.target, outs)
-        return cell
+        return self._cells[y.source - 1][outs]
 
     def degen(self, y, i):
         k = y.source + 1
         outs = tuple(map(_sigma_entries(k, i).__getitem__, y.outputs))
-        cells = self._cells[k]
-        cell = cells.get(outs)
-        if cell is None:
-            cell = cells[outs] = CubeMorphism(k, y.target, outs)
-        return cell
+        return self._cells[k][outs]
 
     def conn(self, y, i):
         k = y.source + 1
         outs = tuple(map(_gamma_entries(k, i).__getitem__, y.outputs))
-        cells = self._cells[k]
-        cell = cells.get(outs)
-        if cell is None:
-            cell = cells[outs] = CubeMorphism(k, y.target, outs)
-        return cell
+        return self._cells[k][outs]
 
 
 class ProductCubicalSet(CubicalSet):

@@ -11,10 +11,10 @@ universal twisting map of the underlying simplicial set.
 from __future__ import annotations
 
 from .simplicial import Simplex, SimplicialPresentation, SimplicialSet
-from .verdict import Verdict
+from .verdict import Frozen, Verdict
 
 
-class GroupWord:
+class GroupWord(Frozen):
     """Reduced word in the dimension-n component of the loop group.
 
     ``letters`` is a tuple of (Simplex of dimension n + 1, +1 or -1).
@@ -23,19 +23,12 @@ class GroupWord:
     the memoized chains keep thousands of words alive.
     """
 
-    __slots__ = ("n", "letters")
+    __slots__ = _fields = ("n", "letters")
 
     def __init__(self, n: int, letters: tuple):
         init = object.__setattr__
         init(self, "n", n)
         init(self, "letters", letters)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"GroupWord is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(
-            f"GroupWord is immutable; cannot delete {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not GroupWord:
@@ -45,9 +38,6 @@ class GroupWord:
 
     def __hash__(self):
         return hash((self.n, self.letters))
-
-    def __reduce__(self):
-        return GroupWord, (self.n, self.letters)
 
     def __repr__(self):
         if not self.letters:

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import itertools
 
+from .verdict import Frozen
+
 Permutation = tuple  # one-line notation, values 1..n
 IndexSeq = tuple  # (i_1, ..., i_n) with 0 <= i_k <= n - k
 
@@ -79,17 +81,15 @@ def all_perms(n: int):
     return itertools.permutations(range(1, n + 1))
 
 
-class Shuffle:
+class Shuffle(Frozen):
     """A (k, l)-shuffle, stored as the two complementary increasing sequences.
 
     ``alpha`` has length k and ``beta`` length l; together they partition
     ``{1, ..., k + l}``.  The sign is the parity of the permutation whose
     one-line word is ``alpha`` followed by ``beta``.
-
-    Immutable; equality and hashing are on ``(alpha, beta)``.
     """
 
-    __slots__ = ("alpha", "beta")
+    __slots__ = _fields = ("alpha", "beta")
 
     def __init__(self, alpha: tuple, beta: tuple):
         k, l = len(alpha), len(beta)
@@ -101,26 +101,6 @@ class Shuffle:
         init = object.__setattr__
         init(self, "alpha", alpha)
         init(self, "beta", beta)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Shuffle is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Shuffle is immutable; cannot delete {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not Shuffle:
-            return NotImplemented
-        return (self.alpha, self.beta) == (other.alpha, other.beta)
-
-    def __hash__(self):
-        return hash((self.alpha, self.beta))
-
-    def __reduce__(self):
-        return Shuffle, (self.alpha, self.beta)
-
-    def __repr__(self):
-        return f"Shuffle(alpha={self.alpha!r}, beta={self.beta!r})"
 
     @property
     def k(self) -> int:

@@ -9,16 +9,16 @@ exactly when i lies in ``u_0 | ... | u_c``; a coordinate in the last part is
 
 from __future__ import annotations
 
-import collections
 import itertools
+from functools import partial
 
 from .cubes import CubeMorphism
 from .perms import compose, transposition
 from .simplicial import SimplicialSet
-from .verdict import Verdict
+from .verdict import Frozen, Store, Verdict
 
 
-class PartitionSimplex:
+class PartitionSimplex(Frozen):
     """An m-simplex of the simplicial n-cube, stored by its bracket.
 
     ``PartitionSimplex(n, ks, dim)`` is the dim-simplex whose coordinate i
@@ -28,7 +28,8 @@ class PartitionSimplex:
     once, at construction.
     """
 
-    __slots__ = ("n", "ks", "dim", "_hash")
+    _fields = ("n", "ks", "dim")
+    __slots__ = _fields + ("_hash",)
 
     def __init__(self, n: int, ks: tuple, dim: int):
         # the partition invariant in bracket form: one part index per
@@ -46,14 +47,6 @@ class PartitionSimplex:
         init(self, "dim", dim)
         init(self, "_hash", hash((n, ks, dim)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(
-            f"PartitionSimplex is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(
-            f"PartitionSimplex is immutable; cannot delete {name!r}")
-
     def __eq__(self, other):
         if other.__class__ is not PartitionSimplex:
             return NotImplemented
@@ -64,9 +57,6 @@ class PartitionSimplex:
 
     def __hash__(self):
         return self._hash
-
-    def __reduce__(self):
-        return PartitionSimplex, (self.n, self.ks, self.dim)
 
     @property
     def parts(self) -> tuple:
@@ -127,6 +117,18 @@ def _degeneracy_bracket(u: PartitionSimplex, j: int) -> tuple:
     return tuple([k if k <= j else k + 1 for k in u.ks])
 
 
+def _drop_bracket(ks: tuple, i: int) -> tuple:
+    """ks pushed along the projection s_i (1 <= i <= len(ks)): coordinate
+    i is dropped."""
+    return ks[:i - 1] + ks[i:]
+
+
+def _fold_bracket(ks: tuple, i: int) -> tuple:
+    """ks pushed along the connection g_i (1 <= i < len(ks)): coordinates
+    i and i + 1 merge into the later of their two parts."""
+    return ks[:i - 1] + (max(ks[i - 1], ks[i]),) + ks[i + 1:]
+
+
 def partition_face(u: PartitionSimplex, j: int) -> PartitionSimplex:
     """d_j: merge parts j and j+1 (0 <= j <= dim)."""
     return PartitionSimplex(u.n, _face_bracket(u, j), u.dim - 1)
@@ -140,31 +142,25 @@ def partition_degeneracy(u: PartitionSimplex, j: int) -> PartitionSimplex:
 class SimplicialCube(SimplicialSet):
     """The simplicial n-cube as a simplicial set of partition simplices.
 
-    The complex stores each simplex it hands out, one dict per dimension
-    keyed by the simplex's bracket ``ks``, and ``face`` and ``degeneracy``
-    return the stored simplex: each distinct simplex is built, through the
-    checked constructor, once per complex, and the store is freed
-    with the complex.
+    The complex stores each simplex it hands out, one
+    :class:`~.verdict.Store` per dimension keyed by the simplex's bracket
+    ``ks``, and ``face`` and ``degeneracy`` return the stored simplex: each
+    distinct simplex is built, through the checked constructor with this
+    cube's n, once per complex, and the store is freed with the complex.
     """
 
     def __init__(self, n: int):
         if n < 0:
             raise ValueError(f"cube dimension must be nonnegative, got {n}")
         self.n = n
-        self._cells = collections.defaultdict(dict)
-
-    def _cell(self, n: int, ks: tuple, m: int) -> PartitionSimplex:
-        """The stored m-simplex with bracket ``ks``."""
-        cells = self._cells[m]
-        cell = cells.get(ks)
-        if cell is None:
-            cell = cells[ks] = PartitionSimplex(n, ks, m)
-        return cell
+        self._cells = Store(lambda m: Store(
+            partial(PartitionSimplex, n, dim=m)))
 
     def nondegenerate(self, m: int):
         """Ordered partitions of {1..n} with all inner parts nonempty."""
         inner = set(range(1, m + 1))
-        return [self._cell(self.n, ks, m)
+        cells = self._cells[m]
+        return [cells[ks]
                 for ks in itertools.product(range(m + 2), repeat=self.n)
                 if inner <= set(ks)]
 
@@ -174,10 +170,10 @@ class SimplicialCube(SimplicialSet):
     def face(self, u, i):
         if u.dim == 0:
             raise ValueError("a vertex has no faces")
-        return self._cell(u.n, _face_bracket(u, i), u.dim - 1)
+        return self._cells[u.dim - 1][_face_bracket(u, i)]
 
     def degeneracy(self, u, i):
-        return self._cell(u.n, _degeneracy_bracket(u, i), u.dim + 1)
+        return self._cells[u.dim + 1][_degeneracy_bracket(u, i)]
 
     def is_degenerate(self, u) -> bool:
         return u.is_degenerate

@@ -14,10 +14,10 @@ from operator import gt
 
 from .chains import Chain, ChainComplex, add_scaled, normalized_complex
 from .perms import all_shuffles
-from .verdict import Verdict, check_identities
+from .verdict import Frozen, Store, Verdict, check_identities
 
 
-class Simplex:
+class Simplex(Frozen):
     """``degens`` is a strictly decreasing tuple of degeneracy indices applied
     (outermost first) to the nondegenerate generator ``gen`` of dimension
     ``gen_dim``.
@@ -27,7 +27,8 @@ class Simplex:
     simplices are hashed and measured far more often than they are built.
     """
 
-    __slots__ = ("degens", "gen", "gen_dim", "dim", "_hash")
+    _fields = ("degens", "gen", "gen_dim")
+    __slots__ = _fields + ("dim", "_hash")
 
     def __init__(self, degens: tuple, gen: str, gen_dim: int):
         if len(degens) > 1 and not all(map(gt, degens, degens[1:])):
@@ -39,12 +40,6 @@ class Simplex:
         init(self, "dim", gen_dim + len(degens))
         init(self, "_hash", hash((degens, gen, gen_dim)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Simplex is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Simplex is immutable; cannot delete {name!r}")
-
     def __eq__(self, other):
         if other.__class__ is not Simplex:
             return NotImplemented
@@ -55,9 +50,6 @@ class Simplex:
 
     def __hash__(self):
         return self._hash
-
-    def __reduce__(self):
-        return Simplex, (self.degens, self.gen, self.gen_dim)
 
     @property
     def is_degenerate(self) -> bool:
@@ -200,17 +192,6 @@ def simplicial_identities(n: int) -> list:
     return rows
 
 
-class _SimplexStore(dict):
-    """Simplices by ``(degens, gen, gen_dim)``; a key read for the first
-    time is built through the checked constructor and kept."""
-
-    __slots__ = ()
-
-    def __missing__(self, key):
-        x = self[key] = Simplex(*key)
-        return x
-
-
 class SimplicialPresentation(SimplicialSet):
     """Simplicial set given by generators, dimensions and a face table.
 
@@ -220,16 +201,17 @@ class SimplicialPresentation(SimplicialSet):
     :attr:`one_reduced`), never declared.
 
     The presentation keeps one object per simplex it hands out: faces,
-    degeneracies and generators come from a store keyed on
-    ``(degens, gen, gen_dim)``, so equal simplices of one presentation are
-    one object and compare by identity.  Simplices built by hand still
-    compare equal to the stored ones.
+    degeneracies and generators come from a :class:`~.verdict.Store` keyed
+    on ``(degens, gen, gen_dim)``, whose build is the checked constructor,
+    so equal simplices of one presentation are one object and compare by
+    identity.  Simplices built by hand still compare equal to the stored
+    ones.
     """
 
     def __init__(self, name, gens, faces):
         self.name = name
         self.gens = dict(gens)
-        self._store = _SimplexStore()
+        self._store = Store(lambda key: Simplex(*key))
         self.faces = {key: self._store[x.degens, x.gen, x.gen_dim]
                       for key, x in dict(faces).items()}
 

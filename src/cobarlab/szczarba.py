@@ -42,8 +42,9 @@ from .cubes import CubeMorphism, cubical_chains
 from .loopgroup import GroupWord, LoopGroup
 from .perms import (all_perms, compose, phi_perm, remove_assignment, sign,
                     sz_shuffle_split, transposition)
-from .simpcube import (PartitionSimplex, combine_simplices, extend_family,
-                       lambda_star, partition_degeneracy, u_pi)
+from .simpcube import (PartitionSimplex, _drop_bracket, _fold_bracket,
+                       combine_simplices, extend_family, lambda_star,
+                       partition_degeneracy, u_pi)
 from .simplicial import (Simplex, monotone_operators, normalized_chains,
                          shuffle_pair, shuffle_terms)
 from .verdict import Verdict
@@ -410,10 +411,8 @@ class CobarToGroupMap:
             # push the operator prefix onto the bracket, outermost first:
             # s_i drops coordinate i, g_i merges coordinates i and i + 1
             for kind, i in ops:
-                if kind == "s":
-                    ks = ks[:i - 1] + ks[i:]
-                else:
-                    ks = ks[:i - 1] + (max(ks[i - 1], ks[i]),) + ks[i + 1:]
+                ks = (_drop_bracket(ks, i) if kind == "s"
+                      else _fold_bracket(ks, i))
             factors = []
             for x, gen, lo, hi in windows:
                 key = (gen, ks[lo:hi], m)

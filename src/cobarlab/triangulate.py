@@ -15,12 +15,14 @@ import itertools
 from .chains import Chain, ChainMap, add_scaled
 from .cubes import CubicalSet, cubical_chains
 from .perms import all_perms, sign
-from .simpcube import (PartitionSimplex, _degeneracy_bracket, _face_bracket,
-                       combine_simplices, project_simplex, u_pi)
+from .simpcube import (PartitionSimplex, _degeneracy_bracket, _drop_bracket,
+                       _face_bracket, _fold_bracket, combine_simplices,
+                       project_simplex, u_pi)
 from .simplicial import SimplicialSet, simplicial_chains
+from .verdict import Frozen
 
 
-class TriSimplex:
+class TriSimplex(Frozen):
     """The class [cube; simplex] of the triangulation, stored by its
     reduced representative.
 
@@ -30,20 +32,14 @@ class TriSimplex:
     checks' tables.
     """
 
-    __slots__ = ("cube", "simplex", "_hash")
+    _fields = ("cube", "simplex")
+    __slots__ = _fields + ("_hash",)
 
     def __init__(self, cube, simplex: PartitionSimplex):
         init = object.__setattr__
         init(self, "cube", cube)
         init(self, "simplex", simplex)
         init(self, "_hash", hash((cube, simplex)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"TriSimplex is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(
-            f"TriSimplex is immutable; cannot delete {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not TriSimplex:
@@ -54,9 +50,6 @@ class TriSimplex:
 
     def __hash__(self):
         return self._hash
-
-    def __reduce__(self):
-        return TriSimplex, (self.cube, self.simplex)
 
     def __repr__(self):
         return f"[{self.cube!r}; {self.simplex!r}]"
@@ -149,27 +142,27 @@ class TriangulatedCubicalSet(SimplicialSet):
         (replace the cube by its 1-face there), then one in the last part
         (its 0-face), then a coordinate where the cube is degenerate, then
         one where it is folded, each the lowest such coordinate.  Each
-        step cuts the bracket: a projection drops coordinate i, a folding
-        puts coordinates i and i + 1 in the later of their two parts.  The
-        simplex is built once, at the end, unless u, the simplex with
+        step cuts the bracket by the rule of ``simpcube``: a projection
+        drops coordinate i (:func:`~.simpcube._drop_bracket`), a folding
+        merges coordinates i and i + 1 (:func:`~.simpcube._fold_bracket`).
+        The simplex is built once, at the end, unless u, the simplex with
         bracket ks, is the answer."""
         face_side = self._face_side
         while True:
+            # i is a coordinate, 1 <= i <= n, and its faces are at i - 1
             if 0 in ks:
-                i = ks.index(0)
-                side, ks = face_side(side.upper, i), ks[:i] + ks[i + 1:]
+                faces, i = side.upper, ks.index(0) + 1
             elif m + 1 in ks:
-                i = ks.index(m + 1)
-                side, ks = face_side(side.lower, i), ks[:i] + ks[i + 1:]
+                faces, i = side.lower, ks.index(m + 1) + 1
             elif side.degenerate:
-                i = side.degenerate[0] - 1
-                side, ks = face_side(side.lower, i), ks[:i] + ks[i + 1:]
+                faces, i = side.lower, side.degenerate[0]
             elif side.folded:
-                i = side.folded[0] - 1
-                side, ks = face_side(side.upper, i), (
-                    ks[:i] + (max(ks[i], ks[i + 1]),) + ks[i + 2:])
+                i = side.folded[0]
+                side, ks = face_side(side.upper, i - 1), _fold_bracket(ks, i)
+                continue
             else:
                 break
+            side, ks = face_side(faces, i - 1), _drop_bracket(ks, i)
         if u is None or ks is not u.ks:
             u = PartitionSimplex(side.n, ks, m)
         return TriSimplex(side.cube, u)

@@ -1,11 +1,70 @@
-"""Pass/fail result carried by every structural check in the library, and
-the one exhaustive checker of operator identities that produces it."""
+"""Pass/fail result carried by every structural check in the library, the
+one exhaustive checker of operator identities that produces it, and the
+bases of the library's value types: :class:`Record`, :class:`Frozen` and
+the intern store :class:`Store`."""
 
 from __future__ import annotations
 
 from itertools import chain
 from operator import itemgetter
 from typing import Any, NamedTuple
+
+
+class Record:
+    """A slotted record built from its ``_fields``, in order: equal to a
+    record of its class with equal fields, shown as ``Name(field=value,
+    ...)``, pickled as a constructor call, and unhashable."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__name__}({body})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class Frozen(Record):
+    """A :class:`Record` hashed on its fields, whose slots are set once,
+    by its constructor through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"{self.__class__.__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"{self.__class__.__name__} is immutable; cannot delete {name!r}")
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class Store(dict):
+    """Intern store: a key read for the first time gets ``build(key)``,
+    kept, so equal keys read one object.  A build that refers to no owner
+    of the store makes no cycle, so both die by reference counting."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
 
 
 class Verdict(NamedTuple):

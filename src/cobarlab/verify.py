@@ -42,11 +42,11 @@ from .simpcube import (SimplicialCube, common_bars, hereditary_path,
 from .simplicial import fixture, simplicial_chains
 from .triangulate import (TriangulatedCubicalSet, product_split_backward,
                           product_split_forward, triangulation_map)
-from .verdict import Verdict
+from .verdict import Frozen, Record, Verdict
 
 
-class CheckResult:
-    __slots__ = ("name", "status", "witness", "millis")
+class CheckResult(Record):
+    __slots__ = _fields = ("name", "status", "witness", "millis")
 
     def __init__(self, name: str, status: str, witness: object,
                  millis: float):
@@ -55,19 +55,9 @@ class CheckResult:
         self.witness = witness
         self.millis = millis
 
-    def __eq__(self, other):
-        if other.__class__ is not CheckResult:
-            return NotImplemented
-        return ((self.name, self.status, self.witness, self.millis)
-                == (other.name, other.status, other.witness, other.millis))
 
-    def __repr__(self):
-        return (f"CheckResult(name={self.name!r}, status={self.status!r}, "
-                f"witness={self.witness!r}, millis={self.millis!r})")
-
-
-class Report:
-    __slots__ = ("suite", "degree", "setup_ms", "checks")
+class Report(Record):
+    __slots__ = _fields = ("suite", "degree", "setup_ms", "checks")
 
     def __init__(self, suite: str, degree: int | None = None,
                  setup_ms: float = 0.0, checks: list | None = None):
@@ -75,16 +65,6 @@ class Report:
         self.degree = degree  # None: the checks have fixed sizes
         self.setup_ms = setup_ms  # building the checks, before the first runs
         self.checks = [] if checks is None else checks
-
-    def __eq__(self, other):
-        if other.__class__ is not Report:
-            return NotImplemented
-        return ((self.suite, self.degree, self.setup_ms, self.checks)
-                == (other.suite, other.degree, other.setup_ms, other.checks))
-
-    def __repr__(self):
-        return (f"Report(suite={self.suite!r}, degree={self.degree!r}, "
-                f"setup_ms={self.setup_ms!r}, checks={self.checks!r})")
 
     @property
     def ok(self) -> bool:
@@ -510,13 +490,12 @@ def main_theorem_checks(d):
     return checks
 
 
-class Suite:
+class Suite(Frozen):
     """A named batch of checks: ``checks(d)`` gives its (name, check) pairs
     at degree d, ``degree`` is the default d (None: the checks have fixed
-    sizes), and a d below ``least`` is refused.  Immutable; equality and
-    hashing are on ``(checks, degree, least)``."""
+    sizes), and a d below ``least`` is refused."""
 
-    __slots__ = ("checks", "degree", "least")
+    __slots__ = _fields = ("checks", "degree", "least")
 
     def __init__(self, checks: Callable[[int | None], list],
                  degree: int | None, least: int = 0):
@@ -524,28 +503,6 @@ class Suite:
         init(self, "checks", checks)
         init(self, "degree", degree)
         init(self, "least", least)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Suite is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Suite is immutable; cannot delete {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not Suite:
-            return NotImplemented
-        return ((self.checks, self.degree, self.least)
-                == (other.checks, other.degree, other.least))
-
-    def __hash__(self):
-        return hash((self.checks, self.degree, self.least))
-
-    def __reduce__(self):
-        return Suite, (self.checks, self.degree, self.least)
-
-    def __repr__(self):
-        return (f"Suite(checks={self.checks!r}, degree={self.degree!r}, "
-                f"least={self.least!r})")
 
 
 SUITES = {

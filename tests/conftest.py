@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from cobarlab.verify import run_suite
@@ -14,3 +16,14 @@ def suite_report():
             reports[name] = run_suite(name)
         return reports[name]
     return get
+
+
+@pytest.fixture
+def no_collector():
+    """Runs the test with the cyclic garbage collector off, so that an
+    object kept alive by a reference cycle stays alive."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()

@@ -3,9 +3,9 @@ every structure map returns the cell the fresh formula gives, each
 distinct cell is one object, the store holds exactly the cells that were
 handed out, and it lives and dies with its complex.  The simplex store of
 a presentation is counted here too: the layers above it never compare two
-equal simplices field by field."""
+equal simplices field by field.  Every structure that stores what it
+computes dies by reference counting, with no collector run."""
 
-import gc
 import weakref
 from collections import Counter
 from math import comb
@@ -15,9 +15,13 @@ import pytest
 from cobarlab import cubes, verify
 from cobarlab.cobar import CobarSet
 from cobarlab.cubes import CubeMorphism, StandardCube
+from cobarlab.loopgroup import LoopGroup, check_twisting
 from cobarlab.simpcube import (SimplicialCube, partition_degeneracy,
                                partition_face)
 from cobarlab.simplicial import Simplex, fixture
+from cobarlab.szczarba import (CobarToGroupMap, SzProvider, build_f,
+                               contract_check, word_map)
+from cobarlab.triangulate import TriangulatedCubicalSet
 
 
 def one_object_per_value(results):
@@ -125,20 +129,71 @@ def test_out_of_range_indices_raise_as_before():
             call()
 
 
+def test_a_cell_of_a_cube_of_another_dimension_is_refused():
+    # each cube builds its cells with its own n, so the constructor refuses
+    # an output table or bracket of another length, and nothing is stored
+    cube, other = StandardCube(2), StandardCube(3)
+    y = other.cubes(2)[0]
+    for call in (lambda: cube.face(y, 0, 1), lambda: cube.degen(y, 1),
+                 lambda: cube.conn(y, 1)):
+        with pytest.raises(ValueError,
+                           match="^one output entry per target coordinate$"):
+            call()
+    scube, sother = SimplicialCube(2), SimplicialCube(3)
+    u = sother.nondegenerate(1)[0]
+    for call in (lambda: scube.face(u, 0), lambda: scube.degeneracy(u, 0)):
+        with pytest.raises(ValueError, match="^bracket needs one part index"):
+            call()
+    assert sum(stored(cube)) == sum(stored(scube)) == 0
+
+
 @pytest.mark.parametrize("make, cells", [
     (StandardCube,
      lambda c: c.cubes(1) + [c.face(y, 0, 1) for y in c.cubes(1)]),
     (SimplicialCube,
      lambda c: c.nondegenerate(1) + [c.face(u, 0) for u in c.nondegenerate(1)]),
 ])
-def test_stores_belong_to_their_complex(make, cells):
+def test_stores_belong_to_their_complex(make, cells, no_collector):
     first, second = make(2), make(2)
     a, b = cells(first), cells(second)
     assert a == b
     assert not {id(x) for x in a} & {id(x) for x in b}
     ref = weakref.ref(first)
     del first
-    gc.collect()
+    assert ref() is None
+
+
+# (build, exercise): exercising fills every store the owner keeps
+OWNERS = {
+    "SimplicialPresentation": (lambda: fixture("D4sk1"),
+                               lambda x: x.validate_presentation(3).ok),
+    "StandardCube": (lambda: StandardCube(2), lambda x: x.validate(3).ok),
+    "SimplicialCube": (lambda: SimplicialCube(2), lambda x: x.validate(3).ok),
+    "CobarSet": (lambda: CobarSet(fixture("D4sk1")),
+                 lambda x: x.validate(2).ok),
+    "TriangulatedCubicalSet": (
+        lambda: TriangulatedCubicalSet(CobarSet(fixture("D4sk1")), 2),
+        lambda x: x.validate(2).ok),
+    "LoopGroup": (lambda: LoopGroup(fixture("D4sk1")),
+                  lambda x: check_twisting(x, 4).ok),
+    "SzProvider": (lambda: SzProvider(LoopGroup(fixture("D4sk1"))),
+                   lambda x: (contract_check(x, 2).ok
+                              and bool(word_map(x, 2).mapping))),
+    "CobarToGroupMap": (
+        lambda: CobarToGroupMap(SzProvider(LoopGroup(fixture("D4sk1")))),
+        lambda x: build_f(x, 2).ok),
+}
+
+
+@pytest.mark.parametrize("owner", OWNERS)
+def test_stores_die_by_reference_counting(owner, no_collector):
+    # a store whose build refers to its owner would make a cycle, which
+    # only the collector frees
+    build, exercise = OWNERS[owner]
+    x = build()
+    assert exercise(x)
+    ref = weakref.ref(x)
+    del x
     assert ref() is None
 
 

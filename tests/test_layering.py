@@ -135,3 +135,107 @@ def test_only_the_builder_cone_and_word_complex_make_complexes():
 ])
 def test_the_builder_guard_sees_every_call_form(source, found):
     assert complex_makers("m", ast.parse(source)) == found
+
+
+# ----- one record base and one intern store ---------------------------------------
+
+def defined_methods(module, tree, names):
+    """(module, class, method) of each method named in ``names`` that a
+    class of an ast defines, nested classes included."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            out.update((module, node.name, item.name) for item in node.body
+                       if isinstance(item, (ast.FunctionDef,
+                                            ast.AsyncFunctionDef))
+                       and item.name in names)
+    return out
+
+
+def names_used(tree):
+    """Every name and attribute name an ast reads."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)}
+            | {alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names})
+
+
+def store_builds_naming_self(tree):
+    """The line of each ``Store(...)`` call whose arguments name ``self``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else (
+                getattr(func, "id", None))
+            args = node.args + [kw.value for kw in node.keywords]
+            if name == "Store" and any(
+                    isinstance(sub, ast.Name) and sub.id == "self"
+                    for arg in args for sub in ast.walk(arg)):
+                out.add(node.lineno)
+    return out
+
+
+def library_trees():
+    return [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted(LIBRARY.glob("*.py"))]
+
+
+def test_only_the_record_bases_guard_and_pickle_fields():
+    # every value type derives its immutability and pickling from
+    # verdict.Record and verdict.Frozen
+    found = set()
+    for module, tree in library_trees():
+        found |= defined_methods(
+            module, tree, {"__setattr__", "__delattr__", "__reduce__"})
+    assert found == {("verdict", "Record", "__reduce__"),
+                     ("verdict", "Frozen", "__setattr__"),
+                     ("verdict", "Frozen", "__delattr__")}
+
+
+def test_only_the_store_interns_on_a_miss():
+    found = set()
+    for module, tree in library_trees():
+        found |= defined_methods(module, tree, {"__missing__"})
+        assert "defaultdict" not in names_used(tree), module
+    assert found == {("verdict", "Store", "__missing__")}
+
+
+def test_no_store_build_refers_to_its_owner():
+    # a build that reads self keeps the owner alive through its own store,
+    # a cycle that only the collector frees
+    for module, tree in library_trees():
+        assert not store_builds_naming_self(tree), module
+
+
+@pytest.mark.parametrize("source,found", [
+    ("class C:\n    def __reduce__(self):\n        pass", {("m", "C")}),
+    ("class C:\n    class D:\n        def __setattr__(s, n, v):\n"
+     "            pass", {("m", "D")}),
+    ("def __delattr__(self, name):\n    pass", set()),
+])
+def test_the_method_guard_sees_every_class(source, found):
+    assert {(m, c) for m, c, _ in defined_methods(
+        "m", ast.parse(source),
+        {"__setattr__", "__delattr__", "__reduce__"})} == found
+
+
+@pytest.mark.parametrize("source,found", [
+    ("import collections\nd = collections.defaultdict(dict)", True),
+    ("from collections import defaultdict", True),
+    ("d = {}", False),
+])
+def test_the_defaultdict_guard_sees_every_form(source, found):
+    assert ("defaultdict" in names_used(ast.parse(source))) == found
+
+
+@pytest.mark.parametrize("source,found", [
+    ("s = Store(lambda k: self.build(k))", {1}),
+    ("s = verdict.Store(partial(f, self))", {1}),
+    ("s = Store(build=lambda k: Store(lambda j: g(self, j)))", {1}),
+    ("s = Store(lambda k: Store(partial(CubeMorphism, k, n)))", set()),
+    ("s = Store(lambda key: Simplex(*key))", set()),
+])
+def test_the_store_guard_sees_every_build_form(source, found):
+    assert store_builds_naming_self(ast.parse(source)) == found

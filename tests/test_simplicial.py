@@ -1,4 +1,3 @@
-import gc
 import weakref
 
 import pytest
@@ -182,14 +181,13 @@ def test_malformed_simplex_cannot_replace_a_stored_one():
     assert right != wrong and s.simplex((0,), "0123", 3) is right
 
 
-def test_store_lives_and_dies_with_its_presentation():
+def test_store_lives_and_dies_with_its_presentation(no_collector):
     first, second = fixture("D4sk1"), fixture("D4sk1")
     assert first.validate_presentation(2).ok
     a, b = list(first.simplices(3)), list(second.simplices(3))
     assert a == b and not {id(x) for x in a} & {id(x) for x in b}
     ref = weakref.ref(first)
     del first
-    gc.collect()
     assert ref() is None
 
 
