@@ -15,11 +15,12 @@ set to the group, ``build_f`` checks that it respects every identification,
 and ``main_theorem_check`` compares the composite of that map with the
 triangulation chain map against the word-by-word twisting cochain.
 
-The word-by-word map is a ``ChainMap`` (:func:`word_map`) into the group
-chains that the simplicial builder makes on the words its values touch and
-their iterated faces; ``check_chain_map`` and ``check_coalgebra_map`` (on
-the cobar cubical chains, :func:`on_cubes`) check that it commutes with d
-and with the diagonal.
+The word-by-word map is a ``ChainMap`` (:func:`word_map`) from the
+normalized chains of the cobar cubical set, whose normalized cubes
+``(w, ())`` are the words w, into the group chains that the simplicial
+builder makes on the words its values touch and their iterated faces;
+``check_chain_map`` and ``check_coalgebra_map`` check on that one map that
+it commutes with d and with the diagonal.
 
 Each provider keeps what it has computed: the operator word ``sz(pi, x)``
 keyed by ``(pi, x)``, and the cochains ``t_sz`` per simplex and ``f_sz``
@@ -37,7 +38,7 @@ from __future__ import annotations
 import functools
 
 from .chains import Chain, ChainMap, add_scaled
-from .cobar import CobarSet, omega_complex, word_to_cube
+from .cobar import CobarSet
 from .cubes import CubeMorphism, cubical_chains
 from .loopgroup import GroupWord, LoopGroup
 from .perms import (all_perms, compose, phi_perm, remove_assignment, sign,
@@ -261,20 +262,22 @@ def f_sz(provider, word) -> Chain:
 
 
 def word_map(provider, max_deg: int) -> ChainMap:
-    """The word-by-word map w -> f_sz(w), from the tensor-algebra model
-    through degree max_deg to the normalized chains of the group on the
-    nondegenerate words its values touch and on every nondegenerate
-    iterated face of them.
+    """The word-by-word map (w, ()) -> f_sz(w), from the normalized cubical
+    chains of the cobar construction through degree max_deg, whose
+    normalized cubes are the words, to the normalized chains of the group
+    on the nondegenerate words its values touch and on every nondegenerate
+    iterated face of them.  The cobar construction refuses a presentation
+    that is not 1-reduced.
 
     The basis is closed under faces, through degenerate faces too, so
     every boundary term and every front/back diagonal term of a basis
     word is a basis word or zero: the target is a complex of its own, on
     which d^2, the coalgebra identities and homology can be checked."""
     group = provider.group
-    omega = omega_complex(provider.sset, max_deg)
-    mapping = {w: f_sz(provider, w)
-               for words in omega.basis.values() for w in words}
-    basis = {d: {} for d in omega.basis}
+    source = cubical_chains(CobarSet(provider.sset), max_deg)
+    mapping = {cube: f_sz(provider, cube[0])
+               for cubes in source.basis.values() for cube in cubes}
+    basis = {d: {} for d in source.basis}
     for value in mapping.values():
         for g in value:
             basis.setdefault(g.n, {})[g] = None
@@ -290,14 +293,7 @@ def word_map(provider, max_deg: int) -> ChainMap:
                 if not group.is_degenerate(face):
                     basis.setdefault(face.n, {})[face] = None
     target = normalized_chains(group, basis)
-    return ChainMap(omega, target, mapping)
-
-
-def on_cubes(fmap: ChainMap, cset: CobarSet) -> ChainMap:
-    """The word map read on the normalized cubical chains of the cobar
-    construction, whose normalized cubes are the words."""
-    return ChainMap(cubical_chains(cset, fmap.source.max_degree), fmap.target,
-                    {word_to_cube(w): v for w, v in fmap.mapping.items()})
+    return ChainMap(source, target, mapping)
 
 
 # ----- gluing the map on the triangulated cobar construction ------------------------
@@ -330,8 +326,8 @@ class CobarToGroupMap:
     its letters and operator indices are checked and the letters' windows
     fixed when the reader is built, so a call only compares the bracket's
     coordinate count with the cube's, pushes the operators onto the
-    bracket and reads the letters' values.  :meth:`evaluator` multiplies
-    them and :meth:`evaluate` builds one evaluator for a single call.
+    bracket and reads the letters' values; :meth:`evaluator` multiplies
+    them.  These two are the map's one way to read a cube.
 
     The map keeps its values: each letter's family is checked and glued
     once, and each piece goes through the glued evaluator once, so the
@@ -372,12 +368,10 @@ class CobarToGroupMap:
 
     def _piece(self, x: Simplex, key: tuple) -> GroupWord:
         """The value of the letter x on the piece ``key = (x.gen, window,
-        m)``, read from the memo or computed and stored."""
-        value = self._values.get(key)
-        if value is None:
-            _, window, m = key
-            value = self._values[key] = self._letter(x)(
-                PartitionSimplex(len(window), window, m))
+        m)``, which the memo lacks: computed and stored."""
+        _, window, m = key
+        value = self._values[key] = self._letter(x)(
+            PartitionSimplex(len(window), window, m))
         return value
 
     def pieces(self, cube):
@@ -425,7 +419,7 @@ class CobarToGroupMap:
         return read
 
     def evaluator(self, cube):
-        """``u -> evaluate(cube, u)`` for one cube: the product of its
+        """``u -> value of cube on u`` for one cube: the product of its
         pieces, or the one stored piece of a one-letter cube."""
         read, product = self.pieces(cube), self.group.product
 
@@ -435,13 +429,6 @@ class CobarToGroupMap:
                     else product(u.dim, factors))
 
         return evaluate
-
-    def evaluate(self, cube, u: PartitionSimplex) -> GroupWord:
-        """The value of the cube on the simplex u of its simplicial cube."""
-        return self.evaluator(cube)(u)
-
-    def __call__(self, tri_simplex) -> GroupWord:
-        return self.evaluate(tri_simplex.cube, tri_simplex.simplex)
 
 
 @_fails_on_incompatible_family
@@ -527,7 +514,7 @@ def check_f_simplicial(f: CobarToGroupMap, max_dim: int) -> Verdict:
     def value(ts):
         val = values.get(ts)
         if val is None:
-            val = values[ts] = f(ts)
+            val = values[ts] = f.evaluator(ts.cube)(ts.simplex)
         return val
 
     for m in range(max_dim + 1):
@@ -565,13 +552,13 @@ def check_f_multiplicative(f: CobarToGroupMap, max_dim: int) -> Verdict:
                             for _ in range(m - n2):
                                 u2 = partition_degeneracy(u2, u2.dim)
                             u = combine_simplices(u1, u2)
-                            lhs = f.evaluate(prod, u)
+                            lhs = f.evaluator(prod)(u)
                             rhs = group.mul(
                                 multi_degeneracy(
-                                    group, f.evaluate(z1, u_pi(pi1)),
+                                    group, f.evaluator(z1)(u_pi(pi1)),
                                     range(n1, m)),
                                 multi_degeneracy(
-                                    group, f.evaluate(z2, u_pi(pi2)),
+                                    group, f.evaluator(z2)(u_pi(pi2)),
                                     range(n2, m)))
                             if lhs != rhs:
                                 return Verdict.failed(
@@ -582,18 +569,19 @@ def check_f_multiplicative(f: CobarToGroupMap, max_dim: int) -> Verdict:
 @_fails_on_incompatible_family
 def main_theorem_check(f: CobarToGroupMap, fmap: ChainMap) -> Verdict:
     """The composite of the glued map with the triangulation chain map
-    equals the word-by-word map ``fmap`` on every word of its source."""
+    equals the word-by-word map ``fmap`` on every normalized cube of its
+    source."""
     group = f.group
-    for d, words in fmap.source.basis.items():
+    for d, cubes in fmap.source.basis.items():
         tops = [(u_pi(pi), sign(pi)) for pi in all_perms(d)]
-        for w in words:
-            on_w = f.evaluator(word_to_cube(w))
+        for cube in cubes:
+            on_cube = f.evaluator(cube)
             lhs: Chain = {}
             for u, sgn in tops:
-                val = on_w(u)
+                val = on_cube(u)
                 if not group.is_degenerate(val):
                     add_scaled(lhs, {val: 1}, sgn)
-            rhs = fmap.mapping[w]
+            rhs = fmap.mapping[cube]
             if lhs != rhs:
-                return Verdict.failed({"word": w, "lhs": lhs, "rhs": rhs})
+                return Verdict.failed({"cube": cube, "lhs": lhs, "rhs": rhs})
     return Verdict.passed()

@@ -6,25 +6,36 @@ the intern store :class:`Store`."""
 from __future__ import annotations
 
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Any, NamedTuple
 
 
 class Record:
     """A slotted record built from its ``_fields``, in order: equal to a
     record of its class with equal fields, shown as ``Name(field=value,
-    ...)``, pickled as a constructor call, and unhashable."""
+    ...)``, pickled as a constructor call, and unhashable.  Each class
+    reads the tuple of its fields through one getter, ``_get``, made with
+    the class by ``operator.attrgetter``; ``Record`` itself has none."""
 
     __slots__ = ()
     _fields = ()
+    _get = staticmethod(lambda record: ())
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls._fields:
+            get = attrgetter(*cls._fields)
+            cls._get = staticmethod(get if len(cls._fields) > 1 else
+                                    lambda record: (get(record),))
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, f) for f in self._fields])
+        return self._get(self)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        get = self._get
+        return get(self) == get(other)
 
     def __repr__(self):
         body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
@@ -49,7 +60,7 @@ class Frozen(Record):
             f"{self.__class__.__name__} is immutable; cannot delete {name!r}")
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._get(self))
 
 
 class Store(dict):
