@@ -223,9 +223,6 @@ class CobarSet(CubicalSet):
 
     # ----- monoid structure ----------------------------------------------------------
 
-    def unit(self):
-        return ((), ())
-
     def mul(self, c1, c2):
         base1, ops1 = c1
         base2, ops2 = c2

@@ -247,9 +247,8 @@ class CubicalSet:
         which are in range by construction.
         """
         return check_identities(
-            ((n, y) for n in range(max_dim + 1) for y in self.cubes(n)),
-            self._operators(), cubical_identities, max_dim, key="y",
-            values=False)
+            self.cubes, self._operators(), cubical_identities, max_dim,
+            key="y", values=False)
 
     def _operators(self) -> dict:
         """The face, degeneracy and connection that callers whose indices

@@ -159,9 +159,8 @@ class SimplicialSet:
     def validate(self, max_dim: int) -> Verdict:
         """Exhaustive simplicial identities on all simplices up to max_dim."""
         return check_identities(
-            ((n, x) for n in range(max_dim + 1) for x in self.simplices(n)),
-            {"d": self.face, "s": self.degeneracy}, simplicial_identities,
-            max_dim)
+            self.simplices, {"d": self.face, "s": self.degeneracy},
+            simplicial_identities, max_dim)
 
 
 def simplicial_identities(n: int) -> list:
@@ -314,19 +313,20 @@ def _front_back_diagonal(row, slot) -> Chain:
     return delta
 
 
-def normalized_chains(sset: SimplicialSet, basis: dict) -> ChainComplex:
-    """Normalized chains on ``basis`` (degree -> simplices), slot 1 + i of
-    a row holding d_i with sign (-1)^i, and the front-face/back-face
-    diagonal, built on demand, making it a dg-coalgebra."""
+def normalized_chains(face, basis: dict) -> ChainComplex:
+    """Normalized chains on ``basis`` (degree -> simplices), with
+    ``face(x, i)`` the face d_i x: slot 1 + i of a row holds d_i with sign
+    (-1)^i, and the front-face/back-face diagonal, built on demand, makes
+    it a dg-coalgebra."""
     return normalized_complex(
         basis, lambda n: tuple((-1) ** i for i in range(n + 1)) if n else (),
-        lambda x, k: sset.face(x, k - 1), _front_back_diagonal)
+        lambda x, k: face(x, k - 1), _front_back_diagonal)
 
 
 def simplicial_chains(sset: SimplicialSet, max_dim: int) -> ChainComplex:
     """Normalized chains on every nondegenerate simplex up to max_dim."""
     basis = {n: tuple(sset.nondegenerate(n)) for n in range(max_dim + 1)}
-    return normalized_chains(sset, basis)
+    return normalized_chains(sset.face, basis)
 
 
 def shuffle_terms(left: SimplicialSet, right: SimplicialSet, x, y) -> Chain:

@@ -272,7 +272,9 @@ def word_map(provider, max_deg: int) -> ChainMap:
     The basis is closed under faces, through degenerate faces too, so
     every boundary term and every front/back diagonal term of a basis
     word is a basis word or zero: the target is a complex of its own, on
-    which d^2, the coalgebra identities and homology can be checked."""
+    which d^2, the coalgebra identities and homology can be checked.  The
+    walk that closes it keeps the faces of every word it visits, and the
+    builder reads them there, so each face is computed once."""
     group = provider.group
     source = cubical_chains(CobarSet(provider.sset), max_deg)
     mapping = {cube: f_sz(provider, cube[0])
@@ -282,17 +284,18 @@ def word_map(provider, max_deg: int) -> ChainMap:
         for g in value:
             basis.setdefault(g.n, {})[g] = None
     pending = [g for words in basis.values() for g in words]
-    seen = set(pending)
+    faces = dict.fromkeys(pending)
     while pending:
         g = pending.pop()
-        for i in range(g.n + 1 if g.n else 0):
-            face = group.face(g, i)
-            if face not in seen:
-                seen.add(face)
+        row = faces[g] = [group.face(g, i)
+                          for i in range(g.n + 1 if g.n else 0)]
+        for face in row:
+            if face not in faces:
+                faces[face] = None
                 pending.append(face)
                 if not group.is_degenerate(face):
                     basis.setdefault(face.n, {})[face] = None
-    target = normalized_chains(group, basis)
+    target = normalized_chains(lambda g, i: faces[g][i], basis)
     return ChainMap(source, target, mapping)
 
 
@@ -534,35 +537,42 @@ def check_f_simplicial(f: CobarToGroupMap, max_dim: int) -> Verdict:
 @_fails_on_incompatible_family
 def check_f_multiplicative(f: CobarToGroupMap, max_dim: int) -> Verdict:
     """Products of cubes evaluate to products of group words on juxtaposed
-    simplices."""
+    simplices.
+
+    Each cube's evaluator is built once, and each pair of degrees lifts
+    and juxtaposes its top simplices once; a pair of cubes builds only
+    its product's evaluator."""
     cset, group = f.cset, f.group
+    cubes = [[(z, f.evaluator(z)) for z in cset.cubes(n)]
+             for n in range(max_dim + 1)]
+
+    def lifted(n, m):
+        # top simplices lifted to dimension m, so that the coordinate rows
+        # of two of them can be juxtaposed
+        out = []
+        for pi in all_perms(n):
+            u = top = u_pi(pi)
+            for _ in range(m - n):
+                u = partition_degeneracy(u, u.dim)
+            out.append((top, u))
+        return out
+
     for n1 in range(max_dim + 1):
         for n2 in range(max_dim + 1 - n1):
             m = max(n1, n2)
-            for z1 in cset.cubes(n1):
-                for z2 in cset.cubes(n2):
-                    prod = cset.mul(z1, z2)
-                    for pi1 in all_perms(n1):
-                        for pi2 in all_perms(n2):
-                            # lift both top simplices to a common dimension
-                            # so their coordinate rows can be juxtaposed
-                            u1, u2 = u_pi(pi1), u_pi(pi2)
-                            for _ in range(m - n1):
-                                u1 = partition_degeneracy(u1, u1.dim)
-                            for _ in range(m - n2):
-                                u2 = partition_degeneracy(u2, u2.dim)
-                            u = combine_simplices(u1, u2)
-                            lhs = f.evaluator(prod)(u)
-                            rhs = group.mul(
-                                multi_degeneracy(
-                                    group, f.evaluator(z1)(u_pi(pi1)),
-                                    range(n1, m)),
-                                multi_degeneracy(
-                                    group, f.evaluator(z2)(u_pi(pi2)),
-                                    range(n2, m)))
-                            if lhs != rhs:
-                                return Verdict.failed(
-                                    {"z1": z1, "z2": z2, "u": u})
+            tops = [(u1, u2, combine_simplices(lift1, lift2))
+                    for u1, lift1 in lifted(n1, m)
+                    for u2, lift2 in lifted(n2, m)]
+            for z1, on_z1 in cubes[n1]:
+                for z2, on_z2 in cubes[n2]:
+                    on_prod = f.evaluator(cset.mul(z1, z2))
+                    for u1, u2, u in tops:
+                        lhs = on_prod(u)
+                        rhs = group.mul(
+                            multi_degeneracy(group, on_z1(u1), range(n1, m)),
+                            multi_degeneracy(group, on_z2(u2), range(n2, m)))
+                        if lhs != rhs:
+                            return Verdict.failed({"z1": z1, "z2": z2, "u": u})
     return Verdict.passed()
 
 

@@ -98,118 +98,104 @@ class Verdict(NamedTuple):
         return Verdict(False, witness)
 
 
-def check_identities(elements, operators, table, top, key="x", values=True):
-    """Check every identity of ``table`` on every element, in order, and
-    return the first failure.
+def check_identities(cells, operators, table, top, key="x", values=True):
+    """Check every identity of ``table`` on every cell, dimension by
+    dimension, and return the first failure.
 
-    ``elements`` yields ``(n, x)`` pairs, x of dimension n, and ``top`` is
-    the last dimension among them.  ``operators`` maps an operator letter
-    to its function, called as ``op(x, *args)`` with one or two index
-    arguments.  The letter ``d`` names a face, which lowers the dimension
-    by one; every other letter (a degeneracy ``s``, a connection ``g``)
-    raises it by one.  The checker relies on this rule.  ``table(n)`` lists
-    the identities on an n-dimensional element as rows ``(label, fields,
-    lhs, rhs)``: ``fields`` are the witness's index fields, and ``lhs`` and
-    ``rhs`` are operator words of at most two operators, innermost first,
-    each a tuple ``(letter, *args)``; the empty word is the element itself.
-    A witness names the identity, the element under ``key`` and the fields,
-    and carries both sides when ``values`` is set.
+    ``cells(n)`` lists the cells of dimension n, for n = 0..``top``, in the
+    order they are checked.  ``operators`` maps an operator letter to its
+    function, called as ``op(x, *args)`` with one or two index arguments.
+    The letter ``d`` names a face, which lowers the dimension by one; every
+    other letter (a degeneracy ``s``, a connection ``g``) raises it by one.
+    The checker relies on this rule.  ``table(n)`` lists the identities on
+    an n-dimensional cell as rows ``(label, fields, lhs, rhs)``: ``fields``
+    are the witness's index fields, and ``lhs`` and ``rhs`` are operator
+    words of at most two operators, innermost first, each a tuple
+    ``(letter, *args)``; the empty word is the cell itself.  A witness
+    names the identity, the cell under ``key`` and the fields, and carries
+    both sides when ``values`` is set.
 
     Each dimension's table is compiled once, to a list of the distinct
     first operators of its words and to rows that index into it, so each
-    first operator is applied to each element once.  An element's
-    first-operator list is slot 0, the element, followed by its image
-    under each first operator.  A side whose second operator is a first
-    operator of the dimension its first operator leads to reads its value
-    from the list of that value, which the checker keeps in a dict keyed by
-    the value:
+    first operator is applied to each cell once.  A cell's first-operator
+    list is slot 0, the cell, followed by its image under each first
+    operator.  The second operator of a word must be a first operator of
+    the dimension its first operator leads to (a table with a word that is
+    not is refused), and the side reads its value from the list of that
+    value, which the checker keeps in a dict keyed by the value:
 
-    - a face of an n-element reads from the list of dimension n - 1; these
-      lists are the ones kept for the elements of dimension n - 1, and a
-      face that is not a key gets its list computed and stored;
-    - below ``top``, a degeneracy or connection of an n-element reads from
-      a dict of dimension n + 1 lists, filled on a miss; when the elements
-      reach dimension n + 1, that dict becomes the dimension's own store,
-      so an element found in it reuses its list, and the store is kept
-      until dimension n + 2 is done;
-    - at ``top``, each element takes its list out of the store, and the
-      lists of dimension ``top + 1`` live in a window of one element: those
-      made by the previous element are found, all older ones are dropped.
+    - a face of an n-cell reads from the list of dimension n - 1; these
+      lists are the ones kept for the cells of dimension n - 1, and a face
+      that is not a key gets its list computed and stored;
+    - below ``top``, a degeneracy or connection of an n-cell reads from a
+      dict of dimension n + 1 lists, filled on a miss; at dimension n + 1,
+      that dict becomes the dimension's own store, so a cell found in it
+      reuses its list, and the store is kept until dimension n + 2 is done;
+    - at ``top``, each cell takes its list out of the store, and the lists
+      of dimension ``top + 1`` live in a window of one cell: those made by
+      the previous cell are found, all older ones are dropped.
 
-    When the elements skip or repeat a dimension, every store is emptied.
-    No list outlives the call.  Equal sides are compared by identity
-    first, so stored-cell structures make no ``__eq__`` call on a row that
-    holds.
+    No list outlives the call.  A cell's rows are checked in one tuple
+    comparison of their sides, which tests identity before ``==``, and
+    walked only to name a failure, so stored-cell structures make no
+    ``__eq__`` call on a row that holds.
     """
     firsts = {}
-    plans = {}
-    dim = None
-    cur = nxt = None
-    for n, x in elements:
-        if n != dim:
-            if dim is not None and n == dim + 1:
-                prev, cur = cur, nxt
+    prev, cur, nxt = {}, {}, {}
+    for n in range(top + 1):
+        ops, faces, rises, rows, left, right = _plan(firsts, table,
+                                                     operators, n)
+        lower = firsts[n - 1][2] if faces else ()
+        upper = firsts[n + 1][2] if rises else ()
+        window = n == top
+        older = {}
+        for x in cells(n):
+            if window:
+                first = cur.pop(x, None)
+                older, nxt = nxt, {}
             else:
-                prev, cur = {}, {}
-            nxt, older = {}, {}
-            window = n >= top
-            dim = n
-            plan = plans.get(n)
-            if plan is None:
-                plan = plans[n] = _plan(firsts, table, operators, n)
-            ops, faces, rises, rows, left, right = plan
-            lower = firsts[n - 1][2] if faces else ()
-            upper = firsts[n + 1][2] if rises else ()
-        if window:
-            first = cur.pop(x, None)
-            older, nxt = nxt, {}
-        else:
-            first = cur.get(x)
-        if first is None:
-            first = [x]
-            first += [op(x, a) if b is None else op(x, a, b)
-                      for op, a, b in ops]
-            if not window:
-                cur[x] = first
-        else:
-            first[0] = x
-        lists = []
-        for k in faces:
-            stored = prev.get(first[k])
-            if stored is None:
-                face = first[k]
-                stored = prev[face] = [face] + [
-                    op(face, a) if b is None else op(face, a, b)
-                    for op, a, b in lower]
-            # keep the stored value, so that the lists hold one object per
-            # distinct value
-            first[k] = stored[0]
-            lists.append(stored)
-        for k in rises:
-            y = first[k]
-            stored = nxt.get(y) or older.get(y)
-            if stored is None:
-                stored = nxt[y] = [y] + [
-                    op(y, a) if b is None else op(y, a, b)
-                    for op, a, b in upper]
-            first[k] = stored[0]
-            lists.append(stored)
-        vals = list(chain(first, *lists))
-        if left is not None and left(vals) == right(vals):
-            continue
-        for label, fields, lk, lop, la, lb, rk, rop, ra, rb in rows:
-            lhs = vals[lk]
-            if lop is not None:
-                lhs = lop(lhs, la) if lb is None else lop(lhs, la, lb)
-            rhs = vals[rk]
-            if rop is not None:
-                rhs = rop(rhs, ra) if rb is None else rop(rhs, ra, rb)
-            if lhs is not rhs and lhs != rhs:
-                witness = {"identity": label, key: x, **fields}
-                if values:
-                    witness["lhs"] = lhs
-                    witness["rhs"] = rhs
-                return Verdict.failed(witness)
+                first = cur.get(x)
+            if first is None:
+                first = [x]
+                first += [op(x, a) if b is None else op(x, a, b)
+                          for op, a, b in ops]
+                if not window:
+                    cur[x] = first
+            else:
+                first[0] = x
+            lists = []
+            for k in faces:
+                stored = prev.get(first[k])
+                if stored is None:
+                    face = first[k]
+                    stored = prev[face] = [face] + [
+                        op(face, a) if b is None else op(face, a, b)
+                        for op, a, b in lower]
+                # keep the stored value, so that the lists hold one object
+                # per distinct value
+                first[k] = stored[0]
+                lists.append(stored)
+            for k in rises:
+                y = first[k]
+                stored = nxt.get(y) or older.get(y)
+                if stored is None:
+                    stored = nxt[y] = [y] + [
+                        op(y, a) if b is None else op(y, a, b)
+                        for op, a, b in upper]
+                first[k] = stored[0]
+                lists.append(stored)
+            vals = list(chain(first, *lists))
+            if left(vals) == right(vals):
+                continue
+            for label, fields, lk, rk in rows:
+                lhs, rhs = vals[lk], vals[rk]
+                if lhs is not rhs and lhs != rhs:
+                    witness = {"identity": label, key: x, **fields}
+                    if values:
+                        witness["lhs"] = lhs
+                        witness["rhs"] = rhs
+                    return Verdict.failed(witness)
+        prev, cur, nxt = cur, nxt, {}
     return Verdict.passed()
 
 
@@ -217,8 +203,8 @@ def _firsts(firsts, table, operators, n):
     """Dimension n's table and its distinct first operators, kept in
     ``firsts[n]`` as ``(rows, slots, ops)``.
 
-    ``slots`` maps each first operator to its slot in an element's
-    first-operator list (slot 0 is the element), and ``ops[k - 1]`` is the
+    ``slots`` maps each first operator to its slot in a cell's
+    first-operator list (slot 0 is the cell), and ``ops[k - 1]`` is the
     operator of slot k, bound as ``(function, first index, second index or
     None)`` so that it is called with its arguments spelled out: a call
     through ``*args`` costs several times a direct call.
@@ -231,12 +217,10 @@ def _firsts(firsts, table, operators, n):
             for word in (lhs, rhs):
                 if word and word[0] not in slots:
                     slots[word[0]] = len(slots) + 1
-        got = firsts[n] = (rows, slots, [_bind(operators, op) for op in slots])
+        ops = [(operators[op[0]],) + op[1:] + (None,) * (3 - len(op))
+               for op in slots]
+        got = firsts[n] = (rows, slots, ops)
     return got
-
-
-def _bind(operators, op):
-    return (operators[op[0]],) + op[1:] + (None,) * (3 - len(op))
 
 
 def _plan(firsts, table, operators, n):
@@ -246,13 +230,12 @@ def _plan(firsts, table, operators, n):
     ``ops`` are dimension n's bound first operators.  ``faces`` and
     ``rises`` are the slots whose values have a list read: faces, with
     lists of dimension n - 1, and degeneracies or connections, with lists
-    of dimension n + 1.  ``rows`` index into the concatenation of the
-    first-operator list and those lists, faces first.  A side read this way
-    calls no operator; any other side calls its second operator.  When no
-    side calls one, ``left`` and ``right`` pick every row's two sides out
-    of the concatenation, so one tuple comparison checks them all (tuple
-    equality tests identity before ``==``, as the row loop does); else
-    both are None.
+    of dimension n + 1.  ``rows`` are ``(label, fields, lhs, rhs)`` with
+    ``lhs`` and ``rhs`` positions in the concatenation of the
+    first-operator list and those lists, faces first, and ``left`` and
+    ``right`` pick every row's two sides out of it.  A word longer than
+    two, or whose second operator is no first operator of the dimension
+    its first operator leads to, raises ``ValueError``.
     """
     rows, slots, ops = _firsts(firsts, table, operators, n)
     below = _firsts(firsts, table, operators, n - 1)[1] if n > 0 else {}
@@ -264,10 +247,14 @@ def _plan(firsts, table, operators, n):
             if len(word) > 2:
                 raise ValueError(f"operator word {word!r} is longer than two")
             if len(word) == 2:
-                links, near = ((faces, below) if word[0][0] == "d"
-                               else (rises, above))
+                links, near, m = ((faces, below, n - 1) if word[0][0] == "d"
+                                  else (rises, above, n + 1))
+                if word[1] not in near:
+                    raise ValueError(
+                        f"operator word {word!r}: {word[1]!r} is no first"
+                        f" operator of dimension {m}")
                 slot = slots[word[0]]
-                if word[1] in near and slot not in links:
+                if slot not in links:
                     links.append(slot)
     offset = {}
     at = len(ops) + 1
@@ -276,20 +263,15 @@ def _plan(firsts, table, operators, n):
             offset[slot] = at
             at += len(near) + 1
 
-    def side(word):
+    def position(word):
         if not word:
-            return 0, None, None, None
-        slot = slots[word[0]]
+            return 0
         if len(word) == 1:
-            return slot, None, None, None
+            return slots[word[0]]
         near = below if word[0][0] == "d" else above
-        if word[1] not in near:
-            return (slot,) + _bind(operators, word[1])
-        return offset[slot] + near[word[1]], None, None, None
+        return offset[slots[word[0]]] + near[word[1]]
 
-    rows = [(label, fields) + side(lhs) + side(rhs)
+    rows = [(label, fields, position(lhs), position(rhs))
             for label, fields, lhs, rhs in rows]
-    if any(row[3] is not None or row[7] is not None for row in rows):
-        return ops, faces, rises, rows, None, None
     return (ops, faces, rises, rows, itemgetter(*[row[2] for row in rows], 0),
-            itemgetter(*[row[6] for row in rows], 0))
+            itemgetter(*[row[3] for row in rows], 0))

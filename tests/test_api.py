@@ -42,6 +42,7 @@ MOVED = (
     "snf.smith_normal_form",
     "snf.SNFResult",
     "snf.identity_matrix",
+    "cobar.CobarSet.unit",
 )
 
 

@@ -6,6 +6,8 @@ from cobarlab.cobar import (CobarSet, compare_models, omega_complex,
 from cobarlab.cubes import cubical_chains
 from cobarlab.simplicial import fixture, nondeg, sphere, standard_simplex
 
+UNIT = ((), ())  # the empty word, the cobar construction's unit cube
+
 
 def test_requires_one_reduced():
     with pytest.raises(ValueError):
@@ -15,7 +17,7 @@ def test_requires_one_reduced():
 def test_unit_and_letter_dimensions():
     cset = CobarSet(sphere(2))
     sigma = nondeg("sigma", 2)
-    assert cset.dim(cset.unit()) == 0
+    assert cset.dim(UNIT) == 0
     assert cset.dim(word_to_cube((sigma,))) == 1
     assert cset.dim(word_to_cube((sigma, sigma))) == 2
 
@@ -66,7 +68,7 @@ def test_degenerate_letters_are_operator_images():
     assert base == (sigma,) and len(ops) == 1
     # bottom-degenerate letters over the base point disappear
     assert cset.canonicalize([s2.degeneracy(s2.face(sigma, 0), 0)]) \
-        == cset.degen(cset.unit(), 1)
+        == cset.degen(UNIT, 1)
 
 
 def test_multiplication_shifts_operators():
@@ -77,8 +79,8 @@ def test_multiplication_shifts_operators():
     prod = cset.mul(c1, c2)
     assert prod[0] == (tau, tau)
     assert cset.dim(prod) == 5
-    assert cset.mul(cset.unit(), c2) == c2
-    assert cset.mul(c2, cset.unit()) == c2
+    assert cset.mul(UNIT, c2) == c2
+    assert cset.mul(c2, UNIT) == c2
 
 
 def test_word_cube_roundtrip():

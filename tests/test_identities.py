@@ -4,6 +4,7 @@ the checker, which reads values from its tables, gives the same verdict as a
 reference checker that calls every operator."""
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -15,7 +16,7 @@ from cobarlab.loopgroup import LoopGroup
 from cobarlab.simpcube import SimplicialCube
 from cobarlab.simplicial import (Simplex, fixture, nondeg,
                                  simplicial_identities)
-from cobarlab.verdict import Verdict, check_identities
+from cobarlab.verdict import Verdict, _plan, check_identities
 from cobarlab.verify import SIMPLICIAL_FIXTURES
 
 
@@ -115,16 +116,16 @@ def test_cubical_family_fires(label):
 
 def check_group_identities(group: LoopGroup, elements) -> Verdict:
     """Simplicial identities and multiplicativity of the structure maps on
-    the given elements (and their pairwise products in equal dimensions)."""
-    verdict = check_identities(((a.n, a) for a in elements),
-                               {"d": group.face, "s": group.degeneracy},
-                               simplicial_identities,
-                               max((a.n for a in elements), default=0))
-    if not verdict.ok:
-        return verdict
+    the given elements, grouped by dimension (and their pairwise products
+    in equal dimensions)."""
     by_dim = {}
     for a in elements:
         by_dim.setdefault(a.n, []).append(a)
+    verdict = check_identities(lambda n: by_dim.get(n, []),
+                               {"d": group.face, "s": group.degeneracy},
+                               simplicial_identities, max(by_dim, default=0))
+    if not verdict.ok:
+        return verdict
     for n, items in by_dim.items():
         for a in items:
             for b in items:
@@ -177,30 +178,31 @@ def test_loop_group_family_fires(label):
 # ----- the reference checker -----------------------------------------------------------
 
 
-def reference_check(elements, operators, table, key="x", values=True):
+def reference_check(cells, operators, table, top, key="x", values=True):
     """``check_identities`` as a plain loop nest: every operator of both
-    sides of every row is called on every element, and no value is read
-    from a table."""
-    for n, x in elements:
-        for label, fields, lhs, rhs in table(n):
-            sides = []
-            for word in (lhs, rhs):
-                value = x
-                for letter, *args in word:
-                    value = operators[letter](value, *args)
-                sides.append(value)
-            if sides[0] != sides[1]:
-                witness = {"identity": label, key: x, **fields}
-                if values:
-                    witness["lhs"], witness["rhs"] = sides
-                return Verdict.failed(witness)
+    sides of every row is called on every cell, and no value is read from
+    a table."""
+    for n in range(top + 1):
+        for x in cells(n):
+            for label, fields, lhs, rhs in table(n):
+                sides = []
+                for word in (lhs, rhs):
+                    value = x
+                    for letter, *args in word:
+                        value = operators[letter](value, *args)
+                    sides.append(value)
+                if sides[0] != sides[1]:
+                    witness = {"identity": label, key: x, **fields}
+                    if values:
+                        witness["lhs"], witness["rhs"] = sides
+                    return Verdict.failed(witness)
     return Verdict.passed()
 
 
 def reference_simplicial(sset, max_dim):
-    return reference_check(
-        ((n, x) for n in range(max_dim + 1) for x in sset.simplices(n)),
-        {"d": sset.face, "s": sset.degeneracy}, simplicial_identities)
+    return reference_check(sset.simplices,
+                           {"d": sset.face, "s": sset.degeneracy},
+                           simplicial_identities, max_dim)
 
 
 def cube_operators(cset):
@@ -208,9 +210,9 @@ def cube_operators(cset):
 
 
 def reference_cubical(cset, max_dim):
-    return reference_check(
-        ((n, y) for n in range(max_dim + 1) for y in cset.cubes(n)),
-        cube_operators(cset), cubical_identities, key="y", values=False)
+    return reference_check(cset.cubes, cube_operators(cset),
+                           cubical_identities, max_dim, key="y",
+                           values=False)
 
 
 @pytest.mark.parametrize("max_dim", [3, 4])
@@ -236,14 +238,16 @@ def test_loop_group_witness_matches_reference(label):
     group, elements = _group_case(label)
     fast = check_group_identities(group, elements)
     group, elements = _group_case(label)
-    slow = reference_check(((a.n, a) for a in elements),
-                           {"d": group.face, "s": group.degeneracy},
-                           simplicial_identities)
+    top = max(a.n for a in elements)
+    slow = reference_check(
+        lambda n: [a for a in elements if a.n == n],
+        {"d": group.face, "s": group.degeneracy}, simplicial_identities, top)
     assert not fast.ok
     assert repr(fast) == repr(slow)
 
 
 def test_loop_group_checks_elements_in_any_order():
+    # the elements are grouped by dimension, each group in the given order
     group = LoopGroup(fixture("D4sk1"))
     words = [group.tau(x) for n in (2, 3, 4)
              for x in group.sset.nondegenerate(n)]
@@ -277,22 +281,22 @@ def test_cobar_set_operator_call_count():
 # ----- the read paths of degeneracy and connection words -----------------------------
 
 
-def watched(cube, name, cell, args, top):
-    """The checker's elements for ``cube.validate(top)``, and a list that
-    records the element being checked whenever ``cube``'s operator ``name``
-    is called on ``cell`` with ``args``."""
+def watched(cube, name, cell, args):
+    """The checker's cells for ``cube.validate``, the list of the cells it
+    has begun to check, and a list that records the cell being checked
+    whenever ``cube``'s operator ``name`` is called on ``cell`` with
+    ``args``."""
     checking = []
     calls = []
     patched(cube, name, lambda op, y, *a: (
         calls.append(checking[-1]) if y == cell and a == args else None)
         or op(y, *a))
 
-    def elements():
-        for n in range(top + 1):
-            for y in cube.cubes(n):
-                checking.append(y)
-                yield n, y
-    return elements(), checking, calls
+    def cells(n):
+        for y in cube.cubes(n):
+            checking.append(y)
+            yield y
+    return cells, checking, calls
 
 
 def rising_corruption(n):
@@ -319,8 +323,8 @@ def test_read_from_next_dimension_below_top_matches_reference(top):
     # g_2 of s_1 id from that 2-cube's list, made while the 1-cube is
     # checked, before the 2-cube's own rows run
     cube, degenerate = rising_corruption(1)
-    elements, checking, calls = watched(cube, "conn", degenerate, (2,), top)
-    fast = check_identities(elements, cube_operators(cube),
+    cells, checking, calls = watched(cube, "conn", degenerate, (2,))
+    fast = check_identities(cells, cube_operators(cube),
                             cubical_identities, top, key="y", values=False)
     identity = CubeMorphism.identity(1)
     assert fast == Verdict.failed({"identity": "gs", "y": identity,
@@ -334,8 +338,8 @@ def test_read_through_top_window_matches_reference():
     # that element's window list holds it; the next element y, with
     # s_1 y = g_2 x, reads it from there in the row s_1 s_2 = s_3 s_1
     cube, folded = window_corruption(1)
-    elements, checking, calls = watched(cube, "degen", folded, (3,), 2)
-    fast = check_identities(elements, cube_operators(cube),
+    cells, checking, calls = watched(cube, "degen", folded, (3,))
+    fast = check_identities(cells, cube_operators(cube),
                             cubical_identities, 2, key="y", values=False)
     assert not fast.ok and fast.witness["identity"] == "ss"
     y = fast.witness["y"]
@@ -351,25 +355,32 @@ SQUARE_CORRUPTIONS = {
 }
 
 
-def square_elements(cube, order):
-    elements = [(n, y) for n in range(4) for y in cube.cubes(n)]
+def square_cells(cube, order):
+    """The cells of the square through dimension 3, shuffled within each
+    dimension by the seed ``order``, or, for ``"gap"``, in order with none
+    of dimension 2."""
+    cells = [list(cube.cubes(n)) for n in range(4)]
     if order == "gap":
-        return [(n, y) for n, y in elements if n != 2]
-    random.Random(order).shuffle(elements)
-    return elements
+        cells[2] = []
+    else:
+        shuffle = random.Random(order).shuffle
+        for items in cells:
+            shuffle(items)
+    return cells.__getitem__
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, "gap"])
 @pytest.mark.parametrize("label", sorted(SQUARE_CORRUPTIONS))
 def test_unordered_elements_match_reference(label, order):
-    # stores reset whenever a dimension is skipped or repeated
+    # the stores hold whatever cells of a dimension come first, and an
+    # empty dimension still hands its lists on to the next
     cube = SQUARE_CORRUPTIONS[label]()
-    fast = check_identities(square_elements(cube, order),
+    fast = check_identities(square_cells(cube, order),
                             cube_operators(cube), cubical_identities, 3,
                             key="y", values=False)
     cube = SQUARE_CORRUPTIONS[label]()
-    slow = reference_check(square_elements(cube, order),
-                           cube_operators(cube), cubical_identities,
+    slow = reference_check(square_cells(cube, order),
+                           cube_operators(cube), cubical_identities, 3,
                            key="y", values=False)
     assert not fast.ok
     assert repr(fast) == repr(slow)
@@ -454,3 +465,31 @@ def test_loop_group_operators_move_dimension_by_letter():
     assert dims_follow_letters(group.dim, {"d": group.face,
                                            "s": group.degeneracy},
                                simplicial_identities, elements)
+
+
+def test_a_second_operator_outside_the_next_table_is_refused():
+    # s_5 is no first operator of dimension 1, whose table is empty, so
+    # the word's value could only come from calling it
+    word = (("s", 0), ("s", 5))
+
+    def table(n):
+        return [("ss", {}, word, (("s", 0),))] if n == 0 else []
+
+    def degeneracy(x, i):
+        raise AssertionError("no operator is called on a refused table")
+
+    with pytest.raises(ValueError, match=re.escape(repr(word))):
+        _plan({}, table, {"s": degeneracy}, 0)
+    with pytest.raises(ValueError, match=re.escape(repr(word))):
+        check_identities(lambda n: [S0_VERTEX], {"s": degeneracy}, table, 0)
+
+
+@pytest.mark.parametrize("table, letters", [
+    (simplicial_identities, "ds"), (cubical_identities, "dsg")])
+def test_shipped_tables_read_every_second_operator_from_a_list(table,
+                                                               letters):
+    operators = dict.fromkeys(letters)
+    firsts = {}
+    for n in range(9):
+        rows = _plan(firsts, table, operators, n)[3]
+        assert len(rows) == len(table(n))

@@ -479,6 +479,22 @@ def test_word_map_target_is_a_complex_of_its_own(name, rank):
     assert (h1.betti, tuple(h1.torsion)) == (rank, ())
 
 
+def test_word_map_computes_each_group_face_once(monkeypatch):
+    # the closure walk keeps the faces of every word it visits, and the
+    # group chains read them there
+    calls = Counter()
+    real_face = LoopGroup.face
+
+    def counted(group, a, i):
+        calls[a, i] += 1
+        return real_face(group, a, i)
+
+    monkeypatch.setattr(LoopGroup, "face", counted)
+    target = word_map(SzProvider(LoopGroup(FIXTURES["D4sk1"])), 2).target
+    assert sum(calls.values()) == 835 and set(calls.values()) == {1}
+    assert [len(target.basis[d]) for d in range(3)] == [1, 110, 205]
+
+
 def test_word_map_files_each_group_word_by_its_dimension(monkeypatch):
     # a degree-2 word whose value is a degree-1 word's lands in dimension
     # 1 of the group chains, and the degree check names it
@@ -502,21 +518,22 @@ def test_group_chain_filter_drops_degenerate_faces(m, monkeypatch):
     sset = collapsed_simplex(m, 2)
     assert sset.validate_presentation(4).ok and sset.one_reduced
     assert check_chain_map(word_map(SzProvider(LoopGroup(sset)), 2)).ok
+    group = LoopGroup(sset)
 
-    def unfiltered(group, basis):
+    def unfiltered(face, basis):
         # the degenerate faces of the basis words join the basis, so that
         # the group boundary keeps them
         with_faces = {n: dict(words) for n, words in basis.items()}
         for n, words in basis.items():
             for g in words:
                 for i in range(n + 1 if n else 0):
-                    face = group.face(g, i)
-                    if group.is_degenerate(face):
-                        with_faces.setdefault(n - 1, {})[face] = None
-        return normalized_chains(group, with_faces)
+                    d = face(g, i)
+                    if group.is_degenerate(d):
+                        with_faces.setdefault(n - 1, {})[d] = None
+        return normalized_chains(face, with_faces)
 
     monkeypatch.setattr(szczarba, "normalized_chains", unfiltered)
-    verdict = check_chain_map(word_map(SzProvider(LoopGroup(sset)), 2))
+    verdict = check_chain_map(word_map(SzProvider(group), 2))
     assert not verdict.ok
     assert verdict.witness["check"] == "chain_map"
     assert verdict.witness["label"] == ((nondeg("0123", 3),), ())
@@ -535,6 +552,23 @@ def test_glued_map(name, providers):
 def test_main_comparison(name, providers):
     prov = providers[name]
     assert main_theorem_check(CobarToGroupMap(prov), word_map(prov, 2)).ok
+
+
+def test_multiplicative_check_builds_one_reader_per_cube_and_product(
+        monkeypatch):
+    # D4sk1 has 148 cubes of degree <= 2 and 416 pairs of them whose degrees
+    # sum to <= 2: one reader each, none per pair of top simplices
+    f = CobarToGroupMap(SzProvider(LoopGroup(FIXTURES["D4sk1"])))
+    calls = Counter()
+    real_pieces = CobarToGroupMap.pieces
+
+    def counted(self, cube):
+        calls[cube] += 1
+        return real_pieces(self, cube)
+
+    monkeypatch.setattr(CobarToGroupMap, "pieces", counted)
+    assert check_f_multiplicative(f, 2).ok
+    assert sum(calls.values()) == 564
 
 
 def test_glued_map_checks_fail_with_the_gluing_witness():
