@@ -63,6 +63,40 @@ def _compose_op(op, ops):
     return (op,) + ops
 
 
+def _push_plan(ops, eps, i):
+    """The face (eps, i) of a cube (base, ops) pushed through ops by the
+    cubical identities, as ``(outer, at)``.  Either an operator of ops
+    cancels the face, ``at`` is None and the face is (base, outer), or the
+    face reaches the base as its face ``at = (eps', i')``, and the face is
+    that face of (base, ()) with the operators ``outer`` composed onto it,
+    innermost first (for ops = (), ``((), (eps, i))``).  The plan depends
+    on ops, eps and i alone, not on the base."""
+    outer = []
+    while ops:
+        (kind, j), ops = ops[0], ops[1:]
+        if kind == "s":
+            if i == j:
+                break
+            if i < j:
+                op = ("s", j - 1)
+            else:
+                op, i = ("s", j), i - 1
+        elif i < j:
+            op = ("g", j - 1)
+        elif i in (j, j + 1):
+            if eps == 1:
+                break
+            op, eps, i = ("s", j), 0, j
+        else:
+            op, i = ("g", j), i - 1
+        outer.append(op)
+    else:
+        return tuple(reversed(outer)), (eps, i)
+    for op in reversed(outer):
+        ops = _compose_op(op, ops)
+    return ops, None
+
+
 def _concat(base1, ops1, shift, base2, ops2):
     """Product of canonical cubes, ``shift`` being the cube dimension of
     ``base1``: the right operators move past the left base and the left
@@ -101,19 +135,25 @@ class CobarSet(CubicalSet):
     """Cubical monoid of simplex words over a 1-reduced presentation.
 
     The public ``face``, ``degen`` and ``conn`` refuse an index or a face
-    direction out of range; :meth:`validate` calls their cores, which skip
-    that check, since every index of a row of the cubical identities is in
-    range.
+    direction out of range; :meth:`validate` calls the operators that
+    :meth:`_bind` hands out, which skip that check, as the cores do, since
+    every index of a row of the cubical identities is in range.
 
     The set stores the faces of normalized cubes that faces of cubes with
     operators reduce to, keyed by (base, eps, i), each computed on its
     first use; the store is freed with the set.  The face core that
-    :meth:`_operators` hands out reads and fills the same store for a
-    direct face of a normalized cube, so the faces that the identity
-    checker, a triangulation's cube sides and ``build_f`` ask for stay in
-    the store as long as the set lives.  The public ``face`` computes such
-    a face without it, since the chain builder asks each one once and
-    keeps it with the complex.
+    :meth:`_operators` hands out, and the faces that :meth:`_bind` hands
+    the identity checker, read and fill the same store for a direct face
+    of a normalized cube, so the faces that the checker, a triangulation's
+    cube sides and ``build_f`` ask for stay in the store as long as the
+    set lives.  The public ``face`` computes such a face without it, since
+    the chain builder asks each one once and keeps it with the complex.
+
+    Each operator that :meth:`_bind` hands the checker keeps its own table
+    from operator words to their composites with it (a degeneracy or
+    connection) or to their face push plans (a face), filled on a miss;
+    the table lives as long as the bound operator, until ``validate``
+    returns.
     """
 
     def __init__(self, sset: SimplicialPresentation):
@@ -156,14 +196,48 @@ class CobarSet(CubicalSet):
                 "g": self._conn_core}
 
     def _face_core(self, cube, eps, i):
-        base, ops = cube
-        if ops:
-            return self._face(base, ops, eps, i)
-        key = (base, eps, i)
+        return self._pushed(cube[0], _push_plan(cube[1], eps, i))
+
+    def _pushed(self, base, plan):
+        """The face of (base, ops) that ``plan = _push_plan(ops, eps, i)``
+        describes; a face of (base, ()) that it reaches is read from the
+        set's store."""
+        outer, at = plan
+        if at is None:
+            return (base, outer)
+        key = (base,) + at
         face = self._base_faces.get(key)
         if face is None:
-            face = self._base_faces[key] = self._face(base, (), eps, i)
-        return face
+            face = self._base_faces[key] = self._face(base, (), *at)
+        ops = face[1]
+        for op in outer:
+            ops = _compose_op(op, ops)
+        return (face[0], ops)
+
+    def _bind(self, n, op):
+        """The operator ``op`` of n-cubes as a function of one cube, for
+        :meth:`validate`; only the faces of normalized cubes that it reads
+        from the set's store depend on X."""
+        table = {}
+        get = table.get
+        if op[0] != "d":
+            def bound(cube):
+                base, ops = cube
+                composite = get(ops)
+                if composite is None:
+                    composite = table[ops] = _compose_op(op, ops)
+                return (base, composite)
+            return bound
+        _, eps, i = op
+        pushed = self._pushed
+
+        def bound(cube):
+            base, ops = cube
+            plan = get(ops)
+            if plan is None:
+                plan = table[ops] = _push_plan(ops, eps, i)
+            return pushed(base, plan)
+        return bound
 
     def _degen_core(self, cube, i):
         base, ops = cube
@@ -177,30 +251,7 @@ class CobarSet(CubicalSet):
         """Face of an in-range coordinate; the cubical identities keep every
         index they produce in range."""
         if ops:
-            (kind, j), inner = ops[0], ops[1:]
-            if kind == "s":
-                if i == j:
-                    return (base, inner)
-                if i < j:
-                    op = ("s", j - 1)
-                else:
-                    op, i = ("s", j), i - 1
-            elif i < j:
-                op = ("g", j - 1)
-            elif i in (j, j + 1):
-                if eps == 1:
-                    return (base, inner)
-                op, eps, i = ("s", j), 0, j
-            else:
-                op, i = ("g", j), i - 1
-            if inner:
-                face = self._face(base, inner, eps, i)
-            else:
-                key = (base, eps, i)
-                face = self._base_faces.get(key)
-                if face is None:
-                    face = self._base_faces[key] = self._face(base, (), eps, i)
-            return (face[0], _compose_op(op, face[1]))
+            return self._pushed(base, _push_plan(ops, eps, i))
         t, local = self._locate(base, i)
         x = base[t]
         if eps == 1:

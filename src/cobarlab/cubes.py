@@ -242,18 +242,30 @@ class CubicalSet:
     def validate(self, max_dim: int) -> Verdict:
         """Exhaustive cubical identities (with connections) up to max_dim.
 
-        The checker calls the operators that :meth:`_operators` hands out;
-        it asks only for indices of the rows of :func:`cubical_identities`,
+        The checker calls the operators that :meth:`_bind` hands out; it
+        asks only for indices of the rows of :func:`cubical_identities`,
         which are in range by construction.
         """
-        return check_identities(
-            self.cubes, self._operators(), cubical_identities, max_dim,
-            key="y", values=False)
+        return check_identities(self.cubes, self._bind, cubical_identities,
+                                max_dim, key="y", values=False)
+
+    def _bind(self, n: int, op: tuple):
+        """The operator ``op`` (``("d", eps, i)``, ``("s", i)`` or
+        ``("g", i)``) of n-cubes as a function of one cube, for
+        :func:`check_identities`: the one :meth:`_operators` hands out,
+        with its indices bound."""
+        operator = self._operators()[op[0]]
+        if op[0] == "d":
+            _, eps, i = op
+            return lambda y: operator(y, eps, i)
+        i = op[1]
+        return lambda y: operator(y, i)
 
     def _operators(self) -> dict:
         """The face, degeneracy and connection that callers whose indices
         are in range by construction call, by letter: the identity
-        checker, the sides of a triangulation and the glued-map check.
+        checker (through the default :meth:`_bind`), the sides of a
+        triangulation and the glued-map check.
         These are the public ones, unless a subclass has cheaper ones that
         trust their indices to be in range (a subclass's may also keep
         what they compute on the set, as ``CobarSet``'s face core does)."""
@@ -336,6 +348,10 @@ class StandardCube(CubicalSet):
     index): every possible entry of y (0, 1, or a block of coordinates)
     mapped to the entry it becomes.  The tables are built once per process
     with the composition rule and cached as the generators are.
+
+    For the identity checker, :meth:`_bind` resolves an operator's entry
+    table and its target dimension's store once; the function it returns
+    keeps both until ``validate`` returns.
     """
 
     def __init__(self, n: int):
@@ -366,6 +382,27 @@ class StandardCube(CubicalSet):
         k = y.source + 1
         outs = tuple(map(_gamma_entries(k, i).__getitem__, y.outputs))
         return self._cells[k][outs]
+
+    def _bind(self, n, op):
+        """The operator ``op`` of n-cubes as a function of one cube: the
+        rule of ``face``, ``degen`` and ``conn``, which resolve the entry
+        table and the store on every call.  The store is subscripted only
+        on a miss of ``get``."""
+        letter = op[0]
+        if letter == "d":
+            entries, k = _delta_entries(n, *op[1:]), n - 1
+        elif letter == "s":
+            entries, k = _sigma_entries(n + 1, op[1]), n + 1
+        else:
+            entries, k = _gamma_entries(n + 1, op[1]), n + 1
+        entry = entries.__getitem__
+        cells = self._cells[k]
+        find = cells.get
+
+        def bound(y):
+            outs = tuple(map(entry, y.outputs))
+            return find(outs) or cells[outs]
+        return bound
 
 
 class ProductCubicalSet(CubicalSet):

@@ -147,6 +147,11 @@ class SimplicialCube(SimplicialSet):
     ``ks``, and ``face`` and ``degeneracy`` return the stored simplex: each
     distinct simplex is built, through the checked constructor with this
     cube's n, once per complex, and the store is freed with the complex.
+
+    For the identity checker, :meth:`_bind` resolves an operator's
+    part-index table (its bracket rule applied once to the identity
+    bracket) and its target dimension's store once; the function it
+    returns keeps both until ``validate`` returns.
     """
 
     def __init__(self, n: int):
@@ -174,6 +179,26 @@ class SimplicialCube(SimplicialSet):
 
     def degeneracy(self, u, i):
         return self._cells[u.dim + 1][_degeneracy_bracket(u, i)]
+
+    def _bind(self, n, op):
+        """The face or degeneracy ``op`` of n-simplices as a function of one
+        simplex.  Coordinate k + 1 of the identity bracket lies in part k,
+        so entry k of its face or degeneracy bracket is the part that part
+        k becomes.  The store is subscripted only on a miss of ``get``."""
+        letter, j = op
+        identity = PartitionSimplex(n + 2, range(n + 2), n)
+        if letter == "d":
+            part, m = _face_bracket(identity, j), n - 1
+        else:
+            part, m = _degeneracy_bracket(identity, j), n + 1
+        part = part.__getitem__
+        cells = self._cells[m]
+        find = cells.get
+
+        def bound(u):
+            ks = tuple(map(part, u.ks))
+            return find(ks) or cells[ks]
+        return bound
 
     def is_degenerate(self, u) -> bool:
         return u.is_degenerate

@@ -158,9 +158,16 @@ class SimplicialSet:
 
     def validate(self, max_dim: int) -> Verdict:
         """Exhaustive simplicial identities on all simplices up to max_dim."""
-        return check_identities(
-            self.simplices, {"d": self.face, "s": self.degeneracy},
-            simplicial_identities, max_dim)
+        return check_identities(self.simplices, self._bind,
+                                simplicial_identities, max_dim)
+
+    def _bind(self, n: int, op: tuple):
+        """The face ``("d", i)`` or degeneracy ``("s", i)`` of n-simplices
+        as a function of one simplex, for :func:`check_identities`: the
+        public operator with its index bound."""
+        letter, i = op
+        operator = self.face if letter == "d" else self.degeneracy
+        return lambda x: operator(x, i)
 
 
 def simplicial_identities(n: int) -> list:

@@ -98,22 +98,26 @@ class Verdict(NamedTuple):
         return Verdict(False, witness)
 
 
-def check_identities(cells, operators, table, top, key="x", values=True):
+def check_identities(cells, bind, table, top, key="x", values=True):
     """Check every identity of ``table`` on every cell, dimension by
     dimension, and return the first failure.
 
     ``cells(n)`` lists the cells of dimension n, for n = 0..``top``, in the
-    order they are checked.  ``operators`` maps an operator letter to its
-    function, called as ``op(x, *args)`` with one or two index arguments.
-    The letter ``d`` names a face, which lowers the dimension by one; every
-    other letter (a degeneracy ``s``, a connection ``g``) raises it by one.
-    The checker relies on this rule.  ``table(n)`` lists the identities on
-    an n-dimensional cell as rows ``(label, fields, lhs, rhs)``: ``fields``
-    are the witness's index fields, and ``lhs`` and ``rhs`` are operator
-    words of at most two operators, innermost first, each a tuple
-    ``(letter, *args)``; the empty word is the cell itself.  A witness
-    names the identity, the cell under ``key`` and the fields, and carries
-    both sides when ``values`` is set.
+    order they are checked.  ``bind(n, op)`` returns the operator ``op``
+    on the cells of dimension n as a function of one cell; ``op`` is a
+    tuple ``(letter, *args)`` with one or two index arguments.  The
+    checker calls ``bind`` once per dimension and first operator, before
+    it applies the result to any cell, and keeps what it returns only
+    until it returns, so a bound operator may resolve its tables once and
+    keep them for that long.  The letter ``d`` names a face, which lowers
+    the dimension by one; every other letter (a degeneracy ``s``, a
+    connection ``g``) raises it by one.  The checker relies on this rule.
+    ``table(n)`` lists the identities on an n-dimensional cell as rows
+    ``(label, fields, lhs, rhs)``: ``fields`` are the witness's index
+    fields, and ``lhs`` and ``rhs`` are operator words of at most two
+    operators, innermost first; the empty word is the cell itself.  A
+    witness names the identity, the cell under ``key`` and the fields, and
+    carries both sides when ``values`` is set.
 
     Each dimension's table is compiled once, to a list of the distinct
     first operators of its words and to rows that index into it, so each
@@ -143,8 +147,7 @@ def check_identities(cells, operators, table, top, key="x", values=True):
     firsts = {}
     prev, cur, nxt = {}, {}, {}
     for n in range(top + 1):
-        ops, faces, rises, rows, left, right = _plan(firsts, table,
-                                                     operators, n)
+        ops, faces, rises, rows, left, right = _plan(firsts, table, bind, n)
         lower = firsts[n - 1][2] if faces else ()
         upper = firsts[n + 1][2] if rises else ()
         window = n == top
@@ -157,8 +160,7 @@ def check_identities(cells, operators, table, top, key="x", values=True):
                 first = cur.get(x)
             if first is None:
                 first = [x]
-                first += [op(x, a) if b is None else op(x, a, b)
-                          for op, a, b in ops]
+                first += [op(x) for op in ops]
                 if not window:
                     cur[x] = first
             else:
@@ -168,9 +170,7 @@ def check_identities(cells, operators, table, top, key="x", values=True):
                 stored = prev.get(first[k])
                 if stored is None:
                     face = first[k]
-                    stored = prev[face] = [face] + [
-                        op(face, a) if b is None else op(face, a, b)
-                        for op, a, b in lower]
+                    stored = prev[face] = [face] + [op(face) for op in lower]
                 # keep the stored value, so that the lists hold one object
                 # per distinct value
                 first[k] = stored[0]
@@ -179,9 +179,7 @@ def check_identities(cells, operators, table, top, key="x", values=True):
                 y = first[k]
                 stored = nxt.get(y) or older.get(y)
                 if stored is None:
-                    stored = nxt[y] = [y] + [
-                        op(y, a) if b is None else op(y, a, b)
-                        for op, a, b in upper]
+                    stored = nxt[y] = [y] + [op(y) for op in upper]
                 first[k] = stored[0]
                 lists.append(stored)
             vals = list(chain(first, *lists))
@@ -199,15 +197,13 @@ def check_identities(cells, operators, table, top, key="x", values=True):
     return Verdict.passed()
 
 
-def _firsts(firsts, table, operators, n):
+def _firsts(firsts, table, bind, n):
     """Dimension n's table and its distinct first operators, kept in
     ``firsts[n]`` as ``(rows, slots, ops)``.
 
     ``slots`` maps each first operator to its slot in a cell's
     first-operator list (slot 0 is the cell), and ``ops[k - 1]`` is the
-    operator of slot k, bound as ``(function, first index, second index or
-    None)`` so that it is called with its arguments spelled out: a call
-    through ``*args`` costs several times a direct call.
+    operator of slot k, bound by ``bind(n, op)`` to a function of one cell.
     """
     got = firsts.get(n)
     if got is None:
@@ -217,13 +213,12 @@ def _firsts(firsts, table, operators, n):
             for word in (lhs, rhs):
                 if word and word[0] not in slots:
                     slots[word[0]] = len(slots) + 1
-        ops = [(operators[op[0]],) + op[1:] + (None,) * (3 - len(op))
-               for op in slots]
+        ops = [bind(n, op) for op in slots]
         got = firsts[n] = (rows, slots, ops)
     return got
 
 
-def _plan(firsts, table, operators, n):
+def _plan(firsts, table, bind, n):
     """Compile dimension n's table: ``(ops, faces, rises, rows, left,
     right)``.
 
@@ -237,9 +232,9 @@ def _plan(firsts, table, operators, n):
     two, or whose second operator is no first operator of the dimension
     its first operator leads to, raises ``ValueError``.
     """
-    rows, slots, ops = _firsts(firsts, table, operators, n)
-    below = _firsts(firsts, table, operators, n - 1)[1] if n > 0 else {}
-    above = _firsts(firsts, table, operators, n + 1)[1]
+    rows, slots, ops = _firsts(firsts, table, bind, n)
+    below = _firsts(firsts, table, bind, n - 1)[1] if n > 0 else {}
+    above = _firsts(firsts, table, bind, n + 1)[1]
     faces = []
     rises = []
     for _, _, lhs, rhs in rows:

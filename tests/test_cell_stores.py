@@ -36,8 +36,9 @@ def stored(cset):
 
 
 def counting(cset, names):
-    """cset whose operators ``names`` count their calls and record their
-    results; returns (cset, calls, results)."""
+    """cset whose operators ``names``, and the operators its ``_bind`` hands
+    the identity checker, count their calls and record their results;
+    returns (cset, calls, results)."""
     calls = Counter()
     results = set()
 
@@ -51,6 +52,8 @@ def counting(cset, names):
 
     for name in names:
         setattr(cset, name, wrap(name, getattr(cset, name)))
+    bind = cset._bind
+    cset._bind = lambda n, op: wrap(op[0], bind(n, op))
     return cset, calls, results
 
 
@@ -185,13 +188,32 @@ OWNERS = {
 }
 
 
+# the owners whose exercise runs the identity checker on them
+VALIDATED = ("SimplicialPresentation", "StandardCube", "SimplicialCube",
+             "CobarSet", "TriangulatedCubicalSet")
+
+
 @pytest.mark.parametrize("owner", OWNERS)
-def test_stores_die_by_reference_counting(owner, no_collector):
+def test_stores_die_by_reference_counting(owner, no_collector, monkeypatch):
     # a store whose build refers to its owner would make a cycle, which
-    # only the collector frees
+    # only the collector frees; so would a bound operator that the owner
+    # kept, and the tables of each bound operator die when the checker
+    # returns
     build, exercise = OWNERS[owner]
     x = build()
+    bound = []
+    bind = getattr(type(x), "_bind", None)
+
+    def watched(self, n, op):
+        operator = bind(self, n, op)
+        bound.append(weakref.ref(operator))
+        return operator
+
+    if bind is not None:
+        monkeypatch.setattr(type(x), "_bind", watched)
     assert exercise(x)
+    assert bool(bound) == (owner in VALIDATED)
+    assert all(ref() is None for ref in bound)
     ref = weakref.ref(x)
     del x
     assert ref() is None

@@ -204,6 +204,54 @@ def test_stored_faces_match_a_fresh_set(name):
     assert faces == {"S2": 436, "D4sk1": 180_252}[name]
 
 
+def reference_push(cset, base, ops, eps, i):
+    """The face (eps, i) of (base, ops) pushed through ops one operator at a
+    time, outermost first, by the cubical identities (the recursive body
+    that ``cobar._push_plan`` replaced); the push ends at an operator that
+    cancels the face or at the public face of (base, ())."""
+    if not ops:
+        return cset.face((base, ()), eps, i)
+    (kind, j), inner = ops[0], ops[1:]
+    if kind == "s":
+        if i == j:
+            return (base, inner)
+        if i < j:
+            op = ("s", j - 1)
+        else:
+            op, i = ("s", j), i - 1
+    elif i < j:
+        op = ("g", j - 1)
+    elif i in (j, j + 1):
+        if eps == 1:
+            return (base, inner)
+        op, eps, i = ("s", j), 0, j
+    else:
+        op, i = ("g", j), i - 1
+    face = reference_push(cset, base, inner, eps, i)
+    return (face[0], cobar._compose_op(op, face[1]))
+
+
+@pytest.mark.parametrize("name, top, count", [
+    # S2 has one base per dimension, so its cubes carry every canonical
+    # operator word through the top dimension; D4sk1's bases have faces
+    # that are degenerate or split
+    ("S2", 6, 5_994), ("D4sk1", 3, 3_702)])
+def test_push_plans_match_a_push_one_operator_at_a_time(name, top, count):
+    cset = CobarSet(fixture(name))
+    faces = 0
+    for n in range(top + 1):
+        for base, ops in cset.cubes(n):
+            if not ops:
+                continue
+            for i in range(1, n + 1):
+                for eps in (0, 1):
+                    plan = cobar._push_plan(ops, eps, i)
+                    assert cset._pushed(base, plan) == reference_push(
+                        cset, base, ops, eps, i)
+                    faces += 1
+    assert faces == count
+
+
 def test_validate_canonicalizes_each_base_face_once(monkeypatch):
     calls = 0
     canonicalize = CobarSet.canonicalize

@@ -171,11 +171,12 @@ def test_generators_are_cached():
 
 
 def test_validate_catches_broken_connection():
+    # the checker calls the operators that _bind hands out
     class BrokenCube(StandardCube):
-        def conn(self, y, i):
-            if y.source == 2 and i == 2:
-                return self.degen(y, i)
-            return super().conn(y, i)
+        def _bind(self, n, op):
+            if n == 2 and op == ("g", 2):
+                op = ("s", 2)
+            return super()._bind(n, op)
 
     verdict = BrokenCube(3).validate(3)
     assert not verdict.ok

@@ -20,11 +20,39 @@ from cobarlab.verdict import Verdict, _plan, check_identities
 from cobarlab.verify import SIMPLICIAL_FIXTURES
 
 
+LETTERS = {"face": "d", "degeneracy": "s", "degen": "s", "conn": "g"}
+
+
 def patched(obj, name, wrong):
-    """obj whose operator ``name`` answers ``wrong(original, x, *args)``."""
+    """obj whose operator ``name`` answers ``wrong(original, x, *args)``,
+    both as called and as its ``_bind`` hands it to the identity checker."""
     original = getattr(obj, name)
     setattr(obj, name, lambda x, *args: wrong(original, x, *args))
+    bind, letter = obj._bind, LETTERS[name]
+    obj._bind = lambda n, op: ((lambda x: wrong(original, x, *op[1:]))
+                               if op[0] == letter else bind(n, op))
     return obj
+
+
+def bind_of(operators):
+    """The ``bind`` of ``check_identities`` for an operator dict: the
+    operator of each letter, called with the word's indices."""
+    def bind(n, op):
+        operator, args = operators[op[0]], op[1:]
+        return lambda x: operator(x, *args)
+    return bind
+
+
+def counted_bind(structure, calls):
+    """structure whose ``_bind`` hands out operators that count their calls
+    in ``calls``, by letter."""
+    bind = structure._bind
+
+    def counted(n, op):
+        operator = bind(n, op)
+        return lambda x: calls.update(op[:1]) or operator(x)
+    structure._bind = counted
+    return structure
 
 
 def bad_face_table():
@@ -121,9 +149,10 @@ def check_group_identities(group: LoopGroup, elements) -> Verdict:
     by_dim = {}
     for a in elements:
         by_dim.setdefault(a.n, []).append(a)
-    verdict = check_identities(lambda n: by_dim.get(n, []),
-                               {"d": group.face, "s": group.degeneracy},
-                               simplicial_identities, max(by_dim, default=0))
+    verdict = check_identities(
+        lambda n: by_dim.get(n, []),
+        bind_of({"d": group.face, "s": group.degeneracy}),
+        simplicial_identities, max(by_dim, default=0))
     if not verdict.ok:
         return verdict
     for n, items in by_dim.items():
@@ -258,23 +287,16 @@ def test_loop_group_checks_elements_in_any_order():
 def test_standard_cube_operator_call_count():
     # the second operators of faces are read from the previous dimension's
     # lists, those of degeneracies and connections from the next one's
-    cube = StandardCube(3)
     calls = Counter()
-    for name in ("face", "degen", "conn"):
-        patched(cube, name, lambda op, y, *args, name=name:
-                calls.update([name]) or op(y, *args))
-    assert cube.validate(4).ok
+    assert counted_bind(StandardCube(3), calls).validate(4).ok
     assert sum(calls.values()) == 36_270
 
 
 def test_cobar_set_operator_call_count():
-    # the checker calls the cores, which skip the public range check
-    cobar = CobarSet(fixture("D4sk1"))
+    # the checker calls the bound operators, which skip the public range
+    # check
     calls = Counter()
-    for name in ("_face_core", "_degen_core", "_conn_core"):
-        patched(cobar, name, lambda op, y, *args, name=name:
-                calls.update([name]) or op(y, *args))
-    assert cobar.validate(3).ok
+    assert counted_bind(CobarSet(fixture("D4sk1")), calls).validate(3).ok
     assert sum(calls.values()) == 199_172
 
 
@@ -324,7 +346,7 @@ def test_read_from_next_dimension_below_top_matches_reference(top):
     # checked, before the 2-cube's own rows run
     cube, degenerate = rising_corruption(1)
     cells, checking, calls = watched(cube, "conn", degenerate, (2,))
-    fast = check_identities(cells, cube_operators(cube),
+    fast = check_identities(cells, bind_of(cube_operators(cube)),
                             cubical_identities, top, key="y", values=False)
     identity = CubeMorphism.identity(1)
     assert fast == Verdict.failed({"identity": "gs", "y": identity,
@@ -339,7 +361,7 @@ def test_read_through_top_window_matches_reference():
     # s_1 y = g_2 x, reads it from there in the row s_1 s_2 = s_3 s_1
     cube, folded = window_corruption(1)
     cells, checking, calls = watched(cube, "degen", folded, (3,))
-    fast = check_identities(cells, cube_operators(cube),
+    fast = check_identities(cells, bind_of(cube_operators(cube)),
                             cubical_identities, 2, key="y", values=False)
     assert not fast.ok and fast.witness["identity"] == "ss"
     y = fast.witness["y"]
@@ -376,8 +398,8 @@ def test_unordered_elements_match_reference(label, order):
     # empty dimension still hands its lists on to the next
     cube = SQUARE_CORRUPTIONS[label]()
     fast = check_identities(square_cells(cube, order),
-                            cube_operators(cube), cubical_identities, 3,
-                            key="y", values=False)
+                            bind_of(cube_operators(cube)), cubical_identities,
+                            3, key="y", values=False)
     cube = SQUARE_CORRUPTIONS[label]()
     slow = reference_check(square_cells(cube, order),
                            cube_operators(cube), cubical_identities, 3,
@@ -479,17 +501,77 @@ def test_a_second_operator_outside_the_next_table_is_refused():
         raise AssertionError("no operator is called on a refused table")
 
     with pytest.raises(ValueError, match=re.escape(repr(word))):
-        _plan({}, table, {"s": degeneracy}, 0)
+        _plan({}, table, bind_of({"s": degeneracy}), 0)
     with pytest.raises(ValueError, match=re.escape(repr(word))):
-        check_identities(lambda n: [S0_VERTEX], {"s": degeneracy}, table, 0)
+        check_identities(lambda n: [S0_VERTEX], bind_of({"s": degeneracy}),
+                         table, 0)
 
 
 @pytest.mark.parametrize("table, letters", [
     (simplicial_identities, "ds"), (cubical_identities, "dsg")])
 def test_shipped_tables_read_every_second_operator_from_a_list(table,
                                                                letters):
-    operators = dict.fromkeys(letters)
+    bind = bind_of(dict.fromkeys(letters))
     firsts = {}
     for n in range(9):
-        rows = _plan(firsts, table, operators, n)[3]
+        rows = _plan(firsts, table, bind, n)[3]
         assert len(rows) == len(table(n))
+
+
+# ----- the operators that structures bind for the checker -----------------------------
+
+
+def first_operators(table, n):
+    """The distinct first operators of the words of ``table(n)``."""
+    return list(dict.fromkeys(word[0] for row in table(n) for word in row[2:]
+                              if word))
+
+
+# (build, top dimension of the cells): the sets whose _bind resolves its
+# own tables
+BOUND = {
+    **{f"standard-cube-{n}": (lambda n=n: StandardCube(n), 5)
+       for n in range(5)},
+    **{f"simplicial-cube-{n}": (lambda n=n: SimplicialCube(n), n + 2)
+       for n in range(5)},
+    "cobar-S2": (lambda: CobarSet(fixture("S2")), 4),
+    "cobar-D4sk1": (lambda: CobarSet(fixture("D4sk1")), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUND))
+def test_bound_operators_equal_the_public_ones(name):
+    # every first operator of the shipped tables, on every cell of every
+    # dimension through the top; the store-backed cubes hand out the very
+    # cell their public operators return
+    build, top = BOUND[name]
+    structure = build()
+    if hasattr(structure, "simplices"):
+        table = simplicial_identities
+        cells = lambda n: list(structure.simplices(n))  # noqa: E731
+        public = {"d": structure.face, "s": structure.degeneracy}
+    else:
+        table, cells, public = (cubical_identities, structure.cubes,
+                                cube_operators(structure))
+    stored = not isinstance(structure, CobarSet)
+    checked = 0
+    for n in range(top + 1):
+        xs = cells(n)
+        for op in first_operators(table, n):
+            bound, operator, args = structure._bind(n, op), public[op[0]], op[1:]
+            for x in xs:
+                value, expected = bound(x), operator(x, *args)
+                assert value is expected if stored else value == expected
+                checked += 1
+    assert checked
+
+
+def test_checker_binds_each_first_operator_once_per_dimension():
+    cube = StandardCube(2)
+    binds = Counter()
+    bind = cube._bind
+    cube._bind = lambda n, op: binds.update([(n, op)]) or bind(n, op)
+    assert cube.validate(3).ok
+    assert set(binds.values()) == {1}
+    assert set(binds) == {(n, op) for n in range(5)
+                          for op in first_operators(cubical_identities, n)}

@@ -1,6 +1,8 @@
 import importlib.util
 import json
 import pickle
+import random
+import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -38,6 +40,21 @@ def test_suite_checks_are_the_benchmark_checks(name, suite_report):
     # answer, so adding, dropping or renaming a check fails here first
     names = [check.name for check in suite_report(name).checks]
     assert sorted(names) == sorted(EXPECTED_CHECKS[name])
+
+
+def test_benchmark_calls_run(monkeypatch):
+    # the harness reaches the library by name: a renamed entry point fails
+    # here, not in the benchmark; the loop-homology pass and the negative
+    # controls take about 0.1 s
+    workloads = _benchmark_workloads()
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    lib = workloads.load_library(Path(__file__).parent.parent)
+    outcomes = workloads.negative_controls(lib)
+    homology = workloads.WORKLOADS["loop-homology"]
+    outcomes += homology.run_pass(lib, homology.setup(lib),
+                                  random.Random(1))[0]
+    assert len(outcomes) == 14
+    assert all(outcome.ok for outcome in outcomes), outcomes
 
 
 def test_report_renderings_agree(suite_report):
