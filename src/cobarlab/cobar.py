@@ -20,13 +20,15 @@ degeneracies of each letter into operators (bottom ones become s_1, middle
 ones connections, top ones top degeneracies) and dropping letters over the
 base point.
 
-A face pushed through a non-empty operator word ends as a face of the
-normalized cube (base, ()), and many cubes share a base, so each cobar set
-keeps those base faces in a store that lives and dies with the set.  The
-identity checker reads direct faces of normalized cubes from the same
-store, whose keys they share.  The public ``face`` bypasses it for them:
-the chain builder asks each such face once and keeps it with the complex,
-where a store would only add hashing and memory.
+The operators are read two ways: the public ``face``, ``degen`` and
+``conn`` check their indices, and the bound ones that ``_bind`` hands out,
+for callers whose indices are in range by construction, do not.  A face
+pushed through a non-empty operator word ends as a face of the normalized
+cube (base, ()), and many cubes share a base, so each cobar set keeps
+those base faces in a store that lives and dies with the set.  A bound
+face reads direct faces of normalized cubes from the same store, whose
+keys they share; the public ``face`` bypasses it, since the chain builder
+asks each such face once and keeps it with the complex.
 
 Words multiply by concatenation, with the right factor's operators shifted
 past the left factor; the unit is the empty word.
@@ -134,26 +136,21 @@ def _op_words(d: int, r: int):
 class CobarSet(CubicalSet):
     """Cubical monoid of simplex words over a 1-reduced presentation.
 
-    The public ``face``, ``degen`` and ``conn`` refuse an index or a face
-    direction out of range; :meth:`validate` calls the operators that
-    :meth:`_bind` hands out, which skip that check, as the cores do, since
-    every index of a row of the cubical identities is in range.
+    Its operators are read two ways.  The public ``face``, ``degen`` and
+    ``conn`` refuse an index or a face direction out of range.  The bound
+    ones that :meth:`_bind` hands out skip that check, which sums the
+    letter dimensions of the base; they serve the identity checker, a
+    triangulation's cube sides and ``build_f``, whose indices are in range
+    by construction.
 
     The set stores the faces of normalized cubes that faces of cubes with
     operators reduce to, keyed by (base, eps, i), each computed on its
-    first use; the store is freed with the set.  The face core that
-    :meth:`_operators` hands out, and the faces that :meth:`_bind` hands
-    the identity checker, read and fill the same store for a direct face
-    of a normalized cube, so the faces that the checker, a triangulation's
-    cube sides and ``build_f`` ask for stay in the store as long as the
-    set lives.  The public ``face`` computes such a face without it, since
-    the chain builder asks each one once and keeps it with the complex.
-
-    Each operator that :meth:`_bind` hands the checker keeps its own table
-    from operator words to their composites with it (a degeneracy or
-    connection) or to their face push plans (a face), filled on a miss;
-    the table lives as long as the bound operator, until ``validate``
-    returns.
+    first use; the store is freed with the set.  A bound face reads and
+    fills the same store for a direct face of a normalized cube too; the
+    public ``face`` computes such a face without it.  Each bound operator
+    keeps its own table from operator words to their composites with it
+    or to their face push plans, filled on a miss, for as long as its
+    caller keeps it.
     """
 
     def __init__(self, sset: SimplicialPresentation):
@@ -172,12 +169,12 @@ class CobarSet(CubicalSet):
     def degen(self, cube, i):
         if not 1 <= i <= self.dim(cube) + 1:
             raise ValueError("degeneracy index out of range")
-        return self._degen_core(cube, i)
+        return (cube[0], _compose_op(("s", i), cube[1]))
 
     def conn(self, cube, i):
         if not 1 <= i <= self.dim(cube):
             raise ValueError("connection index out of range")
-        return self._conn_core(cube, i)
+        return (cube[0], _compose_op(("g", i), cube[1]))
 
     def face(self, cube, eps, i):
         if eps not in (0, 1):
@@ -186,17 +183,7 @@ class CobarSet(CubicalSet):
             raise ValueError("face index out of range")
         return self._face(cube[0], cube[1], eps, i)
 
-    # ----- in-range cores ----------------------------------------------------------
-    # The public operators above are these behind a range check, which sums
-    # the letter dimensions of the base on every call.
-
-    def _operators(self) -> dict:
-        """The in-range cores; the face core fills the set's store."""
-        return {"d": self._face_core, "s": self._degen_core,
-                "g": self._conn_core}
-
-    def _face_core(self, cube, eps, i):
-        return self._pushed(cube[0], _push_plan(cube[1], eps, i))
+    # ----- in-range operators ------------------------------------------------------
 
     def _pushed(self, base, plan):
         """The face of (base, ops) that ``plan = _push_plan(ops, eps, i)``
@@ -216,8 +203,8 @@ class CobarSet(CubicalSet):
 
     def _bind(self, n, op):
         """The operator ``op`` of n-cubes as a function of one cube, for
-        :meth:`validate`; only the faces of normalized cubes that it reads
-        from the set's store depend on X."""
+        callers whose indices are in range; only the faces of normalized
+        cubes that it reads from the set's store depend on X."""
         table = {}
         get = table.get
         if op[0] != "d":
@@ -238,14 +225,6 @@ class CobarSet(CubicalSet):
                 plan = table[ops] = _push_plan(ops, eps, i)
             return pushed(base, plan)
         return bound
-
-    def _degen_core(self, cube, i):
-        base, ops = cube
-        return (base, _compose_op(("s", i), ops))
-
-    def _conn_core(self, cube, i):
-        base, ops = cube
-        return (base, _compose_op(("g", i), ops))
 
     def _face(self, base, ops, eps, i):
         """Face of an in-range coordinate; the cubical identities keep every

@@ -207,6 +207,8 @@ class CubicalSet:
 
     Subclasses provide ``cubes``, ``face``, ``degen``, ``conn`` and ``dim``.
     Faces carry a direction eps in {0, 1}; coordinates are 1-based.
+    Callers whose indices are in range by construction read the operators
+    through :meth:`_bind` alone.
     """
 
     def cubes(self, n: int):
@@ -251,25 +253,18 @@ class CubicalSet:
 
     def _bind(self, n: int, op: tuple):
         """The operator ``op`` (``("d", eps, i)``, ``("s", i)`` or
-        ``("g", i)``) of n-cubes as a function of one cube, for
-        :func:`check_identities`: the one :meth:`_operators` hands out,
-        with its indices bound."""
-        operator = self._operators()[op[0]]
+        ``("g", i)``) of n-cubes as a function of one cube: the one entry
+        for callers whose indices are in range by construction (the
+        identity checker, a triangulation's sides, the glued-map check).
+        This one binds the public operator; a subclass's may trust the
+        indices or keep what it computes, since a caller keeps a bound
+        operator only while it uses it."""
         if op[0] == "d":
             _, eps, i = op
-            return lambda y: operator(y, eps, i)
-        i = op[1]
+            face = self.face
+            return lambda y: face(y, eps, i)
+        operator, i = (self.degen if op[0] == "s" else self.conn), op[1]
         return lambda y: operator(y, i)
-
-    def _operators(self) -> dict:
-        """The face, degeneracy and connection that callers whose indices
-        are in range by construction call, by letter: the identity
-        checker (through the default :meth:`_bind`), the sides of a
-        triangulation and the glued-map check.
-        These are the public ones, unless a subclass has cheaper ones that
-        trust their indices to be in range (a subclass's may also keep
-        what they compute on the set, as ``CobarSet``'s face core does)."""
-        return {"d": self.face, "s": self.degen, "g": self.conn}
 
 
 def cubical_identities(n: int) -> list:
@@ -349,9 +344,9 @@ class StandardCube(CubicalSet):
     mapped to the entry it becomes.  The tables are built once per process
     with the composition rule and cached as the generators are.
 
-    For the identity checker, :meth:`_bind` resolves an operator's entry
-    table and its target dimension's store once; the function it returns
-    keeps both until ``validate`` returns.
+    :meth:`_bind` resolves an operator's entry table and its target
+    dimension's store once; the function it returns keeps both while its
+    caller uses it.
     """
 
     def __init__(self, n: int):

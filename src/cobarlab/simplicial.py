@@ -265,13 +265,26 @@ class SimplicialPresentation(SimplicialSet):
         return x.is_degenerate
 
     def validate_presentation(self, max_dim: int) -> Verdict:
-        """Face-table completeness and the simplicial identities."""
-        for g, d in self.gens.items():
-            for i in range(d + 1):
-                if d >= 1 and (g, i) not in self.faces:
+        """Each key and face of the table once, then the identities: every
+        key is (g, i) with 0 <= i <= d for a generator g of dimension
+        d >= 1, every such key is present, and its face is a generator at
+        its own dimension, under an in-range degeneracy word, of dimension
+        d - 1."""
+        gens = self.gens
+        for (g, i), x in self.faces.items():
+            d = gens.get(g, 0)
+            if not (d >= 1 and 0 <= i <= d):
+                return Verdict.failed({"error": "stray face", "gen": g, "i": i})
+            if gens.get(x.gen) != x.gen_dim or x.degens and not (
+                    x.degens[-1] >= 0 and x.degens[0] < x.dim):
+                return Verdict.failed({"error": "unknown simplex", "gen": g,
+                                       "i": i, "face": x})
+            if x.dim != d - 1:
+                return Verdict.failed({"error": "face dimension", "gen": g, "i": i})
+        for g, d in gens.items():
+            for i in range(d + 1 if d >= 1 else 0):
+                if (g, i) not in self.faces:
                     return Verdict.failed({"error": "missing face", "gen": g, "i": i})
-                if d >= 1 and self.faces[(g, i)].dim != d - 1:
-                    return Verdict.failed({"error": "face dimension", "gen": g, "i": i})
         return self.validate(max_dim)
 
 

@@ -452,28 +452,27 @@ def build_f(f: CobarToGroupMap, max_dim: int) -> Verdict:
     (:meth:`CobarToGroupMap.pieces`) per cube z and one per image of z.
     Equal lists multiply to equal words, so the two products are formed
     only when the lists differ; a failure reports the products.  The
-    images are taken through the set's in-range operators, so on a
-    ``CobarSet`` the faces of normalized cubes stay in the set's store.
+    images are taken through the operators the set's ``_bind`` hands out,
+    bound once per dimension and dropped with it, so on a ``CobarSet`` the
+    faces of normalized cubes stay in the set's store.
     """
     cset = f.cset
-    # every operator index below is in range for the cubes it meets
-    face, degen, conn = (cset._operators()[op] for op in "dsg")
+    bind = cset._bind  # every operator index below is in range
     for n in range(max_dim + 1):
         ups = [u_pi(pi) for pi in all_perms(n + 1)]
         downs = [u_pi(pi) for pi in all_perms(n - 1)] if n else []
         generators = (
-            [(("s", i), functools.partial(degen, i=i),
-              CubeMorphism.sigma(n + 1, i), ups) for i in range(1, n + 2)]
-            + [(("g", i), functools.partial(conn, i=i),
-                CubeMorphism.gamma(n + 1, i), ups) for i in range(1, n + 1)]
-            + [(("d", eps, i), functools.partial(face, eps=eps, i=i),
-                CubeMorphism.delta(n, eps, i), downs)
+            [(("s", i), CubeMorphism.sigma(n + 1, i), ups)
+             for i in range(1, n + 2)]
+            + [(("g", i), CubeMorphism.gamma(n + 1, i), ups)
+               for i in range(1, n + 1)]
+            + [(("d", eps, i), CubeMorphism.delta(n, eps, i), downs)
                for eps in (0, 1) for i in range(1, n + 1)])
         index = {}
-        checks = [(op, image,
+        checks = [(op, bind(n, op),
                    [(u, index.setdefault(lambda_star(lam, u), len(index)))
                     for u in us])
-                  for op, image, lam, us in generators]
+                  for op, lam, us in generators]
         pushed = list(index)
         for z in cset.cubes(n):
             on_z = f.pieces(z)

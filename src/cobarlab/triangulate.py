@@ -74,26 +74,26 @@ class _Side:
     """What the identifications read of one cube: the cube, its dimension
     n, its 0- and 1-faces at coordinates 1..n (``lower`` and ``upper``),
     the coordinates i with y = s_i d0_i y (``degenerate``) and those with
-    y = g_i d1_i y (``folded``).  A face in ``lower`` or ``upper`` is
-    replaced by its own side the first time a reduction steps to it."""
+    y = g_i d1_i y (``folded``).  Every index is in range, so each
+    operator is the one the set's ``_bind`` hands out, used once.  A face
+    in ``lower`` or ``upper`` is replaced by its own side the first time a
+    reduction steps to it."""
 
     __slots__ = ("cube", "n", "lower", "upper", "degenerate", "folded")
 
-    def __init__(self, cset: CubicalSet, ops: dict, y):
-        # every index below is in range, so ``ops``, the set's in-range
-        # operators, serve
-        face, degen, conn = ops["d"], ops["s"], ops["g"]
+    def __init__(self, cset: CubicalSet, y):
+        bind = cset._bind
         n = cset.dim(y)
-        lower = [face(y, 0, i) for i in range(1, n + 1)]
-        upper = [face(y, 1, i) for i in range(1, n + 1)]
+        lower = [bind(n, ("d", 0, i))(y) for i in range(1, n + 1)]
+        upper = [bind(n, ("d", 1, i))(y) for i in range(1, n + 1)]
         self.cube = y
         self.n = n
         self.lower = lower
         self.upper = upper
         self.degenerate = [i for i in range(1, n + 1)
-                           if degen(lower[i - 1], i) == y]
+                           if bind(n - 1, ("s", i))(lower[i - 1]) == y]
         self.folded = [i for i in range(1, n)
-                       if conn(upper[i - 1], i) == y]
+                       if bind(n - 1, ("g", i))(upper[i - 1]) == y]
 
 
 class TriangulatedCubicalSet(SimplicialSet):
@@ -101,20 +101,20 @@ class TriangulatedCubicalSet(SimplicialSet):
     representatives.  ``max_dim`` bounds the cube dimensions enumerated.
 
     What the identifications read of a cube (its faces, and where it is
-    degenerate or folded) is computed once per cube, through the set's
-    in-range operators, and kept with the triangulation, which frees it;
-    a set whose operators store their results (``CobarSet``'s face core
-    does) keeps those faces as long as the set lives.  A reduction steps from a cube's side
-    to its face's side by reference, so once the faces on its way have
-    been met, a canonical representative is reached with one store
-    lookup.  Its cube is the object that keys the store: equal cubes of
-    canonical simplices, those that :meth:`nondegenerate` lists included,
-    are one object, and comparing them is an identity test."""
+    degenerate or folded) is computed once per cube, through the operators
+    the set's ``_bind`` hands out, and kept with the triangulation, which
+    frees it; a set whose bound operators store their results (a
+    ``CobarSet``'s bound faces do) keeps those faces as long as the set
+    lives.  A reduction steps from a cube's side to its face's side by
+    reference, so once the faces on its way have been met, a canonical
+    representative is reached with one store lookup.  Its cube is the
+    object that keys the store: equal cubes of canonical simplices, those
+    that :meth:`nondegenerate` lists included, are one object, and
+    comparing them is an identity test."""
 
     def __init__(self, cset: CubicalSet, max_dim: int):
         self.cset = cset
         self.max_dim = max_dim
-        self._operators = cset._operators()
         self._sides = {}
 
     # ----- reduction to the canonical representative -----------------------------
@@ -123,7 +123,7 @@ class TriangulatedCubicalSet(SimplicialSet):
         """The side of the cube y, computed once per cube."""
         side = self._sides.get(y)
         if side is None:
-            side = self._sides[y] = _Side(self.cset, self._operators, y)
+            side = self._sides[y] = _Side(self.cset, y)
         return side
 
     def _face_side(self, faces: list, i: int) -> _Side:

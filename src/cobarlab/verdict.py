@@ -105,7 +105,9 @@ def check_identities(cells, bind, table, top, key="x", values=True):
     ``cells(n)`` lists the cells of dimension n, for n = 0..``top``, in the
     order they are checked.  ``bind(n, op)`` returns the operator ``op``
     on the cells of dimension n as a function of one cell; ``op`` is a
-    tuple ``(letter, *args)`` with one or two index arguments.  The
+    tuple ``(letter, *args)`` with one or two index arguments.  It is the
+    structure's ``_bind``, its one entry for callers whose indices are in
+    range by construction, as every index of a table row is.  The
     checker calls ``bind`` once per dimension and first operator, before
     it applies the result to any cell, and keeps what it returns only
     until it returns, so a bound operator may resolve its tables once and

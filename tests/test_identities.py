@@ -16,6 +16,8 @@ from cobarlab.loopgroup import LoopGroup
 from cobarlab.simpcube import SimplicialCube
 from cobarlab.simplicial import (Simplex, fixture, nondeg,
                                  simplicial_identities)
+from cobarlab.szczarba import (CobarToGroupMap, SzProvider, build_f,
+                               check_f_simplicial)
 from cobarlab.verdict import Verdict, _plan, check_identities
 from cobarlab.verify import SIMPLICIAL_FIXTURES
 
@@ -417,7 +419,7 @@ PASSING = {
        for name in SIMPLICIAL_FIXTURES},
     "cobar-S2": (lambda: CobarSet(fixture("S2")), 3),
     # the reference calls the public operators, which refuse an index out
-    # of range, so the checker's cores are asked for none
+    # of range, so the bound operators are asked for none
     "cobar-D4sk1": (lambda: CobarSet(fixture("D4sk1")), 2),
     "product-1x1": (
         lambda: ProductCubicalSet(StandardCube(1), StandardCube(1)), 3),
@@ -528,7 +530,7 @@ def first_operators(table, n):
 
 
 # (build, top dimension of the cells): the sets whose _bind resolves its
-# own tables
+# own tables, and products, which bind their public operators
 BOUND = {
     **{f"standard-cube-{n}": (lambda n=n: StandardCube(n), 5)
        for n in range(5)},
@@ -536,6 +538,8 @@ BOUND = {
        for n in range(5)},
     "cobar-S2": (lambda: CobarSet(fixture("S2")), 4),
     "cobar-D4sk1": (lambda: CobarSet(fixture("D4sk1")), 4),
+    **{f"product-{a}x{b}": (lambda a=a, b=b: ProductCubicalSet(
+        StandardCube(a), StandardCube(b)), 3) for a, b in ((1, 1), (2, 1))},
 }
 
 
@@ -553,7 +557,7 @@ def test_bound_operators_equal_the_public_ones(name):
     else:
         table, cells, public = (cubical_identities, structure.cubes,
                                 cube_operators(structure))
-    stored = not isinstance(structure, CobarSet)
+    stored = isinstance(structure, (StandardCube, SimplicialCube))
     checked = 0
     for n in range(top + 1):
         xs = cells(n)
@@ -564,6 +568,20 @@ def test_bound_operators_equal_the_public_ones(name):
                 assert value is expected if stored else value == expected
                 checked += 1
     assert checked
+
+
+def test_in_range_callers_read_the_cobar_set_through_bind(monkeypatch):
+    # the glued map's checks and the triangulation they build read every
+    # face, degeneracy and connection of the cobar set through _bind
+    f = CobarToGroupMap(SzProvider(LoopGroup(fixture("S2"))))
+    cset, calls = f.cset, Counter()
+    for name in ("face", "degen", "conn", "_bind"):
+        operator = getattr(cset, name)
+        monkeypatch.setattr(cset, name, lambda *args, name=name, op=operator:
+                            calls.update([name]) or op(*args))
+    assert build_f(f, 2).ok and check_f_simplicial(f, 2).ok
+    assert calls["_bind"] > 0
+    assert calls["face"] == calls["degen"] == calls["conn"] == 0
 
 
 def test_checker_binds_each_first_operator_once_per_dimension():

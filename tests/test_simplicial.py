@@ -4,7 +4,8 @@ import pytest
 
 from cobarlab.chains import ChainMap, check_chain_map
 from cobarlab.simplicial import (ProductSimplicialSet, Simplex,
-                                 SimplicialSet, degenerate_point, fixture,
+                                 SimplicialPresentation, SimplicialSet,
+                                 degenerate_point, fixture,
                                  nondeg, shuffle_terms, sphere,
                                  simplicial_chains, standard_simplex)
 from test_chains import tensor_complex
@@ -133,6 +134,31 @@ def test_validate_detects_corruption():
     assert verdict.witness == {"identity": "dd", "x": nondeg("0.1.2", 2),
                                "i": 0, "j": 1, "lhs": nondeg("2", 0),
                                "rhs": nondeg("1", 0)}
+
+
+POINT_EDGE = degenerate_point("*", 1)
+
+
+@pytest.mark.parametrize("key, value, error", [
+    (("s", 0), nondeg("zz", 1), "unknown simplex"),  # no generator zz
+    (("s", 0), Simplex((), "*", 1), "unknown simplex"),  # * has dimension 0
+    (("s", 0), Simplex((2,), "*", 0), "unknown simplex"),  # s_2 on a vertex
+    (("s", 7), POINT_EDGE, "stray face"),  # s has dimension 2
+    (("q", 0), POINT_EDGE, "stray face"),  # no generator q
+    (("*", 0), POINT_EDGE, "stray face"),  # a vertex has no faces
+], ids=["unknown-generator", "generator-dimension", "degeneracy-index",
+        "face-index", "unknown-key", "vertex-key"])
+def test_malformed_face_table_fails_with_a_witness(key, value, error):
+    # the keys and values are checked before the identities run, which
+    # would raise on an unknown simplex and never read a stray key
+    faces = {("s", i): POINT_EDGE for i in range(3)}
+    gens = {"*": 0, "s": 2}
+    assert SimplicialPresentation("S2", gens, faces).validate_presentation(3).ok
+    sset = SimplicialPresentation("bad", gens, faces | {key: value})
+    verdict = sset.validate_presentation(3)
+    assert not verdict.ok
+    assert verdict.witness["error"] == error
+    assert (verdict.witness["gen"], verdict.witness["i"]) == key
 
 
 # ----- one stored object per simplex ---------------------------------------------
