@@ -18,7 +18,7 @@ import sys
 
 from . import loopgroup, ssetfile, szczarba, verify
 from .cobar import CobarSet, compare_models
-from .cubes import ProductCubicalSet, StandardCube
+from .cubes import MAX_CELL_DIM, ProductCubicalSet, StandardCube
 from .simplicial import (FIXTURES, canonical_decimal, fixture,
                          simplicial_chains)
 
@@ -141,11 +141,16 @@ def cmd_homology(args) -> int:
 def cmd_triangulate(args) -> int:
     _check_json_out(args.json_out)
     cset = _cubical_fixture(args.fixture)
+    d = _degree("triangulate", args.max_dim, 3, 1)
+    if not isinstance(cset, CobarSet) and d > MAX_CELL_DIM:
+        # the triangulation through degree d reads cubes of dimension d
+        raise InputError(f"a cube fixture triangulates through degree"
+                         f" {MAX_CELL_DIM} at most, the largest dimension"
+                         f" of a standard cube's cells; got {d}")
     report = verify.run_checks(
         f"triangulate-{args.fixture}",
         lambda d: [("triangulation",
-                    lambda: verify.check_triangulation(cset, d))],
-        _degree("triangulate", args.max_dim, 3, 1))
+                    lambda: verify.check_triangulation(cset, d))], d)
     return _emit(report, args.json_out)
 
 

@@ -17,6 +17,10 @@ from .chains import Chain, ChainComplex, normalized_complex
 from .perms import all_shuffles
 from .verdict import Frozen, Store, Verdict, check_identities
 
+# the largest source dimension whose entries are coded in one byte each:
+# 2^k + 1 symbols
+MAX_CELL_DIM = 7
+
 
 class CubeMorphism(Frozen):
     """Map from the source-dimensional cube to the target-dimensional cube.
@@ -24,29 +28,38 @@ class CubeMorphism(Frozen):
     ``outputs`` has one entry per target coordinate: 0, 1, or a strictly
     increasing tuple of source coordinates (a block, evaluated by minimum).
 
+    ``code`` is the same table as ``bytes``, one symbol per entry: 0 and 1
+    for the constants and 1 + the bitmask of a block's coordinates (bit
+    v - 1 for coordinate v), so 2^k + 1 symbols for source dimension k.
+    Symbols fit in a byte for k <= 7; a morphism of a larger source has
+    ``code`` None.  The standard cube keys its cells by ``code``.
+
     Immutable; equality and hashing are on ``(source, target, outputs)``.
     The hash is computed once, at construction, since morphisms are keys
     of the identity checker's and the chain builder's tables.
     """
 
     _fields = ("source", "target", "outputs")
-    __slots__ = _fields + ("_hash",)
+    __slots__ = _fields + ("code", "_hash")
 
     def __init__(self, source: int, target: int, outputs: tuple):
         if source < 0:
             raise ValueError("the source dimension must be nonnegative")
         # One pass over the entries: every block coordinate must exceed the
         # one before it, in its own block or in an earlier one, and lie in
-        # the source range.
+        # the source range; the same pass codes each entry.
         if len(outputs) != target:
             raise ValueError("one output entry per target coordinate")
         last = 0
+        code = []
         for out in outputs:
             if out in (0, 1):
+                code.append(out)
                 continue
             if not isinstance(out, tuple) or not out:
                 raise ValueError(f"bad output entry {out!r}")
             prev = last
+            symbol = 1
             for v in out:
                 if not prev < v <= source:
                     if not 1 <= v <= source:
@@ -55,11 +68,14 @@ class CubeMorphism(Frozen):
                         raise ValueError("blocks must be disjoint and ordered")
                     raise ValueError("blocks must be strictly increasing")
                 prev = v
+                symbol += 1 << (v - 1)
             last = prev
+            code.append(symbol)
         init = object.__setattr__
         init(self, "source", source)
         init(self, "target", target)
         init(self, "outputs", outputs)
+        init(self, "code", bytes(code) if source <= MAX_CELL_DIM else None)
         init(self, "_hash", hash((source, target, outputs)))
 
     def __eq__(self, other):
@@ -150,33 +166,64 @@ def _compose_outputs(outer: tuple, inner: tuple) -> tuple:
     return tuple(outs)
 
 
-def _entry_table(gen: CubeMorphism) -> dict:
-    """Every possible output entry of a morphism out of the target cube of
-    ``gen`` (0, 1, or a block of its coordinates), mapped to the entry of
-    the composite with ``gen`` that it becomes."""
-    k = gen.target
-    entries = (0, 1) + tuple(block for r in range(1, k + 1)
-                             for block in itertools.combinations(
-                                 range(1, k + 1), r))
-    return dict(zip(entries, _compose_outputs(entries, gen.outputs)))
+@functools.lru_cache(maxsize=None)
+def _symbols(k: int) -> tuple:
+    """Every possible output entry of a morphism out of the k-cube, at the
+    index of its symbol: 0, 1, then the block of each bitmask 1..2^k - 1.
+    A k above :data:`MAX_CELL_DIM`, whose symbols do not fit in a byte, is
+    refused."""
+    if k > MAX_CELL_DIM:
+        raise ValueError(f"a cell of a standard cube has dimension at most"
+                         f" {MAX_CELL_DIM}, since its entries are coded in"
+                         f" one byte each; got {k}")
+    return (0, 1) + tuple(
+        tuple(v for v in range(1, k + 1) if mask >> (v - 1) & 1)
+        for mask in range(1, 2 ** k))
+
+
+@functools.lru_cache(maxsize=None)
+def _symbol_of(k: int) -> dict:
+    """The symbol of every possible output entry of a morphism out of the
+    k-cube: :func:`_symbols` inverted."""
+    return {entry: s for s, entry in enumerate(_symbols(k))}
+
+
+def _entry_table(gen: CubeMorphism) -> bytes:
+    """The translation table of composing with ``gen``: the symbol of every
+    possible output entry of a morphism out of the target cube of ``gen``,
+    mapped to the symbol of the entry of the composite with ``gen`` that
+    it becomes.  Unused symbols map to 0."""
+    symbol = _symbol_of(gen.source).__getitem__
+    entries = _symbols(gen.target)
+    return (bytes(map(symbol, _compose_outputs(entries, gen.outputs)))
+            + bytes(256 - len(entries)))
 
 
 # One table per generator, cached as the generators are; the generator is
 # built first, so an index out of range raises before anything is cached.
 
 @functools.lru_cache(maxsize=None)
-def _delta_entries(k: int, eps: int, i: int) -> dict:
+def _delta_entries(k: int, eps: int, i: int) -> bytes:
     return _entry_table(CubeMorphism.delta(k, eps, i))
 
 
 @functools.lru_cache(maxsize=None)
-def _sigma_entries(k: int, i: int) -> dict:
+def _sigma_entries(k: int, i: int) -> bytes:
     return _entry_table(CubeMorphism.sigma(k, i))
 
 
 @functools.lru_cache(maxsize=None)
-def _gamma_entries(k: int, i: int) -> dict:
+def _gamma_entries(k: int, i: int) -> bytes:
     return _entry_table(CubeMorphism.gamma(k, i))
+
+
+def _cell_store(n: int, k: int) -> Store:
+    """The store of the k-cubes of the standard n-cube, keyed by code and
+    built through the checked constructor."""
+    if k < 0:
+        raise ValueError("the source dimension must be nonnegative")
+    entry = _symbols(k).__getitem__
+    return Store(lambda code: CubeMorphism(k, n, tuple(map(entry, code))))
 
 
 def _all_outputs(source: int, target: int):
@@ -332,71 +379,74 @@ class StandardCube(CubicalSet):
     from the k-cube into the n-cube.
 
     The complex stores each cell it hands out, one :class:`~.verdict.Store`
-    per dimension keyed by the cell's output table, and the structure maps
+    per dimension keyed by the cell's ``code``, and the structure maps
     return the stored cell: each distinct cell is built, through the
     checked constructor with this cube's n, once per complex, and the
-    store is freed with the complex.
+    store is freed with the complex.  A cell's dimension is at most
+    :data:`MAX_CELL_DIM`; a larger one is refused with ``ValueError``.
 
     A face, degeneracy or connection of y is y composed with one generator,
     and each entry of the composite depends only on the matching entry of
-    y.  So each map reads an entry table per (source dimension, generator,
-    index): every possible entry of y (0, 1, or a block of coordinates)
-    mapped to the entry it becomes.  The tables are built once per process
-    with the composition rule and cached as the generators are.
-
-    :meth:`_bind` resolves an operator's entry table and its target
-    dimension's store once; the function it returns keeps both while its
-    caller uses it.
+    y.  So each map translates ``y.code`` through a 256-byte table per
+    (source dimension, generator, index), built once per process with the
+    composition rule and cached as the generators are, and reads the store
+    with ``get``, subscripting it only on a miss.  :meth:`_bind` resolves
+    the table and the target dimension's store once; the function it
+    returns keeps both while its caller uses it.
     """
 
     def __init__(self, n: int):
         if n < 0:
             raise ValueError(f"cube dimension must be nonnegative, got {n}")
         self.n = n
-        self._cells = Store(lambda k: Store(
-            functools.partial(CubeMorphism, k, n)))
+        self._cells = Store(functools.partial(_cell_store, n))
 
     def cubes(self, k: int):
         cells = self._cells[k]
-        return [cells[outs] for outs in _all_outputs(k, self.n)]
+        symbol = _symbol_of(k).__getitem__
+        return [cells[bytes(map(symbol, outs))]
+                for outs in _all_outputs(k, self.n)]
 
     def dim(self, y: CubeMorphism) -> int:
         return y.source
 
     def face(self, y, eps, i):
-        outs = tuple(map(_delta_entries(y.source, eps, i).__getitem__,
-                         y.outputs))
-        return self._cells[y.source - 1][outs]
+        table = _delta_entries(y.source, eps, i)
+        code = y.code.translate(table)
+        cells = self._cells[y.source - 1]
+        return cells.get(code) or cells[code]
 
     def degen(self, y, i):
         k = y.source + 1
-        outs = tuple(map(_sigma_entries(k, i).__getitem__, y.outputs))
-        return self._cells[k][outs]
+        table = _sigma_entries(k, i)
+        code = y.code.translate(table)
+        cells = self._cells[k]
+        return cells.get(code) or cells[code]
 
     def conn(self, y, i):
         k = y.source + 1
-        outs = tuple(map(_gamma_entries(k, i).__getitem__, y.outputs))
-        return self._cells[k][outs]
+        table = _gamma_entries(k, i)
+        code = y.code.translate(table)
+        cells = self._cells[k]
+        return cells.get(code) or cells[code]
 
     def _bind(self, n, op):
         """The operator ``op`` of n-cubes as a function of one cube: the
-        rule of ``face``, ``degen`` and ``conn``, which resolve the entry
-        table and the store on every call.  The store is subscripted only
-        on a miss of ``get``."""
+        rule of ``face``, ``degen`` and ``conn`` with the table and the
+        store resolved once."""
         letter = op[0]
         if letter == "d":
-            entries, k = _delta_entries(n, *op[1:]), n - 1
+            table, k = _delta_entries(n, *op[1:]), n - 1
         elif letter == "s":
-            entries, k = _sigma_entries(n + 1, op[1]), n + 1
+            table, k = _sigma_entries(n + 1, op[1]), n + 1
         else:
-            entries, k = _gamma_entries(n + 1, op[1]), n + 1
-        entry = entries.__getitem__
+            table, k = _gamma_entries(n + 1, op[1]), n + 1
         cells = self._cells[k]
         find = cells.get
 
         def bound(y):
-            outs = tuple(map(entry, y.outputs))
-            return find(outs) or cells[outs]
+            code = y.code.translate(table)
+            return find(code) or cells[code]
         return bound
 
 

@@ -9,13 +9,17 @@ exactly when i lies in ``u_0 | ... | u_c``; a coordinate in the last part is
 
 from __future__ import annotations
 
+import functools
 import itertools
-from functools import partial
 
 from .cubes import CubeMorphism
 from .perms import compose, transposition
 from .simplicial import SimplicialSet
 from .verdict import Frozen, Store, Verdict
+
+# the largest dimension of a partition simplex: its last part index,
+# dim + 1, must fit in a byte
+MAX_DIM = 254
 
 
 class PartitionSimplex(Frozen):
@@ -23,37 +27,47 @@ class PartitionSimplex(Frozen):
 
     ``PartitionSimplex(n, ks, dim)`` is the dim-simplex whose coordinate i
     lies in part ``ks[i - 1]``; :func:`from_parts` builds one from its
-    ordered partition.  Immutable; equality and hashing are on
-    ``(n, ks, dim)``, which determine the parts, and the hash is computed
-    once, at construction.
+    ordered partition.  The bracket is kept as ``bytes``, one part index
+    per coordinate, so one object is the field, the hash input and the
+    key of a cube's store, and a face or degeneracy is one
+    ``bytes.translate``.  A part index is at most 255, so the dimension is
+    at most 254.  Immutable; equality and hashing are on ``(n, ks,
+    dim)``, which determine the parts, and the hash is computed once, at
+    construction.
     """
 
     _fields = ("n", "ks", "dim")
     __slots__ = _fields + ("_hash",)
 
-    def __init__(self, n: int, ks: tuple, dim: int):
+    def __init__(self, n: int, ks, dim: int):
         # the partition invariant in bracket form: one part index per
         # coordinate, each in 0..dim+1, and at least two parts
-        ks = tuple(ks)
+        if dim > MAX_DIM:
+            raise ValueError(f"a partition simplex has dimension at most"
+                             f" {MAX_DIM}, since its part indices are"
+                             f" bytes; got {dim}")
+        if ks.__class__ is not bytes:
+            # bytes(k) of an int k would be k zero bytes
+            ks = bytes(list(ks))
         if len(ks) != n:
             raise ValueError("bracket needs one part index per coordinate")
         if dim < 0:
             raise ValueError("need at least two parts")
-        if ks and (min(ks) < 0 or max(ks) > dim + 1):
+        if ks and max(ks) > dim + 1:
             raise ValueError("part index out of range")
         init = object.__setattr__
         init(self, "n", n)
         init(self, "ks", ks)
         init(self, "dim", dim)
-        init(self, "_hash", hash((n, ks, dim)))
+        init(self, "_hash", hash((ks, dim)))
 
     def __eq__(self, other):
         if other.__class__ is not PartitionSimplex:
             return NotImplemented
+        # the bracket's length is n
         return self is other or (self._hash == other._hash
                                  and self.ks == other.ks
-                                 and self.dim == other.dim
-                                 and self.n == other.n)
+                                 and self.dim == other.dim)
 
     def __hash__(self):
         return self._hash
@@ -102,31 +116,49 @@ def u_pi(pi) -> PartitionSimplex:
     return PartitionSimplex(n, [pi.index(v) + 1 for v in range(1, n + 1)], n)
 
 
-def _face_bracket(u: PartitionSimplex, j: int) -> tuple:
+@functools.lru_cache(maxsize=None)
+def _face_table(j: int) -> bytes:
+    """The translation table of d_j: part k stays for k <= j and becomes
+    k - 1 above, so parts j and j + 1 merge."""
+    return bytes(range(j + 1)) + bytes(range(j, 255))
+
+
+@functools.lru_cache(maxsize=None)
+def _degeneracy_table(j: int) -> bytes:
+    """The translation table of s_j: part k stays for k <= j and becomes
+    k + 1 above, so part j + 1 is empty.  Index 255 is the last part of a
+    254-simplex, which has no degeneracy; it is left in place."""
+    return bytes(range(j + 1)) + bytes(range(j + 2, 256)) + b"\xff"
+
+
+def _face_bracket(u: PartitionSimplex, j: int) -> bytes:
     """The bracket of d_j u: parts j and j+1 merged (0 <= j <= dim)."""
     if not 0 <= j <= u.dim:
         raise ValueError("face index out of range")
-    return tuple([k if k <= j else k - 1 for k in u.ks])
+    return u.ks.translate(_face_table(j))
 
 
-def _degeneracy_bracket(u: PartitionSimplex, j: int) -> tuple:
+def _degeneracy_bracket(u: PartitionSimplex, j: int) -> bytes:
     """The bracket of s_j u: an empty part inserted after part j
     (0 <= j <= dim)."""
     if not 0 <= j <= u.dim:
         raise ValueError("degeneracy index out of range")
-    return tuple([k if k <= j else k + 1 for k in u.ks])
+    return u.ks.translate(_degeneracy_table(j))
 
 
-def _drop_bracket(ks: tuple, i: int) -> tuple:
+def _drop_bracket(ks: bytes, i: int) -> bytes:
     """ks pushed along the projection s_i (1 <= i <= len(ks)): coordinate
     i is dropped."""
     return ks[:i - 1] + ks[i:]
 
 
-def _fold_bracket(ks: tuple, i: int) -> tuple:
+def _fold_bracket(ks: bytes, i: int) -> bytes:
     """ks pushed along the connection g_i (1 <= i < len(ks)): coordinates
-    i and i + 1 merge into the later of their two parts."""
-    return ks[:i - 1] + (max(ks[i - 1], ks[i]),) + ks[i + 1:]
+    i and i + 1 merge into the later of their two parts, so the one in
+    the earlier part is dropped."""
+    if ks[i - 1] <= ks[i]:
+        return ks[:i - 1] + ks[i:]
+    return ks[:i] + ks[i + 1:]
 
 
 def partition_face(u: PartitionSimplex, j: int) -> PartitionSimplex:
@@ -148,10 +180,11 @@ class SimplicialCube(SimplicialSet):
     distinct simplex is built, through the checked constructor with this
     cube's n, once per complex, and the store is freed with the complex.
 
-    For the identity checker, :meth:`_bind` resolves an operator's
-    part-index table (its bracket rule applied once to the identity
-    bracket) and its target dimension's store once; the function it
-    returns keeps both until ``validate`` returns.
+    A face or degeneracy translates the bracket through the operator's
+    256-byte table, built once per process, and reads the store with
+    ``get``, subscripting it only on a miss.  :meth:`_bind` resolves the
+    table and the target dimension's store once; the function it returns
+    keeps both until its caller is done with it.
     """
 
     def __init__(self, n: int):
@@ -159,14 +192,15 @@ class SimplicialCube(SimplicialSet):
             raise ValueError(f"cube dimension must be nonnegative, got {n}")
         self.n = n
         self._cells = Store(lambda m: Store(
-            partial(PartitionSimplex, n, dim=m)))
+            functools.partial(PartitionSimplex, n, dim=m)))
 
     def nondegenerate(self, m: int):
         """Ordered partitions of {1..n} with all inner parts nonempty."""
         inner = set(range(1, m + 1))
         cells = self._cells[m]
         return [cells[ks]
-                for ks in itertools.product(range(m + 2), repeat=self.n)
+                for ks in map(bytes, itertools.product(range(m + 2),
+                                                       repeat=self.n))
                 if inner <= set(ks)]
 
     def dim(self, u: PartitionSimplex) -> int:
@@ -175,28 +209,28 @@ class SimplicialCube(SimplicialSet):
     def face(self, u, i):
         if u.dim == 0:
             raise ValueError("a vertex has no faces")
-        return self._cells[u.dim - 1][_face_bracket(u, i)]
+        ks = _face_bracket(u, i)
+        cells = self._cells[u.dim - 1]
+        return cells.get(ks) or cells[ks]
 
     def degeneracy(self, u, i):
-        return self._cells[u.dim + 1][_degeneracy_bracket(u, i)]
+        ks = _degeneracy_bracket(u, i)
+        cells = self._cells[u.dim + 1]
+        return cells.get(ks) or cells[ks]
 
     def _bind(self, n, op):
         """The face or degeneracy ``op`` of n-simplices as a function of one
-        simplex.  Coordinate k + 1 of the identity bracket lies in part k,
-        so entry k of its face or degeneracy bracket is the part that part
-        k becomes.  The store is subscripted only on a miss of ``get``."""
+        simplex: the rule of ``face`` and ``degeneracy`` with the table
+        and the store resolved once."""
         letter, j = op
-        identity = PartitionSimplex(n + 2, range(n + 2), n)
         if letter == "d":
-            part, m = _face_bracket(identity, j), n - 1
+            table, cells = _face_table(j), self._cells[n - 1]
         else:
-            part, m = _degeneracy_bracket(identity, j), n + 1
-        part = part.__getitem__
-        cells = self._cells[m]
+            table, cells = _degeneracy_table(j), self._cells[n + 1]
         find = cells.get
 
         def bound(u):
-            ks = tuple(map(part, u.ks))
+            ks = u.ks.translate(table)
             return find(ks) or cells[ks]
         return bound
 
@@ -225,7 +259,7 @@ def lambda_star(lam: CubeMorphism, u: PartitionSimplex) -> PartitionSimplex:
             out_ks.append(0)
         else:
             out_ks.append(max(ks[v - 1] for v in out))
-    return PartitionSimplex(lam.target, out_ks, m)
+    return PartitionSimplex(lam.target, bytes(out_ks), m)
 
 
 def hereditary_path(pi, rho):

@@ -433,6 +433,20 @@ def two_loops_cell() -> SimplicialPresentation:
     return SimplicialPresentation("TwoLoopsCell", gens, faces)
 
 
+def moore_space_p3_2() -> SimplicialPresentation:
+    """P^3(2) = S^2 with a 3-cell attached by a map of degree 2: a 2-cell s
+    with every face the base point, and a 3-cell t with d_0 t = d_2 t = s
+    and d_1 t, d_3 t the base point, so that d t = 2 s in normalized
+    chains and H_2 = Z/2."""
+    s = nondeg("s", 2)
+    point = degenerate_point("*", 2)
+    gens = {"*": 0, "s": 2, "t": 3}
+    faces = {("s", i): degenerate_point("*", 1) for i in range(3)}
+    faces.update({("t", 0): s, ("t", 1): point, ("t", 2): s,
+                  ("t", 3): point})
+    return SimplicialPresentation("P3_2", gens, faces)
+
+
 def canonical_decimal(text: str):
     """The number ``text`` writes in canonical decimal, or None: digits
     only, with no sign, space or leading zero."""
@@ -443,6 +457,7 @@ def canonical_decimal(text: str):
 FIXTURES = (
     ("I", lambda: standard_simplex(1, name="I")),
     ("TwoLoopsCell", two_loops_cell),
+    ("P3_2", moore_space_p3_2),
     ("Delta(.+)", standard_simplex),
     ("S(.+)", sphere),
     ("D(.+)sk(.+)", collapsed_simplex),
@@ -459,7 +474,9 @@ def fixture(name: str) -> SimplicialPresentation:
     decimal.  TwoLoopsCell is one vertex, two loops a and b, and a 2-cell
     with faces (a, b, b): reduced but not 1-reduced, its loop group has
     noncommuting generators in dimension 0, which makes it sensitive to
-    ordering conventions that collapse on 1-reduced inputs.
+    ordering conventions that collapse on 1-reduced inputs.  P3_2 is the
+    mod-2 Moore space P^3(2) = S^2 with a 3-cell attached by degree 2,
+    1-reduced, whose loop space has 2-torsion in every positive degree.
     """
     for pattern, build in FIXTURES:
         match = re.fullmatch(pattern, name)

@@ -274,7 +274,9 @@ def word_map(provider, max_deg: int) -> ChainMap:
     word is a basis word or zero: the target is a complex of its own, on
     which d^2, the coalgebra identities and homology can be checked.  The
     walk that closes it keeps the faces of every word it visits, and the
-    builder reads them there, so each face is computed once."""
+    builder reads them there, so each face is computed once; once the
+    target is built, the map keeps only the faces of the words that are
+    not in the basis, which the diagonal may still read."""
     group = provider.group
     source = cubical_chains(CobarSet(provider.sset), max_deg)
     mapping = {cube: f_sz(provider, cube[0])
@@ -296,6 +298,11 @@ def word_map(provider, max_deg: int) -> ChainMap:
                 if not group.is_degenerate(face):
                     basis.setdefault(face.n, {})[face] = None
     target = normalized_chains(lambda g, i: faces[g][i], basis)
+    # the complex keeps its own row for each basis word and reads faces
+    # here again only for words outside the basis
+    for words in basis.values():
+        for g in words:
+            del faces[g]
     return ChainMap(source, target, mapping)
 
 

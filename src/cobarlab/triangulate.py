@@ -133,7 +133,7 @@ class TriangulatedCubicalSet(SimplicialSet):
             face = faces[i] = self._cube_side(face)
         return face
 
-    def _canon(self, side: _Side, ks: tuple, m: int, u=None) -> TriSimplex:
+    def _canon(self, side: _Side, ks: bytes, m: int, u=None) -> TriSimplex:
         """The reduced representative of the class of the cube of
         ``side`` and the m-simplex with bracket ks.
 

@@ -16,8 +16,8 @@ from cobarlab import cubes, verify
 from cobarlab.cobar import CobarSet
 from cobarlab.cubes import CubeMorphism, StandardCube
 from cobarlab.loopgroup import LoopGroup, check_twisting
-from cobarlab.simpcube import (SimplicialCube, partition_degeneracy,
-                               partition_face)
+from cobarlab.simpcube import (PartitionSimplex, SimplicialCube,
+                               partition_degeneracy, partition_face)
 from cobarlab.simplicial import Simplex, fixture
 from cobarlab.szczarba import (CobarToGroupMap, SzProvider, build_f,
                                contract_check, word_map)
@@ -99,6 +99,143 @@ def test_simplicial_cube_maps_equal_fresh_brackets(n):
                 results.append(degeneracy)
             results.append(u)
     assert one_object_per_value(results)
+
+
+def sample(cells):
+    """Every cell of a small store, every k-th of a large one."""
+    cells = list(cells)
+    return cells[::len(cells) // 500 + 1]
+
+
+def standard_operators(k):
+    """Every generator on k-cubes: (operator, generator composed with)."""
+    ops = [(("d", eps, i), CubeMorphism.delta(k, eps, i))
+           for i in range(1, k + 1) for eps in (0, 1)]
+    ops += [(("s", i), CubeMorphism.sigma(k + 1, i)) for i in range(1, k + 2)]
+    ops += [(("g", i), CubeMorphism.gamma(k + 1, i)) for i in range(1, k + 1)]
+    return ops
+
+
+def check_standard_cube_maps(cube, cells):
+    """Every bound and public map of the cube on every cell of ``cells``
+    (dimension -> cells) is the cell composed with its generator, and the
+    public map returns the cell the bound one does."""
+    public = {"d": cube.face, "s": cube.degen, "g": cube.conn}
+    for k, ys in cells.items():
+        for op, gen in standard_operators(k):
+            bound = cube._bind(k, op)
+            for y in ys:
+                got = bound(y)
+                assert got == y.compose(gen)
+                assert public[op[0]](y, *op[1:]) is got
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_bound_standard_cube_maps_equal_composites(n):
+    # the cells the cubical suite's check of the standard n-cube reaches,
+    # in every dimension, at most about 500 of each
+    cube = StandardCube(n)
+    assert cube.validate(min(n + 1, 4)).ok
+    check_standard_cube_maps(cube, {k: sample(cells.values())
+                                    for k, cells in cube._cells.items()})
+
+
+def test_every_symbol_of_every_entry_table_is_translated_right():
+    # the k-cubes of the 1-cube are its 2^k + 1 entries, one per symbol
+    cube = StandardCube(1)
+    cells = {k: cube.cubes(k) for k in range(8)}
+    assert [len(ys) for ys in cells.values()] == [2 ** k + 1 for k in range(8)]
+    assert all(sorted(y.code for y in ys)
+               == [bytes([s]) for s in range(len(ys))]
+               for ys in cells.values())
+    # the 7-cubes have faces only: their degeneracies are refused below
+    check_standard_cube_maps(cube, {k: cells[k] for k in range(7)})
+    for op, gen in standard_operators(7)[:14]:
+        bound = cube._bind(7, op)
+        assert all(bound(y) == y.compose(gen) for y in cells[7])
+
+
+def bracket_rule(u, letter, j):
+    """The bracket of d_j u or s_j u by the part-index rule, entry by entry."""
+    shift = -1 if letter == "d" else 1
+    return bytes(k if k <= j else k + shift for k in u.ks)
+
+
+def check_simplicial_cube_maps(cube, cells):
+    for m, us in cells.items():
+        ops = [("s", j) for j in range(m + 1)]
+        if m:
+            ops += [("d", j) for j in range(m + 1)]
+        for op in ops:
+            bound = cube._bind(m, op)
+            letter, j = op
+            public, fresh = ((cube.face, partition_face) if letter == "d"
+                             else (cube.degeneracy, partition_degeneracy))
+            m2 = m - 1 if letter == "d" else m + 1
+            for u in us:
+                got = bound(u)
+                assert got == fresh(u, j)
+                assert (got.ks, got.dim) == (bracket_rule(u, letter, j), m2)
+                assert public(u, j) is got
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_bound_simplicial_cube_maps_equal_fresh_brackets(n):
+    # the simplices the cube-lemmas suite's check of the n-cube reaches,
+    # in every dimension, at most about 500 of each
+    cube = SimplicialCube(n)
+    assert cube.validate(n + 1).ok
+    check_simplicial_cube_maps(cube, {m: sample(cells.values())
+                                      for m, cells in cube._cells.items()
+                                      if m >= 0})
+
+
+def test_every_part_index_is_translated_right():
+    # one coordinate in each part of a simplex of each dimension up to 4,
+    # and in the parts around both ends and the middle of a 253-simplex,
+    # the last whose degeneracies exist; then the faces of a 254-simplex
+    cube = SimplicialCube(1)
+    cells = {m: [cube._cells[m][bytes([k])] for k in range(m + 2)]
+             for m in range(5)}
+    cells[253] = [cube._cells[253][bytes([k])]
+                  for k in (0, 1, 2, 126, 127, 128, 252, 253, 254)]
+    check_simplicial_cube_maps(cube, cells)
+    top = PartitionSimplex(1, (255,), 254)
+    assert [cube.face(top, j).ks for j in (253, 254)] == [b"\xfe", b"\xfe"]
+    assert cube._bind(254, ("d", 0))(top) == PartitionSimplex(1, (254,), 253)
+
+
+def test_cells_past_the_byte_codes_are_refused():
+    limit = "^a partition simplex has dimension at most 254"
+    with pytest.raises(ValueError, match=limit):
+        PartitionSimplex(1, (0,), 255)
+    # an int is no bracket, though bytes(2) would read it as two zeros
+    with pytest.raises(TypeError):
+        PartitionSimplex(2, 2, 1)
+    scube = SimplicialCube(1)
+    top = PartitionSimplex(1, (255,), 254)
+    for call in (lambda: scube.degeneracy(top, 0),
+                 lambda: scube._bind(254, ("s", 254))(top),
+                 lambda: partition_degeneracy(top, 3)):
+        with pytest.raises(ValueError, match=limit):
+            call()
+    assert not scube._cells.get(255)
+    limit = "^a cell of a standard cube has dimension at most 7"
+    cube = StandardCube(1)
+    seven = cube.cubes(7)[-1]
+    eight = CubeMorphism(8, 1, ((1, 8),))
+    assert seven.code == b"\x80" and eight.code is None
+    for call in (lambda: cube.cubes(8),
+                 lambda: cube.degen(seven, 1),
+                 lambda: cube.conn(seven, 7),
+                 lambda: cube.face(eight, 0, 8),
+                 lambda: cube.degen(eight, 1),
+                 lambda: cube._bind(7, ("s", 8)),
+                 lambda: cube._bind(7, ("g", 1)),
+                 lambda: cube._bind(8, ("d", 1, 1))):
+        with pytest.raises(ValueError, match=limit):
+            call()
+    assert 8 not in cube._cells
 
 
 def test_out_of_range_indices_raise_as_before():

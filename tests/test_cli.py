@@ -270,6 +270,18 @@ def test_comparisons_refuse_degree_zero(argv, capsys):
     assert out.out == ""
 
 
+@pytest.mark.parametrize("fixture", ["cube1", "cube1x1"])
+def test_triangulate_refuses_cubes_past_the_byte_codes(fixture, capsys):
+    # a standard cube's cells have dimension at most 7, and the
+    # triangulation through degree d reads cubes of dimension d
+    assert main(["triangulate", "--fixture", fixture, "--max-dim", "7"]) == 0
+    capsys.readouterr()
+    assert main(["triangulate", "--fixture", fixture, "--max-dim", "8"]) == 2
+    out = capsys.readouterr()
+    assert "triangulates through degree 7 at most" in out.err
+    assert out.out == ""
+
+
 @pytest.mark.parametrize("suite", ["cube-lemmas", "cobar-iso",
                                    "szczarba-contract", "main-theorem"])
 def test_verify_runs_at_degree_one(suite, capsys):

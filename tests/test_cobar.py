@@ -4,7 +4,8 @@ from cobarlab import cobar
 from cobarlab.cobar import (CobarSet, compare_models, omega_complex,
                             word_to_cube)
 from cobarlab.cubes import cubical_chains
-from cobarlab.simplicial import fixture, nondeg, sphere, standard_simplex
+from cobarlab.simplicial import (fixture, nondeg, simplicial_chains, sphere,
+                                 standard_simplex)
 
 UNIT = ((), ())  # the empty word, the cobar construction's unit cube
 
@@ -81,6 +82,37 @@ def test_multiplication_shifts_operators():
     assert cset.dim(prod) == 5
     assert cset.mul(UNIT, c2) == c2
     assert cset.mul(c2, UNIT) == c2
+
+
+def test_operators_of_a_product_act_on_the_factor_of_their_coordinate():
+    # z1 z2 has the n1 coordinates of z1 first: a face, degeneracy or
+    # connection at coordinate i <= n1 acts on z1, and one at i > n1 acts
+    # on z2 at i - n1.  Every pair of cubes of D4sk1 (degenerate and
+    # folded ones included) whose product has degree at most 2.
+    cset = CobarSet(fixture("D4sk1"))
+    mul, dim = cset.mul, cset.dim
+    operators = [(("d", eps), lambda z, i, eps=eps: cset.face(z, eps, i), 0)
+                 for eps in (0, 1)]
+    operators += [(("s",), cset.degen, 1), (("g",), cset.conn, 0)]
+    cubes = [z for n in range(3) for z in cset.cubes(n)]
+    checked = 0
+    wrong = []
+    for z1 in cubes:
+        n1 = dim(z1)
+        for z2 in cubes:
+            n = n1 + dim(z2)
+            if n > 2:
+                continue
+            z = mul(z1, z2)
+            for name, act, extra in operators:
+                for i in range(1, n + 1 + extra):
+                    split = (mul(act(z1, i), z2) if i <= n1
+                             else mul(z1, act(z2, i - n1)))
+                    checked += 1
+                    if act(z, i) != split:
+                        wrong.append((name, i, z1, z2))
+    assert checked == 3648
+    assert wrong == []
 
 
 def test_word_cube_roundtrip():
@@ -180,6 +212,24 @@ def test_loop_space_homology_of_wedge():
     assert cx.homology(0).betti == 1
     assert cx.homology(1).betti == 6
     assert cx.check_coalgebra().ok
+
+
+def test_loop_space_homology_of_the_mod_two_moore_space():
+    # P^3(2) = S^2 with a 3-cell attached by degree 2 has H_2 = Z/2, and
+    # its loop space has H_0 = Z and H_n = (Z/2)^F_n, F_n the Fibonacci
+    # numbers 1, 1, 2, 3, 5, 8 for n = 1..6.  Each complex is built one
+    # degree above the last one read.
+    sset = fixture("P3_2")
+    assert sset.one_reduced and sset.validate_presentation(5).ok
+    space = simplicial_chains(sset, 4)
+    assert [(space.homology(n).betti, tuple(space.homology(n).torsion))
+            for n in range(4)] == [(1, ()), (0, ()), (0, (2,)), (0, ())]
+    expected = [(1, ())] + [(0, (2,) * f) for f in (1, 1, 2, 3, 5, 8)]
+    omega = omega_complex(sset, 7)
+    cubical = cubical_chains(CobarSet(sset), 5)
+    for cx, top in ((omega, 6), (cubical, 4)):
+        assert [(cx.homology(n).betti, tuple(cx.homology(n).torsion))
+                for n in range(top + 1)] == expected[:top + 1]
 
 
 # ----- the store of base faces -------------------------------------------------------

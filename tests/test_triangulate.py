@@ -76,7 +76,7 @@ def test_one_folding_rule_serves_canon_and_the_glued_map(monkeypatch):
     # canon and the glued map's reader fold a bracket by the one step of
     # simpcube; keeping the earlier part in its place must break both
     def keep_earlier(ks, i):
-        return ks[:i - 1] + (min(ks[i - 1], ks[i]),) + ks[i + 1:]
+        return ks[:i - 1] + bytes((min(ks[i - 1], ks[i]),)) + ks[i + 1:]
 
     shared = simpcube._fold_bracket
     for module in (simpcube, triangulate, szczarba):
