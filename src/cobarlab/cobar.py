@@ -67,12 +67,14 @@ def _compose_op(op, ops):
 
 def _push_plan(ops, eps, i):
     """The face (eps, i) of a cube (base, ops) pushed through ops by the
-    cubical identities, as ``(outer, at)``.  Either an operator of ops
-    cancels the face, ``at`` is None and the face is (base, outer), or the
-    face reaches the base as its face ``at = (eps', i')``, and the face is
-    that face of (base, ()) with the operators ``outer`` composed onto it,
-    innermost first (for ops = (), ``((), (eps, i))``).  The plan depends
-    on ops, eps and i alone, not on the base."""
+    cubical identities, as ``(outer, at, bare)``.  Either an operator of
+    ops cancels the face, ``at`` is None and the face is (base, outer), or
+    the face reaches the base as its face ``at = (eps', i')``, and the face
+    is that face of (base, ()) with the operators ``outer`` composed onto
+    it, innermost first (for ops = (), ``((), (eps, i), ())``); ``bare`` is
+    then their composite on the empty word, the face's operators when that
+    face of (base, ()) has none.  The plan depends on ops, eps and i alone,
+    not on the base."""
     outer = []
     while ops:
         (kind, j), ops = ops[0], ops[1:]
@@ -93,10 +95,13 @@ def _push_plan(ops, eps, i):
             op, i = ("g", j), i - 1
         outer.append(op)
     else:
-        return tuple(reversed(outer)), (eps, i)
+        bare = ()
+        for op in reversed(outer):
+            bare = _compose_op(op, bare)
+        return tuple(reversed(outer)), (eps, i), bare
     for op in reversed(outer):
         ops = _compose_op(op, ops)
-    return ops, None
+    return ops, None, None
 
 
 def _concat(base1, ops1, shift, base2, ops2):
@@ -188,8 +193,8 @@ class CobarSet(CubicalSet):
     def _pushed(self, base, plan):
         """The face of (base, ops) that ``plan = _push_plan(ops, eps, i)``
         describes; a face of (base, ()) that it reaches is read from the
-        set's store."""
-        outer, at = plan
+        set's store, and one with no operators takes the plan's composite."""
+        outer, at, bare = plan
         if at is None:
             return (base, outer)
         key = (base,) + at
@@ -197,6 +202,8 @@ class CobarSet(CubicalSet):
         if face is None:
             face = self._base_faces[key] = self._face(base, (), *at)
         ops = face[1]
+        if not ops:
+            return (face[0], bare)
         for op in outer:
             ops = _compose_op(op, ops)
         return (face[0], ops)

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+from operator import methodcaller
 
 from .chains import Chain, ChainComplex, normalized_complex
 from .perms import all_shuffles
-from .verdict import Frozen, Store, Verdict, check_identities
+from .verdict import (Frozen, Store, Verdict, check_coded_identities,
+                      check_identities)
 
 # the largest source dimension whose entries are coded in one byte each:
 # 2^k + 1 symbols
@@ -389,10 +391,13 @@ class StandardCube(CubicalSet):
     and each entry of the composite depends only on the matching entry of
     y.  So each map translates ``y.code`` through a 256-byte table per
     (source dimension, generator, index), built once per process with the
-    composition rule and cached as the generators are, and reads the store
-    with ``get``, subscripting it only on a miss.  :meth:`_bind` resolves
-    the table and the target dimension's store once; the function it
-    returns keeps both while its caller uses it.
+    composition rule and cached as the generators are; every path reads
+    its table there.  The public maps and the functions :meth:`_bind`
+    returns translate and read the target dimension's store with ``get``,
+    subscripting it only on a miss, and the code operators of
+    :meth:`_code_op` translate alone; :meth:`_table` resolves the table
+    and the target dimension of the last two.  :meth:`validate` checks the
+    identities on codes, so it builds no cell unless an identity fails.
     """
 
     def __init__(self, n: int):
@@ -402,10 +407,12 @@ class StandardCube(CubicalSet):
         self._cells = Store(functools.partial(_cell_store, n))
 
     def cubes(self, k: int):
-        cells = self._cells[k]
+        return list(map(self._cells[k].__getitem__, self._codes(k)))
+
+    def _codes(self, k: int) -> list:
+        """The codes of the k-cubes, in the order of :func:`_all_outputs`."""
         symbol = _symbol_of(k).__getitem__
-        return [cells[bytes(map(symbol, outs))]
-                for outs in _all_outputs(k, self.n)]
+        return [bytes(map(symbol, outs)) for outs in _all_outputs(k, self.n)]
 
     def dim(self, y: CubeMorphism) -> int:
         return y.source
@@ -430,17 +437,23 @@ class StandardCube(CubicalSet):
         cells = self._cells[k]
         return cells.get(code) or cells[code]
 
+    @staticmethod
+    def _table(n: int, op: tuple):
+        """The translation table of the operator ``op`` (``("d", eps, i)``,
+        ``("s", i)`` or ``("g", i)``) of n-cubes and the dimension of its
+        values."""
+        letter = op[0]
+        if letter == "d":
+            return _delta_entries(n, *op[1:]), n - 1
+        if letter == "s":
+            return _sigma_entries(n + 1, op[1]), n + 1
+        return _gamma_entries(n + 1, op[1]), n + 1
+
     def _bind(self, n, op):
         """The operator ``op`` of n-cubes as a function of one cube: the
         rule of ``face``, ``degen`` and ``conn`` with the table and the
         store resolved once."""
-        letter = op[0]
-        if letter == "d":
-            table, k = _delta_entries(n, *op[1:]), n - 1
-        elif letter == "s":
-            table, k = _sigma_entries(n + 1, op[1]), n + 1
-        else:
-            table, k = _gamma_entries(n + 1, op[1]), n + 1
+        table, k = self._table(n, op)
         cells = self._cells[k]
         find = cells.get
 
@@ -448,6 +461,28 @@ class StandardCube(CubicalSet):
             code = y.code.translate(table)
             return find(code) or cells[code]
         return bound
+
+    def _code_op(self, n, op):
+        """The operator ``op`` of n-cubes as a function of one n-cube's
+        code: the translation through its table."""
+        return methodcaller("translate", self._table(n, op)[0])
+
+    def validate(self, max_dim: int) -> Verdict:
+        """The cubical identities checked on codes through ``max_dim``, by
+        :func:`~.verdict.check_coded_identities` with :meth:`_code_op`; only
+        a failure's cell is built.  The checker reads cells of dimension
+        ``max_dim + 2``, so a ``max_dim`` above ``MAX_CELL_DIM - 2`` is
+        refused with ``ValueError`` before anything is enumerated."""
+        if max_dim > MAX_CELL_DIM - 2:
+            raise ValueError(
+                f"the identities of a standard cube are checked through"
+                f" dimension {MAX_CELL_DIM - 2} at most, since they read"
+                f" cells two dimensions higher and a cell has dimension at"
+                f" most {MAX_CELL_DIM}; got {max_dim}")
+        cells = self._cells
+        return check_coded_identities(
+            self._codes, self._code_op, cubical_identities, max_dim,
+            lambda k, code: cells[k][code], key="y", values=False)
 
 
 class ProductCubicalSet(CubicalSet):

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+from operator import methodcaller
 
 from .cubes import CubeMorphism
 from .perms import compose, transposition
-from .simplicial import SimplicialSet
-from .verdict import Frozen, Store, Verdict
+from .simplicial import (SimplicialSet, degeneracy_words,
+                         simplicial_identities)
+from .verdict import Frozen, Store, Verdict, check_coded_identities
 
 # the largest dimension of a partition simplex: its last part index,
 # dim + 1, must fit in a byte
@@ -182,9 +184,10 @@ class SimplicialCube(SimplicialSet):
 
     A face or degeneracy translates the bracket through the operator's
     256-byte table, built once per process, and reads the store with
-    ``get``, subscripting it only on a miss.  :meth:`_bind` resolves the
-    table and the target dimension's store once; the function it returns
-    keeps both until its caller is done with it.
+    ``get``, subscripting it only on a miss.  The code operators of
+    :meth:`_code_op` translate alone, and :meth:`validate` checks the
+    identities on brackets, so it builds no simplex unless an identity
+    fails.
     """
 
     def __init__(self, n: int):
@@ -218,21 +221,41 @@ class SimplicialCube(SimplicialSet):
         cells = self._cells[u.dim + 1]
         return cells.get(ks) or cells[ks]
 
-    def _bind(self, n, op):
-        """The face or degeneracy ``op`` of n-simplices as a function of one
-        simplex: the rule of ``face`` and ``degeneracy`` with the table
-        and the store resolved once."""
-        letter, j = op
-        if letter == "d":
-            table, cells = _face_table(j), self._cells[n - 1]
-        else:
-            table, cells = _degeneracy_table(j), self._cells[n + 1]
-        find = cells.get
+    def _codes(self, m: int) -> list:
+        """The brackets of the m-simplices in the order of :meth:`simplices`:
+        each nondegenerate k-simplex, k <= m, under each degeneracy word up
+        to dimension m, applied by the code operators."""
+        codes = []
+        for k in range(m + 1):
+            inner = set(range(1, k + 1))
+            words = [[self._code_op(k + t, ("s", j))
+                      for t, j in enumerate(word)]
+                     for word in degeneracy_words(k, m)]
+            for top in map(bytes, itertools.product(range(k + 2),
+                                                    repeat=self.n)):
+                if inner <= set(top):
+                    for word in words:
+                        ks = top
+                        for degeneracy in word:
+                            ks = degeneracy(ks)
+                        codes.append(ks)
+        return codes
 
-        def bound(u):
-            ks = u.ks.translate(table)
-            return find(ks) or cells[ks]
-        return bound
+    def _code_op(self, n, op):
+        """The face or degeneracy ``op`` of n-simplices as a function of one
+        n-simplex's bracket: the translation through its table."""
+        letter, j = op
+        return methodcaller("translate", _face_table(j) if letter == "d"
+                            else _degeneracy_table(j))
+
+    def validate(self, max_dim: int) -> Verdict:
+        """The simplicial identities checked on brackets through
+        ``max_dim``, by :func:`~.verdict.check_coded_identities` with
+        :meth:`_code_op`; only a failure's simplices are built."""
+        cells = self._cells
+        return check_coded_identities(
+            self._codes, self._code_op, simplicial_identities, max_dim,
+            lambda m, ks: cells[m][ks])
 
     def is_degenerate(self, u) -> bool:
         return u.is_degenerate

@@ -1,5 +1,6 @@
 """Pass/fail result carried by every structural check in the library, the
-one exhaustive checker of operator identities that produces it, and the
+one exhaustive checker of operator identities that produces it (run on
+cells, or on their codes by :func:`check_coded_identities`), and the
 bases of the library's value types: :class:`Record`, :class:`Frozen` and
 the intern store :class:`Store`."""
 
@@ -107,7 +108,8 @@ def check_identities(cells, bind, table, top, key="x", values=True):
     on the cells of dimension n as a function of one cell; ``op`` is a
     tuple ``(letter, *args)`` with one or two index arguments.  It is the
     structure's ``_bind``, its one entry for callers whose indices are in
-    range by construction, as every index of a table row is.  The
+    range by construction, as every index of a table row is (or, on
+    codes, a cube's ``_code_op``: see :func:`check_coded_identities`).  The
     checker calls ``bind`` once per dimension and first operator, before
     it applies the result to any cell, and keeps what it returns only
     until it returns, so a bound operator may resolve its tables once and
@@ -197,6 +199,35 @@ def check_identities(cells, bind, table, top, key="x", values=True):
                     return Verdict.failed(witness)
         prev, cur, nxt = cur, nxt, {}
     return Verdict.passed()
+
+
+def check_coded_identities(codes, bind, table, top, decode, key="x",
+                           values=True):
+    """:func:`check_identities` run on the codes of cells instead of the
+    cells: ``codes(n)`` lists the codes of the n-cells, ``bind(n, op)``
+    returns the operator ``op`` as a function of one code, and
+    ``decode(n, code)`` is the n-cell of a code.  Each code stands for one
+    cell of its dimension and each bound operator maps the code of a cell
+    to the code of its image, so an identity holds on the cells exactly
+    when it holds on their codes.  Only a failure's witness is decoded:
+    the cell, whose dimension is that of the ``codes(n)`` call in progress,
+    and, when ``values`` is set, both sides, whose dimensions follow the
+    letters of their row's words."""
+    dims = []
+    verdict = check_identities(lambda n: dims.append(n) or codes(n), bind,
+                               table, top, key, values)
+    if verdict.ok:
+        return verdict
+    witness, n = verdict.witness, dims[-1]
+    witness[key] = decode(n, witness[key])
+    if values:
+        label = witness["identity"]
+        lhs, rhs = next(row[2:] for row in table(n) if row[0] == label
+                        and all(witness[f] == v for f, v in row[1].items()))
+        for side, word in (("lhs", lhs), ("rhs", rhs)):
+            m = n + sum(-1 if op[0] == "d" else 1 for op in word)
+            witness[side] = decode(m, witness[side])
+    return verdict
 
 
 def _firsts(firsts, table, bind, n):

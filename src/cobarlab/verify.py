@@ -6,22 +6,25 @@ produces a :class:`Report` with the degree, the set-up time, per-check
 status, a witness for any failure, and timing.  Reports render both as
 human-readable text and as a JSON-compatible dictionary, and the two
 renderings always agree on statuses.  :func:`degree` resolves a requested
-``max_dim`` and refuses a negative one, or one below the suite's least:
+``max_dim`` and refuses a negative one, one below the suite's least, or one
+above its most (only ``cubical`` has one: ``MAX_CELL_DIM - 2``):
 
-=================  =======  =====  ==========================================
-suite              default  least  what runs at degree d
-=================  =======  =====  ==========================================
-combinatorics      --       0      fixed sizes; d is not used
-simplicial         5        0      identities to d; chains to 3
-cubical            4        0      standard cubes 0..d; products, cobar sets
-                                   and their chains to min(3, d)
-cube-lemmas        4        1      all three lemmas to d
-triangulation      4        0      cube-n for n < min(d, 4); the rest fixed
-cobar-iso          3        1      both cobar models to d
-szczarba-contract  2        1      contract to d, twisting map to d + 1
-main-theorem       2        1      glue, simplicial and word map to d;
-                                   multiplicative to max(1, d - 1)
-=================  =======  =====  ==========================================
+=================  =======  =====  ====  ====================================
+suite              default  least  most  what runs at degree d
+=================  =======  =====  ====  ====================================
+combinatorics      --       0      --    fixed sizes; d is not used
+simplicial         5        0      --    identities to d; chains to 3
+cubical            4        0      5     standard cubes 0..d; products,
+                                         cobar sets and their chains to
+                                         min(3, d)
+cube-lemmas        4        1      --    all three lemmas to d
+triangulation      4        0      --    cube-n for n < min(d, 4); the rest
+                                         fixed
+cobar-iso          3        1      --    both cobar models to d
+szczarba-contract  2        1      --    contract to d, twisting map to d + 1
+main-theorem       2        1      --    glue, simplicial and word map to d;
+                                         multiplicative to max(1, d - 1)
+=================  =======  =====  ====  ====================================
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from collections.abc import Callable
 from . import loopgroup, szczarba
 from .chains import (check_chain_map, check_coalgebra_map, check_quasi_iso)
 from .cobar import CobarSet, compare_models
-from .cubes import CubeMorphism, ProductCubicalSet, StandardCube, cubical_chains
+from .cubes import (MAX_CELL_DIM, CubeMorphism, ProductCubicalSet,
+                    StandardCube, cubical_chains)
 from .perms import (Shuffle, add_assignment, all_index_seqs, all_perms,
                     all_shuffles, compose, invert, inversions, is_index_seq,
                     p, p_inv, phi, phi_perm, psi, psi_inv, remove_assignment,
@@ -492,22 +496,27 @@ def main_theorem_checks(d):
 class Suite(Frozen):
     """A named batch of checks: ``checks(d)`` gives its (name, check) pairs
     at degree d, ``degree`` is the default d (None: the checks have fixed
-    sizes), and a d below ``least`` is refused."""
+    sizes), a d below ``least`` is refused, and so is one above ``most``
+    (None: no ceiling)."""
 
-    __slots__ = _fields = ("checks", "degree", "least")
+    __slots__ = _fields = ("checks", "degree", "least", "most")
 
     def __init__(self, checks: Callable[[int | None], list],
-                 degree: int | None, least: int = 0):
+                 degree: int | None, least: int = 0,
+                 most: int | None = None):
         init = object.__setattr__
         init(self, "checks", checks)
         init(self, "degree", degree)
         init(self, "least", least)
+        init(self, "most", most)
 
 
 SUITES = {
     "combinatorics": Suite(combinatorics_checks, None),
     "simplicial": Suite(simplicial_checks, 5),
-    "cubical": Suite(cubical_checks, 4),
+    # standard-cube-d validates through d, which reads cells of dimension
+    # d + 2, and a standard cube's cells have dimension MAX_CELL_DIM at most
+    "cubical": Suite(cubical_checks, 4, most=MAX_CELL_DIM - 2),
     "cube-lemmas": Suite(cube_lemmas_checks, 4, 1),
     "triangulation": Suite(triangulation_checks, 4),
     "cobar-iso": Suite(cobar_iso_checks, 3, 1),
@@ -516,11 +525,12 @@ SUITES = {
 }
 
 
-def degree(what: str, max_dim, default, least: int = 0):
+def degree(what: str, max_dim, default, least: int = 0, most=None):
     """The degree ``what`` runs at: ``max_dim`` if given, else ``default``;
     None for checks of fixed sizes, whatever ``max_dim`` says.  A negative
     max_dim is refused, and so is one below ``least``, where the checks
-    would enumerate nothing and pass vacuously."""
+    would enumerate nothing and pass vacuously, or above ``most`` (None:
+    no ceiling), where they would need cells that cannot be coded."""
     if max_dim is None:
         return default
     if max_dim < 0:
@@ -529,6 +539,9 @@ def degree(what: str, max_dim, default, least: int = 0):
                          f" got {max_dim}")
     if max_dim < least:
         raise ValueError(f"{what} checks nothing below degree {least};"
+                         f" got {max_dim}")
+    if most is not None and max_dim > most:
+        raise ValueError(f"{what} checks through degree {most} at most;"
                          f" got {max_dim}")
     return None if default is None else max_dim
 
@@ -540,7 +553,8 @@ def check_request(name: str, max_dim=None):
         raise ValueError(f"unknown suite {name!r}; known: "
                          + ", ".join(sorted(SUITES)))
     suite = SUITES[name]
-    return degree(f"suite {name!r}", max_dim, suite.degree, suite.least)
+    return degree(f"suite {name!r}", max_dim, suite.degree, suite.least,
+                  suite.most)
 
 
 def run_suite(name: str, max_dim=None) -> Report:

@@ -1,7 +1,8 @@
 """The per-complex cell stores of ``StandardCube`` and ``SimplicialCube``:
 every structure map returns the cell the fresh formula gives, each
 distinct cell is one object, the store holds exactly the cells that were
-handed out, and it lives and dies with its complex.  The simplex store of
+handed out (the identity checks, which run on codes, hand out none), and
+it lives and dies with its complex.  The simplex store of
 a presentation is counted here too: the layers above it never compare two
 equal simplices field by field.  Every structure that stores what it
 computes dies by reference counting, with no collector run."""
@@ -35,26 +36,45 @@ def stored(cset):
     return [len(cset._cells[k]) for k in sorted(cset._cells)]
 
 
-def counting(cset, names):
-    """cset whose operators ``names``, and the operators its ``_bind`` hands
-    the identity checker, count their calls and record their results;
-    returns (cset, calls, results)."""
+def counting(cube):
+    """cube whose code operators, as its ``_code_op`` hands them to the
+    identity checker, count their calls by letter and record each result
+    with its dimension; returns (cube, calls, {(dimension, code)})."""
     calls = Counter()
     results = set()
+    code_op = cube._code_op
 
-    def wrap(name, op):
-        def counted(x, *args):
-            calls[name] += 1
-            result = op(x, *args)
-            results.add(result)
+    def wrap(n, op):
+        operator, m = code_op(n, op), n - 1 if op[0] == "d" else n + 1
+
+        def counted(code):
+            calls[op[0]] += 1
+            result = operator(code)
+            results.add((m, result))
             return result
         return counted
 
-    for name in names:
-        setattr(cset, name, wrap(name, getattr(cset, name)))
-    bind = cset._bind
-    cset._bind = lambda n, op: wrap(op[0], bind(n, op))
-    return cset, calls, results
+    cube._code_op = wrap
+    return cube, calls, results
+
+
+def checked_codes(cube, top, results):
+    """The (dimension, code) of every cell the identity check through
+    ``top`` enumerates or makes, given the ``results`` of its operators."""
+    return {(k, code) for k in range(top + 1)
+            for code in cube._codes(k)} | results
+
+
+def reached(cube, top):
+    """The cells the identity check of ``cube`` through ``top`` reaches,
+    by dimension, decoded through the store in code order."""
+    cube, _, results = counting(cube)
+    assert cube.validate(top).ok
+    del cube._code_op
+    cells = {}
+    for k, code in sorted(checked_codes(cube, top, results)):
+        cells.setdefault(k, []).append(cube._cells[k][code])
+    return cells
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -118,16 +138,18 @@ def standard_operators(k):
 
 def check_standard_cube_maps(cube, cells):
     """Every bound and public map of the cube on every cell of ``cells``
-    (dimension -> cells) is the cell composed with its generator, and the
-    public map returns the cell the bound one does."""
+    (dimension -> cells) is the cell composed with its generator, the
+    public map returns the cell the bound one does, and the code operator
+    maps the cell's code to that cell's."""
     public = {"d": cube.face, "s": cube.degen, "g": cube.conn}
     for k, ys in cells.items():
         for op, gen in standard_operators(k):
-            bound = cube._bind(k, op)
+            bound, code_op = cube._bind(k, op), cube._code_op(k, op)
             for y in ys:
                 got = bound(y)
                 assert got == y.compose(gen)
                 assert public[op[0]](y, *op[1:]) is got
+                assert code_op(y.code) == got.code
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -135,9 +157,8 @@ def test_bound_standard_cube_maps_equal_composites(n):
     # the cells the cubical suite's check of the standard n-cube reaches,
     # in every dimension, at most about 500 of each
     cube = StandardCube(n)
-    assert cube.validate(min(n + 1, 4)).ok
-    check_standard_cube_maps(cube, {k: sample(cells.values())
-                                    for k, cells in cube._cells.items()})
+    check_standard_cube_maps(cube, {k: sample(ys) for k, ys in
+                                    reached(cube, min(n + 1, 4)).items()})
 
 
 def test_every_symbol_of_every_entry_table_is_translated_right():
@@ -151,8 +172,9 @@ def test_every_symbol_of_every_entry_table_is_translated_right():
     # the 7-cubes have faces only: their degeneracies are refused below
     check_standard_cube_maps(cube, {k: cells[k] for k in range(7)})
     for op, gen in standard_operators(7)[:14]:
-        bound = cube._bind(7, op)
+        bound, code_op = cube._bind(7, op), cube._code_op(7, op)
         assert all(bound(y) == y.compose(gen) for y in cells[7])
+        assert all(code_op(y.code) == bound(y).code for y in cells[7])
 
 
 def bracket_rule(u, letter, j):
@@ -162,18 +184,22 @@ def bracket_rule(u, letter, j):
 
 
 def check_simplicial_cube_maps(cube, cells):
+    """Every code operator and public map of the cube on every simplex of
+    ``cells`` (dimension -> simplices) gives the fresh simplex and the
+    bracket of the part-index rule, and the code operator's bracket reads
+    from the store the simplex the public map returns."""
     for m, us in cells.items():
         ops = [("s", j) for j in range(m + 1)]
         if m:
             ops += [("d", j) for j in range(m + 1)]
         for op in ops:
-            bound = cube._bind(m, op)
+            code_op = cube._code_op(m, op)
             letter, j = op
             public, fresh = ((cube.face, partition_face) if letter == "d"
                              else (cube.degeneracy, partition_degeneracy))
             m2 = m - 1 if letter == "d" else m + 1
             for u in us:
-                got = bound(u)
+                got = cube._cells[m2][code_op(u.ks)]
                 assert got == fresh(u, j)
                 assert (got.ks, got.dim) == (bracket_rule(u, letter, j), m2)
                 assert public(u, j) is got
@@ -184,10 +210,8 @@ def test_bound_simplicial_cube_maps_equal_fresh_brackets(n):
     # the simplices the cube-lemmas suite's check of the n-cube reaches,
     # in every dimension, at most about 500 of each
     cube = SimplicialCube(n)
-    assert cube.validate(n + 1).ok
-    check_simplicial_cube_maps(cube, {m: sample(cells.values())
-                                      for m, cells in cube._cells.items()
-                                      if m >= 0})
+    check_simplicial_cube_maps(cube, {m: sample(us) for m, us in
+                                      reached(cube, n + 1).items()})
 
 
 def test_every_part_index_is_translated_right():
@@ -202,7 +226,7 @@ def test_every_part_index_is_translated_right():
     check_simplicial_cube_maps(cube, cells)
     top = PartitionSimplex(1, (255,), 254)
     assert [cube.face(top, j).ks for j in (253, 254)] == [b"\xfe", b"\xfe"]
-    assert cube._bind(254, ("d", 0))(top) == PartitionSimplex(1, (254,), 253)
+    assert cube._code_op(254, ("d", 0))(top.ks) == b"\xfe"
 
 
 def test_cells_past_the_byte_codes_are_refused():
@@ -236,6 +260,20 @@ def test_cells_past_the_byte_codes_are_refused():
         with pytest.raises(ValueError, match=limit):
             call()
     assert 8 not in cube._cells
+
+
+def test_validate_refuses_degrees_past_the_byte_codes(monkeypatch):
+    # validate(top) reads cells of dimension top + 2, at most 7; the
+    # refusal comes before anything is enumerated or stored
+    assert StandardCube(1).validate(5).ok
+    monkeypatch.setattr(cubes, "_all_outputs", None)
+    cube = StandardCube(1)
+    for top in (6, 7, 12):
+        with pytest.raises(ValueError, match=(
+                "^the identities of a standard cube are checked through"
+                f" dimension 5 at most, .*; got {top}$")):
+            cube.validate(top)
+    assert sum(stored(cube)) == 0
 
 
 def test_out_of_range_indices_raise_as_before():
@@ -307,8 +345,10 @@ def test_stores_belong_to_their_complex(make, cells, no_collector):
 OWNERS = {
     "SimplicialPresentation": (lambda: fixture("D4sk1"),
                                lambda x: x.validate_presentation(3).ok),
-    "StandardCube": (lambda: StandardCube(2), lambda x: x.validate(3).ok),
-    "SimplicialCube": (lambda: SimplicialCube(2), lambda x: x.validate(3).ok),
+    "StandardCube": (lambda: StandardCube(2),
+                     lambda x: x.validate(3).ok and bool(x.cubes(3))),
+    "SimplicialCube": (lambda: SimplicialCube(2),
+                       lambda x: x.validate(3).ok and bool(x.simplices(3))),
     "CobarSet": (lambda: CobarSet(fixture("D4sk1")),
                  lambda x: x.validate(2).ok),
     "TriangulatedCubicalSet": (
@@ -335,19 +375,24 @@ def test_stores_die_by_reference_counting(owner, no_collector, monkeypatch):
     # a store whose build refers to its owner would make a cycle, which
     # only the collector frees; so would a bound operator that the owner
     # kept, and the tables of each bound operator die when the checker
-    # returns
+    # returns.  The cubes hand the checker code operators, methodcallers,
+    # which take no weak reference: each is watched through a function
+    # that calls it and that the checker keeps in its place
     build, exercise = OWNERS[owner]
     x = build()
     bound = []
-    bind = getattr(type(x), "_bind", None)
+    entry = "_code_op" if hasattr(type(x), "_code_op") else "_bind"
+    bind = getattr(type(x), entry, None)
 
     def watched(self, n, op):
         operator = bind(self, n, op)
+        if entry == "_code_op":
+            operator = lambda code, translate=operator: translate(code)  # noqa: E731
         bound.append(weakref.ref(operator))
         return operator
 
     if bind is not None:
-        monkeypatch.setattr(type(x), "_bind", watched)
+        monkeypatch.setattr(type(x), entry, watched)
     assert exercise(x)
     assert bool(bound) == (owner in VALIDATED)
     assert all(ref() is None for ref in bound)
@@ -357,29 +402,46 @@ def test_stores_die_by_reference_counting(owner, no_collector, monkeypatch):
 
 
 def test_standard_cube_store_holds_what_the_checker_made():
-    cube, calls, results = counting(StandardCube(4), ("face", "degen", "conn"))
+    cube, calls, results = counting(StandardCube(4))
     assert cube.validate(4).ok
     assert sum(calls.values()) == 123_254
+    del cube._code_op
+    # the check runs on codes: it builds no cell
+    assert sum(stored(cube)) == 0
     # the 5-dimensional lists of the top rows' degeneracies and connections
-    # hold every first operator of dimension 5, so they also build
+    # hold every first operator of dimension 5, so they also make
     # s_{m+1} g_m of the identity 4-cube (m = 1..4), which no row reads:
     # four 6-cells more than the 6,061 the rows reach
-    assert stored(cube) == [16, 48, 136, 368, 961, 2441, 6065]
-    # the elements come from the store, and enumerating them adds nothing
+    codes = checked_codes(cube, 4, results)
+    assert list(Counter(k for k, _ in sorted(codes)).values()) == [
+        16, 48, 136, 368, 961, 2441, 6065]
+    # enumerating the elements stores them, and decoding the codes the
+    # check made stores the rest, each cell once
     elements = {y for k in range(5) for y in cube.cubes(k)}
+    assert stored(cube) == [16, 48, 136, 368, 961]
+    made = {cube._cells[k][code] for k, code in results}
     assert stored(cube) == [16, 48, 136, 368, 961, 2441, 6065]
     held = {y for cells in cube._cells.values() for y in cells.values()}
-    assert held == elements | results
+    assert held == elements | made
 
 
 def test_simplicial_cube_store_holds_what_the_checker_made():
-    cube, calls, results = counting(SimplicialCube(4), ("face", "degeneracy"))
+    cube, calls, results = counting(SimplicialCube(4))
     assert cube.validate(5).ok
     assert sum(calls.values()) == 145_542
+    del cube._code_op
+    # the check runs on brackets: it builds no simplex
+    assert sum(stored(cube)) == 0
     # every m-simplex, degenerate or not: (m + 2)^4 brackets
+    codes = checked_codes(cube, 5, results)
+    assert list(Counter(k for k, _ in sorted(codes)).values()) == [
+        16, 81, 256, 625, 1296, 2401, 4096, 6561]
+    made = {cube._cells[m][ks] for m, ks in results}
+    assert stored(cube)[6:] == [4096, 6561]
+    elements = {u for m in range(6) for u in cube.simplices(m)}
     assert stored(cube) == [16, 81, 256, 625, 1296, 2401, 4096, 6561]
     held = {u for cells in cube._cells.values() for u in cells.values()}
-    assert held == results | {u for m in range(6) for u in cube.simplices(m)}
+    assert held == made | elements
 
 
 # ----- the simplex store of a presentation ---------------------------------------

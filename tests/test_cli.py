@@ -282,6 +282,31 @@ def test_triangulate_refuses_cubes_past_the_byte_codes(fixture, capsys):
     assert out.out == ""
 
 
+@pytest.mark.parametrize("suite, degree", [
+    ("cubical", "6"), ("cubical", "9"), ("all", "6")])
+def test_verify_refuses_cubical_degrees_past_the_byte_codes(suite, degree,
+                                                            capsys):
+    # standard-cube-d validates through d, which reads cells of dimension
+    # d + 2, at most 7; nothing runs before the refusal
+    assert main(["verify", "--suite", suite, "--max-dim", degree]) == 2
+    out = capsys.readouterr()
+    assert out.err == (f"error: suite 'cubical' checks through degree 5 at"
+                       f" most; got {degree}\n")
+    assert out.out == ""
+
+
+def test_cubical_degree_refusal_ends_without_traceback():
+    src = Path(cobarlab.__file__).parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "cobarlab.cli", "verify", "--suite", "all",
+         "--max-dim", "6"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: suite 'cubical' checks through")
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("suite", ["cube-lemmas", "cobar-iso",
                                    "szczarba-contract", "main-theorem"])
 def test_verify_runs_at_degree_one(suite, capsys):

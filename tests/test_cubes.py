@@ -171,12 +171,12 @@ def test_generators_are_cached():
 
 
 def test_validate_catches_broken_connection():
-    # the checker calls the operators that _bind hands out
+    # the checker calls the code operators that _code_op hands out
     class BrokenCube(StandardCube):
-        def _bind(self, n, op):
+        def _code_op(self, n, op):
             if n == 2 and op == ("g", 2):
                 op = ("s", 2)
-            return super()._bind(n, op)
+            return super()._code_op(n, op)
 
     verdict = BrokenCube(3).validate(3)
     assert not verdict.ok

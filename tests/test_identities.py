@@ -6,33 +6,45 @@ reference checker that calls every operator."""
 import random
 import re
 from collections import Counter
+from operator import attrgetter
 
 import pytest
 
+from cobarlab import cubes
 from cobarlab.cobar import CobarSet
 from cobarlab.cubes import (CubeMorphism, ProductCubicalSet, StandardCube,
                             cubical_identities)
 from cobarlab.loopgroup import LoopGroup
-from cobarlab.simpcube import SimplicialCube
+from cobarlab.simpcube import PartitionSimplex, SimplicialCube
 from cobarlab.simplicial import (Simplex, fixture, nondeg,
                                  simplicial_identities)
 from cobarlab.szczarba import (CobarToGroupMap, SzProvider, build_f,
                                check_f_simplicial)
 from cobarlab.verdict import Verdict, _plan, check_identities
-from cobarlab.verify import SIMPLICIAL_FIXTURES
+from cobarlab.verify import SIMPLICIAL_FIXTURES, run_suite
 
 
 LETTERS = {"face": "d", "degeneracy": "s", "degen": "s", "conn": "g"}
 
+# the code of a cell, for the cubes whose identities are checked on codes
+ENCODE = {StandardCube: attrgetter("code"), SimplicialCube: attrgetter("ks")}
+
 
 def patched(obj, name, wrong):
     """obj whose operator ``name`` answers ``wrong(original, x, *args)``,
-    both as called and as its ``_bind`` hands it to the identity checker."""
+    as called, as its ``_bind`` hands it out and, on a cube checked on
+    codes, as its ``_code_op`` hands it to the identity checker: on the
+    cell a code decodes to, encoded again."""
     original = getattr(obj, name)
     setattr(obj, name, lambda x, *args: wrong(original, x, *args))
     bind, letter = obj._bind, LETTERS[name]
     obj._bind = lambda n, op: ((lambda x: wrong(original, x, *op[1:]))
                                if op[0] == letter else bind(n, op))
+    if type(obj) in ENCODE:
+        code_op, cells, encode = obj._code_op, obj._cells, ENCODE[type(obj)]
+        obj._code_op = lambda n, op: (
+            (lambda code: encode(wrong(original, cells[n][code], *op[1:])))
+            if op[0] == letter else code_op(n, op))
     return obj
 
 
@@ -46,14 +58,16 @@ def bind_of(operators):
 
 
 def counted_bind(structure, calls):
-    """structure whose ``_bind`` hands out operators that count their calls
-    in ``calls``, by letter."""
-    bind = structure._bind
+    """structure whose operators, as its ``_code_op`` (on a cube checked on
+    codes) or else its ``_bind`` hands them to the identity checker, count
+    their calls in ``calls``, by letter."""
+    entry = "_code_op" if type(structure) in ENCODE else "_bind"
+    bind = getattr(structure, entry)
 
     def counted(n, op):
         operator = bind(n, op)
         return lambda x: calls.update(op[:1]) or operator(x)
-    structure._bind = counted
+    setattr(structure, entry, counted)
     return structure
 
 
@@ -262,6 +276,45 @@ def test_cubical_witness_matches_reference(label, max_dim):
     fast = build().validate(max_dim)
     assert not fast.ok
     assert repr(fast) == repr(reference_cubical(build(), max_dim))
+
+
+# the 2-simplex <|1|2|> of the square, whose face d_1 answers d_0
+BRACKET = PartitionSimplex(2, (1, 2), 2)
+
+
+def corrupted_simplicial_cube():
+    return patched(SimplicialCube(2), "face",
+                   lambda d, u, j: d(u, 0) if u == BRACKET and j == 1
+                   else d(u, j))
+
+
+@pytest.mark.parametrize("max_dim", [2, 3])
+def test_simplicial_cube_witness_matches_reference(max_dim):
+    # the identities are checked on brackets, and the failing simplex and
+    # both sides are decoded as simplices of their own dimensions
+    fast = corrupted_simplicial_cube().validate(max_dim)
+    assert not fast.ok
+    witness = fast.witness
+    assert witness["x"].__class__ is PartitionSimplex
+    assert [witness[side].__class__ for side in ("lhs", "rhs")] == [
+        PartitionSimplex, PartitionSimplex]
+    assert witness["lhs"] != witness["rhs"]
+    assert repr(fast) == repr(reference_simplicial(corrupted_simplicial_cube(),
+                                                   max_dim))
+
+
+def test_connection_tables_read_as_degeneracies_fail_the_standard_cubes(
+        monkeypatch):
+    # the mutant whose connection tables are those of the degeneracies
+    # reaches the code operators of the standard cubes' checks and the
+    # public maps the products read; the 0-cube has constant cells only,
+    # on which the two tables agree
+    monkeypatch.setattr(cubes, "_gamma_entries", cubes._sigma_entries)
+    report = run_suite("cubical")
+    failed = {c.name: c.witness for c in report.checks if c.status == "fail"}
+    assert set(failed) == {*(f"standard-cube-{n}" for n in range(1, 5)),
+                           "product-1x1", "product-2x1"}
+    assert {witness["identity"] for witness in failed.values()} == {"dg"}
 
 
 @pytest.mark.parametrize("label", ["dd", "ss", "ds"])
@@ -529,8 +582,9 @@ def first_operators(table, n):
                               if word))
 
 
-# (build, top dimension of the cells): the sets whose _bind resolves its
-# own tables, and products, which bind their public operators
+# (build, top dimension of the cells): the cubes, whose code operators (and
+# the standard cube's _bind) resolve their own tables, cobar sets, whose
+# _bind does, and products, which bind their public operators
 BOUND = {
     **{f"standard-cube-{n}": (lambda n=n: StandardCube(n), 5)
        for n in range(5)},
@@ -547,7 +601,8 @@ BOUND = {
 def test_bound_operators_equal_the_public_ones(name):
     # every first operator of the shipped tables, on every cell of every
     # dimension through the top; the store-backed cubes hand out the very
-    # cell their public operators return
+    # cell their public operators return, and their code operators map its
+    # code to that cell's
     build, top = BOUND[name]
     structure = build()
     if hasattr(structure, "simplices"):
@@ -557,15 +612,18 @@ def test_bound_operators_equal_the_public_ones(name):
     else:
         table, cells, public = (cubical_identities, structure.cubes,
                                 cube_operators(structure))
-    stored = isinstance(structure, (StandardCube, SimplicialCube))
+    encode = ENCODE.get(type(structure))
     checked = 0
     for n in range(top + 1):
         xs = cells(n)
         for op in first_operators(table, n):
             bound, operator, args = structure._bind(n, op), public[op[0]], op[1:]
+            code_op = encode and structure._code_op(n, op)
             for x in xs:
                 value, expected = bound(x), operator(x, *args)
-                assert value is expected if stored else value == expected
+                assert value is expected if encode else value == expected
+                if encode:
+                    assert code_op(encode(x)) == encode(expected)
                 checked += 1
     assert checked
 
@@ -587,8 +645,8 @@ def test_in_range_callers_read_the_cobar_set_through_bind(monkeypatch):
 def test_checker_binds_each_first_operator_once_per_dimension():
     cube = StandardCube(2)
     binds = Counter()
-    bind = cube._bind
-    cube._bind = lambda n, op: binds.update([(n, op)]) or bind(n, op)
+    bind = cube._code_op
+    cube._code_op = lambda n, op: binds.update([(n, op)]) or bind(n, op)
     assert cube.validate(3).ok
     assert set(binds.values()) == {1}
     assert set(binds) == {(n, op) for n in range(5)

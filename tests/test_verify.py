@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from cobarlab import loopgroup, perms, szczarba, verify
-from cobarlab.cubes import cubical_chains
+from cobarlab.cubes import MAX_CELL_DIM, cubical_chains
 from cobarlab.verdict import Frozen, Record, Verdict
 from cobarlab.verify import SUITES, run_suite
 
@@ -102,11 +102,11 @@ def test_report_value_semantics():
 def test_suite_value_semantics():
     suite = SUITES["cube-lemmas"]
     assert repr(suite) == (f"Suite(checks={verify.cube_lemmas_checks!r},"
-                           " degree=4, least=1)")
+                           " degree=4, least=1, most=None)")
     assert suite == verify.Suite(verify.cube_lemmas_checks, 4, 1)
     assert verify.Suite(print, None) == verify.Suite(print, None, least=0)
     assert suite != verify.Suite(verify.cube_lemmas_checks, 4)
-    assert hash(suite) == hash((verify.cube_lemmas_checks, 4, 1))
+    assert hash(suite) == hash((verify.cube_lemmas_checks, 4, 1, None))
     assert pickle.loads(pickle.dumps(suite)) == suite
     with pytest.raises(AttributeError):
         suite.degree = 5
@@ -207,6 +207,19 @@ def test_suite_refuses_a_degree_below_its_least(name):
         with pytest.raises(ValueError,
                            match=f"checks nothing below degree {least}"):
             run_suite(name, least - 1)
+
+
+def test_only_the_cubical_suite_has_a_ceiling():
+    # its check of the standard d-cube reads cells of dimension d + 2, and
+    # a standard cube's cells have dimension MAX_CELL_DIM at most
+    assert MAX_CELL_DIM - 2 == 5
+    assert {name: suite.most for name, suite in SUITES.items()
+            if suite.most is not None} == {"cubical": 5}
+    for max_dim in (6, 7):
+        with pytest.raises(ValueError, match="^suite 'cubical' checks"
+                           f" through degree 5 at most; got {max_dim}$"):
+            run_suite("cubical", max_dim)
+    assert verify.check_request("cubical", 5) == 5
 
 
 @pytest.mark.parametrize("name, max_dim, degree", [
