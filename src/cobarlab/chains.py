@@ -339,14 +339,18 @@ class ChainMap(Record):
 
 def check_chain_map(f: ChainMap) -> Verdict:
     """f keeps degrees and commutes with the differentials: d f = f d on
-    every source label, compared term by term in one difference chain."""
+    every source label, compared term by term in one difference chain.
+
+    It enumerates the source's basis, and reads of the target only
+    ``degree_of`` and ``boundary`` on the labels of the values, and
+    ``boundary_chain`` for a witness."""
     source, target, mapping = f.source, f.target, f.mapping
-    degree, d_target = target._degree, target.boundary
+    degree_of, d_target = target.degree_of, target.boundary
     for n in source.degrees:
         for label in source.basis[n]:
             value = mapping[label]
             for t in value:
-                if degree[t] != n:
+                if degree_of(t) != n:
                     return Verdict.failed(
                         {"check": "degree", "label": label, "target": t})
             if n == 0:
@@ -368,7 +372,11 @@ def check_chain_map(f: ChainMap) -> Verdict:
 
 
 def check_coalgebra_map(f: ChainMap) -> Verdict:
-    """f commutes with diagonals and preserves the counit."""
+    """f commutes with diagonals and preserves the counit.
+
+    It enumerates the source's basis, and reads of the target only
+    ``diagonal_chain`` on the values, which reads ``diagonal_of`` on
+    their labels."""
     for n in f.source.degrees:
         for label in f.source.basis[n]:
             lhs = f.target.diagonal_chain(f.mapping[label])

@@ -333,20 +333,58 @@ def _front_back_diagonal(row, slot) -> Chain:
     return delta
 
 
-def normalized_chains(face, basis: dict) -> ChainComplex:
-    """Normalized chains on ``basis`` (degree -> simplices), with
-    ``face(x, i)`` the face d_i x: slot 1 + i of a row holds d_i with sign
-    (-1)^i, and the front-face/back-face diagonal, built on demand, makes
-    it a dg-coalgebra."""
+def simplicial_chains(sset: SimplicialSet, max_dim: int) -> ChainComplex:
+    """Normalized chains on every nondegenerate simplex up to max_dim,
+    slot 1 + i of a row holding d_i with sign (-1)^i, and with the
+    front-face/back-face diagonal built on demand."""
+    basis = {n: tuple(sset.nondegenerate(n)) for n in range(max_dim + 1)}
+    face = sset.face
     return normalized_complex(
         basis, lambda n: tuple((-1) ** i for i in range(n + 1)) if n else (),
         lambda x, k: face(x, k - 1), _front_back_diagonal)
 
 
-def simplicial_chains(sset: SimplicialSet, max_dim: int) -> ChainComplex:
-    """Normalized chains on every nondegenerate simplex up to max_dim."""
-    basis = {n: tuple(sset.nondegenerate(n)) for n in range(max_dim + 1)}
-    return normalized_chains(sset.face, basis)
+class NormalizedChains:
+    """The normalized chains of a simplicial set, read on demand: the
+    labels are its nondegenerate simplices, of degree ``sset.dim``, and a
+    degenerate face is zero.  ``boundary[x]``, the sum of (-1)^i d_i x,
+    is built on the first read of x and kept; ``diagonal_of(x)``, the
+    front-face/back-face diagonal, is walked one face at a time on every
+    read.  There is no basis, so d^2, the coalgebra identities and
+    homology cannot be checked here: this is a chain map's target."""
+
+    def __init__(self, sset: SimplicialSet):
+        face, dim, is_degenerate = sset.face, sset.dim, sset.is_degenerate
+        self.degree_of = dim
+
+        def boundary(x) -> Chain:
+            d: Chain = {}
+            n = dim(x)
+            for i in range(n + 1 if n else 0):
+                y = face(x, i)
+                if not is_degenerate(y):
+                    add_scaled(d, {y: 1}, -1 if i % 2 else 1)
+            return d
+
+        def diagonal(x) -> Chain:
+            # fronts[i] and backs[i] are each one face of the one before them
+            fronts = [x]
+            backs = [x]
+            for i in range(dim(x), 0, -1):
+                fronts.append(face(fronts[-1], i))
+                backs.append(face(backs[-1], 0))
+            fronts.reverse()
+            delta: Chain = {}
+            for front, back in zip(fronts, backs):
+                if not (is_degenerate(front) or is_degenerate(back)):
+                    add_scaled(delta, {(front, back): 1}, 1)
+            return delta
+
+        self.boundary = Store(boundary)
+        self.diagonal_of = diagonal
+
+    boundary_chain = ChainComplex.boundary_chain
+    diagonal_chain = ChainComplex.diagonal_chain
 
 
 def shuffle_terms(left: SimplicialSet, right: SimplicialSet, x, y) -> Chain:

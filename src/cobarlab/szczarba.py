@@ -17,10 +17,9 @@ triangulation chain map against the word-by-word twisting cochain.
 
 The word-by-word map is a ``ChainMap`` (:func:`word_map`) from the
 normalized chains of the cobar cubical set, whose normalized cubes
-``(w, ())`` are the words w, into the group chains that the simplicial
-builder makes on the words its values touch and their iterated faces;
-``check_chain_map`` and ``check_coalgebra_map`` check on that one map that
-it commutes with d and with the diagonal.
+``(w, ())`` are the words w, into the normalized chains of the group,
+read on demand; ``check_chain_map`` and ``check_coalgebra_map`` check on
+that one map that it commutes with d and with the diagonal.
 
 Each provider keeps what it has computed: the operator word ``sz(pi, x)``
 keyed by ``(pi, x)``, and the cochains ``t_sz`` per simplex and ``f_sz``
@@ -46,7 +45,7 @@ from .perms import (all_perms, compose, phi_perm, remove_assignment, sign,
 from .simpcube import (PartitionSimplex, _drop_bracket, _fold_bracket,
                        combine_simplices, extend_family, lambda_star,
                        partition_degeneracy, u_pi)
-from .simplicial import (Simplex, monotone_operators, normalized_chains,
+from .simplicial import (NormalizedChains, Simplex, monotone_operators,
                          shuffle_pair, shuffle_terms)
 from .verdict import Verdict
 
@@ -264,46 +263,15 @@ def f_sz(provider, word) -> Chain:
 def word_map(provider, max_deg: int) -> ChainMap:
     """The word-by-word map (w, ()) -> f_sz(w), from the normalized cubical
     chains of the cobar construction through degree max_deg, whose
-    normalized cubes are the words, to the normalized chains of the group
-    on the nondegenerate words its values touch and on every nondegenerate
-    iterated face of them.  The cobar construction refuses a presentation
-    that is not 1-reduced.
-
-    The basis is closed under faces, through degenerate faces too, so
-    every boundary term and every front/back diagonal term of a basis
-    word is a basis word or zero: the target is a complex of its own, on
-    which d^2, the coalgebra identities and homology can be checked.  The
-    walk that closes it keeps the faces of every word it visits, and the
-    builder reads them there, so each face is computed once; once the
-    target is built, the map keeps only the faces of the words that are
-    not in the basis, which the diagonal may still read."""
-    group = provider.group
+    normalized cubes are the words, to the normalized chains of the group,
+    read on demand (:class:`~.simplicial.NormalizedChains`): a value
+    word's boundary and diagonal are computed when a check reads them.
+    The cobar construction refuses a presentation that is not
+    1-reduced."""
     source = cubical_chains(CobarSet(provider.sset), max_deg)
     mapping = {cube: f_sz(provider, cube[0])
                for cubes in source.basis.values() for cube in cubes}
-    basis = {d: {} for d in source.basis}
-    for value in mapping.values():
-        for g in value:
-            basis.setdefault(g.n, {})[g] = None
-    pending = [g for words in basis.values() for g in words]
-    faces = dict.fromkeys(pending)
-    while pending:
-        g = pending.pop()
-        row = faces[g] = [group.face(g, i)
-                          for i in range(g.n + 1 if g.n else 0)]
-        for face in row:
-            if face not in faces:
-                faces[face] = None
-                pending.append(face)
-                if not group.is_degenerate(face):
-                    basis.setdefault(face.n, {})[face] = None
-    target = normalized_chains(lambda g, i: faces[g][i], basis)
-    # the complex keeps its own row for each basis word and reads faces
-    # here again only for words outside the basis
-    for words in basis.values():
-        for g in words:
-            del faces[g]
-    return ChainMap(source, target, mapping)
+    return ChainMap(source, NormalizedChains(provider.group), mapping)
 
 
 # ----- gluing the map on the triangulated cobar construction ------------------------

@@ -7,18 +7,20 @@ import pytest
 
 from cobarlab import szczarba
 
-from cobarlab.chains import add_scaled, check_chain_map, check_coalgebra_map
+from cobarlab.chains import (ChainComplex, add_scaled, check_chain_map,
+                             check_coalgebra_map)
 from cobarlab import cobar, cubes, verify
 from cobarlab.cobar import CobarSet
 from cobarlab.cubes import CubeMorphism
-from cobarlab.loopgroup import LoopGroup
+from cobarlab.loopgroup import LoopGroup, check_twisting
 from cobarlab.perms import (all_index_seqs, all_perms, compose, invert, p,
                             phi, psi_inv, remove_assignment, sign,
                             transposition, xi)
 from cobarlab.simpcube import (PartitionSimplex, lambda_star, project_simplex,
                                u_pi)
-from cobarlab.simplicial import (collapsed_simplex, fixture, nondeg,
-                                 normalized_chains, shuffle_pair, sphere)
+from cobarlab.simplicial import (NormalizedChains, SimplicialSet,
+                                 collapsed_simplex, fixture, nondeg,
+                                 shuffle_pair, sphere)
 from cobarlab.szczarba import (CobarToGroupMap, SwappedSzProvider,
                                SzProvider, build_f,
                                check_f_multiplicative, check_f_simplicial,
@@ -28,7 +30,8 @@ from cobarlab.szczarba import (CobarToGroupMap, SwappedSzProvider,
 from cobarlab.triangulate import TriangulatedCubicalSet
 from cobarlab.verdict import Verdict
 from cobarlab.verify import run_suite
-from test_chains import scaled
+from test_chains import (closed_group_basis, reference_normalized_chains,
+                         scaled)
 from test_triangulate import patch_reference_reductions
 
 
@@ -463,25 +466,33 @@ def test_word_map_needs_a_1_reduced_presentation():
 @pytest.mark.parametrize("name, rank", [("S2", 1), ("D4sk1", 6)])
 def test_word_map_target_is_a_complex_of_its_own(name, rank):
     provider = SzProvider(LoopGroup(FIXTURES[name]))
-    target = word_map(provider, 2).target
-    group = provider.group
-    basis = {g for words in target.basis.values() for g in words}
+    fmap = word_map(provider, 2)
+    group, target = provider.group, fmap.target
+    # d^2 = 0 on the on-demand target, at every value word
+    for value in fmap.mapping.values():
+        for g in value:
+            assert target.boundary_chain(target.boundary[g]) == {}, g
+    # the closed complex on the words the values touch and their faces
+    basis = closed_group_basis(group, fmap)
+    closed = {g for words in basis.values() for g in words}
     # every nondegenerate face of a basis word is a basis word
-    for g in basis:
+    for g in closed:
         for i in range(g.n + 1 if g.n else 0):
             face = group.face(g, i)
-            assert group.is_degenerate(face) or face in basis, (g, i)
-    # all three raised KeyError while faces of basis words were missing
-    assert target.check_d_squared().ok
-    assert target.check_coalgebra().ok
-    h1 = target.homology(1)
+            assert group.is_degenerate(face) or face in closed, (g, i)
+    cx = reference_normalized_chains(
+        group, basis, lambda g: not group.is_degenerate(g))
+    assert cx.check_d_squared().ok
+    assert cx.check_coalgebra().ok
+    h1 = cx.homology(1)
     # the rank of H_1 of the loop space: one class per 2-sphere
     assert (h1.betti, tuple(h1.torsion)) == (rank, ())
 
 
-def test_word_map_computes_each_group_face_once(monkeypatch):
-    # the closure walk keeps the faces of every word it visits, and the
-    # group chains read them there
+def test_word_map_reads_the_group_faces_on_demand(monkeypatch):
+    # the word map computes no group face; its two checks read each value
+    # word's faces through the target, the boundary's once per word and
+    # the diagonal's again on every read
     calls = Counter()
     real_face = LoopGroup.face
 
@@ -490,9 +501,35 @@ def test_word_map_computes_each_group_face_once(monkeypatch):
         return real_face(group, a, i)
 
     monkeypatch.setattr(LoopGroup, "face", counted)
-    target = word_map(SzProvider(LoopGroup(FIXTURES["D4sk1"])), 2).target
-    assert sum(calls.values()) == 835 and set(calls.values()) == {1}
-    assert [len(target.basis[d]) for d in range(3)] == [1, 110, 205]
+    fmap = word_map(SzProvider(LoopGroup(FIXTURES["D4sk1"])), 2)
+    assert not calls
+    assert check_chain_map(fmap).ok
+    assert len(calls) == sum(calls.values()) == 635
+    assert len(fmap.target.boundary) == 215
+    assert check_coalgebra_map(fmap).ok
+    assert len(calls) == 635 and sum(calls.values()) == 1495
+
+
+def test_the_on_demand_target_has_nothing_to_enumerate():
+    # no basis: d^2, the coalgebra identities and homology cannot pass
+    # on it with nothing to check
+    target = word_map(SzProvider(LoopGroup(FIXTURES["S2"])), 2).target
+    assert isinstance(target, NormalizedChains)
+    for check in (ChainComplex.check_d_squared, ChainComplex.check_coalgebra,
+                  lambda cx: ChainComplex.homology(cx, 1)):
+        with pytest.raises(AttributeError):
+            check(target)
+    for name in ("basis", "check_d_squared", "check_coalgebra", "homology"):
+        assert not hasattr(target, name)
+
+
+def keeps_every_face(group):
+    """The on-demand chains of ``group`` under a degeneracy test that keeps
+    every face."""
+    view = SimplicialSet()
+    view.face, view.dim = group.face, group.dim
+    view.is_degenerate = lambda a: False
+    return NormalizedChains(view)
 
 
 def test_word_map_files_each_group_word_by_its_dimension(monkeypatch):
@@ -518,25 +555,43 @@ def test_group_chain_filter_drops_degenerate_faces(m, monkeypatch):
     sset = collapsed_simplex(m, 2)
     assert sset.validate_presentation(4).ok and sset.one_reduced
     assert check_chain_map(word_map(SzProvider(LoopGroup(sset)), 2)).ok
-    group = LoopGroup(sset)
-
-    def unfiltered(face, basis):
-        # the degenerate faces of the basis words join the basis, so that
-        # the group boundary keeps them
-        with_faces = {n: dict(words) for n, words in basis.items()}
-        for n, words in basis.items():
-            for g in words:
-                for i in range(n + 1 if n else 0):
-                    d = face(g, i)
-                    if group.is_degenerate(d):
-                        with_faces.setdefault(n - 1, {})[d] = None
-        return normalized_chains(face, with_faces)
-
-    monkeypatch.setattr(szczarba, "normalized_chains", unfiltered)
-    verdict = check_chain_map(word_map(SzProvider(group), 2))
+    monkeypatch.setattr(szczarba, "NormalizedChains", keeps_every_face)
+    verdict = check_chain_map(word_map(SzProvider(LoopGroup(sset)), 2))
     assert not verdict.ok
     assert verdict.witness["check"] == "chain_map"
     assert verdict.witness["label"] == ((nondeg("0123", 3),), ())
+
+
+def test_a_target_keeping_degenerate_faces_fails_on_the_moore_space(
+        monkeypatch):
+    provider = SzProvider(LoopGroup(fixture("P3_2")))
+    assert check_chain_map(word_map(provider, 2)).ok
+    assert check_coalgebra_map(word_map(provider, 2)).ok
+    monkeypatch.setattr(szczarba, "NormalizedChains", keeps_every_face)
+    fmap = word_map(provider, 2)
+    for check, label in ((check_chain_map, "chain_map"),
+                         (check_coalgebra_map, "coalgebra_map")):
+        verdict = check(fmap)
+        assert not verdict.ok
+        assert verdict.witness["check"] == label
+        assert verdict.witness["label"] == ((nondeg("t", 3),), ())
+
+
+def test_main_theorem_on_the_moore_space():
+    # the torsion fixture, which no verify suite runs, through every check
+    # of the main-theorem suite at degree 3, and the contract and the
+    # twisting identities under it
+    provider = SzProvider(LoopGroup(fixture("P3_2")))
+    f = CobarToGroupMap(provider)
+    fmap = word_map(provider, 3)
+    assert build_f(f, 3).ok
+    assert check_f_simplicial(f, 3).ok
+    assert check_f_multiplicative(f, 2).ok
+    assert main_theorem_check(f, fmap).ok
+    assert check_chain_map(fmap).ok
+    assert check_coalgebra_map(fmap).ok
+    assert contract_check(provider, 4).ok
+    assert check_twisting(provider.group, 4).ok
 
 
 @pytest.mark.parametrize("name", ["S2", "D4sk1"])
